@@ -111,11 +111,6 @@ def inner(x, y, sig: Signature = SIG4):
     return out
 
 
-def norm2(x, sig: Signature = SIG4):
-    """Convenience wrapper: <x, x>."""
-    return inner(x, x, sig)
-
-
 def causal_character(v, sig: Signature = SIG4, tol: float | None = None) -> CausalCharacter:
     """Classify a single vector as spacelike, timelike or lightlike.
 

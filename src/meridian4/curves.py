@@ -7,7 +7,14 @@ The directrix curves of Lorentz meridian surfaces live in the Lorentzian
 * the hyperbolic sphere H^2_1(-1):  <l, l> = -1.
 
 Each admissible causal type carries a Frenet system for the moving frame
-(l, t, n) with a single curvature function kappa(v) = <t'(v), n(v)>:
+(l, t, n) with a single curvature function kappa(v) = <t'(v), n(v)>.  With
+the frame's causal signs (e_l, e_t, e_n) = (<l,l>, <t,t>, <n,n>), all three
+systems read
+
+    l' = t,   t' = -e_l e_t l + e_n kappa n,   n' = -e_t kappa t,
+
+and B(kappa) diag(e_l, e_t, e_n) is antisymmetric for the coefficient
+matrix B of :meth:`CurveFamily.frenet_matrix`:
 
 =====================  =========================================  ==============
 family                 Frenet system                              (e_l, e_t, e_n)
@@ -47,7 +54,6 @@ __all__ = [
     "chart_params",
     "FrenetState",
     "standard_initial_frame",
-    "CurvatureLaw",
     "FrameField",
     "integrate_frenet",
     "curvature_estimate",
@@ -58,50 +64,46 @@ CURVE_SIGNATURE: Signature = SIG3_PPM
 
 
 class CurveFamily(enum.Enum):
-    """Causal type and carrier quadric of a directrix curve."""
+    """Causal type and carrier quadric of a directrix curve.
 
-    SPACELIKE_S21 = "spacelike-s21"
-    TIMELIKE_S21 = "timelike-s21"
-    SPACELIKE_H21 = "spacelike-h21"
+    ``frame_signs`` is (<l,l>, <t,t>, <n,n>) for the family's
+    pseudo-orthonormal frame; the carrier and the Frenet system follow
+    from it.
+    """
 
-    @property
-    def frame_signs(self) -> tuple[int, int, int]:
-        """(<l,l>, <t,t>, <n,n>) for the family's pseudo-orthonormal frame."""
-        return {
-            CurveFamily.SPACELIKE_S21: (1, 1, -1),
-            CurveFamily.TIMELIKE_S21: (1, -1, 1),
-            CurveFamily.SPACELIKE_H21: (-1, 1, 1),
-        }[self]
+    frame_signs: tuple[int, int, int]
+
+    SPACELIKE_S21 = ("spacelike-s21", (1, 1, -1))
+    TIMELIKE_S21 = ("timelike-s21", (1, -1, 1))
+    SPACELIKE_H21 = ("spacelike-h21", (-1, 1, 1))
+
+    def __new__(cls, value: str, frame_signs: tuple[int, int, int]) -> "CurveFamily":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.frame_signs = frame_signs
+        return member
 
     @property
     def carrier(self) -> "ChartKind":
-        """Which quadric the position vector l(v) lies on."""
-        if self is CurveFamily.SPACELIKE_H21:
-            return ChartKind.H21
-        return ChartKind.S21
+        """Which quadric the position vector l(v) lies on (<l,l> = +-1)."""
+        return ChartKind.S21 if self.frame_signs[0] > 0 else ChartKind.H21
 
     def frenet_matrix(self, kappa: float) -> np.ndarray:
         """Coefficient matrix B with d/dv [l; t; n] = B [l; t; n]."""
+        e_l, e_t, e_n = self.frame_signs
         k = float(kappa)
-        if self is CurveFamily.SPACELIKE_S21:
-            return np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -k], [0.0, -k, 0.0]])
-        if self is CurveFamily.TIMELIKE_S21:
-            return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, k], [0.0, k, 0.0]])
-        return np.array([[0.0, 1.0, 0.0], [1.0, 0.0, k], [0.0, -k, 0.0]])
+        return np.array([[0.0, 1.0, 0.0], [-e_l * e_t, 0.0, e_n * k], [0.0, -e_t * k, 0.0]])
 
     def tangent_rate(self, kappa, l, t, n):
         """t'(v) from the family's Frenet system (vectorized over samples)."""
+        e_l, e_t, e_n = self.frame_signs
         k = np.asarray(kappa, dtype=float)[..., None]
-        if self is CurveFamily.SPACELIKE_S21:
-            return -k * n - l
-        return k * n + l
+        return e_n * k * n - e_l * e_t * l
 
     def normal_rate(self, kappa, t):
         """n'(v) from the family's Frenet system (vectorized over samples)."""
         k = np.asarray(kappa, dtype=float)[..., None]
-        if self is CurveFamily.TIMELIKE_S21:
-            return k * t
-        return -k * t
+        return -self.frame_signs[1] * k * t
 
 
 class ChartKind(enum.Enum):

@@ -278,23 +278,15 @@ def _samples_for(span: tuple[float, float], step: float) -> int:
 def _default_minimal_span(
     family: MeridianFamily, params: ProfileParams
 ) -> tuple[float, float]:
-    a, b = params.a, params.b
+    a = params.a
+    disc = family.minimal_discriminant(a, params.b)
     if family is MeridianFamily.FIRST_TIMELIKE:
-        disc = a * a + b
-        if disc <= 0.0:
-            raise DomainError(f"first-timelike minimal case needs a^2 + b > 0, got {disc:.6g}")
         r = np.sqrt(disc)
         return (a - 0.8 * r, a + 0.8 * r)
     if family is MeridianFamily.FIRST_SPACELIKE:
-        disc = a * a - b
-        if disc <= 0.0:
-            raise DomainError(f"first-spacelike minimal case needs a^2 - b > 0, got {disc:.6g}")
         edge = -a + np.sqrt(disc)
         pad = 0.2 * max(1.0, np.sqrt(disc))
         return (edge + pad, edge + pad + 1.0)
-    disc = b - a * a
-    if disc <= 0.0:
-        raise DomainError(f"second-family minimal case needs b - a^2 > 0, got {disc:.6g}")
     return (-a - 0.8, -a + 0.8)
 
 
@@ -302,20 +294,12 @@ def _curve_growth_rate(family: MeridianFamily, kappa: float) -> float:
     """Exponential growth rate of the directrix frame components.
 
     The third-order scalar equation satisfied by the directrix components
-    is l''' = w2 * l' with w2 = kappa^2 - 1, kappa^2 + 1, 1 - kappa^2 for
-    the three carrier/causal combinations; positive w2 means cosh-type
-    growth at rate sqrt(w2).
+    is l''' = w2 * l' with w2 = -e_t (e_l + e_n kappa^2) in the directrix
+    frame signs; positive w2 means cosh-type growth at rate sqrt(w2).
     """
-    from .curves import CurveFamily
-
-    k2 = kappa * kappa
-    cf = family.curve_family
-    if cf is CurveFamily.SPACELIKE_S21:
-        w2 = k2 - 1.0
-    elif cf is CurveFamily.TIMELIKE_S21:
-        w2 = k2 + 1.0
-    else:
-        w2 = 1.0 - k2
+    e_l, e_t, e_n = family.curve_family.frame_signs
+    # Expanded so that w2 = 0 comes out as +0.0.
+    w2 = -e_t * e_n * kappa * kappa - e_t * e_l
     return float(np.sqrt(max(w2, 0.0)))
 
 
@@ -763,21 +747,18 @@ def _sample_minimal(theorem, family, rng) -> CaseSpec:
         b = rng.uniform(0.5, 2.0)
         r = float(np.sqrt(a * a + b))
         u_span = (a - 0.75 * r, a + 0.75 * r)
-        params = ProfileParams(a=a, b=b, branch=branch)
     elif family is MeridianFamily.FIRST_SPACELIKE:
         a = rng.uniform(0.8, 1.6)
         d = rng.uniform(0.3, 1.0)
         b = a * a - d
         edge = -a + float(np.sqrt(d))
         u_span = (edge + 0.25, edge + 1.25)
-        params = ProfileParams(a=a, b=b, branch=branch)
     else:
         a = rng.uniform(-0.5, 0.5)
         d = rng.uniform(0.5, 1.5)
         b = a * a + d
         u_span = (-a - 0.75, -a + 0.75)
-        params = ProfileParams(a=a, b=b, branch=branch)
-    return CaseSpec(theorem, params, u_span=u_span)
+    return CaseSpec(theorem, ProfileParams(a=a, b=b, branch=branch), u_span=u_span)
 
 
 def _reduced_priors(family, law, c, rng):

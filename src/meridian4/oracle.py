@@ -21,7 +21,6 @@ import numpy as np
 
 from .algebra import SIG4, Signature, inner, orthonormalize
 from .errors import DegeneracyError, DomainError
-from .families import MeridianFamily
 
 __all__ = [
     "Jet2",
@@ -277,13 +276,14 @@ def frame_equation_residuals(surface, u: float, v: float, h: float | None = None
         return (block[3] - block[4]) / (2.0 * h)
 
     X0, Y0, n10, n20 = X[0], Y[0], n1[0], n2[0]
-    # Per-family signs: s_n1 is the n1-rate sign (D_Y n1 = s_n1 (k/f) Y,
-    # matching the directrix normal rate), s_yy the n1 coefficient sign in
-    # D_Y Y (matching the tangent rate), s2 the n2 directrix sign, which
-    # also flips D_X n2 and D_Y n2 for the second family.
-    s2 = family.n2_directrix_sign
-    s_n1 = 1.0 if family is MeridianFamily.FIRST_SPACELIKE else -1.0
-    s_yy = -1.0 if family is MeridianFamily.FIRST_TIMELIKE else 1.0
+    # Per-family signs (alpha, beta of meridian4.families): s_n1 = alpha beta
+    # is the n1-rate sign (D_Y n1 = s_n1 (k/f) Y, the directrix normal rate
+    # -e_t), s_yy = -beta the n1 coefficient sign in D_Y Y (the tangent rate
+    # e_n), s2 = -alpha the sign of g' l in n2, which also flips D_X n2 and
+    # D_Y n2 for the second family.
+    s2 = -family.alpha
+    s_n1 = family.alpha * family.beta
+    s_yy = -family.beta
 
     residuals = {
         "du_X": d_du(X) - kappa_m * n20,

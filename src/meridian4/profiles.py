@@ -218,22 +218,18 @@ def minimal_profile(
 ) -> MeridianProfile:
     """Sample the closed-form minimal profile of a family on a u-window.
 
-    The minimality equation f f'' + f'^2 +- 1 = 0 integrates to
-    (f^2)'' = -+2, so f^2 is an explicit quadratic and g follows by the
-    unit-speed constraint:
+    The minimality equation f f'' + f'^2 + beta = 0 integrates to
+    (f^2)'' = -2 beta, so f^2 is an explicit quadratic and g follows by the
+    unit-speed constraint (alpha, beta as in :mod:`meridian4.families`):
 
-    * ``FIRST_TIMELIKE``  (needs a^2 + b > 0):
-        f = sqrt(-u^2 + 2 a u + b),
-        g = +- sqrt(a^2 + b) arcsin((u - a)/sqrt(a^2 + b)) + c0
-    * ``FIRST_SPACELIKE`` (needs a^2 - b > 0):
-        f = sqrt(u^2 + 2 a u + b),
-        g = +- sqrt(a^2 - b) ln|u + a + f| + c0
-    * ``SECOND``          (needs b - a^2 > 0):
-        f = sqrt(u^2 + 2 a u + b),
-        g = +- sqrt(b - a^2) ln(u + a + f) + c0
+        f^2 = -beta u^2 + 2 a u + b,   needs disc = -alpha (a^2 + beta b) > 0,
+        g = +- sqrt(disc) arcsin((u - a)/sqrt(disc)) + c0    if beta > 0,
+        g = +- sqrt(disc) ln|u + a + f| + c0                 if beta < 0.
 
-    The window must keep the radicand of f strictly positive; otherwise a
-    :class:`DomainError` names the offending endpoint.
+    So ``FIRST_TIMELIKE`` needs a^2 + b > 0, ``FIRST_SPACELIKE`` a^2 - b > 0
+    and ``SECOND`` b - a^2 > 0.  The window must keep the radicand of f
+    strictly positive; otherwise a :class:`DomainError` names the
+    offending endpoint.
     """
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
@@ -244,32 +240,14 @@ def minimal_profile(
             "congruent surface via l -> -l combined with the g sign flip"
         )
     sg = params.branch.g
-
-    if family is MeridianFamily.FIRST_TIMELIKE:
-        disc = a * a + b
-        if disc <= 0.0:
-            raise DomainError(
-                f"first-timelike minimal profile needs a^2 + b > 0, got {disc:.6g}"
-            )
-    elif family is MeridianFamily.FIRST_SPACELIKE:
-        disc = a * a - b
-        if disc <= 0.0:
-            raise DomainError(
-                f"first-spacelike minimal profile needs a^2 - b > 0, got {disc:.6g}"
-            )
-    else:
-        disc = b - a * a
-        if disc <= 0.0:
-            raise DomainError(f"second-family minimal profile needs b - a^2 > 0, got {disc:.6g}")
+    alpha, beta = family.alpha, family.beta
+    disc = family.minimal_discriminant(a, b)
     root = np.sqrt(disc)
 
     us = np.linspace(float(u_span[0]), float(u_span[1]), n_samples)
     if us[-1] <= us[0]:
         raise ValueError(f"u_span must be increasing, got {u_span}")
-    if family is MeridianFamily.FIRST_TIMELIKE:
-        radicand = -us * us + 2.0 * a * us + b
-    else:
-        radicand = us * us + 2.0 * a * us + b
+    radicand = -beta * us * us + 2.0 * a * us + b
     i_min = int(np.argmin(radicand))
     if radicand[i_min] <= 1e-10:
         raise DomainError(
@@ -277,19 +255,12 @@ def minimal_profile(
             f"at u = {us[i_min]:.6g}"
         )
     f = np.sqrt(radicand)
-
-    if family is MeridianFamily.FIRST_TIMELIKE:
-        fp = (a - us) / f
-        fpp = -disc / f**3
+    fp = (a - beta * us) / f
+    fpp = alpha * disc / f**3
+    if beta > 0:
         g = sg * root * np.arcsin((us - a) / root) + c0
-    elif family is MeridianFamily.FIRST_SPACELIKE:
-        fp = (us + a) / f
-        fpp = -disc / f**3
-        g = sg * root * np.log(np.abs(us + a + f)) + c0
     else:
-        fp = (us + a) / f
-        fpp = disc / f**3
-        g = sg * root * np.log(us + a + f) + c0
+        g = sg * root * np.log(np.abs(us + a + f)) + c0
     gp = sg * root / f
 
     return MeridianProfile(
@@ -314,10 +285,10 @@ def minimal_profile(
 class PhiFunction:
     """The reduced right-hand side phi with f' = phi(f).
 
-    Substituting z = z(phi) per family (z = sqrt(phi^2 + 1),
-    sqrt(phi^2 - 1), sqrt(1 - phi^2) respectively, always the positive
-    root) turns the quasi-minimal and CMC second-order ODEs into the
-    linear equation z' + z/t = rhs(t)/t, whose integrating-factor solution
+    Substituting z = sqrt(-alpha (phi^2 + beta)), always the positive root
+    (alpha, beta as in :mod:`meridian4.families`), turns the quasi-minimal
+    and CMC second-order ODEs into the linear equation
+    z' + z/t = rhs(t)/t, whose integrating-factor solution
     is stored here in closed form (:meth:`z_exact`).  phi itself is
     recovered by inverting the substitution; evaluation returns NaN
     outside the admissible set, which the profile integrator treats as a
@@ -343,13 +314,11 @@ class PhiFunction:
         """Sign carried by the inhomogeneity of the linear ODE in z.
 
         The branch sign ``rhs`` is the +- of the governing law
-        D = +- a W (or its CMC analogue).  For the first two families
-        D = +z (t z' + z); for the second family the substitution flips
-        orientation, D = -z (t z' + z), so the same law sign lands in the
-        linear ODE with the opposite sign.
+        D = +- a W (or its CMC analogue).  The substitution gives
+        D = -alpha z (t z' + z), so for the second family (alpha = +1) the
+        same law sign lands in the linear ODE with the opposite sign.
         """
-        s = float(self.params.branch.rhs)
-        return -s if self.family is MeridianFamily.SECOND else s
+        return -self.family.alpha * float(self.params.branch.rhs)
 
     def z_exact(self, t) -> np.ndarray:
         """Closed-form solution z(t) of the reduced linear ODE (NaN if inadmissible)."""
@@ -421,39 +390,18 @@ class PhiFunction:
         """f'' along solutions of f' = phi(f), in closed form.
 
         Along a solution, f'' = phi'(f) phi(f) = (phi^2)'/2, and
-        phi^2 = z^2 -+ 1 (or 1 - z^2 for the second family), so
-        f'' = +-z z' with no finite differencing.  Returns NaN outside
-        the admissible set, like :meth:`__call__`.
+        phi^2 = -alpha z^2 - beta, so f'' = -alpha z z' with no finite
+        differencing.  Returns NaN outside the admissible set, like
+        :meth:`__call__`.
         """
         t = np.asarray(t, dtype=float)
         z = self.z_exact(t)
         p2 = self.family.phi2_from_z2(z * z)
-        sign = -1.0 if self.family is MeridianFamily.SECOND else 1.0
+        sign = -self.family.alpha
         with np.errstate(invalid="ignore"):
             tiny = 1e-13 * np.maximum(1.0, z * z)
             admissible = (p2 >= -tiny) & (z >= -tiny)
         out = np.where(admissible, sign * z * self.z_prime_exact(t), np.nan)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def phi_prime(self, t) -> np.ndarray:
-        """d(phi)/dt by central differences, with one-sided fallback at edges.
-
-        The step is 1e-6 * max(1, |t|); where one side of the stencil falls
-        outside the admissible set, the derivative switches to the one-sided
-        difference on the valid side.
-        """
-        t = np.asarray(t, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(t))
-        lo = self(t - h)
-        hi = self(t + h)
-        mid = self(t)
-        with np.errstate(invalid="ignore"):
-            central = (hi - lo) / (2.0 * h)
-            fwd = (hi - mid) / h
-            bwd = (mid - lo) / h
-        out = np.where(np.isnan(central), np.where(np.isnan(fwd), bwd, fwd), central)
         if out.ndim == 0:
             return float(out)
         return out

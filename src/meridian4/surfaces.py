@@ -192,7 +192,7 @@ class MeridianSurface:
         Y = _embed3(t)
         n1 = _embed3(n)
         n2 = np.zeros(shape)
-        n2[..., :3] = (self.family.n2_directrix_sign * gp)[..., None] * l
+        n2[..., :3] = (-self.family.alpha * gp)[..., None] * l
         n2[..., 3] = fp
         return X, Y, n1, n2
 

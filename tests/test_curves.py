@@ -86,6 +86,23 @@ def test_standard_initial_frames_are_exact(family):
     assert inner(state.l, state.l, SIG3_PPM) == target
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kappa", [-1.3, 0.0, 0.4, 2.0])
+def test_frenet_matrix_preserves_frame_gram(family, kappa):
+    """B diag(e_l, e_t, e_n) is antisymmetric, and the vectorized rates are
+    the rows of B applied to (l, t, n)."""
+    B = family.frenet_matrix(kappa)
+    skew = B @ np.diag(np.asarray(family.frame_signs, dtype=float))
+    assert np.array_equal(skew, -skew.T)
+    l, t, n = np.random.default_rng(5).normal(size=(3, 4, 3))
+    ks = np.full(4, kappa)
+    np.testing.assert_allclose(
+        family.tangent_rate(ks, l, t, n), B[1, 0] * l + B[1, 2] * n, atol=1e-15
+    )
+    np.testing.assert_allclose(family.normal_rate(ks, t), B[2, 1] * t, atol=1e-15)
+    assert B[0].tolist() == [0.0, 1.0, 0.0] and B[1, 1] == B[2, 0] == B[2, 2] == 0.0
+
+
 def test_flat_circle_on_s21():
     """kappa == 0 on the spacelike family gives the unit equator circle."""
     family = CurveFamily.SPACELIKE_S21
