@@ -8,7 +8,10 @@ trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
-which is basis-independent (no normal frame enters).  The analytic
+which is basis-independent: no normal frame is chosen.  ``fd_jet``,
+``fundamental_forms``, ``mean_curvature_fd`` and
+``frame_equation_residuals`` broadcast over (u, v) arrays, a scalar point
+being the 0-d case, so a whole grid is one immersion call.  The analytic
 formulas elsewhere in the package are certified against these numbers,
 never the other way around.
 """
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIG4, Signature, inner, orthonormalize
+# orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
+from .algebra import SIG4, Signature, inner, orthonormalize  # noqa: F401
 from .errors import DegeneracyError, DomainError
 
 __all__ = [
@@ -37,13 +41,31 @@ _DU = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _DV = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
+def _points(u, v, h, rel_step: float):
+    """Broadcast (u, v) and the step, by default rel_step * max(1, |u|, |v|)."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    if h is None:
+        h = rel_step * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
+    h = np.broadcast_to(np.asarray(h, dtype=float), u.shape)
+    if not np.all(h > 0.0):
+        raise ValueError(f"stencil step must be positive, got {h.min()}")
+    return u, v, h
+
+
+def _at(u, v, mask) -> str:
+    """(u, v) of the first point where ``mask`` holds, for error messages."""
+    i = int(np.argmax(mask))
+    return f"(u={u.flat[i]:.6g}, v={v.flat[i]:.6g})"
+
+
 @dataclass(frozen=True)
 class Jet2:
-    """Second-order jet of an immersion at one parameter point."""
+    """Second-order jet of an immersion at points (u, v) of shape S; the step
+    ``h`` has shape S, the point ``z`` and its derivatives S + (4,)."""
 
-    u: float
-    v: float
-    h: float
+    u: np.ndarray
+    v: np.ndarray
+    h: np.ndarray
     z: np.ndarray
     zu: np.ndarray
     zv: np.ndarray
@@ -52,42 +74,43 @@ class Jet2:
     zvv: np.ndarray
 
 
-def fd_jet(immersion, u: float, v: float, h: float | None = None) -> Jet2:
+def fd_jet(immersion, u, v, h=None) -> Jet2:
     """Second-order central-difference jet of ``immersion`` at (u, v).
 
-    ``immersion`` must accept numpy arrays (broadcasting) and return
-    points with a trailing axis of length 4.  The default step is
-    ``1e-4 * max(1, |u|, |v|)``; all nine samples are requested in one
-    vectorized call.  Errors raised by the immersion (e.g. a stencil arm
-    leaving the domain) are re-raised with the stencil's coordinates.
+    ``u`` and ``v`` broadcast against each other.  ``immersion`` must
+    accept numpy arrays (broadcasting) and return points with a trailing
+    axis of length 4; the nine stencil samples of every point are
+    requested in one call of shape ``u.shape + (9, 4)``.  The default step
+    is ``1e-4 * max(1, |u|, |v|)`` per point.  A :class:`DomainError`
+    raised by the immersion (e.g. a stencil arm leaving the domain) is
+    re-raised with the requested coordinates; other errors propagate.
     """
-    u, v = float(u), float(v)
-    if h is None:
-        h = 1e-4 * max(1.0, abs(u), abs(v))
-    if not (h > 0.0):
-        raise ValueError(f"stencil step must be positive, got {h}")
+    u, v, h = _points(u, v, h, 1e-4)
+    hs = h[..., None]
     try:
-        pts = np.asarray(immersion(u + h * _DU, v + h * _DV), dtype=float)
-    except Exception as exc:
+        pts = np.asarray(immersion(u[..., None] + hs * _DU, v[..., None] + hs * _DV), dtype=float)
+    except DomainError as exc:
         raise DomainError(
-            f"FD stencil evaluation failed at (u={u:.6g}, v={v:.6g}) with h={h:.3g}: {exc}"
+            f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
+            f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
         ) from exc
-    if pts.shape != (9, 4):
-        raise ValueError(f"immersion returned shape {pts.shape}, expected (9, 4)")
-    if not np.all(np.isfinite(pts)):
+    if pts.shape != u.shape + (9, 4):
+        raise ValueError(f"immersion returned shape {pts.shape}, expected {u.shape + (9, 4)}")
+    bad = ~np.all(np.isfinite(pts), axis=(-2, -1))
+    if np.any(bad):
         raise DomainError(
             f"immersion returned non-finite values inside the stencil at "
-            f"(u={u:.6g}, v={v:.6g}), h={h:.3g}"
+            f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
         )
-    c, up, um, vp, vm, pp, pm, mp, mm = pts
-    h2 = h * h
+    c, up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(pts, -2, 0)
+    h2 = hs * hs
     return Jet2(
         u=u,
         v=v,
         h=h,
         z=c,
-        zu=(up - um) / (2.0 * h),
-        zv=(vp - vm) / (2.0 * h),
+        zu=(up - um) / (2.0 * hs),
+        zv=(vp - vm) / (2.0 * hs),
         zuu=(up - 2.0 * c + um) / h2,
         zvv=(vp - 2.0 * c + vm) / h2,
         zuv=(pp - pm - mp + mm) / (4.0 * h2),
@@ -96,117 +119,80 @@ def fd_jet(immersion, u: float, v: float, h: float | None = None) -> Jet2:
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First and second fundamental forms of an immersion at a point.
+    """First and second fundamental forms of an immersion at points of shape S.
 
-    The second-form vectors ``h_uu_vec``/``h_uv_vec``/``h_vv_vec`` are the
-    normal components of the second derivatives.  ``normal_basis`` holds a
-    pseudo-orthonormal basis of the normal plane (rows) with causal signs
-    ``normal_signs``; the ``h_**`` pairs are the components of each vector
-    in that basis.  ``H`` is the mean curvature vector from the trace
-    formula (computed before any basis is chosen) and ``norm2H`` = <H, H>.
+    ``E``, ``F``, ``G`` and ``norm2H`` = <H, H> have shape S (floats for one
+    point).  ``zu``, ``zv``, the second-form vectors ``h_**_vec`` (normal
+    parts of the second derivatives) and the mean curvature vector ``H``
+    from the trace formula have shape S + (4,).
     """
 
-    E: float
-    F: float
-    G: float
+    E: float | np.ndarray
+    F: float | np.ndarray
+    G: float | np.ndarray
     zu: np.ndarray
     zv: np.ndarray
-    normal_basis: np.ndarray
-    normal_signs: tuple[int, int]
-    h_uu: tuple[float, float]
-    h_uv: tuple[float, float]
-    h_vv: tuple[float, float]
     h_uu_vec: np.ndarray
     h_uv_vec: np.ndarray
     h_vv_vec: np.ndarray
     H: np.ndarray
-    norm2H: float
+    norm2H: float | np.ndarray
 
 
 def fundamental_forms(jet: Jet2, sig: Signature = SIG4) -> FundamentalForms:
     """Assemble the fundamental forms and mean curvature from a jet.
 
-    Raises :class:`DegeneracyError` when |EG - F^2| <= 1e-10 (degenerate
-    induced metric) or when no pseudo-orthonormal basis of the normal
-    plane can be built from coordinate-axis seeds.
+    Raises :class:`DegeneracyError`, naming the first such point, when
+    |EG - F^2| <= 1e-10 (degenerate induced metric).
     """
     zu, zv = jet.zu, jet.zv
     E = inner(zu, zu, sig)
     F = inner(zu, zv, sig)
     G = inner(zv, zv, sig)
     W = E * G - F * F
-    if abs(W) <= 1e-10:
+    degenerate = np.abs(W) <= 1e-10
+    if np.any(degenerate):
         raise DegeneracyError(
-            f"induced metric is degenerate at (u={jet.u:.6g}, v={jet.v:.6g}): "
-            f"EG - F^2 = {W:.3e}"
+            f"induced metric is degenerate at {_at(jet.u, jet.v, degenerate)}: "
+            f"EG - F^2 = {np.asarray(W)[degenerate][0]:.3e}"
         )
-    gram = np.array([[E, F], [F, G]])
+    gram = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
 
     def normal_part(w: np.ndarray) -> np.ndarray:
-        coeffs = np.linalg.solve(gram, [inner(w, zu, sig), inner(w, zv, sig)])
-        return w - coeffs[0] * zu - coeffs[1] * zv
+        rhs = np.stack([inner(w, zu, sig), inner(w, zv, sig)], axis=-1)
+        coeffs = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        return w - coeffs[..., :1] * zu - coeffs[..., 1:] * zv
 
     h_uu_vec = normal_part(jet.zuu)
     h_uv_vec = normal_part(jet.zuv)
     h_vv_vec = normal_part(jet.zvv)
-    H = (E * h_vv_vec - 2.0 * F * h_uv_vec + G * h_uu_vec) / (2.0 * W)
-    norm2H = inner(H, H, sig)
-
-    # Normal basis: project the coordinate axes onto the normal plane and
-    # keep the two least-degenerate rejections (largest |<r, r>|, ties by
-    # axis index); fall back deterministically if Gram-Schmidt degenerates.
-    rejections = [normal_part(e) for e in np.eye(4)]
-    scores = [abs(inner(r, r, sig)) for r in rejections]
-    order = sorted(range(4), key=lambda i: (-scores[i], i))
-    basis = signs = None
-    first = order[0]
-    for second in order[1:]:
-        try:
-            basis, signs = orthonormalize(
-                [rejections[first], rejections[second]], sig
-            )
-            break
-        except DegeneracyError:
-            continue
-    if basis is None:
-        raise DegeneracyError(
-            f"could not build a pseudo-orthonormal normal basis at "
-            f"(u={jet.u:.6g}, v={jet.v:.6g})"
-        )
-
-    def components(w: np.ndarray) -> tuple[float, float]:
-        return (
-            signs[0] * inner(w, basis[0], sig),
-            signs[1] * inner(w, basis[1], sig),
-        )
-
+    E_, F_, G_, W_ = (np.asarray(x)[..., None] for x in (E, F, G, W))
+    H = (E_ * h_vv_vec - 2.0 * F_ * h_uv_vec + G_ * h_uu_vec) / (2.0 * W_)
     return FundamentalForms(
         E=E,
         F=F,
         G=G,
         zu=zu,
         zv=zv,
-        normal_basis=basis,
-        normal_signs=signs,
-        h_uu=components(h_uu_vec),
-        h_uv=components(h_uv_vec),
-        h_vv=components(h_vv_vec),
         h_uu_vec=h_uu_vec,
         h_uv_vec=h_uv_vec,
         h_vv_vec=h_vv_vec,
         H=H,
-        norm2H=norm2H,
+        norm2H=inner(H, H, sig),
     )
 
 
-def mean_curvature_fd(immersion, u: float, v: float, h: float | None = None):
-    """Mean curvature vector and <H, H> at (u, v), purely by finite differences."""
+def mean_curvature_fd(immersion, u, v, h=None):
+    """Mean curvature vector and <H, H> at (u, v), purely by finite differences.
+
+    Broadcasts over (u, v) like :func:`fd_jet`.
+    """
     forms = fundamental_forms(fd_jet(immersion, u, v, h))
     return forms.H, forms.norm2H
 
 
 def shape_operator(forms: FundamentalForms, xi, sig: Signature = SIG4) -> np.ndarray:
-    """Shape operator A_xi in the coordinate basis (z_u, z_v).
+    """Shape operator A_xi in the coordinate basis (z_u, z_v) at one point.
 
     Returns the 2x2 matrix M with A_xi z_u = M[0,0] z_u + M[1,0] z_v and
     A_xi z_v = M[0,1] z_u + M[1,1] z_v, defined by <A_xi X, Y> =
@@ -238,7 +224,7 @@ def shape_operator(forms: FundamentalForms, xi, sig: Signature = SIG4) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def frame_equation_residuals(surface, u: float, v: float, h: float | None = None):
+def frame_equation_residuals(surface, u, v, h=None):
     """Residuals of the eight first-order frame derivative equations.
 
     For an assembled meridian surface the adapted frame (X, Y, n1, n2)
@@ -252,30 +238,29 @@ def frame_equation_residuals(surface, u: float, v: float, h: float | None = None
 
     where D_X = d/du, D_Y = (1/f) d/dv, k = kappa(v) and kappa_m is the
     meridian curvature.  This function differentiates the analytic frame
-    by central differences (step ``h``, default 1e-5 scaled) and returns a
-    dict of max-abs residuals, one entry per table line.  Agreement at the
-    default step certifies both the frame and the derivative table.
+    by central differences (step ``h``, default 1e-5 scaled per point) at
+    the broadcast points (u, v), all in one ``surface.frames`` call, and
+    returns a dict of max-abs residuals over the points, one entry per
+    table line.  Agreement at the default step certifies both the frame
+    and the derivative table.
     """
-    u, v = float(u), float(v)
-    if h is None:
-        h = 1e-5 * max(1.0, abs(u), abs(v))
+    u, v, h = _points(u, v, h, 1e-5)
     family = surface.family
-    f, fp, fpp, _, gp = (np.asarray(x, dtype=float) for x in surface.profile_values(u))
-    f, fp, gp = float(f), float(fp), float(gp)
-    kappa = float(surface.curve.kappa_at(v))
-    kappa_m = float(family.meridian_curvature(fpp, gp))
+    f, fp, fpp, _, gp = (x[..., None] for x in surface.profile_values(u))
+    kappa = surface.curve.kappa_at(v)[..., None]
+    kappa_m = family.meridian_curvature(fpp, gp)
 
-    us = np.array([u, u + h, u - h, u, u])
-    vs = np.array([v, v, v, v + h, v - h])
-    X, Y, n1, n2 = surface.frames(us, vs)
+    hs = h[..., None]
+    # the first five stencil points: center, +-u, +-v
+    X, Y, n1, n2 = surface.frames(u[..., None] + hs * _DU[:5], v[..., None] + hs * _DV[:5])
 
     def d_du(block: np.ndarray) -> np.ndarray:
-        return (block[1] - block[2]) / (2.0 * h)
+        return (block[..., 1, :] - block[..., 2, :]) / (2.0 * hs)
 
     def d_dv(block: np.ndarray) -> np.ndarray:
-        return (block[3] - block[4]) / (2.0 * h)
+        return (block[..., 3, :] - block[..., 4, :]) / (2.0 * hs)
 
-    X0, Y0, n10, n20 = X[0], Y[0], n1[0], n2[0]
+    X0, Y0, n10, n20 = X[..., 0, :], Y[..., 0, :], n1[..., 0, :], n2[..., 0, :]
     # Per-family signs (alpha, beta of meridian4.families): s_n1 = alpha beta
     # is the n1-rate sign (D_Y n1 = s_n1 (k/f) Y, the directrix normal rate
     # -e_t), s_yy = -beta the n1 coefficient sign in D_Y Y (the tangent rate

@@ -357,8 +357,8 @@ class PhiFunction:
         p2 = self.family.phi2_from_z2(z * z)
         return np.minimum(p2, z)
 
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+    def _admissible(self, t):
+        """z(t), phi^2(t) and the admissibility mask at t."""
         z = self.z_exact(t)
         p2 = self.family.phi2_from_z2(z * z)
         with np.errstate(invalid="ignore"):
@@ -366,6 +366,11 @@ class PhiFunction:
             # declaring the point inadmissible right at a domain edge.
             tiny = 1e-13 * np.maximum(1.0, z * z)
             admissible = (p2 >= -tiny) & (z >= -tiny)
+        return z, p2, admissible
+
+    def __call__(self, t) -> np.ndarray:
+        _, p2, admissible = self._admissible(t)
+        with np.errstate(invalid="ignore"):
             vals = np.sqrt(np.clip(p2, 0.0, None))
         out = np.where(admissible, float(self.params.branch.phi) * vals, np.nan)
         if out.ndim == 0:
@@ -374,6 +379,10 @@ class PhiFunction:
 
     def z_prime_exact(self, t) -> np.ndarray:
         """Closed-form derivative z'(t) of the reduced linear solution."""
+        return self._z_prime(t, self.z_exact(t))
+
+    def _z_prime(self, t, z) -> np.ndarray:
+        """z'(t) given z = z_exact(t); the CMC form needs z."""
         t = np.asarray(t, dtype=float)
         a = self.params.a
         s = self._ode_sign
@@ -383,7 +392,7 @@ class PhiFunction:
             else:
                 k = 4.0 * self.family.cmc_inner_sign * self.params.c
                 rate = np.sqrt(np.clip(a * a + k * t * t, 0.0, None))
-                out = (s * rate - self.z_exact(t)) / t
+                out = (s * rate - z) / t
         return np.where(t > 0.0, out, np.nan)
 
     def second_derivative(self, t) -> np.ndarray:
@@ -394,14 +403,8 @@ class PhiFunction:
         differencing.  Returns NaN outside the admissible set, like
         :meth:`__call__`.
         """
-        t = np.asarray(t, dtype=float)
-        z = self.z_exact(t)
-        p2 = self.family.phi2_from_z2(z * z)
-        sign = -self.family.alpha
-        with np.errstate(invalid="ignore"):
-            tiny = 1e-13 * np.maximum(1.0, z * z)
-            admissible = (p2 >= -tiny) & (z >= -tiny)
-        out = np.where(admissible, sign * z * self.z_prime_exact(t), np.nan)
+        z, _, admissible = self._admissible(t)
+        out = np.where(admissible, -self.family.alpha * z * self._z_prime(t, z), np.nan)
         if out.ndim == 0:
             return float(out)
         return out
@@ -687,7 +690,8 @@ def profile_residuals(
 
     * MINIMAL:        D
     * QUASI_MINIMAL:  D - s_rhs * a * W
-    * CMC:            D^2 - (a^2 + 4 eps c f^2) W^2   (sign-free squared form)
+    * CMC:            (D^2 - R W^2) / max(1, D^2 + |R| W^2), R = a^2 + 4 eps c f^2
+                      (sign-free squared form, relative to the size of its terms)
 
     constraint residual: the family's unit-speed expression in (f', g').
 
@@ -706,13 +710,15 @@ def profile_residuals(
 
     family = profile.family
     core = family.governing_core(profile.f, profile.fp, profile.fpp)
-    w = np.sqrt(np.clip(family.gprime_radicand(profile.fp), 0.0, None))
+    w2 = np.clip(family.gprime_radicand(profile.fp), 0.0, None)
+    w = np.sqrt(w2)
     if law is GoverningLaw.MINIMAL:
         governing = core
     elif law is GoverningLaw.QUASI_MINIMAL:
         governing = core - params.branch.rhs * params.a * w
     else:
         inner_rad = params.a**2 + 4.0 * family.cmc_inner_sign * params.c * profile.f**2
-        governing = core * core - inner_rad * w * w
+        scale = np.maximum(1.0, core**2 + np.abs(inner_rad) * w2)
+        governing = (core * core - inner_rad * w * w) / scale
     constraint = family.speed_residual(profile.fp, profile.gp)
     return ProfileResiduals(governing=governing, constraint=constraint)

@@ -6,11 +6,18 @@ import pytest
 from meridian4 import (
     DegeneracyError,
     DomainError,
+    MeridianFamily,
+    ProfileParams,
+    assemble,
     fd_jet,
+    frame_equation_residuals,
     fundamental_forms,
     inner,
+    integrate_frenet,
     mean_curvature_fd,
+    minimal_profile,
     shape_operator,
+    standard_initial_frame,
 )
 
 
@@ -49,11 +56,17 @@ def test_jet_rejects_bad_immersions():
     with pytest.raises(DomainError, match="non-finite"):
         fd_jet(lambda u, v: np.full((9, 4), np.nan), 0.0, 0.0, 1e-4)
 
-    def raising(u, v):
-        raise RuntimeError("outside the chart")
+    def raising(exc):
+        def immersion(u, v):
+            raise exc("outside the chart")
 
-    with pytest.raises(DomainError, match="stencil evaluation failed"):
-        fd_jet(raising, 0.0, 0.0, 1e-4)
+        return immersion
+
+    with pytest.raises(DomainError, match="stencil evaluation failed for u in \\[0, 0\\]"):
+        fd_jet(raising(DomainError), 0.0, 0.0, 1e-4)
+    # anything but a DomainError is a programming error and propagates as is
+    with pytest.raises(RuntimeError, match="^outside the chart$"):
+        fd_jet(raising(RuntimeError), 0.0, 0.0, 1e-4)
     with pytest.raises(ValueError, match="positive"):
         fd_jet(_quadratic, 0.0, 0.0, h=0.0)
 
@@ -71,8 +84,6 @@ def test_cylinder_forms_frozen():
         forms.H, [-0.5 * np.cos(u), -0.5 * np.sin(u), 0.0, 0.0], atol=1e-7
     )
     assert forms.norm2H == pytest.approx(0.25, abs=1e-7)
-    # normal plane holds one spacelike and one timelike direction
-    assert sorted(forms.normal_signs) == [-1, 1]
 
 
 def test_mean_curvature_fd_wrapper():
@@ -124,3 +135,75 @@ def test_fd_truncation_is_second_order():
         errs.append(abs(n2 - 0.25))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
+
+
+# ---------------------------------------------------------------------------
+# the batched path: arrays of points give exactly the per-point results
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def meridian_surface():
+    """A second-family minimal surface over a directrix with kappa = 0.5."""
+    family = MeridianFamily.SECOND
+    cf = family.curve_family
+    curve = integrate_frenet(cf, lambda v: 0.5, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
+    profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 1201)
+    return assemble(family, curve, profile)
+
+
+@pytest.mark.parametrize("which", ["cylinder", "meridian"])
+def test_batched_oracle_equals_scalar_calls(which, meridian_surface):
+    if which == "cylinder":
+        immersion, us, vs = _cylinder, np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
+    else:
+        immersion = meridian_surface.immersion
+        us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
+    U, V = us[:, None], vs[None, :]
+    jet = fd_jet(immersion, U, V)
+    forms = fundamental_forms(jet)
+    H, n2 = mean_curvature_fd(immersion, U, V)
+    assert jet.zuv.shape == forms.H.shape == H.shape == (5, 7, 4)
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            jet1 = fd_jet(immersion, u, v)
+            forms1 = fundamental_forms(jet1)
+            H1, n21 = mean_curvature_fd(immersion, u, v)
+            for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
+                assert np.array_equal(getattr(jet, name)[i, j], getattr(jet1, name)), name
+            for name in ("E", "F", "G", "h_uu_vec", "h_uv_vec", "h_vv_vec", "H", "norm2H"):
+                assert np.array_equal(getattr(forms, name)[i, j], getattr(forms1, name)), name
+            assert np.array_equal(H[i, j], H1) and n2[i, j] == n21
+
+
+def test_batched_frame_residuals_are_pointwise_max(meridian_surface):
+    rng = np.random.default_rng(3)
+    pu = rng.uniform(-0.5, 0.5, 6)
+    pv = rng.uniform(0.1, 1.1, 6)
+    batched = frame_equation_residuals(meridian_surface, pu, pv)
+    singles = [frame_equation_residuals(meridian_surface, u, v) for u, v in zip(pu, pv)]
+    assert batched == {key: max(r[key] for r in singles) for key in batched}
+    assert 0.0 < max(batched.values()) < 1e-5
+
+
+def test_batched_jet_names_the_first_non_finite_point():
+    def holed(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        hole = (np.abs(u - 0.5) < 1e-2) & (np.abs(v - 0.3) < 1e-2)
+        return np.where(hole[..., None], np.nan, _cylinder(u, v))
+
+    us = np.array([0.1, 0.5, 0.9])
+    vs = np.array([0.0, 0.3, 0.6])
+    with pytest.raises(DomainError, match="non-finite .* at \\(u=0.5, v=0.3\\)"):
+        fd_jet(holed, us[:, None], vs[None, :], 1e-4)
+
+
+def test_batched_forms_detect_one_degenerate_point():
+    def tilted_plane(u, v):
+        # z_u = (1, 0, u, 0): E = 1 - u^2, F = 0, G = 1, so EG - F^2 = 0 at u = 1
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        return np.stack([u, v, 0.5 * u * u, np.zeros_like(u)], axis=-1)
+
+    jet = fd_jet(tilted_plane, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
+    with pytest.raises(DegeneracyError, match="degenerate at \\(u=1, v=0\\)"):
+        fundamental_forms(jet)
