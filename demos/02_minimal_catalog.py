@@ -51,11 +51,9 @@ def main():
         # analytic h-coefficients vanish; the FD oracle agrees pointwise
         us = rng.uniform(u_span[0] + 0.1, u_span[1] - 0.1, 5)
         vs = rng.uniform(0.1, 1.1, 5)
-        worst = 0.0
-        for u, v in zip(us, vs):
-            mc = surface.mean_curvature(u, v)
-            H_fd, _ = mean_curvature_fd(surface.immersion, u, v)
-            worst = max(worst, abs(mc.h1), abs(mc.h2), float(np.max(np.abs(H_fd))))
+        mc = surface.mean_curvature(us, vs)
+        H_fd, _ = mean_curvature_fd(surface.immersion, us, vs)
+        worst = max(np.max(np.abs(mc.h1)), np.max(np.abs(mc.h2)), np.max(np.abs(H_fd)))
         print(f"   max(|h1|, |h2|, ||H_fd||) over 5 probes = {worst:.2e}")
 
         # hyperplane corollary: the point cloud of a minimal case is rank 3

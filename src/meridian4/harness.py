@@ -133,11 +133,7 @@ class CaseSpec:
     min_H_floor: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.nu < 5 or self.nv < 5:
-            raise ValueError(f"grid must be at least 5x5, got {self.nu}x{self.nv}")
-        if not (self.step > 0.0 and self.fd_step > 0.0):
-            raise ValueError("step and fd_step must be positive")
-        for name in (
+        tolerances = (
             "tol_H",
             "tol_frame",
             "tol_governing",
@@ -145,7 +141,18 @@ class CaseSpec:
             "tol_h12",
             "tol_rank_residual",
             "min_H_floor",
-        ):
+        )
+        # an infinite tolerance would pass any check
+        for name in ("f0", "curve_kappa", "step", "fd_step", "u_span", "v_span", "tol_norm2",
+                     *tolerances):
+            val = getattr(self, name)
+            if val is not None and not np.all(np.isfinite(val)):
+                raise ValueError(f"{name} must be finite, got {val!r}")
+        if self.nu < 5 or self.nv < 5:
+            raise ValueError(f"grid must be at least 5x5, got {self.nu}x{self.nv}")
+        if not (self.step > 0.0 and self.fd_step > 0.0):
+            raise ValueError("step and fd_step must be positive")
+        for name in tolerances:
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
         if self.tol_norm2 is not None and not (self.tol_norm2 > 0.0):
@@ -190,19 +197,61 @@ class CaseSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseSpec":
+        """Build a spec from its JSON form, rejecting malformed fields with ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a CaseSpec must be a JSON object, got {data!r}")
         data = dict(data)
+        if "theorem" not in data:
+            raise ValueError("CaseSpec field 'theorem' is required")
         theorem = Theorem(data.pop("theorem"))
-        pdata = dict(data.pop("params", {}))
-        branch = BranchSigns.from_string(pdata.pop("branch_signs", "++++"))
-        params = ProfileParams(branch=branch, **pdata)
-        for key in ("u_span", "v_span"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
+        pdata = data.pop("params", {})
+        if not isinstance(pdata, dict):
+            raise ValueError(f"CaseSpec field 'params' must be an object, got {pdata!r}")
+        pdata = dict(pdata)
+        signs = pdata.pop("branch_signs", "++++")
+        if not isinstance(signs, str):
+            raise ValueError(
+                f"CaseSpec field 'params.branch_signs' must be a string, got {signs!r}"
+            )
+        unknown = set(pdata) - {"a", "b", "c", "c0"}
+        if unknown:
+            raise ValueError(f"unknown CaseSpec params: {sorted(unknown)}")
+        for key, value in pdata.items():
+            _check_json_field(f"params.{key}", value, "float")
+        params = ProfileParams(branch=BranchSigns.from_string(signs), **pdata)
+        fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown CaseSpec fields: {sorted(unknown)}")
+        for key, value in data.items():
+            data[key] = _check_json_field(key, value, fields[key].type)
         return cls(theorem=theorem, params=params, **data)
+
+
+def _check_json_field(name: str, value, annotation: str):
+    """Check one JSON value against a CaseSpec field annotation; spans become tuples.
+
+    ``annotation`` is the field's (string) type: ``int``, ``float``,
+    ``tuple[float, float]``, each optionally ``| None``.
+    """
+    if value is None and annotation.endswith("| None"):
+        return None
+
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    kind = annotation.split(" |")[0]
+    if kind == "int":
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind == "float":
+        ok, want = number(value), "a number"
+    else:
+        ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(number, value))
+        want = "a pair of numbers"
+        value = tuple(value) if ok else value
+    if not ok:
+        raise ValueError(f"CaseSpec field {name!r} must be {want}, got {value!r}")
+    return value
 
 
 @dataclass

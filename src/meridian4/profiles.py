@@ -135,6 +135,12 @@ class ProfileParams:
     c0: float = 0.0
     branch: BranchSigns = field(default_factory=BranchSigns)
 
+    def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "c0"):
+            val = getattr(self, name)
+            if not np.isfinite(val):
+                raise ValueError(f"parameter {name} must be finite, got {val!r}")
+
     def replace(self, **kw) -> "ProfileParams":
         return _dc_replace(self, **kw)
 

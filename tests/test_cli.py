@@ -81,6 +81,55 @@ def test_verify_bad_case_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"theorem": "minimal-a", "params": {"a": 1.0, "zz": 2}}, "zz"),
+        ({"theorem": "minimal-a", "params": [1.0, 2.0]}, "params"),
+        ({"theorem": "minimal-a", "params": {"a": "1.0"}}, "params.a"),
+        ({"theorem": "minimal-a", "params": {"branch_signs": 1}}, "params.branch_signs"),
+        ({"theorem": "minimal-a", "nu": "21"}, "nu"),
+        ({"theorem": "minimal-a", "nv": 21.5}, "nv"),
+        ({"theorem": "minimal-a", "n_probe": True}, "n_probe"),
+        ({"theorem": "minimal-a", "step": "1e-3"}, "step"),
+        ({"theorem": "quasi-a", "f0": "2"}, "f0"),
+        ({"theorem": "minimal-a", "u_span": [0.0]}, "u_span"),
+        ({"theorem": "minimal-a", "v_span": [0.0, "1"]}, "v_span"),
+        ({"params": {"b": 1.0}}, "theorem"),
+        ({"theorem": "quasi-a", "params": {"a": 1.0, "c": 2.0}, "f0": float("inf")}, "f0"),
+        ({"theorem": "minimal-a", "params": {"a": float("nan"), "b": 1.0}}, "parameter a"),
+        ({"theorem": "minimal-a", "params": {"b": 1.0}, "tol_H": float("inf")}, "tol_H"),
+    ],
+)
+def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps(doc))
+    assert main(["verify", str(case_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--family", "ma", "--a", "nan", "--b", "1"], "parameter a must be finite, got nan"),
+        (["--family", "ma", "--b=inf"], "parameter b must be finite, got inf"),
+        (["--family", "ma", "--b", "1", "--c0=-inf"], "parameter c0 must be finite, got -inf"),
+        (["--theorem=cmc-a", "--a", "2", "--b", "0.5", "--c", "1", "--f0", "inf"],
+         "f0 must be finite, got inf"),
+        (["--theorem=cmc-a", "--a", "2", "--b", "0.5", "--c", "1", "--f0=-inf"],
+         "f0 must be finite, got -inf"),
+        (["--family", "ma", "--b", "1", "--u-min", "0", "--u-max", "inf"],
+         "u_span must be finite"),
+        (["--family", "ma", "--b", "1", "--step", "nan"], "step must be finite, got nan"),
+    ],
+)
+def test_generate_rejects_non_finite_values(tmp_path, capsys, flags, message):
+    out = tmp_path / "mesh.csv"
+    assert main(["generate", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_report_is_deterministic(capsys):
     args = [
         "verify", "--theorem", "minimal-c", "--b", "1",

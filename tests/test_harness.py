@@ -58,6 +58,25 @@ def test_case_spec_validation():
         CaseSpec(Theorem.MINIMAL_A, tol_norm2=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field,make",
+    [
+        ("f0", lambda x: {"f0": x}),
+        ("curve_kappa", lambda x: {"curve_kappa": x}),
+        ("step", lambda x: {"step": x}),
+        ("u_span", lambda x: {"u_span": (0.0, x)}),
+        ("v_span", lambda x: {"v_span": (x, 1.0)}),
+        ("fd_step", lambda x: {"fd_step": x}),
+        ("tol_norm2", lambda x: {"tol_norm2": x}),
+        ("tol_H", lambda x: {"tol_H": x}),
+    ],
+)
+def test_case_spec_rejects_non_finite_values(field, make, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite, got .*{bad}"):
+        CaseSpec(Theorem.QUASI_A, ProfileParams(a=1.0, c=2.0), **make(bad))
+
+
 def test_tol_norm2_resolution_rule():
     spec = CaseSpec(Theorem.CMC_A, ProfileParams(a=2.0, c=2.0), f0=1.0)
     assert spec.resolved_tol_norm2(0.5) == 1e-5

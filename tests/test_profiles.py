@@ -47,6 +47,15 @@ def test_branch_signs_reject_garbage():
         BranchSigns(g=0)
 
 
+@pytest.mark.parametrize("name", ["a", "b", "c", "c0"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_profile_params_must_be_finite(name, bad):
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite, got {bad}"):
+        ProfileParams(**{name: bad})
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+        ProfileParams(a=1.0).replace(**{name: bad})
+
+
 # ---------------------------------------------------------------------------
 # minimal closed forms
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import BPoly
 
 from meridian4 import (
     SIG4,
@@ -23,6 +24,7 @@ from meridian4 import (
     tilde_surface,
     transform_T,
 )
+from meridian4.surfaces import _hermite
 
 FT = MeridianFamily.FIRST_TIMELIKE
 FS = MeridianFamily.FIRST_SPACELIKE
@@ -55,6 +57,56 @@ def cylinder_surface():
         n_samples=801,
     )
     return assemble(FT, _curve(FT, 0.7, (0.0, 1.5)), profile)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized Hermite construction
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_bpoly(got, ref):
+    assert np.array_equal(got.c, ref.c)
+    assert np.array_equal(got.x, ref.x)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("tail", [(), (3,)])
+def test_hermite_equals_from_derivatives(uniform, d, tail):
+    rng = np.random.default_rng(17 + d + len(tail))
+    if uniform:
+        x = np.linspace(-0.7, 1.3, 1201)
+    else:
+        # enough random steps that some h**2 round differently in numpy's
+        # array power than in the scalar pow (about 1 in 1,000 on x86-64)
+        x = np.cumsum(rng.uniform(1e-4, 0.3, 12001)) - 2.0
+    m = len(x)
+    # magnitudes from 1e-6 to 1e6, so every rounding step is exercised
+    y = rng.standard_normal((m, d) + tail) * 10.0 ** rng.uniform(-6, 6, (m, d) + tail)
+    _assert_same_bpoly(_hermite(x, y), BPoly.from_derivatives(x, y))
+
+
+@pytest.mark.parametrize(
+    "family,params,u_span",
+    [
+        (FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
+        (FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0)),
+        (SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
+    ],
+)
+def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
+    surface = _minimal_surface(family, params, u_span, kappa=0.4)
+    curve, prof, cf = surface.curve, surface.profile, family.curve_family
+    tp = cf.tangent_rate(curve.ks, curve.ls, curve.ts, curve.ns)
+    n_rate = cf.normal_rate(curve.ks, curve.ts)
+    refs = {
+        "_Pl": BPoly.from_derivatives(curve.vs, np.stack([curve.ls, curve.ts, tp], axis=1)),
+        "_Pn": BPoly.from_derivatives(curve.vs, np.stack([curve.ns, n_rate], axis=1)),
+        "_Pf": BPoly.from_derivatives(prof.us, np.column_stack([prof.f, prof.fp, prof.fpp])),
+        "_Pg": BPoly.from_derivatives(prof.us, np.column_stack([prof.g, prof.gp, prof.gpp])),
+    }
+    for name, ref in refs.items():
+        _assert_same_bpoly(getattr(surface, name), ref)
 
 
 # ---------------------------------------------------------------------------
