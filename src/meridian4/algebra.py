@@ -87,6 +87,9 @@ class CausalCharacter(enum.Enum):
     LIGHTLIKE = "lightlike"
 
 
+_CHARACTERS = np.array(list(CausalCharacter), dtype=object)
+
+
 def _check_dim(x: np.ndarray, sig: Signature, name: str) -> None:
     if x.shape[-1] != len(sig):
         raise ValueError(
@@ -111,35 +114,24 @@ def inner(x, y, sig: Signature = SIG4):
     return out
 
 
-def causal_character(v, sig: Signature = SIG4, tol: float | None = None) -> CausalCharacter:
-    """Classify a single vector as spacelike, timelike or lightlike.
+def causal_character(v, sig: Signature = SIG4, tol: float | None = None):
+    """Classify vectors (trailing axis, matching ``sig``) by causal character.
 
-    Parameters
-    ----------
-    v : array_like
-        Vector of length matching ``sig``.
-    sig : Signature
-        Diagonal metric.
-    tol : float, optional
-        Absolute classification margin for <v, v>.  By default it scales
-        with the vector: ``1e-12 * max(1, |v|_inf^2)``, so near-null vectors
-        of any magnitude classify consistently.
+    Broadcasts over leading axes: a single vector gives a
+    :class:`CausalCharacter`, an array of vectors an object array of them.
+    ``tol`` is the absolute margin for <v, v>; by default it scales with
+    each vector, ``1e-12 * max(1, |v|_inf^2)``, so near-null vectors of any
+    magnitude classify consistently.
     """
     v = np.asarray(v, dtype=float)
     _check_dim(v, sig, "v")
-    if v.ndim != 1:
-        raise ValueError("causal_character classifies one vector at a time")
-    q = inner(v, v, sig)
-    if not np.any(v):
-        return CausalCharacter.SPACELIKE
+    q = np.sum(sig.array * v * v, axis=-1)
     if tol is None:
-        scale = float(np.max(np.abs(v)))
-        tol = 1e-12 * max(1.0, scale * scale)
-    if q > tol:
-        return CausalCharacter.SPACELIKE
-    if q < -tol:
-        return CausalCharacter.TIMELIKE
-    return CausalCharacter.LIGHTLIKE
+        scale = np.max(np.abs(v), axis=-1)
+        tol = 1e-12 * np.maximum(1.0, scale * scale)
+    code = np.where(q > tol, 0, np.where(q < -tol, 1, 2))
+    code = np.where(np.any(v, axis=-1), code, 0)
+    return _CHARACTERS[code]  # a 0-d index picks the member itself
 
 
 def gram_matrix(frame, sig: Signature = SIG4) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -144,6 +145,9 @@ def _span(parser, lo, hi, name) -> tuple[float, float] | None:
         parser.error(f"--{name}-min and --{name}-max must be given together")
     if lo is None:
         return None
+    for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
+        if not math.isfinite(value):
+            parser.error(f"{name}_span must be finite: {flag} is {value}")
     if not lo < hi:
         parser.error(f"--{name}-min must be below --{name}-max")
     return (lo, hi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import SIG4, CausalCharacter, affine_rank, causal_character, inner
-from .curves import integrate_frenet, standard_initial_frame
+from .curves import _MAX_SAMPLES, _grid_intervals, integrate_frenet, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
 from .oracle import fd_jet, frame_equation_residuals, fundamental_forms
@@ -150,6 +150,9 @@ class CaseSpec:
                 raise ValueError(f"{name} must be finite, got {val!r}")
         if self.nu < 5 or self.nv < 5:
             raise ValueError(f"grid must be at least 5x5, got {self.nu}x{self.nv}")
+        if self.nu * self.nv > _MAX_SAMPLES:
+            raise DomainError(f"grid of {self.nu}x{self.nv} = {self.nu * self.nv} points "
+                              f"exceeds the cap of {_MAX_SAMPLES} points")
         if not (self.step > 0.0 and self.fd_step > 0.0):
             raise ValueError("step and fd_step must be positive")
         for name in tolerances:
@@ -321,7 +324,7 @@ def _check(name: str, value, threshold, comparison: str) -> dict:
 
 
 def _samples_for(span: tuple[float, float], step: float) -> int:
-    return max(9, int(round((span[1] - span[0]) / step)) + 1)
+    return _grid_intervals(span, step, minimum=8, var="u") + 1
 
 
 def _default_minimal_span(
@@ -462,7 +465,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     max_H_inf = float(np.max(H_inf))
     min_H_inf = float(np.min(H_inf))
     max_norm2_dev = float(np.max(np.abs(forms.norm2H - target)))
-    characters = {causal_character(H) for H in forms.H.reshape(-1, 4)}
+    characters = set(causal_character(forms.H).ravel())
 
     # frame equations and mixed second-form component at probe points
     rng = np.random.default_rng(spec.seed)
@@ -623,10 +626,8 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
         max_flip_dev = max(
             max_flip_dev, float(np.max(np.abs(forms_til.norm2H + forms_src.norm2H)))
         )
-        flips_ok = flips_ok and all(
-            causal_character(zt) is swap[causal_character(zs)]
-            for zs, zt in zip(forms_src.zu, forms_til.zu)
-        )
+        src_chars, til_chars = causal_character(np.stack([forms_src.zu, forms_til.zu]))
+        flips_ok = flips_ok and all(t is swap[s] for s, t in zip(src_chars, til_chars))
 
     stats = {
         "anti_isometry_dev": anti_dev,

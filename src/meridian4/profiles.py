@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .curves import _grid_intervals
 from .errors import DomainError
 from .families import MeridianFamily
 
@@ -530,18 +531,14 @@ def integrate_profile(
     is returned with ``truncated=True`` covering the reached span (at
     least 3 samples; otherwise a :class:`DomainError` is raised).
     """
-    if not (step > 0.0):
-        raise ValueError(f"step must be positive, got {step}")
+    n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
-    if not (u1 > u0):
-        raise ValueError(f"u_span must be increasing, got {u_span}")
     f0 = float(f0)
     if not _contains(phi.domain, f0):
         raise DomainError(
             f"f0 = {f0:.6g} lies outside the admissible domain {phi.domain} of phi"
         )
 
-    n = max(2, int(round((u1 - u0) / step)))
     h = (u1 - u0) / n
     sg = float(phi.params.branch.g)
 

@@ -63,6 +63,33 @@ def test_causal_character_scales_with_vector():
     assert causal_character(v) is CausalCharacter.LIGHTLIKE
 
 
+@pytest.mark.parametrize("tol", [None, 1e-3])
+def test_causal_character_broadcasts_like_per_vector_calls(tol):
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(6, 50, 4))
+    v[1, :, 2] = np.hypot(v[1, :, 0], v[1, :, 1])  # null up to roundoff
+    v[1, :, 3] = 0.0
+    v[2] = 0.0
+    v *= 10.0 ** rng.uniform(-8.0, 8.0, size=(6, 50, 1))
+    out = causal_character(v, tol=tol)
+    assert out.shape == (6, 50) and out.dtype == object
+    for idx in np.ndindex(out.shape):
+        assert out[idx] is causal_character(v[idx], tol=tol)
+        # the per-vector rule, written out as a loop reference
+        x = v[idx]
+        q = inner(x, x)
+        margin = 1e-12 * max(1.0, float(np.max(np.abs(x))) ** 2) if tol is None else tol
+        expected = (
+            CausalCharacter.SPACELIKE if q > margin or not np.any(x)
+            else CausalCharacter.TIMELIKE if q < -margin
+            else CausalCharacter.LIGHTLIKE
+        )
+        assert out[idx] is expected
+    assert {c.value for c in out.ravel()} == {"spacelike", "timelike", "lightlike"}
+    # a single vector is the 0-d case and returns the member itself
+    assert isinstance(causal_character(v[0, 0], tol=tol), CausalCharacter)
+
+
 def test_gram_matrix_standard_basis():
     np.testing.assert_array_equal(gram_matrix(np.eye(4)), np.diag([1.0, 1.0, -1.0, -1.0]))
 

@@ -130,6 +130,28 @@ def test_generate_rejects_non_finite_values(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--u-min", "nan", "--u-max", "1"], "u_span must be finite: --u-min is nan"),
+        (["--u-min", "0", "--u-max", "nan"], "u_span must be finite: --u-max is nan"),
+        (["--u-min=-inf", "--u-max", "1"], "u_span must be finite: --u-min is -inf"),
+        (["--u-min", "0", "--u-max", "inf"], "u_span must be finite: --u-max is inf"),
+        (["--v-min", "0", "--v-max=-inf"], "v_span must be finite: --v-max is -inf"),
+    ],
+)
+def test_verify_names_non_finite_span_flags(capsys, flags, message):
+    assert main(["verify", "--family", "ma", "--b", "1", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_an_oversized_grid(capsys):
+    assert main(["verify", "--family", "ma", "--b", "1", "--step", "1e-9"]) == 2
+    assert "v-grid of 1.467e+09 samples" in capsys.readouterr().err
+    assert main(["verify", "--family", "ma", "--b", "1", "--nu", "2000", "--nv", "2000"]) == 2
+    assert "2000x2000 = 4000000 points exceeds the cap" in capsys.readouterr().err
+
+
 def test_verify_report_is_deterministic(capsys):
     args = [
         "verify", "--theorem", "minimal-c", "--b", "1",

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from meridian4 import (
     SIG3_PPM,
     ChartKind,
     CurveFamily,
+    DomainError,
     IntegrationError,
     chart,
     chart_params,
@@ -132,7 +134,7 @@ def test_integrated_curve_stays_on_carrier(family):
     field = integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 1e-3)
     target = -1.0 if family is CurveFamily.SPACELIKE_H21 else 1.0
     carrier_dev = np.max(np.abs(inner(field.ls, field.ls, SIG3_PPM) - target))
-    assert carrier_dev < 1e-12  # re-orthonormalization pins the frame each step
+    assert carrier_dev < 1e-12  # each step is an exact isometry up to roundoff
     # and the whole frame keeps its causal pattern
     expected = np.asarray(family.frame_signs, dtype=float)
     for i in (0, len(field) // 2, len(field) - 1):
@@ -148,14 +150,47 @@ def test_curvature_round_trip(family):
     assert np.max(np.abs(est - field.ks)) < 1e-5
 
 
-def test_gram_drift_is_high_order():
-    """Pre-correction drift per step is O(h^5); halving the step wins >= 10x."""
-    family = CurveFamily.SPACELIKE_S21
-    law = lambda v: 0.3 + 0.2 * np.sin(v)
-    d1 = integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 0.05).max_gram_drift
-    d2 = integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 0.025).max_gram_drift
-    assert d1 > 0.0 and d2 > 0.0
-    assert d1 / d2 >= 10.0  # measured ~64x
+def _frames(field):
+    return np.stack([field.ls, field.ts, field.ns], axis=1)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kappa", [0.0, 0.4, 1.0, 2.0])
+def test_constant_curvature_is_the_exact_flow(family, kappa):
+    """For constant kappa every node is exp((v - v0) B) S0 up to roundoff."""
+    init = standard_initial_frame(family)
+    field = integrate_frenet(family, lambda v: kappa, init, (0.0, 2.0), 1e-3)
+    B = family.frenet_matrix(kappa)
+    exact = expm(field.vs[:, None, None] * B) @ init.frame
+    S = _frames(field)
+    assert np.max(np.abs(S - exact)) <= 1e-12 * max(1.0, np.max(np.abs(S)))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_variable_curvature_converges_at_fourth_order(family):
+    """The end frame's error falls ~16x per halving of the step."""
+    law = lambda v: 0.4 + 0.3 * np.sin(v)
+    init = standard_initial_frame(family)
+    ref = _frames(integrate_frenet(family, law, init, (0.0, 2.0), 1e-3))[-1]
+    errs = [
+        np.max(np.abs(_frames(integrate_frenet(family, law, init, (0.0, 2.0), h))[-1] - ref))
+        for h in (0.1, 0.05, 0.025)
+    ]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 3.5), orders  # measured 4.00
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kappa", [0.0, 2.0, "variable"])
+def test_max_gram_drift_is_the_measured_deviation(family, kappa):
+    """No step corrects the frame, and its Gram matrix stays at roundoff."""
+    law = (lambda v: 0.4 + 0.3 * np.sin(v)) if kappa == "variable" else (lambda v: kappa)
+    field = integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 1e-3)
+    S = _frames(field)
+    expected = np.asarray(family.frame_signs, dtype=float)
+    measured = max(orthonormality_deviation(s, expected, SIG3_PPM) for s in S)
+    assert field.max_gram_drift == measured
+    assert measured <= 1e-12 * max(1.0, np.max(np.abs(S))) ** 2
 
 
 def test_kappa_at_interpolates_the_law():
@@ -184,6 +219,36 @@ def test_nonfinite_curvature_raises():
             (0.0, 1.0),
             1e-2,
         )
+
+
+def test_nonfinite_curvature_at_a_gauss_point_is_named():
+    # nodes sit at multiples of 0.1; the first Gauss point of [0.2, 0.3] is
+    # 0.2 + (1/2 - sqrt(3)/6) * 0.1
+    family = CurveFamily.SPACELIKE_S21
+    with pytest.raises(IntegrationError, match=r"at v=0\.2211"):
+        integrate_frenet(
+            family,
+            lambda v: np.inf if 0.21 < v < 0.25 else 0.0,
+            standard_initial_frame(family),
+            (0.0, 1.0),
+            0.1,
+        )
+
+
+def test_frame_overflow_is_named():
+    # the timelike frame grows like exp(sqrt(1 + kappa^2) v), beyond 1e308 near v = 1.77
+    family = CurveFamily.TIMELIKE_S21
+    with pytest.raises(DomainError, match=r"frame overflows at v=1\.8;"):
+        integrate_frenet(family, lambda v: 400.0, standard_initial_frame(family), (0.0, 3.0), 0.1)
+
+
+def test_sample_count_is_capped_before_the_law_runs():
+    def law(v):
+        raise AssertionError("the law must not be evaluated")
+
+    family = CurveFamily.TIMELIKE_S21
+    with pytest.raises(DomainError, match=r"v-grid of 2e\+09 samples .* exceeds the cap"):
+        integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 1e-9)
 
 
 def test_bad_span_and_step():

@@ -13,6 +13,7 @@ from meridian4 import (
     sample_case,
     verify_case,
 )
+from meridian4.harness import _samples_for
 from meridian4.profiles import BranchSigns
 
 
@@ -56,6 +57,16 @@ def test_case_spec_validation():
         CaseSpec(Theorem.MINIMAL_A, step=-1.0)
     with pytest.raises(ValueError, match="tol_norm2"):
         CaseSpec(Theorem.MINIMAL_A, tol_norm2=0.0)
+
+
+def test_sample_counts_are_capped():
+    with pytest.raises(DomainError, match="1001x1000 = 1001000 points exceeds the cap"):
+        CaseSpec(Theorem.MINIMAL_A, nu=1001, nv=1000)
+    CaseSpec(Theorem.MINIMAL_A, nu=1000, nv=1000)
+    assert _samples_for((0.0, 1.0), 1e-3) == 1001
+    assert _samples_for((0.0, 1.0), 0.5) == 9
+    with pytest.raises(DomainError, match=r"u-grid of 2e\+09 samples"):
+        _samples_for((0.0, 1.0), 5e-10)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

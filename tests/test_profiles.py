@@ -299,6 +299,8 @@ def test_march_argument_validation():
         integrate_profile(phi, 2.0, (1.0, 0.0))
     with pytest.raises(ValueError, match="positive"):
         integrate_profile(phi, 2.0, (0.0, 1.0), step=0.0)
+    with pytest.raises(DomainError, match=r"u-grid of 1e\+09 samples .* exceeds the cap"):
+        integrate_profile(phi, 2.0, (0.0, 1.0), step=1e-9)
 
 
 # ---------------------------------------------------------------------------
