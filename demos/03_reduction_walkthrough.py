@@ -63,6 +63,8 @@ def main():
     profile2 = integrate_profile(phi2, f0=2.0, u_span=(0.0, 5.0), step=1e-3)
     print(f"   requested u up to 5.0, stopped at u = {profile2.u_span[1]:.3f} "
           f"(f reached {profile2.f[-1]:.4f}), truncated = {profile2.truncated}")
+    print(f"   truncation reason: {profile2.truncation_reason} "
+          f"(past t = c/a = {hi2:.4f} the root z of the first integral turns negative)")
 
 
 if __name__ == "__main__":

@@ -157,6 +157,9 @@ def _spec_from_flags(args, parser, **param_overrides) -> CaseSpec:
     theorem = _resolve_theorem(args, parser)
     values = {k: getattr(args, k) for k in ("a", "b", "c", "c0")}
     values.update({k: v for k, v in param_overrides.items() if k != "f0"})
+    if not isinstance(args.branch_signs, str):
+        # argparse drops a bare "--" value, leaving an empty list
+        parser.error("--branch-signs=-- reads as the end of options; write --branch-signs=--++")
     params = ProfileParams(
         branch=BranchSigns.from_string(args.branch_signs),
         **{k: (0.0 if v is None else float(v)) for k, v in values.items()},

@@ -90,8 +90,11 @@ class MeridianFamily(enum.Enum):
         return fp * fp + self.alpha * gp * gp + self.beta
 
     def gprime_radicand(self, fp):
-        """g'^2 expressed through f' by the unit-speed constraint."""
-        fp = np.asarray(fp, dtype=float)
+        """g'^2 expressed through f' by the unit-speed constraint.
+
+        Float or array: a Python float gives a Python float (the profile
+        march calls it once per RK4 stage), an array the same-shape array.
+        """
         return self.z2_from_phi2(fp * fp)
 
     def gpp_rule(self, fp, fpp, gp):
@@ -121,14 +124,18 @@ class MeridianFamily(enum.Enum):
         return f * np.asarray(fpp, dtype=float) + np.asarray(fp, dtype=float) ** 2 + self.beta
 
     def z2_from_phi2(self, phi2):
-        """z^2 = -alpha (phi^2 + beta) in the order-reduction substitution."""
-        phi2 = np.asarray(phi2, dtype=float)
+        """z^2 = -alpha (phi^2 + beta) in the order-reduction substitution.
+
+        Float or array, like :meth:`gprime_radicand`.
+        """
         # Expanded so that z^2 = 0 comes out as +0.0, as in 1 - phi^2.
         return -self.alpha * phi2 - self.alpha * self.beta
 
     def phi2_from_z2(self, z2):
-        """Inverse of :meth:`z2_from_phi2`: phi^2 = -alpha z^2 - beta."""
-        z2 = np.asarray(z2, dtype=float)
+        """Inverse of :meth:`z2_from_phi2`: phi^2 = -alpha z^2 - beta.
+
+        Float or array, like :meth:`gprime_radicand`.
+        """
         return -self.alpha * z2 - self.beta
 
     @property

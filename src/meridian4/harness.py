@@ -162,6 +162,9 @@ class CaseSpec:
             raise ValueError("tol_norm2 must be positive when given")
         if self.n_probe < 1:
             raise ValueError("n_probe must be at least 1")
+        if self.n_probe > _MAX_SAMPLES:
+            raise DomainError(f"n_probe of {self.n_probe} points exceeds the cap of "
+                              f"{_MAX_SAMPLES} points")
 
     def resolved_tol_norm2(self, target: float) -> float:
         if self.tol_norm2 is not None:
@@ -220,7 +223,7 @@ class CaseSpec:
         if unknown:
             raise ValueError(f"unknown CaseSpec params: {sorted(unknown)}")
         for key, value in pdata.items():
-            _check_json_field(f"params.{key}", value, "float")
+            pdata[key] = _check_json_field(f"params.{key}", value, "float")
         params = ProfileParams(branch=BranchSigns.from_string(signs), **pdata)
         fields = cls.__dataclass_fields__  # type: ignore[attr-defined]
         unknown = set(data) - set(fields)
@@ -232,26 +235,35 @@ class CaseSpec:
 
 
 def _check_json_field(name: str, value, annotation: str):
-    """Check one JSON value against a CaseSpec field annotation; spans become tuples.
+    """Check one JSON value against a CaseSpec field annotation.
 
     ``annotation`` is the field's (string) type: ``int``, ``float``,
-    ``tuple[float, float]``, each optionally ``| None``.
+    ``tuple[float, float]``, each optionally ``| None``.  Numbers of float
+    fields come back as floats (a JSON integer may exceed what numpy's
+    finiteness checks accept), spans as tuples of floats.
     """
     if value is None and annotation.endswith("| None"):
         return None
 
     def number(x) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        try:
+            float(x)
+        except OverflowError:
+            return False
+        return True
 
     kind = annotation.split(" |")[0]
     if kind == "int":
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif kind == "float":
         ok, want = number(value), "a number"
+        value = float(value) if ok else value
     else:
         ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(number, value))
         want = "a pair of numbers"
-        value = tuple(value) if ok else value
+        value = tuple(map(float, value)) if ok else value
     if not ok:
         raise ValueError(f"CaseSpec field {name!r} must be {want}, got {value!r}")
     return value
@@ -372,7 +384,8 @@ def _build_case(spec: CaseSpec):
     thm = spec.theorem
     family = thm.family
     law = thm.law
-    assert family is not None and law is not None
+    if family is None or law is None:
+        raise ValueError(f"{thm.value} compares surfaces; it does not build a single one")
     params = spec.params
 
     kappa = spec.curve_kappa

@@ -18,11 +18,23 @@ profiles:
 All constructions keep f > 0 on the grid (the warp factor divides the
 surface geometry) and record how they were made, so the residual checker
 can warn when a profile is tested against a law it was not built for.
+
+The closed form of z(t) is written once (:meth:`PhiFunction._z`); it
+serves the array path ``phi(t)`` and the RK4 stage kernel
+(:meth:`PhiFunction._stage`, one Python float per stage).  On a float it
+calls the numpy ufuncs ``np.log``/``np.arcsin``/``np.sqrt``, which give
+the bits of the same value inside an array; ``math.log``/``math.asin``
+round differently on some inputs.  ``math.sqrt`` appears only on clamped,
+non-negative radicands, where it is correctly rounded like ``np.sqrt``.
+So the march is bit for bit an RK4 loop over the array path.  ``_z``
+holds no ``np.errstate``: ``z_exact`` does, and ``integrate_profile``
+holds one around its whole loop.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable
@@ -154,6 +166,10 @@ class MeridianProfile:
     samples, finite data, and f > 0 everywhere (the geometry divides by f).
     ``truncated`` marks ODE profiles that stopped before the requested
     window end; ``us`` then covers only the reached span.
+    ``truncation_reason`` says why (None when the march did not stop):
+    ``"phi-inadmissible"`` (phi not finite at a stage or a kept sample),
+    ``"gprime-radicand"`` (the g' radicand below roundoff at a finite phi)
+    or ``"left-domain"`` (the RK4 step landed outside phi's domain).
     """
 
     family: MeridianFamily
@@ -166,6 +182,7 @@ class MeridianProfile:
     params: ProfileParams
     provenance: Provenance
     truncated: bool = False
+    truncation_reason: str | None = None
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -287,6 +304,12 @@ def minimal_profile(
 # first-integral reductions: f' = phi(f)
 # ---------------------------------------------------------------------------
 
+# Roundoff allowances at a domain edge: phi^2 and z down to
+# -_ADMISSIBLE_RTOL * max(1, z^2) count as zero, and so does a g'^2
+# radicand down to _RADICAND_FLOOR.
+_ADMISSIBLE_RTOL = 1e-13
+_RADICAND_FLOOR = -1e-12
+
 
 @dataclass(eq=False)
 class PhiFunction:
@@ -327,31 +350,38 @@ class PhiFunction:
         """
         return -self.family.alpha * float(self.params.branch.rhs)
 
+    def _z(self, t):
+        """The closed form of z(t) for t > 0, on a Python float or an array.
+
+        Only numpy ufuncs touch t, so a float gives the same bits as the
+        same value inside an array.  The caller holds ``np.errstate``.
+        """
+        a = self.params.a
+        s = self._ode_sign
+        if self.law is GoverningLaw.QUASI_MINIMAL:
+            num = self.params.c + s * a * t
+        else:
+            k = 4.0 * self.family.cmc_inner_sign * self.params.c
+            if k > 0.0:
+                rk = np.sqrt(k)
+                rad = np.sqrt(a * a + k * t * t)
+                integral = 0.5 * t * rad + (a * a / (2.0 * rk)) * np.log(rk * t + rad)
+            else:
+                # Antiderivative of sqrt(a^2 - m^2 t^2); |a| in the arcsin
+                # argument keeps it valid for either sign of a.
+                m = np.sqrt(-k)
+                rad = np.sqrt(a * a - m * m * t * t)
+                integral = 0.5 * t * rad + (a * a / (2.0 * m)) * np.arcsin(
+                    m * t / abs(a)
+                )
+            num = self.params.b + s * integral
+        return num / t
+
     def z_exact(self, t) -> np.ndarray:
         """Closed-form solution z(t) of the reduced linear ODE (NaN if inadmissible)."""
         t = np.asarray(t, dtype=float)
-        a = self.params.a
-        s = self._ode_sign
         with np.errstate(invalid="ignore", divide="ignore"):
-            if self.law is GoverningLaw.QUASI_MINIMAL:
-                num = self.params.c + s * a * t
-            else:
-                k = 4.0 * self.family.cmc_inner_sign * self.params.c
-                if k > 0.0:
-                    rk = np.sqrt(k)
-                    rad = np.sqrt(a * a + k * t * t)
-                    integral = 0.5 * t * rad + (a * a / (2.0 * rk)) * np.log(rk * t + rad)
-                else:
-                    # Antiderivative of sqrt(a^2 - m^2 t^2); |a| in the arcsin
-                    # argument keeps it valid for either sign of a.
-                    m = np.sqrt(-k)
-                    rad = np.sqrt(a * a - m * m * t * t)
-                    integral = 0.5 * t * rad + (a * a / (2.0 * m)) * np.arcsin(
-                        m * t / abs(a)
-                    )
-                num = self.params.b + s * integral
-            out = num / t
-        return np.where(t > 0.0, out, np.nan)
+            return np.where(t > 0.0, self._z(t), np.nan)
 
     def phi_squared(self, t) -> np.ndarray:
         """phi^2(t); negative values mean t is outside the admissible set."""
@@ -371,9 +401,32 @@ class PhiFunction:
         with np.errstate(invalid="ignore"):
             # Clamp roundoff-negative phi^2 (scale of z^2) to zero instead of
             # declaring the point inadmissible right at a domain edge.
-            tiny = 1e-13 * np.maximum(1.0, z * z)
+            tiny = _ADMISSIBLE_RTOL * np.maximum(1.0, z * z)
             admissible = (p2 >= -tiny) & (z >= -tiny)
         return z, p2, admissible
+
+    def _stage(self, t: float) -> tuple[float, float]:
+        """(phi(t), g'(t)) at one Python float t: the RK4 stage kernel.
+
+        phi equals ``self(t)`` bit for bit and g' equals
+        ``sign_g * sqrt(max(gprime_radicand(phi), 0))``.  phi is NaN where
+        ``self(t)`` is (t <= 0, NaN t, or t inadmissible); g' alone is NaN
+        where phi is finite but the radicand lies below roundoff.  The
+        caller holds ``np.errstate`` (:func:`integrate_profile` holds it
+        around the whole march).
+        """
+        if not t > 0.0:
+            return math.nan, math.nan
+        z = self._z(t)
+        p2 = self.family.phi2_from_z2(z * z)
+        tiny = _ADMISSIBLE_RTOL * max(1.0, z * z)
+        if not (p2 >= -tiny and z >= -tiny):
+            return math.nan, math.nan
+        phi = self.params.branch.phi * math.sqrt(max(p2, 0.0))
+        rad = self.family.gprime_radicand(phi)
+        if rad < _RADICAND_FLOOR:
+            return phi, math.nan
+        return phi, self.params.branch.g * math.sqrt(max(rad, 0.0))
 
     def __call__(self, t) -> np.ndarray:
         _, p2, admissible = self._admissible(t)
@@ -528,8 +581,12 @@ def integrate_profile(
 
     If a stage leaves the admissible domain of phi, or the g' radicand
     goes negative beyond roundoff, the march stops early and the profile
-    is returned with ``truncated=True`` covering the reached span (at
-    least 3 samples; otherwise a :class:`DomainError` is raised).
+    is returned with ``truncated=True`` and a ``truncation_reason``,
+    covering the reached span (at least 3 samples; otherwise a
+    :class:`DomainError` is raised).
+
+    Each step calls :meth:`PhiFunction._stage` on four Python floats, all
+    under one ``np.errstate``; no 0-d arrays are built in the loop.
     """
     n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
@@ -541,35 +598,34 @@ def integrate_profile(
 
     h = (u1 - u0) / n
     sg = float(phi.params.branch.g)
-
-    def g_rate(fp_stage: float) -> float:
-        rad = phi.family.gprime_radicand(fp_stage)
-        if rad < -1e-12:
-            return np.nan
-        return sg * np.sqrt(max(rad, 0.0))
+    stage = phi._stage
+    isfinite = math.isfinite
 
     fs = [f0]
     gs = [float(phi.params.c0)]
     t = f0
     gcur = gs[0]
-    truncated = False
-    for _ in range(n):
-        k1 = phi(t)
-        k2 = phi(t + 0.5 * h * k1)
-        k3 = phi(t + 0.5 * h * k2)
-        k4 = phi(t + h * k3)
-        q1, q2, q3, q4 = (g_rate(k) for k in (k1, k2, k3, k4))
-        if not np.all(np.isfinite([k1, k2, k3, k4, q1, q2, q3, q4])):
-            truncated = True
-            break
-        t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (np.isfinite(t_next) and t_next > 0.0 and _contains(phi.domain, t_next)):
-            truncated = True
-            break
-        gcur = gcur + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        fs.append(t_next)
-        gs.append(gcur)
-        t = t_next
+    reason = None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(n):
+            k1, q1 = stage(t)
+            k2, q2 = stage(t + 0.5 * h * k1)
+            k3, q3 = stage(t + 0.5 * h * k2)
+            k4, q4 = stage(t + h * k3)
+            if not (isfinite(k1) and isfinite(k2) and isfinite(k3) and isfinite(k4)):
+                reason = "phi-inadmissible"
+                break
+            if not (isfinite(q1) and isfinite(q2) and isfinite(q3) and isfinite(q4)):
+                reason = "gprime-radicand"
+                break
+            t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (isfinite(t_next) and t_next > 0.0 and _contains(phi.domain, t_next)):
+                reason = "left-domain"
+                break
+            gcur = gcur + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            fs.append(t_next)
+            gs.append(gcur)
+            t = t_next
 
     f = np.asarray(fs, dtype=float)
     g = np.asarray(gs, dtype=float)
@@ -578,14 +634,14 @@ def integrate_profile(
     if not finite.all():
         cut = int(np.argmin(finite))
         f, g, fp = f[:cut], g[:cut], fp[:cut]
-        truncated = True
+        reason = "phi-inadmissible"
 
     radicand = phi.family.gprime_radicand(fp)
-    bad = radicand < -1e-12
+    bad = radicand < _RADICAND_FLOOR
     if bad.any():
         cut = int(np.argmax(bad))
         f, g, fp, radicand = f[:cut], g[:cut], fp[:cut], radicand[:cut]
-        truncated = True
+        reason = "gprime-radicand"
 
     if len(f) < 3:
         raise DomainError(
@@ -612,7 +668,8 @@ def integrate_profile(
         gp=gp,
         params=phi.params,
         provenance=provenance,
-        truncated=truncated,
+        truncated=reason is not None,
+        truncation_reason=reason,
     )
 
 

@@ -1,10 +1,15 @@
 """CLI tests: flags, exit codes, report determinism."""
 
+import copy
 import json
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from meridian4.cli import main
+from meridian4.harness import Theorem, _suite_cases
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -31,6 +36,11 @@ def test_family_theorem_mismatch(capsys):
 
 def test_span_flags_must_pair(capsys):
     assert main(["verify", "--theorem", "minimal-a", "--b", "1", "--u-min", "0"]) == 2
+
+
+def test_bare_double_dash_branch_signs_is_usage_error(capsys):
+    assert main(["verify", "--theorem", "minimal-a", "--b", "1", "--branch-signs=--"]) == 2
+    assert "write --branch-signs=--++" in capsys.readouterr().err
 
 
 def test_verify_from_flags_passes(capsys):
@@ -99,6 +109,10 @@ def test_verify_bad_case_file_exits_2(tmp_path, capsys):
         ({"theorem": "quasi-a", "params": {"a": 1.0, "c": 2.0}, "f0": float("inf")}, "f0"),
         ({"theorem": "minimal-a", "params": {"a": float("nan"), "b": 1.0}}, "parameter a"),
         ({"theorem": "minimal-a", "params": {"b": 1.0}, "tol_H": float("inf")}, "tol_H"),
+        ({"theorem": "minimal-a", "params": {"a": 2**64, "b": 1}}, "u-grid of 5.903e+22"),
+        ({"theorem": "minimal-a", "params": {"b": 10**400}}, "params.b"),
+        ({"theorem": "minimal-a", "params": {"b": 1.0}, "n_probe": 10**7},
+         "n_probe of 10000000 points exceeds the cap"),
     ],
 )
 def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
@@ -170,6 +184,13 @@ def test_generate_requires_out(capsys):
     assert main(["generate", "--family", "ma", "--b", "1"]) == 2
 
 
+def test_generate_refuses_the_congruence_check(tmp_path, capsys):
+    out = tmp_path / "mesh.csv"
+    assert main(["generate", "--theorem", "congruence-tilde", "--out", str(out)]) == 2
+    assert "congruence-tilde compares surfaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_csv_mesh(tmp_path, capsys):
     out = tmp_path / "mesh.csv"
     code = main(
@@ -233,3 +254,107 @@ def test_theorems_subcommand(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["all_pass"] is True
     assert len(doc["suite"]) == 13
+
+
+# ---------------------------------------------------------------------------
+# property test: every input ends in exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]
+_values = st.sampled_from(_EDGE_FLOATS) | st.floats(-4.0, 4.0)
+_steps = st.sampled_from([1e-3, 4e-3, 1e-2, 0.25, 0.0, -1e-3, 1e300, 1e-300, math.nan, math.inf])
+# Small grids keep each example fast; the suite cases start most examples
+# inside the admissible region, so the mutations reach the geometry too.
+_BASE_SPECS = [replace(case, nu=5, nv=5, n_probe=2) for case in _suite_cases()]
+
+
+def _base_flags(spec):
+    p = spec.params
+    flags = {"theorem": spec.theorem.value, "a": p.a, "b": p.b, "c": p.c, "c0": p.c0,
+             "f0": spec.f0, "branch-signs": p.branch.as_string()}
+    for axis, span in (("u", spec.u_span), ("v", spec.v_span)):
+        if span is not None:
+            flags[f"{axis}-min"], flags[f"{axis}-max"] = span
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+@st.composite
+def _flag_sets(draw):
+    base = draw(st.sampled_from([*_BASE_SPECS, None]))
+    flags = _base_flags(base) if base is not None else {}
+    keep, drop, junk = "keep", "drop", "junk"
+    action = st.sampled_from([keep, keep, keep, keep, drop, junk])
+    for name in ("a", "b", "c", "c0", "f0", "u", "v", "step"):
+        what = draw(action)
+        names = [f"{name}-min", f"{name}-max"] if name in ("u", "v") else [name]
+        if what == drop:
+            for key in names:
+                flags.pop(key, None)
+        elif what == junk:
+            flags[draw(st.sampled_from(names))] = draw(_steps if name == "step" else _values)
+    if draw(action) == junk:
+        flags["theorem"] = draw(st.sampled_from([t.value for t in Theorem]))
+    if draw(action) == junk:
+        flags["family"] = draw(st.sampled_from(["ma", "mb", "mpp", "second"]))
+    if draw(action) == junk:
+        flags["branch-signs"] = draw(st.text("+-x", min_size=0, max_size=5))
+    for name in ("nu", "nv"):
+        # 3 and 4 are refused; listed last so that hypothesis favours grids that run
+        flags[name] = draw(st.sampled_from([5, 9, 7, 6, 8, 3, 4]))
+    # "--a=-1" keeps argparse from reading a negative value as a flag
+    return [f"--{k}={v!r}" if isinstance(v, float) else f"--{k}={v}" for k, v in flags.items()]
+
+
+_JUNK = st.sampled_from(
+    [None, True, "x", "1.0", [], [1.0], [0.0, "1"], [0.0, 1.0, 2.0], {}, {"a": 1.0},
+     0, -1, 7, 10**7, 2**64, 1e300, -1e300, 0.25, math.nan, math.inf, -math.inf]
+).map(copy.deepcopy)  # a drawn list or dict may be mutated further
+
+
+@st.composite
+def _mutated_specs(draw):
+    doc = draw(st.sampled_from(_BASE_SPECS)).to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "junk", "param-junk", "extra-param", "extra"]))
+        if op == "drop":
+            params = doc.get("params")
+            target = params if isinstance(params, dict) and draw(st.booleans()) else doc
+            if target:
+                target.pop(draw(st.sampled_from(sorted(target))))
+        elif op == "junk":
+            doc[draw(st.sampled_from(sorted(doc) or ["theorem"]))] = draw(_JUNK)
+        elif op == "param-junk" and isinstance(doc.get("params"), dict) and doc["params"]:
+            doc["params"][draw(st.sampled_from(sorted(doc["params"])))] = draw(_JUNK)
+        elif op == "extra-param" and isinstance(doc.get("params"), dict):
+            doc["params"][draw(st.sampled_from(["zz", "A", "branch", "f0"]))] = draw(_JUNK)
+        else:
+            doc[draw(st.sampled_from(["zz", "theorem ", "tol"]))] = draw(_JUNK)
+    return doc
+
+
+# derandomize: the same 40 examples on every run, so a failure reproduces
+_FUZZ = settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@_FUZZ
+@given(command=st.sampled_from(["verify", "generate"]), argv=_flag_sets(),
+       fmt=st.sampled_from(["csv", "obj", "json"]))
+def test_any_flag_set_exits_0_1_or_2(tmp_path, capsys, command, argv, fmt):
+    if command == "generate":
+        argv = argv + ["--out", str(tmp_path / f"mesh.{fmt}")]
+    assert main([command, *argv]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+@_FUZZ
+@given(doc=_mutated_specs())
+def test_any_mutated_case_file_exits_0_1_or_2(tmp_path, capsys, doc):
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps(doc))
+    assert main(["verify", str(case_path)]) in (0, 1, 2)
+    capsys.readouterr()

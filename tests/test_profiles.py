@@ -279,8 +279,41 @@ def test_march_truncates_at_domain_edge():
     )
     prof = integrate_profile(phi, 2.0, (0.0, 5.0), 1e-3)
     assert prof.truncated
+    assert prof.truncation_reason == "phi-inadmissible"  # z < 0 past t = c/a
     assert prof.us[-1] < 3.0  # the window asked for 5
     assert np.max(prof.f) <= 4.0 + 1e-6  # upper domain edge c/a
+
+
+def test_march_reports_leaving_the_domain():
+    """phi is admissible past the search window, but the march stops at its edge."""
+    phi = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=2.0, c=1.0), (1e-3, 12.0)
+    )
+    assert phi.domain == ((1e-3, 12.0),)
+    assert np.isfinite(phi(12.5))
+    prof = integrate_profile(phi, 10.8, (0.0, 1.0), 1e-3)
+    assert prof.truncated and prof.truncation_reason == "left-domain"
+    assert 11.9 < prof.f[-1] <= 12.0 + 1e-9
+
+
+def test_march_reports_gprime_radicand(monkeypatch):
+    """A stage with finite phi but no g' stops the march with its own reason.
+
+    With a consistent family the g' radicand equals z^2 up to a few ulp, so
+    no PhiFunction reaches this branch; the stage kernel is stubbed here.
+    """
+    phi = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
+    )
+    stage = phi._stage
+    monkeypatch.setattr(
+        phi, "_stage", lambda t: (stage(t)[0], np.nan) if t > 2.1 else stage(t)
+    )
+    prof = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
+    assert prof.truncated and prof.truncation_reason == "gprime-radicand"
+    assert prof.f[-1] <= 2.1
+    short = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
+    assert not short.truncated and short.truncation_reason is None
 
 
 def test_march_rejects_f0_outside_domain():
@@ -301,6 +334,177 @@ def test_march_argument_validation():
         integrate_profile(phi, 2.0, (0.0, 1.0), step=0.0)
     with pytest.raises(DomainError, match=r"u-grid of 1e\+09 samples .* exceeds the cap"):
         integrate_profile(phi, 2.0, (0.0, 1.0), step=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the stage kernel against the array path
+# ---------------------------------------------------------------------------
+
+# (law, family, a, b, c, rhs): both laws, the three families, every rhs/c
+# sign pair that has a domain, CMC with 4 beta c > 0 (log branch of z) and
+# < 0 (arcsin branch); the two starts per case include truncating ones.
+QM, CMC = GoverningLaw.QUASI_MINIMAL, GoverningLaw.CMC
+_MARCH_CASES = [
+    (QM, FT, 1.2, 0.0, 1.0, 1),
+    (QM, FT, 1.2, 0.0, 1.0, -1),
+    (QM, FT, 1.6, 0.0, -1.0, 1),
+    (QM, FS, 1.2, 0.0, 1.0, 1),
+    (QM, FS, 1.2, 0.0, 1.0, -1),
+    (QM, FS, 1.2, 0.0, -1.0, 1),
+    (QM, SECOND, 0.6, 0.0, 1.0, 1),
+    (QM, SECOND, 0.6, 0.0, 1.0, -1),
+    (QM, SECOND, 1.2, 0.0, -1.0, -1),
+    (CMC, FT, 1.2, 0.5, 1.0, 1),
+    (CMC, FT, 1.2, 0.5, 1.0, -1),
+    (CMC, FT, 1.6, 0.5, -1.0, 1),
+    (CMC, FT, 1.2, 0.5, -1.0, -1),
+    (CMC, FS, 1.6, 0.5, 1.0, 1),
+    (CMC, FS, 1.2, 0.5, 1.0, -1),
+    (CMC, FS, 1.2, 0.5, -1.0, 1),
+    (CMC, FS, 1.2, 0.5, -1.0, -1),
+    (CMC, SECOND, 1.2, 0.5, 1.0, 1),
+    (CMC, SECOND, 1.6, -0.5, 1.0, -1),
+    (CMC, SECOND, 0.6, 0.5, -1.0, 1),
+    (CMC, SECOND, 1.2, -0.5, -1.0, -1),
+]
+
+
+def _march_phi(law, family, a, b, c, rhs):
+    params = ProfileParams(a=a, b=b, c=c, branch=BranchSigns(g=-rhs, rhs=rhs))
+    phi = phi_closed_form(law, family, params, (1e-3, 12.0))
+    assert phi.domain
+    return phi
+
+
+def _reference_march(phi, f0, u_span, step):
+    """The RK4 profile march written over the public array calls only.
+
+    Each stage calls ``phi(t)`` and ``family.gprime_radicand``; the result
+    must match :func:`integrate_profile` bit for bit.  Returns None where
+    fewer than 3 samples survive.
+    """
+    family = phi.family
+    u0, u1 = u_span
+    n = max(2, int(round((u1 - u0) / step)))
+    h = (u1 - u0) / n
+    sg = float(phi.params.branch.g)
+
+    def g_rate(k):
+        rad = family.gprime_radicand(np.asarray(k))
+        return np.nan if rad < -1e-12 else sg * np.sqrt(max(rad, 0.0))
+
+    def inside(t):
+        return any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in phi.domain)
+
+    fs, gs = [f0], [float(phi.params.c0)]
+    t, gcur, truncated = f0, gs[0], False
+    for _ in range(n):
+        k1 = phi(t)
+        k2 = phi(t + 0.5 * h * k1)
+        k3 = phi(t + 0.5 * h * k2)
+        k4 = phi(t + h * k3)
+        qs = [g_rate(k) for k in (k1, k2, k3, k4)]
+        if not np.all(np.isfinite([k1, k2, k3, k4, *qs])):
+            truncated = True
+            break
+        t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (np.isfinite(t_next) and t_next > 0.0 and inside(t_next)):
+            truncated = True
+            break
+        gcur = gcur + (h / 6.0) * (qs[0] + 2.0 * qs[1] + 2.0 * qs[2] + qs[3])
+        fs.append(t_next)
+        gs.append(gcur)
+        t = t_next
+
+    f, g = np.asarray(fs), np.asarray(gs)
+    fp = np.asarray(phi(f))
+    keep = int(np.argmin(np.isfinite(fp))) if not np.isfinite(fp).all() else len(f)
+    rad = family.gprime_radicand(fp[:keep])
+    if (rad < -1e-12).any():
+        keep = int(np.argmax(rad < -1e-12))
+    truncated = truncated or keep < len(f)
+    if keep < 3:
+        return None
+    f, g, fp, rad = f[:keep], g[:keep], fp[:keep], rad[:keep]
+    us = u0 + h * np.arange(keep)
+    gp = sg * np.sqrt(np.clip(rad, 0.0, None))
+    return us, f, fp, np.asarray(phi.second_derivative(f)), g, gp, truncated
+
+
+@pytest.mark.parametrize("case", _MARCH_CASES)
+def test_march_matches_the_array_reference_bit_for_bit(case):
+    phi = _march_phi(*case)
+    lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
+    for f0 in (lo + 0.4 * (hi - lo), lo + 0.9 * (hi - lo)):
+        ref = _reference_march(phi, f0, (0.0, 1.0), 2e-3)
+        if ref is None:
+            with pytest.raises(DomainError, match="collapsed"):
+                integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+            continue
+        prof = integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+        got = (prof.us, prof.f, prof.fp, prof.fpp, prof.g, prof.gp)
+        for name, mine, theirs in zip(("us", "f", "fp", "fpp", "g", "gp"), got, ref):
+            assert np.array_equal(mine, theirs), name
+        assert prof.truncated == ref[-1]
+        assert (prof.truncation_reason is None) == (not prof.truncated)
+
+
+def test_march_reference_cases_truncate_and_run_through():
+    """The bit-for-bit cases above cover both a full march and a truncated one."""
+    seen = set()
+    for case in _MARCH_CASES:
+        phi = _march_phi(*case)
+        lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
+        for f0 in (lo + 0.4 * (hi - lo), lo + 0.9 * (hi - lo)):
+            try:
+                seen.add(integrate_profile(phi, f0, (0.0, 1.0), 2e-3).truncation_reason)
+            except DomainError:
+                seen.add("collapsed")
+    assert {None, "phi-inadmissible", "left-domain"} <= seen
+
+
+@pytest.mark.parametrize("case", _MARCH_CASES)
+def test_stage_kernel_matches_the_array_path(case):
+    phi = _march_phi(*case)
+    family = phi.family
+    parts = [np.array([0.0, -1.0, np.nan])]
+    for lo, hi in phi.domain:
+        edges = np.array([lo, hi])
+        parts += [
+            np.linspace(lo, hi, 512),
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+        ]
+        # the bisected edges sit within ~1e-12 of the true ones, where the
+        # roundoff allowance on phi^2 and z decides admissibility
+        for edge in edges:
+            width = 2e-12 * max(1.0, abs(edge))
+            parts.append(np.linspace(edge - width, edge + width, 257))
+    ts = np.concatenate(parts)
+    p = phi(ts)
+    rad = family.gprime_radicand(p)
+    with np.errstate(invalid="ignore"):
+        sg = float(phi.params.branch.g)
+        gp = np.where(rad < -1e-12, np.nan, sg * np.sqrt(np.clip(rad, 0.0, None)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = np.array([phi._stage(float(t)) for t in ts])
+    assert np.array_equal(got[:, 0], p, equal_nan=True)
+    assert np.array_equal(got[:, 1], gp, equal_nan=True)
+    finite = np.isfinite(p)
+    assert np.array_equal(np.signbit(got[finite, 0]), np.signbit(p[finite]))
+    assert finite.sum() >= 512 and (~finite).sum() >= 3
+
+
+@pytest.mark.parametrize("family", [FT, FS, SECOND])
+def test_family_helpers_keep_floats_as_floats(family):
+    xs = np.array([0.0, 0.3, 1.0, 1.7, 2.5])
+    for fn in (family.gprime_radicand, family.z2_from_phi2, family.phi2_from_z2):
+        arr = fn(xs)
+        for x, expected in zip(xs, arr):
+            out = fn(float(x))
+            assert type(out) is float
+            assert out == expected
 
 
 # ---------------------------------------------------------------------------
