@@ -56,6 +56,15 @@ _FAMILY_ALIASES = {
     "second": MeridianFamily.SECOND,
 }
 
+# the ProfileParams constants and f0; sweep takes a list of each
+_VALUE_FLAGS = {
+    "a": "directrix curvature constant / linear profile coefficient",
+    "b": "second profile constant",
+    "c": "first-integral constant; the CMC target <H,H>",
+    "c0": "additive constant of the meridian's axial component",
+    "f0": "initial warp value f(u_min) for ODE-built profiles",
+}
+
 _DEFAULT_THEOREM = {
     MeridianFamily.FIRST_TIMELIKE: Theorem.MINIMAL_A,
     MeridianFamily.FIRST_SPACELIKE: Theorem.MINIMAL_B,
@@ -99,13 +108,7 @@ def _add_common_flags(sp: argparse.ArgumentParser, many: bool = False) -> None:
                     help="surface family (ma/mb/mpp or long name)")
     sp.add_argument("--theorem", choices=[t.value for t in Theorem], default=None,
                     help="which statement the case instantiates")
-    for pname, doc in (
-        ("a", "directrix curvature constant / linear profile coefficient"),
-        ("b", "second profile constant"),
-        ("c", "first-integral constant; the CMC target <H,H>"),
-        ("c0", "additive constant of the meridian's axial component"),
-        ("f0", "initial warp value f(u_min) for ODE-built profiles"),
-    ):
+    for pname, doc in _VALUE_FLAGS.items():
         sp.add_argument(f"--{pname}", type=float, nargs=nargs, default=None, help=doc)
     sp.add_argument("--u-min", type=float, default=None)
     sp.add_argument("--u-max", type=float, default=None)
@@ -153,10 +156,18 @@ def _span(parser, lo, hi, name) -> tuple[float, float] | None:
     return (lo, hi)
 
 
-def _spec_from_flags(args, parser, **param_overrides) -> CaseSpec:
+def _spec_overrides(args) -> dict:
+    """The CaseSpec fields set by the given grid, step, seed and tolerance flags."""
+    given = {"nu": args.nu, "nv": args.nv, "step": args.step, "seed": args.seed,
+             "tol_H": args.tol_h}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _spec_from_flags(args, parser, **values) -> CaseSpec:
+    """The case the flags describe; ``values`` replace value flags (one sweep member)."""
     theorem = _resolve_theorem(args, parser)
-    values = {k: getattr(args, k) for k in ("a", "b", "c", "c0")}
-    values.update({k: v for k, v in param_overrides.items() if k != "f0"})
+    values = {k: getattr(args, k) for k in _VALUE_FLAGS} | values
+    f0 = values.pop("f0")
     if not isinstance(args.branch_signs, str):
         # argparse drops a bare "--" value, leaving an empty list
         parser.error("--branch-signs=-- reads as the end of options; write --branch-signs=--++")
@@ -164,25 +175,13 @@ def _spec_from_flags(args, parser, **param_overrides) -> CaseSpec:
         branch=BranchSigns.from_string(args.branch_signs),
         **{k: (0.0 if v is None else float(v)) for k, v in values.items()},
     )
-    f0 = param_overrides.get("f0", args.f0)
-    kwargs = {}
-    if args.nu is not None:
-        kwargs["nu"] = args.nu
-    if args.nv is not None:
-        kwargs["nv"] = args.nv
-    if args.step is not None:
-        kwargs["step"] = args.step
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.tol_h is not None:
-        kwargs["tol_H"] = args.tol_h
     return CaseSpec(
         theorem=theorem,
         params=params,
         f0=None if f0 is None else float(f0),
         u_span=_span(parser, args.u_min, args.u_max, "u"),
         v_span=_span(parser, args.v_min, args.v_max, "v"),
-        **kwargs,
+        **_spec_overrides(args),
     )
 
 
@@ -232,20 +231,11 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     theorem = _resolve_theorem(args, parser)
-    lists = {
-        k: (getattr(args, k) if getattr(args, k) is not None else [None])
-        for k in ("a", "b", "c", "c0", "f0")
-    }
+    lists = [getattr(args, k) or [None] for k in _VALUE_FLAGS]
     entries = []
     counts = {"pass": 0, "fail": 0, "domain-truncated": 0, "domain-error": 0}
-    for a, b, c, c0, f0 in itertools.product(
-        lists["a"], lists["b"], lists["c"], lists["c0"], lists["f0"]
-    ):
-        overrides = {
-            k: v
-            for k, v in (("a", a), ("b", b), ("c", c), ("c0", c0), ("f0", f0))
-            if v is not None
-        }
+    for values in itertools.product(*lists):
+        overrides = {k: v for k, v in zip(_VALUE_FLAGS, values) if v is not None}
         try:
             spec = _spec_from_flags(args, parser, **overrides)
             report = verify_case(spec)
@@ -273,16 +263,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_theorems(args, parser) -> int:
-    overrides = {}
-    if args.nu is not None:
-        overrides["nu"] = args.nu
-    if args.nv is not None:
-        overrides["nv"] = args.nv
-    if args.step is not None:
-        overrides["step"] = args.step
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    reports, corollary = run_theorem_suite(**overrides)
+    reports, corollary = run_theorem_suite(**_spec_overrides(args))
     for r in reports:
         p = r.case["params"]
         tag = r.case["theorem"]

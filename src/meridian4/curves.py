@@ -91,6 +91,17 @@ class CurveFamily(enum.Enum):
         k = float(kappa)
         return np.array([[0.0, 1.0, 0.0], [-e_l * e_t, 0.0, e_n * k], [0.0, -e_t * k, 0.0]])
 
+    def growth_rate(self, kappa: float) -> float:
+        """Exponential growth rate sqrt(max(w2, 0)) of the frame at constant kappa.
+
+        w2 = 1/2 tr B(kappa)^2 = -e_t (e_l + e_n kappa^2): the frame
+        components solve l''' = w2 l', so positive w2 means cosh-type growth.
+        """
+        e_l, e_t, e_n = self.frame_signs
+        # Expanded so that w2 = 0 comes out as +0.0; the trace form differs in the last bit.
+        w2 = -e_t * e_n * kappa * kappa - e_t * e_l
+        return float(np.sqrt(max(w2, 0.0)))
+
     def tangent_rate(self, kappa, l, t, n):
         """t'(v) from the family's Frenet system (vectorized over samples)."""
         e_l, e_t, e_n = self.frame_signs

@@ -113,14 +113,9 @@ def _mesh_metadata(surface) -> dict:
     return {
         "family": surface.family.value,
         "provenance": prof.provenance.value,
-        "params": {
-            "a": prof.params.a,
-            "b": prof.params.b,
-            "c": prof.params.c,
-            "c0": prof.params.c0,
-            "branch_signs": prof.params.branch.as_string(),
-        },
+        "params": prof.params.to_dict(),
         "truncated": prof.truncated,
+        "truncation_reason": prof.truncation_reason,
     }
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class CaseSpec:
     for quasi-minimal/CMC cases.  ``u_span``/``v_span`` default to
     theorem-appropriate windows.  ``tol_norm2`` defaults per target size:
     1e-5 absolute for |target| <= 1, else 1e-4 relative.
+
+    The field annotations are the one list of fields: :meth:`to_dict` and
+    :meth:`from_dict` read them, and every ``float`` or span field must be
+    finite, every required ``float`` field positive.
     """
 
     theorem: Theorem
@@ -133,33 +137,24 @@ class CaseSpec:
     min_H_floor: float = 1e-3
 
     def __post_init__(self) -> None:
-        tolerances = (
-            "tol_H",
-            "tol_frame",
-            "tol_governing",
-            "tol_constraint",
-            "tol_h12",
-            "tol_rank_residual",
-            "min_H_floor",
-        )
-        # an infinite tolerance would pass any check
-        for name in ("f0", "curve_kappa", "step", "fd_step", "u_span", "v_span", "tol_norm2",
-                     *tolerances):
-            val = getattr(self, name)
-            if val is not None and not np.all(np.isfinite(val)):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+        # Every float or span field is finite (an infinite tolerance would
+        # pass any check) and every required float field is positive.
+        for f in fields(self):
+            val = getattr(self, f.name)
+            required = f.type == "float"
+            if "float" not in f.type or (val is None and not required):
+                continue
+            if not np.all(np.isfinite(val)):
+                raise ValueError(f"{f.name} must be finite, got {val!r}")
+            if required and not val > 0.0:
+                raise ValueError(f"{f.name} must be positive")
+        if self.tol_norm2 is not None and not (self.tol_norm2 > 0.0):
+            raise ValueError("tol_norm2 must be positive when given")
         if self.nu < 5 or self.nv < 5:
             raise ValueError(f"grid must be at least 5x5, got {self.nu}x{self.nv}")
         if self.nu * self.nv > _MAX_SAMPLES:
             raise DomainError(f"grid of {self.nu}x{self.nv} = {self.nu * self.nv} points "
                               f"exceeds the cap of {_MAX_SAMPLES} points")
-        if not (self.step > 0.0 and self.fd_step > 0.0):
-            raise ValueError("step and fd_step must be positive")
-        for name in tolerances:
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if self.tol_norm2 is not None and not (self.tol_norm2 > 0.0):
-            raise ValueError("tol_norm2 must be positive when given")
         if self.n_probe < 1:
             raise ValueError("n_probe must be at least 1")
         if self.n_probe > _MAX_SAMPLES:
@@ -172,34 +167,11 @@ class CaseSpec:
         return 1e-5 if abs(target) <= 1.0 else 1e-4 * abs(target)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem.value,
-            "params": {
-                "a": self.params.a,
-                "b": self.params.b,
-                "c": self.params.c,
-                "c0": self.params.c0,
-                "branch_signs": self.params.branch.as_string(),
-            },
-            "curve_kappa": self.curve_kappa,
-            "f0": self.f0,
-            "nu": self.nu,
-            "nv": self.nv,
-            "u_span": list(self.u_span) if self.u_span else None,
-            "v_span": list(self.v_span) if self.v_span else None,
-            "step": self.step,
-            "fd_step": self.fd_step,
-            "n_probe": self.n_probe,
-            "seed": self.seed,
-            "tol_H": self.tol_H,
-            "tol_norm2": self.tol_norm2,
-            "tol_frame": self.tol_frame,
-            "tol_governing": self.tol_governing,
-            "tol_constraint": self.tol_constraint,
-            "tol_h12": self.tol_h12,
-            "tol_rank_residual": self.tol_rank_residual,
-            "min_H_floor": self.min_H_floor,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(theorem=self.theorem.value, params=self.params.to_dict(),
+                   u_span=list(self.u_span) if self.u_span else None,
+                   v_span=list(self.v_span) if self.v_span else None)
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseSpec":
@@ -219,7 +191,7 @@ class CaseSpec:
             raise ValueError(
                 f"CaseSpec field 'params.branch_signs' must be a string, got {signs!r}"
             )
-        unknown = set(pdata) - {"a", "b", "c", "c0"}
+        unknown = set(pdata) - ProfileParams().to_dict().keys()
         if unknown:
             raise ValueError(f"unknown CaseSpec params: {sorted(unknown)}")
         for key, value in pdata.items():
@@ -354,19 +326,6 @@ def _default_minimal_span(
     return (-a - 0.8, -a + 0.8)
 
 
-def _curve_growth_rate(family: MeridianFamily, kappa: float) -> float:
-    """Exponential growth rate of the directrix frame components.
-
-    The third-order scalar equation satisfied by the directrix components
-    is l''' = w2 * l' with w2 = -e_t (e_l + e_n kappa^2) in the directrix
-    frame signs; positive w2 means cosh-type growth at rate sqrt(w2).
-    """
-    e_l, e_t, e_n = family.curve_family.frame_signs
-    # Expanded so that w2 = 0 comes out as +0.0.
-    w2 = -e_t * e_n * kappa * kappa - e_t * e_l
-    return float(np.sqrt(max(w2, 0.0)))
-
-
 def _default_v_span(family: MeridianFamily, kappa: float) -> tuple[float, float]:
     """Default directrix window, capped so frame components stay below ~e^3.
 
@@ -375,7 +334,7 @@ def _default_v_span(family: MeridianFamily, kappa: float) -> tuple[float, float]
     rate * v_max <= 2.2 keeps the oracle comfortably inside the default
     tolerances for any curvature the samplers draw.
     """
-    rate = _curve_growth_rate(family, kappa)
+    rate = family.curve_family.growth_rate(kappa)
     return (0.0, min(2.0, 2.2 / max(rate, 1.5)))
 
 
@@ -512,6 +471,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
         "affine_rank_residual": rank_res,
         "H_causal_character": _uniform_character(characters),
         "truncated": bool(profile.truncated),
+        "truncation_reason": profile.truncation_reason,
         "u_span_reached": [float(profile.us[0]), float(profile.us[-1])],
         "v_span": [float(surface.curve.vs[0]), float(surface.curve.vs[-1])],
         "max_gram_drift_curve": surface.curve.max_gram_drift,
@@ -548,18 +508,13 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
                 )
             )
 
-    status = (
-        "domain-truncated"
-        if profile.truncated
-        else ("pass" if all(c["ok"] for c in checks) else "fail")
-    )
-    return VerificationReport(
-        case=spec.to_dict(),
-        status=status,
-        stats=stats,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report(spec, stats, checks, t0)
+
+
+def _report(spec: CaseSpec, stats: dict, checks: list[dict], t0: float) -> VerificationReport:
+    """A finished case's report; the status is :meth:`VerificationReport.recompute_status`."""
+    status = VerificationReport.recompute_status({"stats": stats, "checks": checks})
+    return VerificationReport(spec.to_dict(), status, stats, checks, time.perf_counter() - t0)
 
 
 def _uniform_character(characters: set[CausalCharacter]) -> str | None:
@@ -649,6 +604,7 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
         "max_norm2_flip_dev": max_flip_dev,
         "tangent_causal_flip": bool(flips_ok),
         "truncated": False,
+        "truncation_reason": None,
     }
     checks = [
         _check("anti_isometry_dev", anti_dev, 0.0, "<="),
@@ -657,14 +613,7 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
         _check("max_norm2_flip_dev", max_flip_dev, 1e-6, "<="),
         _check("tangent_causal_flip", 1.0 if flips_ok else 0.0, 1.0, ">="),
     ]
-    status = "pass" if all(c["ok"] for c in checks) else "fail"
-    return VerificationReport(
-        case=spec.to_dict(),
-        status=status,
-        stats=stats,
-        checks=checks,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return _report(spec, stats, checks, t0)
 
 
 # ---------------------------------------------------------------------------

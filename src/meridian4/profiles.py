@@ -157,6 +157,11 @@ class ProfileParams:
     def replace(self, **kw) -> "ProfileParams":
         return _dc_replace(self, **kw)
 
+    def to_dict(self) -> dict:
+        """The JSON form, shared by case records, reports and mesh files."""
+        return {"a": self.a, "b": self.b, "c": self.c, "c0": self.c0,
+                "branch_signs": self.branch.as_string()}
+
 
 @dataclass(eq=False)
 class MeridianProfile:
@@ -417,7 +422,7 @@ class PhiFunction:
         """
         if not t > 0.0:
             return math.nan, math.nan
-        z = self._z(t)
+        z = float(self._z(t))
         p2 = self.family.phi2_from_z2(z * z)
         tiny = _ADMISSIBLE_RTOL * max(1.0, z * z)
         if not (p2 >= -tiny and z >= -tiny):

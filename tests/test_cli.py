@@ -256,6 +256,17 @@ def test_theorems_subcommand(tmp_path, capsys):
     assert len(doc["suite"]) == 13
 
 
+def test_theorems_applies_tol_h_to_every_case(tmp_path, capsys):
+    report = tmp_path / "suite.json"
+    code = main(["theorems", "--nu", "7", "--nv", "7", "--tol-h", "1e-30", "--report", str(report)])
+    assert code == 1
+    assert "suite: fail (13 cases)" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert {r["case"]["tol_H"] for r in doc["suite"]} == {1e-30}
+    minimal = [r for r in doc["suite"] if r["case"]["theorem"].startswith("minimal")]
+    assert len(minimal) == 3 and all(r["status"] == "fail" for r in minimal)
+
+
 # ---------------------------------------------------------------------------
 # property test: every input ends in exit 0, 1 or 2
 # ---------------------------------------------------------------------------

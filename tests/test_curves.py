@@ -105,6 +105,18 @@ def test_frenet_matrix_preserves_frame_gram(family, kappa):
     assert B[0].tolist() == [0.0, 1.0, 0.0] and B[1, 1] == B[2, 0] == B[2, 2] == 0.0
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_growth_rate_squared_is_half_the_trace_of_b_squared(family):
+    """The growth rate is sqrt(max(0, w2)) with w2 = 1/2 tr B(kappa)^2, the
+    exponent of the closed-form frame step."""
+    for kappa in [0.0, *np.linspace(-3.0, 3.0, 241)]:
+        B = family.frenet_matrix(kappa)
+        expected = max(0.0, 0.5 * np.trace(B @ B))
+        rate = family.growth_rate(kappa)
+        assert isinstance(rate, float) and rate >= 0.0
+        assert rate**2 == pytest.approx(expected, rel=1e-14, abs=0.0), kappa
+
+
 def test_flat_circle_on_s21():
     """kappa == 0 on the spacelike family gives the unit equator circle."""
     family = CurveFamily.SPACELIKE_S21

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from meridian4 import (
+    BranchSigns,
+    CaseSpec,
     MeridianFamily,
     ProfileParams,
+    Theorem,
     TildeKind,
     assemble,
     export_mesh,
@@ -15,8 +18,10 @@ from meridian4 import (
     minimal_profile,
     standard_initial_frame,
     tilde_surface,
+    verify_case,
 )
 from meridian4.export import CSV_HEADER
+from meridian4.harness import _build_case
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +78,20 @@ def test_json_metadata(small_surface, grids, tmp_path):
     assert doc["nu"] == len(us) and doc["nv"] == len(vs)
     assert np.asarray(doc["points"]).shape == (len(us), len(vs), 4)
     assert doc["truncated"] is False
+
+
+def test_mesh_profile_and_report_agree_on_params(tmp_path):
+    # the truncated second-family case: the march stops at u = 2.063
+    params = ProfileParams(a=0.5, c=2.0, c0=0.25, branch=BranchSigns(g=-1))
+    spec = CaseSpec(Theorem.QUASI_C, params, f0=2.0, u_span=(0.0, 5.0), nu=7, nv=7)
+    surface = _build_case(spec)[0]
+    us, vs = np.linspace(*surface.u_span, 7), np.linspace(*surface.v_span, 7)
+    mesh = json.loads(export_mesh(surface, us, vs, tmp_path / "m.json", fmt="json").read_text())
+    report = verify_case(spec).to_dict()
+    assert mesh["params"] == surface.profile.params.to_dict() == report["case"]["params"]
+    assert mesh["params"] == {"a": 0.5, "b": 0.0, "c": 2.0, "c0": 0.25, "branch_signs": "+-++"}
+    assert mesh["truncated"] is report["stats"]["truncated"] is True
+    assert mesh["truncation_reason"] == report["stats"]["truncation_reason"] == "phi-inadmissible"
 
 
 def test_tilde_metadata_notes_the_source(small_surface, grids, tmp_path):

@@ -1,7 +1,11 @@
 """Tests for the verification harness: case specs, reports, suite, samplers."""
 
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian4 import (
     CaseSpec,
@@ -41,6 +45,44 @@ def test_case_spec_round_trip():
     )
     again = CaseSpec.from_dict(spec.to_dict())
     assert again == spec
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+# one strategy per field annotation, so a new CaseSpec field is drawn too
+_BY_ANNOTATION = {
+    "Theorem": st.sampled_from(Theorem),
+    "int": st.integers(5, 1000),
+    "float": _positive,
+    "float | None": _positive,
+    "tuple[float, float] | None": st.tuples(_finite, _finite),
+    "ProfileParams": st.builds(
+        ProfileParams,
+        **dict.fromkeys(("a", "b", "c", "c0"), _finite.filter(bool)),
+        branch=st.builds(BranchSigns, *[st.sampled_from([1, -1])] * 4).filter(
+            lambda signs: signs != BranchSigns()
+        ),
+    ),
+}
+
+
+@st.composite
+def _full_specs(draw):
+    """A CaseSpec with every field set to a valid value other than its default."""
+    values = {}
+    for f in fields(CaseSpec):
+        default = f.default_factory() if callable(f.default_factory) else f.default
+        values[f.name] = draw(_BY_ANNOTATION[f.type].filter(lambda v, d=default: v != d))
+    return CaseSpec(**values)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=_full_specs())
+def test_every_case_spec_field_survives_json(spec):
+    doc = spec.to_dict()
+    assert list(doc) == [f.name for f in fields(CaseSpec)]
+    assert doc["params"] == spec.params.to_dict()
+    assert CaseSpec.from_dict(json.loads(json.dumps(doc))) == spec
 
 
 def test_case_spec_rejects_unknown_fields():
@@ -186,6 +228,19 @@ def test_truncated_case_reports_domain_truncated():
     assert r.status == "domain-truncated"
     assert r.stats["truncated"] is True
     assert r.stats["u_span_reached"][1] < 5.0
+
+
+def test_truncated_case_names_its_reason(minimal_report):
+    spec = CaseSpec(
+        Theorem.QUASI_C, ProfileParams(a=0.5, c=2.0), f0=2.0, u_span=(0.0, 5.0)
+    )
+    r = verify_case(spec)
+    assert r.stats["truncation_reason"] == "phi-inadmissible"
+    assert r.stats["u_span_reached"][1] == pytest.approx(2.063, abs=1e-3)
+    assert VerificationReport.recompute_status(r.to_dict()) == "domain-truncated"
+    assert minimal_report.stats["truncation_reason"] is None
+    congruence = verify_case(CaseSpec(Theorem.CONGRUENCE_TILDE, nu=5, nv=5, n_probe=2))
+    assert congruence.stats["truncation_reason"] is None
 
 
 def test_ode_theorems_need_f0():
