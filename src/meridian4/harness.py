@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -112,7 +113,8 @@ class CaseSpec:
 
     The field annotations are the one list of fields: :meth:`to_dict` and
     :meth:`from_dict` read them, and every ``float`` or span field must be
-    finite, every required ``float`` field positive.
+    finite, every required ``float`` field positive, and ``seed``
+    non-negative.
     """
 
     theorem: Theorem
@@ -144,12 +146,14 @@ class CaseSpec:
             required = f.type == "float"
             if "float" not in f.type or (val is None and not required):
                 continue
-            if not np.all(np.isfinite(val)):
+            if not all(map(math.isfinite, val if "tuple" in f.type else (val,))):
                 raise ValueError(f"{f.name} must be finite, got {val!r}")
             if required and not val > 0.0:
                 raise ValueError(f"{f.name} must be positive")
         if self.tol_norm2 is not None and not (self.tol_norm2 > 0.0):
             raise ValueError("tol_norm2 must be positive when given")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.nu < 5 or self.nv < 5:
             raise ValueError(f"grid must be at least 5x5, got {self.nu}x{self.nv}")
         if self.nu * self.nv > _MAX_SAMPLES:

@@ -11,7 +11,9 @@ trace formula
 which is basis-independent: no normal frame is chosen.  ``fd_jet``,
 ``fundamental_forms``, ``mean_curvature_fd`` and
 ``frame_equation_residuals`` broadcast over (u, v) arrays, a scalar point
-being the 0-d case, so a whole grid is one immersion call.  The analytic
+being the 0-d case, so a whole grid is one immersion call; the stencil
+keeps u and v at their own shapes, so an immersion that evaluates
+u-factors on u and v-factors on v does so once per grid line.  The analytic
 formulas elsewhere in the package are certified against these numbers,
 never the other way around.
 """
@@ -42,14 +44,18 @@ _DV = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _points(u, v, h, rel_step: float):
-    """Broadcast (u, v) and the step, by default rel_step * max(1, |u|, |v|)."""
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    """(u, v) and the step, by default rel_step * max(1, |u|, |v|), padded to
+    one rank but not broadcast: a product grid ``us[:, None], vs[None, :]``
+    under a scalar step stays (nu, 1), (1, nv) and (1, 1)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     if h is None:
         h = rel_step * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
-    h = np.broadcast_to(np.asarray(h, dtype=float), u.shape)
-    if not np.all(h > 0.0):
+    h = np.asarray(h, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape, h.shape)
+    if not np.all(np.broadcast_to(h, shape) > 0.0):
         raise ValueError(f"stencil step must be positive, got {h.min()}")
-    return u, v, h
+    return tuple(x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v, h))
 
 
 def _at(u, v, mask) -> str:
@@ -77,18 +83,24 @@ class Jet2:
 def fd_jet(immersion, u, v, h=None) -> Jet2:
     """Second-order central-difference jet of ``immersion`` at (u, v).
 
-    ``u`` and ``v`` broadcast against each other.  ``immersion`` must
-    accept numpy arrays (broadcasting) and return points with a trailing
-    axis of length 4; the nine stencil samples of every point are
-    requested in one call of shape ``u.shape + (9, 4)``.  The default step
-    is ``1e-4 * max(1, |u|, |v|)`` per point.  A :class:`DomainError`
+    ``u``, ``v`` and ``h`` broadcast against each other to a shape S.
+    ``immersion`` must accept numpy arrays (broadcasting) and return points
+    with a trailing axis of length 4.  The nine stencil samples of every
+    point are requested in one call, at the inputs' own shapes padded to
+    one rank plus a stencil axis of 9: a product grid ``us[:, None],
+    vs[None, :]`` with a scalar step sends u of shape (nu, 1, 9) and v of
+    shape (1, nv, 9).  The result must have the broadcast shape
+    S + (9, 4).  The default step is ``1e-4 * max(1, |u|, |v|)`` per
+    point, which makes the stencil full-size.  A :class:`DomainError`
     raised by the immersion (e.g. a stencil arm leaving the domain) is
     re-raised with the requested coordinates; other errors propagate.
     """
     u, v, h = _points(u, v, h, 1e-4)
     hs = h[..., None]
+    stencil_u, stencil_v = u[..., None] + hs * _DU, v[..., None] + hs * _DV
+    u, v, h = np.broadcast_arrays(u, v, h)
     try:
-        pts = np.asarray(immersion(u[..., None] + hs * _DU, v[..., None] + hs * _DV), dtype=float)
+        pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
     except DomainError as exc:
         raise DomainError(
             f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "

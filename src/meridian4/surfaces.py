@@ -51,9 +51,10 @@ __all__ = [
 ]
 
 
-def _embed3(vecs: np.ndarray) -> np.ndarray:
-    """Pad 3-vectors of span{e1,e2,e3} with a zero fourth coordinate."""
-    out = np.zeros(vecs.shape[:-1] + (4,))
+def _embed3(vecs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Pad 3-vectors of span{e1,e2,e3} with a zero fourth coordinate,
+    broadcasting them to ``shape + (4,)``."""
+    out = np.zeros(shape + (4,))
     out[..., :3] = vecs
     return out
 
@@ -153,24 +154,30 @@ class MeridianSurface:
     def v_span(self) -> tuple[float, float]:
         return self.curve.v_span
 
-    def _checked(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+    def _checked(self, u, v) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """(u, v) as float arrays, not broadcast, and their broadcast shape.
+
+        An empty broadcast is returned as empty arrays, unchecked.
+        """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        u, v = np.broadcast_arrays(u, v)
+        shape = np.broadcast_shapes(u.shape, v.shape)
+        if 0 in shape:
+            return *np.broadcast_arrays(u, v), shape
         (u0, u1), (v0, v1) = self.u_span, self.v_span
         slack_u = 1e-12 * max(1.0, abs(u0), abs(u1))
         slack_v = 1e-12 * max(1.0, abs(v0), abs(v1))
-        if u.size and (u.min() < u0 - slack_u or u.max() > u1 + slack_u):
+        if u.min() < u0 - slack_u or u.max() > u1 + slack_u:
             raise DomainError(
                 f"u out of profile domain [{u0:.6g}, {u1:.6g}]: "
                 f"requested [{u.min():.6g}, {u.max():.6g}]"
             )
-        if v.size and (v.min() < v0 - slack_v or v.max() > v1 + slack_v):
+        if v.min() < v0 - slack_v or v.max() > v1 + slack_v:
             raise DomainError(
                 f"v out of directrix domain [{v0:.6g}, {v1:.6g}]: "
                 f"requested [{v.min():.6g}, {v.max():.6g}]"
             )
-        return u, v
+        return u, v, shape
 
     def profile_values(self, u):
         """(f, f', f'', g, g') at arbitrary u inside the profile window."""
@@ -184,14 +191,15 @@ class MeridianSurface:
         )
 
     def immersion(self, u, v) -> np.ndarray:
-        """Evaluate z(u, v) = f(u) l(v) + g(u) e4; broadcasts, returns (..., 4)."""
-        u, v = self._checked(u, v)
-        f = self._Pf(u)
-        g = self._Pg(u)
-        l = self._Pl(v)
-        out = np.empty(u.shape + (4,))
-        out[..., :3] = f[..., None] * l
-        out[..., 3] = g
+        """Evaluate z(u, v) = f(u) l(v) + g(u) e4; broadcasts, returns (..., 4).
+
+        f and g are evaluated on u and l on v before the product, so a
+        product grid costs one evaluation per grid line.
+        """
+        u, v, shape = self._checked(u, v)
+        out = np.empty(shape + (4,))
+        out[..., :3] = self._Pf(u)[..., None] * self._Pl(v)
+        out[..., 3] = self._Pg(u)
         return out
 
     def grid_points(self, us, vs) -> np.ndarray:
@@ -207,25 +215,20 @@ class MeridianSurface:
         n2 = +- g' l + f' e4 (sign per family).  The frame is pseudo-
         orthonormal with the family's causal signs.
         """
-        u, v = self._checked(u, v)
+        u, v, shape = self._checked(u, v)
         f = self._Pf(u)
-        if np.min(f) <= 1e-8:
+        if np.min(f, initial=np.inf) <= 1e-8:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}; frame undefined")
         fp = self._Pf_d1(u)
         gp = self._Pg_d1(u)
         l = self._Pl(v)
-        t = self._Pt(v)
-        n = self._Pn(v)
-        shape = u.shape + (4,)
-        X = np.zeros(shape)
+        X = np.empty(shape + (4,))
         X[..., :3] = fp[..., None] * l
         X[..., 3] = gp
-        Y = _embed3(t)
-        n1 = _embed3(n)
-        n2 = np.zeros(shape)
+        n2 = np.empty(shape + (4,))
         n2[..., :3] = (-self.family.alpha * gp)[..., None] * l
         n2[..., 3] = fp
-        return X, Y, n1, n2
+        return X, _embed3(self._Pt(v), shape), _embed3(self._Pn(v), shape), n2
 
     def mean_curvature(self, u, v) -> MeanCurvatureDecomp:
         """Closed-form mean curvature decomposition at (u, v).
@@ -236,21 +239,22 @@ class MeridianSurface:
         or a vanishing g'^2 radicand, where n2 blows up) raise
         :class:`DomainError`.
         """
-        u, v = self._checked(u, v)
+        u, v, shape = self._checked(u, v)
         f = self._Pf(u)
         fp = self._Pf_d1(u)
         fpp = self._Pf_d2(u)
         gp = self._Pg_d1(u)
-        if np.min(f) <= 1e-8:
+        if np.min(f, initial=np.inf) <= 1e-8:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}")
         radicand = self.family.gprime_radicand(fp)
-        if np.min(np.abs(radicand)) <= 1e-10:
+        if np.min(np.abs(radicand), initial=np.inf) <= 1e-10:
             raise DomainError(
                 "meridian speed radicand g'^2 vanishes on the requested set; "
                 "the second normal degenerates there"
             )
         kappa = self.curve.kappa_at(v)
-        h1, h2 = self.family.h_coefficients(kappa, f, fp, fpp, gp)
+        # f broadcast to the grid makes h2 (a u-factor) grid-shaped like h1
+        h1, h2 = self.family.h_coefficients(kappa, np.broadcast_to(f, shape), fp, fpp, gp)
         _, _, n1, n2 = self.frames(u, v)
         vector = h1[..., None] * n1 + h2[..., None] * n2
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]

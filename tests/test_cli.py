@@ -159,6 +159,22 @@ def test_verify_names_non_finite_span_flags(capsys, flags, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["json", "flags", "theorems"])
+def test_negative_seed_names_its_field(tmp_path, capsys, path):
+    if path == "json":
+        case_path = tmp_path / "case.json"
+        case_path.write_text(json.dumps(
+            {"theorem": "minimal-a", "seed": -1, "params": {"a": 1.0, "b": 1.0}}
+        ))
+        argv = ["verify", str(case_path)]
+    elif path == "flags":
+        argv = ["verify", "--theorem", "minimal-a", "--a", "1", "--b", "1", "--seed", "-1"]
+    else:
+        argv = ["theorems", "--seed", "-1"]
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_verify_refuses_an_oversized_grid(capsys):
     assert main(["verify", "--family", "ma", "--b", "1", "--step", "1e-9"]) == 2
     assert "v-grid of 1.467e+09 samples" in capsys.readouterr().err

@@ -324,3 +324,30 @@ def test_sampled_cmc_draw_hits_target():
     r = verify_case(spec)
     assert r.status == "pass"
     assert r.stats["target_norm2"] == -1.0
+
+
+_FLOAT_SLOTS = [
+    (f.name, i)
+    for f in fields(CaseSpec)
+    if "float" in f.type
+    for i in ((0, 1) if "tuple" in f.type else (None,))
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name,index", _FLOAT_SLOTS)
+def test_every_float_field_and_span_element_rejects_non_finite(name, index, bad):
+    if index is None:
+        value = bad
+    else:
+        value = [0.0, 1.0]
+        value[index] = bad
+        value = tuple(value)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got .*{bad}"):
+        CaseSpec(Theorem.QUASI_A, ProfileParams(a=1.0, c=2.0), **{name: value})
+
+
+def test_case_spec_rejects_a_negative_seed():
+    CaseSpec(Theorem.MINIMAL_A, seed=0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        CaseSpec(Theorem.MINIMAL_A, seed=-1)

@@ -207,3 +207,45 @@ def test_batched_forms_detect_one_degenerate_point():
     jet = fd_jet(tilted_plane, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
     with pytest.raises(DegeneracyError, match="degenerate at \\(u=1, v=0\\)"):
         fundamental_forms(jet)
+
+
+# ---------------------------------------------------------------------------
+# the stencil keeps (u, v, h) at their own shapes until the immersion broadcasts
+# ---------------------------------------------------------------------------
+
+
+def test_product_grid_stencil_keeps_the_input_shapes():
+    seen = []
+
+    def recording(u, v):
+        seen.append((u.shape, v.shape))
+        return _cylinder(u, v)
+
+    us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
+    jet = fd_jet(recording, us[:, None], vs[None, :], 1e-4)
+    assert seen == [((5, 1, 9), (1, 7, 9))]
+    for name in ("u", "v", "h"):
+        assert getattr(jet, name).shape == (5, 7), name
+    for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
+        assert getattr(jet, name).shape == (5, 7, 4), name
+    # a rank-1 v is padded to the rank of u, not broadcast
+    fd_jet(recording, us[:, None], vs, 1e-4)
+    assert seen[-1] == ((5, 1, 9), (1, 7, 9))
+
+
+@pytest.mark.parametrize("h", [None, 1e-4])
+def test_product_grid_jet_equals_the_broadcast_jet(h, meridian_surface):
+    us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
+    U, V = np.broadcast_arrays(us[:, None], vs[None, :])
+    for immersion in (_cylinder, meridian_surface.immersion):
+        jet = fd_jet(immersion, us[:, None], vs[None, :], h)
+        full = fd_jet(immersion, U.copy(), V.copy(), h)
+        for name in ("u", "v", "h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
+            assert np.array_equal(getattr(jet, name), getattr(full, name)), name
+
+
+def test_jet_rejects_an_immersion_that_does_not_broadcast():
+    us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
+    # stacking u-shaped columns ignores v's shape: (5, 1, 9, 4), not (5, 7, 9, 4)
+    with pytest.raises(ValueError, match="expected \\(5, 7, 9, 4\\)"):
+        fd_jet(lambda u, v: np.stack([u, u, u, u], axis=-1), us[:, None], vs[None, :], 1e-4)

@@ -149,6 +149,33 @@ def test_grid_points_shape_and_domain_check():
         surface.immersion(0.0, 5.0)
 
 
+def test_product_grid_evaluation_equals_broadcast_evaluation():
+    """u-factors on u and v-factors on v give the broadcast values bit for bit."""
+    surface = _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.3, 1.2), kappa=0.4)
+    us = np.linspace(0.35, 1.15, 9)
+    vs = np.linspace(0.05, 1.15, 6)
+    grid = (us[:, None], vs[None, :])
+    full = tuple(x.copy() for x in np.broadcast_arrays(*grid))
+    assert np.array_equal(surface.immersion(*grid), surface.immersion(*full))
+    assert surface.immersion(*grid).shape == (9, 6, 4)
+    for got, ref in zip(surface.frames(*grid), surface.frames(*full)):
+        assert got.shape == (9, 6, 4) and np.array_equal(got, ref)
+    mc, mc_full = surface.mean_curvature(*grid), surface.mean_curvature(*full)
+    for name in ("h1", "h2", "vector", "norm2"):
+        got, ref = getattr(mc, name), getattr(mc_full, name)
+        assert got.shape == ref.shape and np.array_equal(got, ref), name
+
+
+def test_empty_broadcast_skips_the_domain_check():
+    surface = _minimal_surface(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5))
+    u, v = np.array([[9.0], [-9.0]]), np.empty((1, 0))
+    assert surface.immersion(u, v).shape == (2, 0, 4)
+    assert all(x.shape == (2, 0, 4) for x in surface.frames(u, v))
+    assert surface.mean_curvature(u, v).vector.shape == (2, 0, 4)
+    with pytest.raises(DomainError, match="out of profile domain"):
+        surface.immersion(u, np.zeros((1, 1)))
+
+
 def test_frames_are_pseudo_orthonormal():
     surface = _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.3, 1.2), kappa=0.4)
     rng = np.random.default_rng(7)
