@@ -2,7 +2,14 @@
 
 Floats are written with ``repr``, i.e. the shortest decimal string that
 round-trips to the same IEEE-754 double, so parse -> re-export is
-byte-identical and diffs between runs are meaningful.
+byte-identical and diffs between runs are meaningful.  Files are ASCII
+with ``\n`` line ends on every platform.
+
+``repr`` is the cost of a mesh, so each renderer works one u grid line at
+a time from whole arrays and formats each distinct value once: the
+coordinates of a line, its u (and x4 where it is constant along the
+line), the v grid and the vertex indices.  The JSON points block is
+spliced into ``json.dumps(indent=1)``'s own layout.
 """
 
 from __future__ import annotations
@@ -22,11 +29,6 @@ CSV_HEADER = "u,v,x1,x2,x3,x4"
 _FORMATS = ("csv", "obj", "json")
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for a double."""
-    return repr(float(x))
-
-
 def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
     """Evaluate ``surface`` on the product grid (us, vs) and write a mesh file.
 
@@ -43,9 +45,9 @@ def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
         Full samples plus metadata: family, profile parameters and
         provenance, grid vectors, tool version, and a schema tag.
 
-    The grid must lie inside the surface domains (domain errors propagate
-    from evaluation).  Returns the written path; I/O failures are
-    re-raised with the path attached.
+    The grid must lie inside the surface domains (domain errors, NaN
+    included, propagate from evaluation).  Returns the written path; I/O
+    failures are re-raised with the path attached.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r}; choose one of {_FORMATS}")
@@ -64,42 +66,62 @@ def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
 
     path = Path(path)
     try:
-        path.write_text(text)
+        path.write_bytes(text.encode("ascii"))
     except OSError as exc:
         raise OSError(f"failed to write mesh to {path}: {exc}") from exc
     return path
 
 
+def _xyz(points):
+    """Per u grid line, the text of x1, x2 and x3 at its points: three lists.
+
+    Each line is formatted from one ``tolist`` of the whole line.
+    """
+    for line in points[..., :3]:
+        text = list(map(float.__repr__, line.ravel().tolist()))
+        yield text[0::3], text[1::3], text[2::3]
+
+
+def _x4(points):
+    """Per u grid line, the text of x4 at its points: one list.
+
+    x4 is g(u) on a meridian surface, so a line whose x4 has one bit pattern
+    formats it once; comparing bits, not values, keeps a line that mixes
+    -0.0 and 0.0 apart.  A tilde surface mixes the coordinates, and its x4
+    is formatted per point.
+    """
+    x4 = points[..., 3]
+    bits = x4.view(np.uint64)
+    for line, constant in zip(x4.tolist(), (bits == bits[:, :1]).all(axis=1).tolist()):
+        yield [float.__repr__(line[0])] * len(line) if constant else list(map(float.__repr__, line))
+
+
 def _render_csv(us, vs, points) -> str:
-    lines = [CSV_HEADER]
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            x = points[i, j]
-            lines.append(
-                ",".join((_fmt(u), _fmt(v), _fmt(x[0]), _fmt(x[1]), _fmt(x[2]), _fmt(x[3])))
-            )
-    return "\n".join(lines) + "\n"
+    vtext = list(map(float.__repr__, vs.tolist()))
+    parts = [CSV_HEADER]
+    for u, xyz, x4 in zip(map(float.__repr__, us.tolist()), _xyz(points), _x4(points)):
+        parts.append("\n".join(map((u + ",{},{},{},{},{}").format, vtext, *xyz, x4)))
+    return "\n".join(parts) + "\n"
 
 
 def _render_obj(us, vs, points) -> str:
     nu, nv = len(us), len(vs)
-    lines = [
+    parts = [
         "# meridian surface mesh: orthogonal projection to (x1, x2, x3); "
         "coordinate x4 dropped"
     ]
-    for i in range(nu):
-        for j in range(nv):
-            x = points[i, j]
-            lines.append(f"v {_fmt(x[0])} {_fmt(x[1])} {_fmt(x[2])}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = (i + 1) * nv + j + 1
-            c = (i + 1) * nv + j + 2
-            d = i * nv + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+    parts += ("\n".join(map("v {} {} {}".format, *xyz)) for xyz in _xyz(points))
+    # the quad at (i, j) has corners a = i nv + j + 1, b = a + nv, c = b + 1,
+    # d = a + 1 (1-based); it is the two triangles (a, b, c) and (a, c, d)
+    index = list(map(str, range(1, nu * nv + 1)))
+    quad = "f {0} {1} {2}\nf {0} {2} {3}".format
+    for a in range(0, (nu - 1) * nv, nv):
+        b = a + nv
+        parts.append(
+            "\n".join(map(quad, index[a : b - 1], index[b : b + nv - 1],
+                          index[b + 1 : b + nv], index[a + 1 : b]))
+        )
+    return "\n".join(parts) + "\n"
 
 
 def _mesh_metadata(surface) -> dict:
@@ -127,7 +149,15 @@ def _render_json(surface, us, vs, points) -> str:
         "nv": len(vs),
         "u": [float(x) for x in us],
         "v": [float(x) for x in vs],
-        "points": points.tolist(),
+        "points": [],
     }
     doc.update(_mesh_metadata(surface))
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    head, _, tail = json.dumps(doc, sort_keys=True, indent=1).partition('"points": []')
+    # the points block in json.dumps' indent=1 layout: the key sits at depth 1,
+    # so grid lines open at 2 spaces, points at 3 and coordinates at 4
+    point = "   [\n    {},\n    {},\n    {},\n    {}\n   ]".format
+    lines = (
+        "  [\n" + ",\n".join(map(point, *xyz, x4)) + "\n  ]"
+        for xyz, x4 in zip(_xyz(points), _x4(points))
+    )
+    return head + '"points": [\n' + ",\n".join(lines) + "\n ]" + tail + "\n"

@@ -167,12 +167,13 @@ class MeridianSurface:
         (u0, u1), (v0, v1) = self.u_span, self.v_span
         slack_u = 1e-12 * max(1.0, abs(u0), abs(u1))
         slack_v = 1e-12 * max(1.0, abs(v0), abs(v1))
-        if u.min() < u0 - slack_u or u.max() > u1 + slack_u:
+        # written so that NaN, which compares False, fails the check
+        if not (u.min() >= u0 - slack_u and u.max() <= u1 + slack_u):
             raise DomainError(
                 f"u out of profile domain [{u0:.6g}, {u1:.6g}]: "
                 f"requested [{u.min():.6g}, {u.max():.6g}]"
             )
-        if v.min() < v0 - slack_v or v.max() > v1 + slack_v:
+        if not (v.min() >= v0 - slack_v and v.max() <= v1 + slack_v):
             raise DomainError(
                 f"v out of directrix domain [{v0:.6g}, {v1:.6g}]: "
                 f"requested [{v.min():.6g}, {v.max():.6g}]"

@@ -1,13 +1,16 @@
 """Tests for mesh export: formats, counts, byte determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meridian4 import (
     BranchSigns,
     CaseSpec,
+    DomainError,
     MeridianFamily,
     ProfileParams,
     Theorem,
@@ -20,7 +23,8 @@ from meridian4 import (
     tilde_surface,
     verify_case,
 )
-from meridian4.export import CSV_HEADER
+from meridian4 import __version__
+from meridian4.export import CSV_HEADER, _mesh_metadata, _render_csv, _render_json, _render_obj
 from meridian4.harness import _build_case
 
 
@@ -119,3 +123,142 @@ def test_export_validation(small_surface, grids, tmp_path):
         export_mesh(small_surface, us[:1], vs, tmp_path / "x.csv")
     with pytest.raises(OSError, match="failed to write"):
         export_mesh(small_surface, us, vs, tmp_path / "no" / "such" / "dir.csv")
+
+
+# ---------------------------------------------------------------------------
+# Byte identity against the written-out per-element renderers: each formats
+# every coordinate of every row on its own, the layout the files promise.
+
+
+def _ref_fmt(x) -> str:
+    return repr(float(x))
+
+
+def _ref_csv(us, vs, points) -> str:
+    lines = [CSV_HEADER]
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            x = points[i, j]
+            lines.append(",".join((_ref_fmt(u), _ref_fmt(v), *map(_ref_fmt, x[:4]))))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_obj(us, vs, points) -> str:
+    nu, nv = len(us), len(vs)
+    lines = [
+        "# meridian surface mesh: orthogonal projection to (x1, x2, x3); "
+        "coordinate x4 dropped"
+    ]
+    for i in range(nu):
+        for j in range(nv):
+            x = points[i, j]
+            lines.append(f"v {_ref_fmt(x[0])} {_ref_fmt(x[1])} {_ref_fmt(x[2])}")
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b = (i + 1) * nv + j + 1
+            c = (i + 1) * nv + j + 2
+            d = i * nv + j + 2
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_json(surface, us, vs, points) -> str:
+    doc = {
+        "schema": 1,
+        "tool_version": __version__,
+        "nu": len(us),
+        "nv": len(vs),
+        "u": [float(x) for x in us],
+        "v": [float(x) for x in vs],
+        "points": points.tolist(),
+    }
+    doc.update(_mesh_metadata(surface))
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def _reference(fmt, surface, us, vs):
+    points = surface.grid_points(us, vs)
+    if fmt == "json":
+        return _ref_json(surface, us, vs, points)
+    return {"csv": _ref_csv, "obj": _ref_obj}[fmt](us, vs, points)
+
+
+def _truncated_quasi_c():
+    # the case of test_mesh_profile_and_report_agree_on_params
+    params = ProfileParams(a=0.5, c=2.0, c0=0.25, branch=BranchSigns(g=-1))
+    spec = CaseSpec(Theorem.QUASI_C, params, f0=2.0, u_span=(0.0, 5.0), nu=7, nv=7)
+    return _build_case(spec)[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+@pytest.mark.parametrize("kind", ["meridian", "tilde", "truncated"])
+@pytest.mark.parametrize("shape", [(6, 5), (2, 2), (2, 9), (9, 2)])
+def test_export_bytes_match_the_per_element_reference(small_surface, tmp_path, fmt, kind, shape):
+    meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
+    us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
+    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+    path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
+    assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e300, -1e300]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _point_grids(draw):
+    nu, nv = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    us = np.array(draw(st.lists(_FLOATS, min_size=nu, max_size=nu)))
+    vs = np.array(draw(st.lists(_FLOATS, min_size=nv, max_size=nv)))
+    flat = draw(st.lists(_FLOATS, min_size=nu * nv * 4, max_size=nu * nv * 4))
+    points = np.array(flat).reshape(nu, nv, 4)
+    x4 = draw(st.sampled_from(["constant", "signed-zero", "free"]))
+    if x4 == "constant":
+        # g(u): one value along each u line, as on a meridian surface
+        points[..., 3] = points[:, :1, 3]
+    elif x4 == "signed-zero":
+        # equal values, different bits: each point keeps its own sign
+        points[..., 3] = np.where(np.array(draw(st.lists(st.booleans(), min_size=nv, max_size=nv))),
+                                  -0.0, 0.0)
+    return us, vs, points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=_point_grids())
+def test_renderers_match_the_reference_on_any_finite_points(small_surface, grid):
+    us, vs, points = grid
+    assert _render_csv(us, vs, points) == _ref_csv(us, vs, points)
+    assert _render_obj(us, vs, points) == _ref_obj(us, vs, points)
+    assert _render_json(small_surface, us, vs, points) == _ref_json(small_surface, us, vs, points)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+def test_written_bytes_are_the_rendered_ascii_text(small_surface, grids, tmp_path, fmt):
+    us, vs = grids
+    data = export_mesh(small_surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt).read_bytes()
+    assert data == _reference(fmt, small_surface, us, vs).encode("ascii")
+    assert b"\r" not in data
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("axis", ["u", "v"])
+def test_nan_grid_is_a_domain_error(small_surface, tmp_path, axis):
+    us, vs = np.array([-0.3, math.nan, 0.3]), np.array([0.1, 0.5, 0.9])
+    if axis == "v":
+        us, vs = np.array([-0.3, 0.0, 0.3]), np.array([0.1, math.nan, 0.9])
+    match = "profile domain" if axis == "u" else "directrix domain"
+    with pytest.raises(DomainError, match=match):
+        small_surface.immersion(us[:, None], vs[None, :])
+    for fmt in ("csv", "obj", "json"):
+        path = tmp_path / f"mesh.{fmt}"
+        with pytest.raises(DomainError, match=match):
+            export_mesh(small_surface, us, vs, path, fmt=fmt)
+        assert not path.exists()
+    # a finite grid still writes RFC 8259 JSON
+    path = export_mesh(small_surface, us[[0, 2]], vs[[0, 2]], tmp_path / "ok.json", fmt="json")
+    json.loads(path.read_text(), parse_constant=_reject_constant)
