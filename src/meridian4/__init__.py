@@ -12,7 +12,6 @@ finite-difference oracle.  See README.md for a guided tour; the
 __version__ = "0.1.0"
 
 from .algebra import (
-    SIG3_PMM,
     SIG3_PPM,
     SIG4,
     CausalCharacter,
@@ -31,7 +30,6 @@ from .curves import (
     FrenetState,
     chart,
     chart_params,
-    curvature_estimate,
     integrate_frenet,
     standard_initial_frame,
 )
@@ -54,7 +52,6 @@ from .oracle import (
     frame_equation_residuals,
     fundamental_forms,
     mean_curvature_fd,
-    shape_operator,
 )
 from .profiles import (
     BranchSigns,
@@ -87,7 +84,6 @@ __all__ = [
     "Signature",
     "SIG4",
     "SIG3_PPM",
-    "SIG3_PMM",
     "CausalCharacter",
     "inner",
     "causal_character",
@@ -108,7 +104,6 @@ __all__ = [
     "standard_initial_frame",
     "FrameField",
     "integrate_frenet",
-    "curvature_estimate",
     # families
     "MeridianFamily",
     # profiles
@@ -139,7 +134,6 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "shape_operator",
     "frame_equation_residuals",
     # harness
     "Theorem",

@@ -24,7 +24,6 @@ __all__ = [
     "Signature",
     "SIG4",
     "SIG3_PPM",
-    "SIG3_PMM",
     "CausalCharacter",
     "inner",
     "causal_character",
@@ -71,8 +70,6 @@ class Signature:
 SIG4 = Signature((1, 1, -1, -1))
 #: Lorentzian metric on span{e1, e2, e3}: dx1^2 + dx2^2 - dx3^2.
 SIG3_PPM = Signature((1, 1, -1))
-#: Metric induced on span{e2, e3, e4}: dx2^2 - dx3^2 - dx4^2.
-SIG3_PMM = Signature((1, -1, -1))
 
 
 class CausalCharacter(enum.Enum):

@@ -43,7 +43,7 @@ from .harness import (
     suite_to_dict,
     verify_case,
 )
-from .profiles import BranchSigns, ProfileParams
+from .profiles import BranchSigns, GoverningLaw, ProfileParams
 
 __all__ = ["main", "build_parser"]
 
@@ -65,10 +65,11 @@ _VALUE_FLAGS = {
     "f0": "initial warp value f(u_min) for ODE-built profiles",
 }
 
+# the minimal theorem of each family
 _DEFAULT_THEOREM = {
-    MeridianFamily.FIRST_TIMELIKE: Theorem.MINIMAL_A,
-    MeridianFamily.FIRST_SPACELIKE: Theorem.MINIMAL_B,
-    MeridianFamily.SECOND: Theorem.MINIMAL_C,
+    t.family: t
+    for t in Theorem
+    if t.law is GoverningLaw.MINIMAL and t is not Theorem.NEGATIVE_CONTROL
 }
 
 

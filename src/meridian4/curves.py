@@ -53,7 +53,6 @@ __all__ = [
     "standard_initial_frame",
     "FrameField",
     "integrate_frenet",
-    "curvature_estimate",
 ]
 
 #: All three Frenet systems live in span{e1,e2,e3} with this metric.
@@ -381,24 +380,3 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         s = np.where(x > 0.0, np.sinh(r), np.sin(r)) / r
     return np.where(r == 0.0, 1.0, s)
-
-
-def curvature_estimate(fieldset: FrameField) -> np.ndarray:
-    """Recover kappa(v) from frame samples alone, without the stored ks.
-
-    Differentiates the sampled tangent with second-order stencils (central
-    in the interior, one-sided at the ends) and contracts against the
-    normal: kappa = <t', n>.  This is the round-trip check for the Frenet
-    integrator and needs at least 3 samples.
-    """
-    ts, ns, vs = fieldset.ts, fieldset.ns, fieldset.vs
-    m = len(vs)
-    if m < 3:
-        raise ValueError(f"need at least 3 samples to estimate curvature, got {m}")
-    h = float(vs[1] - vs[0])
-    tp = np.empty_like(ts)
-    tp[1:-1] = (ts[2:] - ts[:-2]) / (2.0 * h)
-    tp[0] = (-3.0 * ts[0] + 4.0 * ts[1] - ts[2]) / (2.0 * h)
-    tp[-1] = (3.0 * ts[-1] - 4.0 * ts[-2] + ts[-3]) / (2.0 * h)
-    sig = CURVE_SIGNATURE.array
-    return np.sum(sig * tp * ns, axis=-1)

@@ -59,45 +59,34 @@ __all__ = [
 
 class Theorem(enum.Enum):
     """The verifiable statements: one tag per classification theorem, plus
-    the congruence check and a designed-to-fail control."""
+    the congruence check and a designed-to-fail control.
 
-    MINIMAL_A = "minimal-a"
-    MINIMAL_B = "minimal-b"
-    MINIMAL_C = "minimal-c"
-    QUASI_A = "quasi-a"
-    QUASI_B = "quasi-b"
-    QUASI_C = "quasi-c"
-    CMC_A = "cmc-a"
-    CMC_B = "cmc-b"
-    CMC_C = "cmc-c"
-    CONGRUENCE_TILDE = "congruence-tilde"
-    NEGATIVE_CONTROL = "negative-control"
+    Each member carries the ``family`` and ``law`` of the surface it
+    builds; both are None for the congruence check, which compares two.
+    """
 
-    @property
-    def family(self) -> MeridianFamily | None:
-        if self is Theorem.CONGRUENCE_TILDE:
-            return None
-        if self is Theorem.NEGATIVE_CONTROL:
-            return MeridianFamily.FIRST_TIMELIKE
-        suffix = self.value.rsplit("-", 1)[1]
-        return {
-            "a": MeridianFamily.FIRST_TIMELIKE,
-            "b": MeridianFamily.FIRST_SPACELIKE,
-            "c": MeridianFamily.SECOND,
-        }[suffix]
+    family: MeridianFamily | None
+    law: GoverningLaw | None
 
-    @property
-    def law(self) -> GoverningLaw | None:
-        if self is Theorem.CONGRUENCE_TILDE:
-            return None
-        if self is Theorem.NEGATIVE_CONTROL:
-            return GoverningLaw.MINIMAL
-        prefix = self.value.rsplit("-", 1)[0]
-        return {
-            "minimal": GoverningLaw.MINIMAL,
-            "quasi": GoverningLaw.QUASI_MINIMAL,
-            "cmc": GoverningLaw.CMC,
-        }[prefix]
+    MINIMAL_A = ("minimal-a", MeridianFamily.FIRST_TIMELIKE, GoverningLaw.MINIMAL)
+    MINIMAL_B = ("minimal-b", MeridianFamily.FIRST_SPACELIKE, GoverningLaw.MINIMAL)
+    MINIMAL_C = ("minimal-c", MeridianFamily.SECOND, GoverningLaw.MINIMAL)
+    QUASI_A = ("quasi-a", MeridianFamily.FIRST_TIMELIKE, GoverningLaw.QUASI_MINIMAL)
+    QUASI_B = ("quasi-b", MeridianFamily.FIRST_SPACELIKE, GoverningLaw.QUASI_MINIMAL)
+    QUASI_C = ("quasi-c", MeridianFamily.SECOND, GoverningLaw.QUASI_MINIMAL)
+    CMC_A = ("cmc-a", MeridianFamily.FIRST_TIMELIKE, GoverningLaw.CMC)
+    CMC_B = ("cmc-b", MeridianFamily.FIRST_SPACELIKE, GoverningLaw.CMC)
+    CMC_C = ("cmc-c", MeridianFamily.SECOND, GoverningLaw.CMC)
+    CONGRUENCE_TILDE = ("congruence-tilde", None, None)
+    NEGATIVE_CONTROL = ("negative-control", MeridianFamily.FIRST_TIMELIKE, GoverningLaw.MINIMAL)
+
+    def __new__(
+        cls, value: str, family: MeridianFamily | None, law: GoverningLaw | None
+    ) -> "Theorem":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.family, member.law = family, law
+        return member
 
 
 @dataclass(frozen=True)
@@ -318,16 +307,22 @@ def _samples_for(span: tuple[float, float], step: float) -> int:
 def _default_minimal_span(
     family: MeridianFamily, params: ProfileParams
 ) -> tuple[float, float]:
-    a = params.a
-    disc = family.minimal_discriminant(a, params.b)
+    """The family's default u-window; a DomainError if (a, b) overflow it."""
+    a, b = float(params.a), float(params.b)
+    r = math.sqrt(family.minimal_discriminant(a, b))
     if family is MeridianFamily.FIRST_TIMELIKE:
-        r = np.sqrt(disc)
-        return (a - 0.8 * r, a + 0.8 * r)
-    if family is MeridianFamily.FIRST_SPACELIKE:
-        edge = -a + np.sqrt(disc)
-        pad = 0.2 * max(1.0, np.sqrt(disc))
-        return (edge + pad, edge + pad + 1.0)
-    return (-a - 0.8, -a + 0.8)
+        lo, hi = a - 0.8 * r, a + 0.8 * r
+    elif family is MeridianFamily.FIRST_SPACELIKE:
+        lo = -a + r + 0.2 * max(1.0, r)
+        hi = lo + 1.0
+    else:
+        lo, hi = -a - 0.8, -a + 0.8
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(
+            f"the default u-window for a = {a!r}, b = {b!r} is ({lo!r}, {hi!r}), not a "
+            "finite increasing span; set the u-window (--u-min/--u-max)"
+        )
+    return (lo, hi)
 
 
 def _default_v_span(family: MeridianFamily, kappa: float) -> tuple[float, float]:

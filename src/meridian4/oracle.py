@@ -34,7 +34,6 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "shape_operator",
     "frame_equation_residuals",
 ]
 
@@ -201,34 +200,6 @@ def mean_curvature_fd(immersion, u, v, h=None):
     """
     forms = fundamental_forms(fd_jet(immersion, u, v, h))
     return forms.H, forms.norm2H
-
-
-def shape_operator(forms: FundamentalForms, xi, sig: Signature = SIG4) -> np.ndarray:
-    """Shape operator A_xi in the coordinate basis (z_u, z_v) at one point.
-
-    Returns the 2x2 matrix M with A_xi z_u = M[0,0] z_u + M[1,0] z_v and
-    A_xi z_v = M[0,1] z_u + M[1,1] z_v, defined by <A_xi X, Y> =
-    <h(X, Y), xi>.  ``xi`` must be normal to the tangent plane within
-    1e-8 (scaled); otherwise a ``ValueError`` is raised.
-    """
-    xi = np.asarray(xi, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(xi)))) * max(
-        1.0, float(np.max(np.abs(forms.zu))), float(np.max(np.abs(forms.zv)))
-    )
-    tangency = max(abs(inner(xi, forms.zu, sig)), abs(inner(xi, forms.zv, sig)))
-    if tangency > 1e-8 * scale:
-        raise ValueError(
-            f"xi is not normal to the tangent plane (max tangential product "
-            f"{tangency:.3e} exceeds {1e-8 * scale:.3e})"
-        )
-    b = np.array(
-        [
-            [inner(forms.h_uu_vec, xi, sig), inner(forms.h_uv_vec, xi, sig)],
-            [inner(forms.h_uv_vec, xi, sig), inner(forms.h_vv_vec, xi, sig)],
-        ]
-    )
-    gram = np.array([[forms.E, forms.F], [forms.F, forms.G]])
-    return np.linalg.solve(gram, b)
 
 
 # ---------------------------------------------------------------------------

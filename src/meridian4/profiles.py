@@ -26,7 +26,8 @@ calls the numpy ufuncs ``np.log``/``np.arcsin``/``np.sqrt``, which give
 the bits of the same value inside an array; ``math.log``/``math.asin``
 round differently on some inputs.  ``math.sqrt`` appears only on clamped,
 non-negative radicands, where it is correctly rounded like ``np.sqrt``.
-So the march is bit for bit an RK4 loop over the array path.  ``_z``
+So the march is bit for bit an RK4 loop over the array path, and its
+first stage at each node gives the profile's f' and g'.  ``_z``
 holds no ``np.errstate``: ``z_exact`` does, and ``integrate_profile``
 holds one around its whole loop.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -154,9 +155,6 @@ class ProfileParams:
             if not np.isfinite(val):
                 raise ValueError(f"parameter {name} must be finite, got {val!r}")
 
-    def replace(self, **kw) -> "ProfileParams":
-        return _dc_replace(self, **kw)
-
     def to_dict(self) -> dict:
         """The JSON form, shared by case records, reports and mesh files."""
         return {"a": self.a, "b": self.b, "c": self.c, "c0": self.c0,
@@ -172,7 +170,7 @@ class MeridianProfile:
     ``truncated`` marks ODE profiles that stopped before the requested
     window end; ``us`` then covers only the reached span.
     ``truncation_reason`` says why (None when the march did not stop):
-    ``"phi-inadmissible"`` (phi not finite at a stage or a kept sample),
+    ``"phi-inadmissible"`` (phi not finite at an RK4 stage),
     ``"gprime-radicand"`` (the g' radicand below roundoff at a finite phi)
     or ``"left-domain"`` (the RK4 step landed outside phi's domain).
     """
@@ -388,21 +386,23 @@ class PhiFunction:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(t > 0.0, self._z(t), np.nan)
 
+    def _z_phi2(self, t):
+        """z(t) and phi^2(t), NaN where t <= 0."""
+        z = self.z_exact(t)
+        return z, self.family.phi2_from_z2(z * z)
+
     def phi_squared(self, t) -> np.ndarray:
         """phi^2(t); negative values mean t is outside the admissible set."""
-        z = self.z_exact(t)
-        return self.family.phi2_from_z2(z * z)
+        return self._z_phi2(t)[1]
 
     def _domain_indicator(self, t) -> np.ndarray:
         """Non-negative exactly on the admissible set (NaN-propagating)."""
-        z = self.z_exact(t)
-        p2 = self.family.phi2_from_z2(z * z)
+        z, p2 = self._z_phi2(t)
         return np.minimum(p2, z)
 
     def _admissible(self, t):
         """z(t), phi^2(t) and the admissibility mask at t."""
-        z = self.z_exact(t)
-        p2 = self.family.phi2_from_z2(z * z)
+        z, p2 = self._z_phi2(t)
         with np.errstate(invalid="ignore"):
             # Clamp roundoff-negative phi^2 (scale of z^2) to zero instead of
             # declaring the point inadmissible right at a domain edge.
@@ -499,20 +499,15 @@ def _positive_intervals(
                 break
         return t_good
 
+    # Runs of good samples start where the padded mask rises and end one
+    # sample before it falls.
+    edges = np.flatnonzero(np.diff(good, prepend=False, append=False))
     intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < n_scan:
-        if not good[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n_scan and good[j + 1]:
-            j += 1
+    for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
         left = ts[i] if i == 0 else refine(float(ts[i - 1]), float(ts[i]))
         right = ts[j] if j == n_scan - 1 else refine(float(ts[j + 1]), float(ts[j]))
         if right > left:
             intervals.append((float(left), float(right)))
-        i = j + 1
     return tuple(intervals)
 
 
@@ -580,18 +575,20 @@ def integrate_profile(
     g' = sign_g * sqrt(radicand(phi(f))), so the g samples share the
     integrator's smooth error and stay consistent with the recorded
     derivatives (a separate quadrature of g' leaves per-node noise that
-    finite differencing of the interpolated surface amplifies).  After
-    the march, f' is re-evaluated as phi(f) exactly and f'' comes from
-    the closed form :meth:`PhiFunction.second_derivative`.
+    finite differencing of the interpolated surface amplifies).  The
+    first stage at each node, (phi(f), g'), is that node's f' and g';
+    f'' comes from the closed form :meth:`PhiFunction.second_derivative`.
 
     If a stage leaves the admissible domain of phi, or the g' radicand
     goes negative beyond roundoff, the march stops early and the profile
     is returned with ``truncated=True`` and a ``truncation_reason``,
     covering the reached span (at least 3 samples; otherwise a
-    :class:`DomainError` is raised).
+    :class:`DomainError` is raised).  A node whose own stage fails is
+    not kept.
 
-    Each step calls :meth:`PhiFunction._stage` on four Python floats, all
-    under one ``np.errstate``; no 0-d arrays are built in the loop.
+    Each step calls :meth:`PhiFunction._stage` on four Python floats (the
+    last node on one), all under one ``np.errstate``; no 0-d arrays are
+    built in the loop.
     """
     n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
@@ -602,25 +599,35 @@ def integrate_profile(
         )
 
     h = (u1 - u0) / n
-    sg = float(phi.params.branch.g)
     stage = phi._stage
     isfinite = math.isfinite
 
-    fs = [f0]
-    gs = [float(phi.params.c0)]
+    fs, gs, fps, gps = [], [], [], []
     t = f0
-    gcur = gs[0]
+    gcur = float(phi.params.c0)
     reason = None
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(n):
+        for i in range(n + 1):
             k1, q1 = stage(t)
+            if not isfinite(k1):
+                reason = "phi-inadmissible"
+                break
+            if not isfinite(q1):
+                reason = "gprime-radicand"
+                break
+            fs.append(t)
+            gs.append(gcur)
+            fps.append(k1)
+            gps.append(q1)
+            if i == n:
+                break
             k2, q2 = stage(t + 0.5 * h * k1)
             k3, q3 = stage(t + 0.5 * h * k2)
             k4, q4 = stage(t + h * k3)
-            if not (isfinite(k1) and isfinite(k2) and isfinite(k3) and isfinite(k4)):
+            if not (isfinite(k2) and isfinite(k3) and isfinite(k4)):
                 reason = "phi-inadmissible"
                 break
-            if not (isfinite(q1) and isfinite(q2) and isfinite(q3) and isfinite(q4)):
+            if not (isfinite(q2) and isfinite(q3) and isfinite(q4)):
                 reason = "gprime-radicand"
                 break
             t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -628,36 +635,15 @@ def integrate_profile(
                 reason = "left-domain"
                 break
             gcur = gcur + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            fs.append(t_next)
-            gs.append(gcur)
             t = t_next
 
-    f = np.asarray(fs, dtype=float)
-    g = np.asarray(gs, dtype=float)
-    fp = np.asarray(phi(f), dtype=float)
-    finite = np.isfinite(fp)
-    if not finite.all():
-        cut = int(np.argmin(finite))
-        f, g, fp = f[:cut], g[:cut], fp[:cut]
-        reason = "phi-inadmissible"
-
-    radicand = phi.family.gprime_radicand(fp)
-    bad = radicand < _RADICAND_FLOOR
-    if bad.any():
-        cut = int(np.argmax(bad))
-        f, g, fp, radicand = f[:cut], g[:cut], fp[:cut], radicand[:cut]
-        reason = "gprime-radicand"
-
-    if len(f) < 3:
+    if len(fs) < 3:
         raise DomainError(
-            f"profile window collapsed: only {len(f)} admissible samples from "
+            f"profile window collapsed: only {len(fs)} admissible samples from "
             f"f0 = {f0:.6g} before leaving the domain"
         )
 
-    us = u0 + h * np.arange(len(f))
-    fpp = np.asarray(phi.second_derivative(f), dtype=float)
-    gp = sg * np.sqrt(np.clip(radicand, 0.0, None))
-
+    f = np.asarray(fs, dtype=float)
     provenance = (
         Provenance.QUASI_MINIMAL_ODE
         if phi.law is GoverningLaw.QUASI_MINIMAL
@@ -665,12 +651,12 @@ def integrate_profile(
     )
     return MeridianProfile(
         family=phi.family,
-        us=us,
+        us=u0 + h * np.arange(len(f)),
         f=f,
-        fp=fp,
-        fpp=fpp,
-        g=g,
-        gp=gp,
+        fp=fps,
+        fpp=phi.second_derivative(f),
+        g=gs,
+        gp=gps,
         params=phi.params,
         provenance=provenance,
         truncated=reason is not None,

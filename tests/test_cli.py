@@ -135,12 +135,19 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
         (["--family", "ma", "--b", "1", "--u-min", "0", "--u-max", "inf"],
          "u_span must be finite"),
         (["--family", "ma", "--b", "1", "--step", "nan"], "step must be finite, got nan"),
+        # the default u-window overflows: the message names a and b, not a span
+        (["--theorem=minimal-a", "--a=1e200"], "default u-window for a = 1e+200, b = 0.0 is"),
+        (["--theorem=minimal-a", "--a=1e155"], "default u-window for a = 1e+155, b = 0.0 is"),
+        (["--theorem=minimal-b", "--a=1e200", "--b=1"], "for a = 1e+200, b = 1.0 is (inf, inf)"),
+        # finite, but lo + 1.0 == lo
+        (["--theorem=minimal-b", "--a=1e154", "--b=1"], "for a = 1e+154, b = 1.0 is (2e+153"),
     ],
 )
 def test_generate_rejects_non_finite_values(tmp_path, capsys, flags, message):
     out = tmp_path / "mesh.csv"
     assert main(["generate", *flags, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "np.float64" not in err
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from meridian4 import (
     IntegrationError,
     chart,
     chart_params,
-    curvature_estimate,
     inner,
     integrate_frenet,
     orthonormality_deviation,
@@ -158,7 +157,9 @@ def test_curvature_round_trip(family):
     """Frame samples alone reproduce the input curvature law."""
     law = lambda v: 0.3 + 0.2 * np.sin(v)
     field = integrate_frenet(family, law, standard_initial_frame(family), (0.0, 2.0), 1e-3)
-    est = curvature_estimate(field)
+    # kappa = <t', n>, t' by second-order stencils (one-sided at the ends)
+    tp = np.gradient(field.ts, field.step, axis=0, edge_order=2)
+    est = inner(tp, field.ns, SIG3_PPM)
     assert np.max(np.abs(est - field.ks)) < 1e-5
 
 
@@ -277,21 +278,3 @@ def test_initial_state_must_sit_at_span_start():
     init = standard_initial_frame(family)
     with pytest.raises(ValueError, match="span starts at"):
         integrate_frenet(family, lambda v: 0.0, init, (0.5, 1.5))
-
-
-def test_curvature_estimate_needs_samples():
-    family = CurveFamily.SPACELIKE_S21
-    field = integrate_frenet(
-        family, lambda v: 0.0, standard_initial_frame(family), (0.0, 1.0), 1e-2
-    )
-    short = type(field)(
-        family=family,
-        vs=field.vs[:2],
-        ls=field.ls[:2],
-        ts=field.ts[:2],
-        ns=field.ns[:2],
-        ks=field.ks[:2],
-        step=field.step,
-    )
-    with pytest.raises(ValueError, match="at least 3 samples"):
-        curvature_estimate(short)

@@ -1,4 +1,4 @@
-"""Tests for the finite-difference oracle (jets, forms, shape operator)."""
+"""Tests for the finite-difference oracle (jets, forms, frame residuals)."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from meridian4 import (
     integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
-    shape_operator,
     standard_initial_frame,
 )
 
@@ -90,22 +89,6 @@ def test_mean_curvature_fd_wrapper():
     H, n2 = mean_curvature_fd(_cylinder, 1.1, -0.4)
     assert n2 == pytest.approx(0.25, abs=1e-6)
     assert np.max(np.abs(H - np.array([-0.5 * np.cos(1.1), -0.5 * np.sin(1.1), 0.0, 0.0]))) < 1e-6
-
-
-def test_cylinder_shape_operator_eigenvalues():
-    """A_xi for the outward spacelike normal has eigenvalues {-1, 0}."""
-    u, v = 0.3, 0.5
-    forms = fundamental_forms(fd_jet(_cylinder, u, v, 1e-4))
-    xi = np.array([np.cos(u), np.sin(u), 0.0, 0.0])
-    M = shape_operator(forms, xi)
-    eig = np.sort(np.linalg.eigvals(M).real)
-    np.testing.assert_allclose(eig, [-1.0, 0.0], atol=1e-6)
-
-
-def test_shape_operator_rejects_tangent_vectors():
-    forms = fundamental_forms(fd_jet(_cylinder, 0.3, 0.5, 1e-4))
-    with pytest.raises(ValueError, match="not normal"):
-        shape_operator(forms, forms.zu)
 
 
 def test_degenerate_metric_detected():

@@ -1,8 +1,10 @@
 """Tests for meridian profile constructions and their governing residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from meridian4 import (
@@ -11,6 +13,7 @@ from meridian4 import (
     GoverningLaw,
     MeridianFamily,
     MeridianProfile,
+    PhiFunction,
     ProfileParams,
     Provenance,
     integrate_profile,
@@ -19,10 +22,12 @@ from meridian4 import (
     profile_from_callable,
     profile_residuals,
 )
+from meridian4.profiles import _positive_intervals
 
 FT = MeridianFamily.FIRST_TIMELIKE
 FS = MeridianFamily.FIRST_SPACELIKE
 SECOND = MeridianFamily.SECOND
+QM, CMC = GoverningLaw.QUASI_MINIMAL, GoverningLaw.CMC
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +58,7 @@ def test_profile_params_must_be_finite(name, bad):
     with pytest.raises(ValueError, match=f"parameter {name} must be finite, got {bad}"):
         ProfileParams(**{name: bad})
     with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
-        ProfileParams(a=1.0).replace(**{name: bad})
+        dataclasses.replace(ProfileParams(a=1.0), **{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +229,165 @@ def test_quasi_first_timelike_ode_property(a, c, t):
 
 
 # ---------------------------------------------------------------------------
+# the phi domain scan
+# ---------------------------------------------------------------------------
+
+
+def _reference_intervals(fn, window, n_scan=4096):
+    """The domain scan written as a walk over the scan samples, one at a time.
+
+    Same scan, same bisection of each edge as ``_positive_intervals``; the
+    runs of admissible samples are found by stepping through the mask.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    ts = np.linspace(lo, hi, n_scan)
+    vals = np.asarray(fn(ts), dtype=float)
+    good = np.isfinite(vals) & (vals >= 0.0)
+
+    def refine(t_bad, t_good):
+        for _ in range(60):
+            mid = 0.5 * (t_bad + t_good)
+            v = float(np.asarray(fn(np.asarray([mid])), dtype=float)[0])
+            if np.isfinite(v) and v >= 0.0:
+                t_good = mid
+            else:
+                t_bad = mid
+            if abs(t_good - t_bad) < 1e-12 * max(1.0, abs(t_good)):
+                break
+        return t_good
+
+    intervals = []
+    i = 0
+    while i < n_scan:
+        if not good[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_scan and good[j + 1]:
+            j += 1
+        left = ts[i] if i == 0 else refine(float(ts[i - 1]), float(ts[i]))
+        right = ts[j] if j == n_scan - 1 else refine(float(ts[j + 1]), float(ts[j]))
+        if right > left:
+            intervals.append((float(left), float(right)))
+        i = j + 1
+    return tuple(intervals)
+
+
+def _mask_indicator(mask, window, frac_left, frac_right, bad):
+    """An indicator whose scan over ``window`` reads exactly ``mask``.
+
+    Each run of True samples i..j becomes the admissible interval
+    [t_i - frac_left dt, t_j + frac_right dt], open-ended at a window end;
+    elsewhere the indicator is ``bad`` (negative or not finite).  With both
+    fractions 0 a one-sample run is an isolated point, which bisection
+    cannot widen, so the scan drops it.
+    """
+    n = len(mask)
+    ts = np.linspace(window[0], window[1], n)
+    dt = ts[1] - ts[0]
+    runs = []
+    i = 0
+    while i < n:
+        if mask[i]:
+            j = i
+            while j + 1 < n and mask[j + 1]:
+                j += 1
+            left = -np.inf if i == 0 else ts[i] - frac_left * dt
+            right = np.inf if j == n - 1 else ts[j] + frac_right * dt
+            runs.append((left, right))
+            i = j
+        i += 1
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        inside = np.zeros(t.shape, dtype=bool)
+        for left, right in runs:
+            inside |= (t >= left) & (t <= right)
+        return np.where(inside, 1.0 + t, bad)
+
+    return fn
+
+
+_MASK_EXAMPLES = [
+    [True] * 9,  # all admissible
+    [False] * 9,  # all inadmissible
+    [True, False, True, False, False, True, False, True, True],  # single-sample runs
+    [True, False, False, False, False, False, False, False, False],  # one sample at the left end
+    [False, False, False, False, False, False, False, False, True],  # one sample at the right end
+    [False, True, True, False, True, False, True, True, False],
+]
+
+
+def _with_mask_examples(test):
+    for mask in _MASK_EXAMPLES:
+        for fracs in ((0.3, 0.6), (0.0, 0.0)):
+            test = example(mask=mask, lo=0.5, width=3.0, frac_left=fracs[0],
+                           frac_right=fracs[1], bad=-1.0)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mask=st.lists(st.booleans(), min_size=2, max_size=40),
+    lo=st.floats(0.0, 5.0),
+    width=st.floats(1e-3, 50.0),
+    frac_left=st.just(0.0) | st.floats(0.05, 0.95),
+    frac_right=st.just(0.0) | st.floats(0.05, 0.95),
+    bad=st.sampled_from([-1.0, -1e-300, np.nan, -np.inf]),
+)
+@_with_mask_examples
+def test_domain_runs_equal_the_per_sample_walk(mask, lo, width, frac_left, frac_right, bad):
+    """Runs found from the padded mask's differences equal the sample walk."""
+    window = (lo, lo + width)
+    fn = _mask_indicator(mask, window, frac_left, frac_right, bad)
+    scan = np.asarray(fn(np.linspace(*window, len(mask))))
+    assert np.array_equal(np.isfinite(scan) & (scan >= 0.0), mask)
+    got = _positive_intervals(fn, window, n_scan=len(mask))
+    assert got == _reference_intervals(fn, window, n_scan=len(mask))
+    assert len(got) <= sum(mask)
+
+
+def test_phi_domains_equal_the_per_sample_walk():
+    """Every (domain, degenerate) of a PhiFunction grid, against the walk."""
+    seen = set()
+    for law in (QM, CMC):
+        for family in (FT, FS, SECOND):
+            for a in (0.5, 1.2, -1.0, 3.0):
+                for c in (1.0, -1.0, 0.5):
+                    for rhs in (1, -1):
+                        params = ProfileParams(a=a, b=0.5, c=c, branch=BranchSigns(rhs=rhs))
+                        phi = phi_closed_form(law, family, params, (1e-6, 20.0))
+                        ref = _reference_intervals(phi._domain_indicator, (1e-6, 20.0))
+                        assert phi.domain == ref
+                        seen.add(len(ref))
+    assert {0, 1} <= seen
+
+
+def test_march_never_evaluates_phi_on_arrays(monkeypatch):
+    """f' and g' come from the march's own stages: phi(f) is never called."""
+    full = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
+    )
+    bounded = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, SECOND, ProfileParams(a=0.5, c=2.0), (1e-3, 12.0)
+    )
+    expected = [integrate_profile(full, 2.0, (0.0, 0.8), 1e-3),
+                integrate_profile(bounded, 2.0, (0.0, 5.0), 1e-3)]
+
+    def refuse(self, t):
+        raise AssertionError("phi evaluated outside the march")
+
+    monkeypatch.setattr(PhiFunction, "__call__", refuse)
+    got = [integrate_profile(full, 2.0, (0.0, 0.8), 1e-3),
+           integrate_profile(bounded, 2.0, (0.0, 5.0), 1e-3)]
+    for mine, theirs in zip(got, expected):
+        for name in ("us", "f", "fp", "fpp", "g", "gp"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
+        assert mine.truncation_reason == theirs.truncation_reason
+    assert got[1].truncation_reason == "phi-inadmissible"
+
+
+# ---------------------------------------------------------------------------
 # profile marching
 # ---------------------------------------------------------------------------
 
@@ -316,6 +480,30 @@ def test_march_reports_gprime_radicand(monkeypatch):
     assert not short.truncated and short.truncation_reason is None
 
 
+@pytest.mark.parametrize("which,reason", [(0, "phi-inadmissible"), (1, "gprime-radicand")])
+def test_node_whose_own_stage_fails_is_dropped(monkeypatch, which, reason):
+    """The last node gets its own stage; if it is not finite the node goes."""
+    phi = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
+    )
+    full = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
+    assert len(full) == 11 and not full.truncated
+    stage, last = phi._stage, float(full.f[-1])
+
+    def failing_at_last(t):
+        out = list(stage(t))
+        if t == last:
+            out[which] = np.nan
+        return tuple(out)
+
+    monkeypatch.setattr(phi, "_stage", failing_at_last)
+    cut = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
+    assert cut.truncated and cut.truncation_reason == reason
+    assert len(cut) == 10
+    for name in ("us", "f", "fp", "fpp", "g", "gp"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)[:10]), name
+
+
 def test_march_rejects_f0_outside_domain():
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, SECOND, ProfileParams(a=0.5, c=2.0), (1e-3, 12.0)
@@ -343,7 +531,6 @@ def test_march_argument_validation():
 # (law, family, a, b, c, rhs): both laws, the three families, every rhs/c
 # sign pair that has a domain, CMC with 4 beta c > 0 (log branch of z) and
 # < 0 (arcsin branch); the two starts per case include truncating ones.
-QM, CMC = GoverningLaw.QUASI_MINIMAL, GoverningLaw.CMC
 _MARCH_CASES = [
     (QM, FT, 1.2, 0.0, 1.0, 1),
     (QM, FT, 1.2, 0.0, 1.0, -1),
