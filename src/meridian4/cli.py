@@ -1,25 +1,18 @@
-"""Command line interface.
+"""Command line interface: ``generate | verify | sweep | theorems``.
 
-Subcommands:
+``generate`` builds one surface and exports its sample grid (csv, obj or
+json); ``verify`` runs one case, from the case flags or a CaseSpec JSON
+file, and writes its report; ``sweep`` verifies the Cartesian product of
+value lists (``--a 0 0.5 --b 1 2`` gives four cases); ``theorems`` runs
+the built-in suite: the nine theorem cases (CMC on both sign branches),
+the congruence transform and the hyperplane corollary.
 
-``generate``
-    Build one surface from parameter flags and export its sample grid
-    (csv, obj, or json).
-
-``verify``
-    Run a single verification case, from a CaseSpec JSON file or from
-    flags, and write the JSON report.
-
-``sweep``
-    Run the Cartesian product of parameter lists (``--a 0 0.5 --b 1 2``
-    gives four cases) and write an aggregate report.
-
-``theorems``
-    Run the built-in suite: all nine theorem cases (CMC with both sign
-    branches), the congruence transform, and the hyperplane corollary.
+Each subcommand takes only the flag groups it reads (``_SUBCOMMANDS``):
+the case flags (not ``theorems``; a case file replaces them), the sampling
+flags, the check flags (not ``generate``) and its own output flags.
 
 Exit codes: 0 all pass, 1 any verification failure, 2 usage or domain
-error (unknown flags, inadmissible parameters).
+error (unknown or unread flags, inadmissible parameters).
 """
 
 from __future__ import annotations
@@ -29,7 +22,10 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import DomainError
@@ -73,6 +69,20 @@ _DEFAULT_THEOREM = {
 }
 
 
+# the case flags; a case file replaces them all
+_CASE_FLAGS = ("family", "theorem", *_VALUE_FLAGS, "u-min", "u-max", "v-min", "v-max",
+               "branch-signs")
+
+# each subcommand's help and the flag groups (``_<group>_flags``) it reads
+_SUBCOMMANDS = {
+    "generate": ("build one surface and export its sample grid", "case sampling output"),
+    "verify": ("run one verification case and write the JSON report",
+               "case sampling check output"),
+    "sweep": ("verify the Cartesian product of parameter lists", "case sampling check output"),
+    "theorems": ("run the built-in theorem suite", "sampling check output"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meridian4",
@@ -80,53 +90,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"meridian4 {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    specs = {
-        "generate": "build one surface and export its sample grid",
-        "verify": "run one verification case and write the JSON report",
-        "sweep": "verify the Cartesian product of parameter lists",
-        "theorems": "run the built-in theorem suite",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, groups) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        many = name == "sweep"
-        _add_common_flags(sp, many=many)
         if name == "verify":
-            sp.add_argument(
-                "case",
-                nargs="?",
-                type=Path,
-                default=None,
-                help="optional CaseSpec JSON file (flags are ignored if given)",
-            )
+            sp.add_argument("case", nargs="?", type=Path,
+                            help="optional CaseSpec JSON file, in place of the case flags")
+        for group in groups.split():
+            globals()[f"_{group}_flags"](sp.add_argument_group(f"{group} flags"), name)
         sp.set_defaults(func=globals()[f"_cmd_{name}"])
     return parser
 
 
-def _add_common_flags(sp: argparse.ArgumentParser, many: bool = False) -> None:
-    nargs = "+" if many else None
-    sp.add_argument("--family", choices=sorted(_FAMILY_ALIASES), default=None,
-                    help="surface family (ma/mb/mpp or long name)")
-    sp.add_argument("--theorem", choices=[t.value for t in Theorem], default=None,
-                    help="which statement the case instantiates")
+def _case_flags(group, command: str) -> None:
+    nargs = "+" if command == "sweep" else None
+    group.add_argument("--family", choices=sorted(_FAMILY_ALIASES),
+                       help="surface family (ma/mb/mpp or long name)")
+    group.add_argument("--theorem", choices=[t.value for t in Theorem],
+                       help="which statement the case instantiates")
     for pname, doc in _VALUE_FLAGS.items():
-        sp.add_argument(f"--{pname}", type=float, nargs=nargs, default=None, help=doc)
-    sp.add_argument("--u-min", type=float, default=None)
-    sp.add_argument("--u-max", type=float, default=None)
-    sp.add_argument("--v-min", type=float, default=None)
-    sp.add_argument("--v-max", type=float, default=None)
-    sp.add_argument("--nu", type=int, default=None, help="grid samples along u (default 21)")
-    sp.add_argument("--nv", type=int, default=None, help="grid samples along v (default 21)")
-    sp.add_argument("--step", type=float, default=None, help="integrator step (default 1e-3)")
-    sp.add_argument("--branch-signs", default="++++",
-                    help="sign string, order f g phi rhs; use --branch-signs=-+... for leading '-'")
-    sp.add_argument("--tol-h", type=float, default=None, dest="tol_h",
-                    help="tolerance on FD mean-curvature components (default 1e-5)")
-    sp.add_argument("--seed", type=int, default=None, help="seed for interior sample points")
-    sp.add_argument("--out", type=Path, default=None, help="mesh output path (generate)")
-    sp.add_argument("--report", type=Path, default=None, help="JSON report path")
-    sp.add_argument("--format", choices=("csv", "obj", "json"), default=None,
-                    help="mesh format (default: inferred from --out suffix)")
+        group.add_argument(f"--{pname}", type=float, nargs=nargs, help=doc)
+    for flag in ("--u-min", "--u-max", "--v-min", "--v-max"):
+        group.add_argument(flag, type=float)
+    group.add_argument("--branch-signs", help="sign string, order f g phi rhs (default ++++); "
+                       "use --branch-signs=-+... for leading '-'")
+
+
+def _sampling_flags(group, command: str) -> None:
+    group.add_argument("--nu", type=int, help="grid samples along u (default 21)")
+    group.add_argument("--nv", type=int, help="grid samples along v (default 21)")
+    group.add_argument("--step", type=float, help="integrator step (default 1e-3)")
+
+
+def _check_flags(group, command: str) -> None:
+    group.add_argument("--seed", type=int, help="seed for interior sample points")
+    group.add_argument("--tol-h", type=float, dest="tol_H",
+                       help="tolerance on FD mean-curvature components (default 1e-5)")
+
+
+def _output_flags(group, command: str) -> None:
+    if command == "generate":
+        group.add_argument("--out", type=Path, required=True, help="mesh output path")
+        group.add_argument("--format", choices=("csv", "obj", "json"),
+                           help="mesh format (default: inferred from --out suffix)")
+    else:
+        group.add_argument("--report", type=Path, help="JSON report path")
 
 
 def _resolve_theorem(args, parser) -> Theorem:
@@ -158,9 +165,8 @@ def _span(parser, lo, hi, name) -> tuple[float, float] | None:
 
 
 def _spec_overrides(args) -> dict:
-    """The CaseSpec fields set by the given grid, step, seed and tolerance flags."""
-    given = {"nu": args.nu, "nv": args.nv, "step": args.step, "seed": args.seed,
-             "tol_H": args.tol_h}
+    """CaseSpec fields from the given sampling and check flags (generate has no check flags)."""
+    given = {name: getattr(args, name, None) for name in ("nu", "nv", "step", "seed", "tol_H")}
     return {name: value for name, value in given.items() if value is not None}
 
 
@@ -169,11 +175,12 @@ def _spec_from_flags(args, parser, **values) -> CaseSpec:
     theorem = _resolve_theorem(args, parser)
     values = {k: getattr(args, k) for k in _VALUE_FLAGS} | values
     f0 = values.pop("f0")
-    if not isinstance(args.branch_signs, str):
+    signs = "++++" if args.branch_signs is None else args.branch_signs
+    if not isinstance(signs, str):
         # argparse drops a bare "--" value, leaving an empty list
         parser.error("--branch-signs=-- reads as the end of options; write --branch-signs=--++")
     params = ProfileParams(
-        branch=BranchSigns.from_string(args.branch_signs),
+        branch=BranchSigns.from_string(signs),
         **{k: (0.0 if v is None else float(v)) for k, v in values.items()},
     )
     return CaseSpec(
@@ -200,17 +207,11 @@ def _write_json(doc: dict, path: Path | None) -> None:
 
 
 def _cmd_generate(args, parser) -> int:
-    if args.out is None:
-        parser.error("generate requires --out")
     spec = _spec_from_flags(args, parser)
     surface, _, _ = _build_case(spec)
-    import numpy as np
-
     us = np.linspace(*surface.u_span, spec.nu)
     vs = np.linspace(*surface.v_span, spec.nv)
-    fmt = args.format or {".csv": "csv", ".obj": "obj", ".json": "json"}.get(
-        args.out.suffix.lower(), "csv"
-    )
+    fmt = args.format or {".obj": "obj", ".json": "json"}.get(args.out.suffix.lower(), "csv")
     path = export_mesh(surface, us, vs, args.out, fmt=fmt)
     print(f"wrote {spec.nu}x{spec.nv} {fmt} mesh to {path}")
     return 0
@@ -218,7 +219,12 @@ def _cmd_generate(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     if args.case is not None:
+        given = [f"--{flag}" for flag in _CASE_FLAGS
+                 if getattr(args, flag.replace("-", "_")) is not None]
+        if given:
+            parser.error(f"a case file replaces the case flags; drop {' '.join(given)}")
         spec = CaseSpec.from_dict(json.loads(args.case.read_text()))
+        spec = replace(spec, **_spec_overrides(args))
     else:
         spec = _spec_from_flags(args, parser)
     report = verify_case(spec)

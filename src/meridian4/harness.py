@@ -351,9 +351,9 @@ def _build_case(spec: CaseSpec):
         kappa = 0.0 if law is GoverningLaw.MINIMAL else params.a
     v_span = spec.v_span if spec.v_span is not None else _default_v_span(family, kappa)
     cf = family.curve_family
-    curve = integrate_frenet(
-        cf, lambda v: kappa, standard_initial_frame(cf), v_span, spec.step
-    )
+    # the standard frame, placed at the start of the case's own v-window
+    init = replace(standard_initial_frame(cf), v=v_span[0])
+    curve = integrate_frenet(cf, lambda v: kappa, init, v_span, spec.step)
 
     if thm is Theorem.NEGATIVE_CONTROL:
         u_span = spec.u_span if spec.u_span is not None else (0.0, 2.0)

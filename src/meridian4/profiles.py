@@ -284,6 +284,15 @@ def minimal_profile(
     f = np.sqrt(radicand)
     fp = (a - beta * us) / f
     fpp = alpha * disc / f**3
+    # the surface interpolates f'' by value, through its slopes between samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes_finite = np.all(np.isfinite(np.diff(fpp) / np.diff(us)))
+    if not slopes_finite:
+        raise DomainError(
+            f"the minimal profile for a = {a!r}, b = {b!r} overflows on the u-window "
+            f"({float(u_span[0])!r}, {float(u_span[1])!r}): f'' changes by more than a "
+            "float holds between samples; set smaller a, b or another u-window (--u-min/--u-max)"
+        )
     if beta > 0:
         g = sg * root * np.arcsin((us - a) / root) + c0
     else:
@@ -338,7 +347,6 @@ class PhiFunction:
     law: GoverningLaw
     family: MeridianFamily
     params: ProfileParams
-    window: tuple[float, float]
     domain: tuple[tuple[float, float], ...] = ()
     degenerate: bool = False
 
@@ -537,7 +545,7 @@ def phi_closed_form(
     if not (0.0 <= window[0] < window[1]):
         raise ValueError(f"window must satisfy 0 <= lo < hi, got {window}")
 
-    phi = PhiFunction(law=law, family=family, params=params, window=tuple(window))
+    phi = PhiFunction(law=law, family=family, params=params)
     lo = max(window[0], 1e-12)
     domain = _positive_intervals(phi._domain_indicator, (lo, window[1]))
     phi.domain = domain

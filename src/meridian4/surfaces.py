@@ -182,7 +182,7 @@ class MeridianSurface:
 
     def profile_values(self, u):
         """(f, f', f'', g, g') at arbitrary u inside the profile window."""
-        u = np.asarray(u, dtype=float)
+        u, _, _ = self._checked(u, self.v_span[0])
         return (
             self._Pf(u),
             self._Pf_d1(u),

@@ -53,6 +53,20 @@ def test_verify_from_flags_passes(capsys):
     assert report["case"]["theorem"] == "quasi-a"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--theorem=minimal-a", "--a=1", "--b=1", "--v-min=0.5", "--v-max=1.5"],
+        ["--theorem=quasi-a", "--a=1", "--c=2", "--f0=3", "--v-min=-0.5", "--v-max=0.5"],
+        ["--theorem=cmc-b", "--a=3", "--b=0.5", "--c=0.5", "--f0=1", "--u-min=0", "--u-max=0.2",
+         "--v-min=0.3", "--v-max=0.8"],
+    ],
+)
+def test_verify_passes_on_a_v_window_away_from_zero(capsys, flags):
+    assert main(["verify", *flags, "--nu=9", "--nv=9"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
 def test_verify_failure_exits_1(capsys, tmp_path):
     # inflated curvature makes the quasi-minimal <H,H> = 0 check fail
     code = main(
@@ -141,8 +155,12 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
         (["--theorem=minimal-b", "--a=1e200", "--b=1"], "for a = 1e+200, b = 1.0 is (inf, inf)"),
         # finite, but lo + 1.0 == lo
         (["--theorem=minimal-b", "--a=1e154", "--b=1"], "for a = 1e+154, b = 1.0 is (2e+153"),
+        # a given window: f'' is finite, its slope between samples is not
+        (["--theorem=minimal-b", "--a=1e154", "--b=1", "--u-min=0", "--u-max=1"],
+         "for a = 1e+154, b = 1.0 overflows on the u-window (0.0, 1.0)"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_generate_rejects_non_finite_values(tmp_path, capsys, flags, message):
     out = tmp_path / "mesh.csv"
     assert main(["generate", *flags, "--out", str(out)]) == 2
@@ -180,6 +198,46 @@ def test_negative_seed_names_its_field(tmp_path, capsys, path):
         argv = ["theorems", "--seed", "-1"]
     assert main(argv) == 2
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+_CASE_FLAGS = {
+    "--family": "ma", "--theorem": "cmc-a", "--a": "5", "--b": "1", "--c": "1", "--c0": "0",
+    "--f0": "1", "--u-min": "0", "--u-max": "1", "--v-min": "0", "--v-max": "1",
+    "--branch-signs": "++++",
+}
+_MINIMAL = ["--theorem=minimal-a", "--b=1", "--nu=5", "--nv=5"]
+# each subcommand with the flags it does not read; "case" is verify of a case file
+_UNREAD = [
+    *(("theorems", flag) for flag in [*_CASE_FLAGS, "--out", "--format"]),
+    ("generate", "--seed"), ("generate", "--tol-h"), ("generate", "--report"),
+    ("verify", "--out"), ("verify", "--format"), ("sweep", "--out"), ("sweep", "--format"),
+    *(("case", flag) for flag in _CASE_FLAGS),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    value = {"--out": tmp_path / "x.obj", "--report": tmp_path / "r.json", "--format": "obj",
+             "--seed": "1", "--tol-h": "1e-6"}.get(flag) or _CASE_FLAGS[flag]
+    out = ["--out", str(tmp_path / "mesh.csv")]
+    report = ["--report", str(tmp_path / "report.json")]
+    argv = {"theorems": ["theorems", *report], "generate": ["generate", *_MINIMAL, *out],
+            "verify": ["verify", *_MINIMAL, *report], "sweep": ["sweep", *_MINIMAL, *report],
+            "case": ["verify", str(tmp_path / "case.json"), *report]}[command]
+    (tmp_path / "case.json").write_text(json.dumps({"theorem": "minimal-a", "params": {"b": 1}}))
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert flag in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["case.json"]
+
+
+def test_case_file_takes_the_sampling_and_check_flags(tmp_path, capsys):
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps({"theorem": "minimal-a", "params": {"b": 1}}))
+    report = tmp_path / "report.json"
+    assert main(["verify", str(case_path), "--nu", "9", "--tol-h", "1e-6",
+                 "--report", str(report)]) == 0
+    case = json.loads(report.read_text())["case"]
+    assert (case["nu"], case["nv"], case["tol_H"]) == (9, 21, 1e-6)
 
 
 def test_verify_refuses_an_oversized_grid(capsys):

@@ -147,6 +147,9 @@ def test_grid_points_shape_and_domain_check():
         surface.immersion(0.9, 0.5)
     with pytest.raises(DomainError, match="out of directrix domain"):
         surface.immersion(0.0, 5.0)
+    for u in (0.9, np.nan):
+        with pytest.raises(DomainError, match="out of profile domain"):
+            surface.profile_values(u)
 
 
 def test_product_grid_evaluation_equals_broadcast_evaluation():
