@@ -52,6 +52,7 @@ from .oracle import (
     frame_equation_residuals,
     fundamental_forms,
     mean_curvature_fd,
+    richardson_jet,
 )
 from .profiles import (
     BranchSigns,
@@ -134,6 +135,7 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
+    "richardson_jet",
     "frame_equation_residuals",
     # harness
     "Theorem",

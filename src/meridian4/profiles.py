@@ -256,7 +256,9 @@ def minimal_profile(
     So ``FIRST_TIMELIKE`` needs a^2 + b > 0, ``FIRST_SPACELIKE`` a^2 - b > 0
     and ``SECOND`` b - a^2 > 0.  The window must keep the radicand of f
     strictly positive; otherwise a :class:`DomainError` names the
-    offending endpoint.
+    offending endpoint.  A profile that overflows a float or varies faster
+    than its samples (length scale f^2 / sqrt(disc) under the spacing) is a
+    :class:`DomainError` naming a, b and the window.
     """
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
@@ -283,16 +285,23 @@ def minimal_profile(
         )
     f = np.sqrt(radicand)
     fp = (a - beta * us) / f
-    fpp = alpha * disc / f**3
-    # the surface interpolates f'' by value, through its slopes between samples
     with np.errstate(over="ignore", invalid="ignore"):
-        slopes_finite = np.all(np.isfinite(np.diff(fpp) / np.diff(us)))
-    if not slopes_finite:
-        raise DomainError(
-            f"the minimal profile for a = {a!r}, b = {b!r} overflows on the u-window "
-            f"({float(u_span[0])!r}, {float(u_span[1])!r}): f'' changes by more than a "
-            "float holds between samples; set smaller a, b or another u-window (--u-min/--u-max)"
-        )
+        f3 = f**3
+        fpp = alpha * disc / f3
+        # the surface interpolates f'' by value, through its slopes between samples
+        slopes = np.diff(fpp) / np.diff(us)
+    # f varies on the length scale f^2 / sqrt(disc) (|f''| / f = disc / f^4);
+    # samples coarser than that leave the interpolant of f free to swing
+    spacing, scale = us[1] - us[0], radicand[i_min] / root
+    profile = f"the minimal profile for a = {a!r}, b = {b!r}"
+    window = f"on the u-window ({float(u_span[0])!r}, {float(u_span[1])!r})"
+    retry = "; set smaller a, b or another u-window (--u-min/--u-max)"
+    if not (np.all(np.isfinite(f3)) and np.all(np.isfinite(slopes))):
+        raise DomainError(f"{profile} overflows {window}: f^3 or the change of f'' "
+                          f"between samples exceeds a float{retry}")
+    if not spacing <= scale:
+        raise DomainError(f"{profile} is not resolved {window}: it varies on a length "
+                          f"scale of {scale:.3g}, under the sample spacing {spacing:.3g}{retry}")
     if beta > 0:
         g = sg * root * np.arcsin((us - a) / root) + c0
     else:

@@ -158,6 +158,13 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
         # a given window: f'' is finite, its slope between samples is not
         (["--theorem=minimal-b", "--a=1e154", "--b=1", "--u-min=0", "--u-max=1"],
          "for a = 1e+154, b = 1.0 overflows on the u-window (0.0, 1.0)"),
+        # finite slopes, but f varies on a scale of 1e-100 between samples 5e-4 apart
+        (["--theorem=minimal-b", "--a=1e100", "--b=1", "--u-min=0", "--u-max=1"],
+         "for a = 1e+100, b = 1.0 is not resolved on the u-window (0.0, 1.0)"),
+        # f ~ 1e150, so f^3 in f'' overflows
+        (["--theorem=minimal-a", "--a=0", "--b=1e300", "--u-min=0", "--u-max=1",
+          "--nu", "5", "--nv", "5"],
+         "for a = 0.0, b = 1e+300 overflows on the u-window (0.0, 1.0)"),
     ],
 )
 @pytest.mark.filterwarnings("error")

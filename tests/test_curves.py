@@ -18,6 +18,7 @@ from meridian4 import (
     orthonormality_deviation,
     standard_initial_frame,
 )
+from meridian4 import curves
 
 ALL_FAMILIES = list(CurveFamily)
 
@@ -191,6 +192,41 @@ def test_variable_curvature_converges_at_fourth_order(family):
     ]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 3.5), orders  # measured 4.00
+
+
+def _compose_by_loop(steps, first):
+    """The sequential product S_{i+1} = E_i S_i that the blocked scan replaced."""
+    frames = np.empty((len(steps) + 1, 3, 3))
+    frames[0] = first
+    for i in range(len(steps)):
+        np.matmul(steps[i], frames[i], out=frames[i + 1])
+    return frames
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_blocked_scan_matches_the_loop_for_every_block_layout(n):
+    """n = 1 is one block; n = 2, 3 blocks of one step; squares fill every
+    block and the other counts pad the last one with identities."""
+    rng = np.random.default_rng(n)
+    steps = np.eye(3) + 0.1 * rng.standard_normal((n, 3, 3))
+    first = rng.standard_normal((3, 3))
+    S, ref = curves._compose(steps, first), _compose_by_loop(steps, first)
+    assert S.shape == (n + 1, 3, 3)
+    assert np.max(np.abs(S - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kappa", [1.3, "variable"])
+@pytest.mark.parametrize("n", [2, 3, 400, 2003])
+def test_frames_match_the_sequential_product(monkeypatch, family, kappa, n):
+    """The blocked scan moves the frames by roundoff only (400 = 20^2, 2003 is prime)."""
+    law = (lambda v: 0.4 + 0.3 * np.sin(v)) if kappa == "variable" else (lambda v: kappa)
+    init = standard_initial_frame(family)
+    S = _frames(integrate_frenet(family, law, init, (0.0, 2.0), 2.0 / n))
+    monkeypatch.setattr(curves, "_compose", _compose_by_loop)
+    ref = _frames(integrate_frenet(family, law, init, (0.0, 2.0), 2.0 / n))
+    assert len(S) == n + 1
+    assert np.max(np.abs(S - ref)) <= 1e-13 * max(1.0, np.max(np.abs(S)))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -326,6 +326,41 @@ def test_sampled_cmc_draw_hits_target():
     assert r.stats["target_norm2"] == -1.0
 
 
+# The three worst draws_dense items of seeds 1-130 under the second-order FD
+# sweep at fd_step 1e-4: max_norm2_dev_fd read 0.983 (seed 130, cmc-b) and
+# 0.980 (seed 72, cmc-a) of its tolerance, and 1.08 for seed 20's cmc-a
+# once the directrix frames moved at roundoff.  All have f0 at the top of
+# the sampler's phi window.
+_WORST_DRAWS = {
+    "seed-130-cmc-b": CaseSpec(
+        Theorem.CMC_B,
+        ProfileParams(a=1.1178920231406275, b=0.7915579893652354, c=-1.0,
+                      branch=BranchSigns(g=-1)),
+        f0=4.800600000000001, u_span=(0.0, 0.3404425442962571), nu=41, nv=41,
+    ),
+    "seed-72-cmc-a": CaseSpec(
+        Theorem.CMC_A,
+        ProfileParams(a=1.9267005891173432, b=0.8224220505450319, c=1.0),
+        f0=4.800600000000001, u_span=(0.0, 0.33609010836769543), nu=41, nv=41,
+    ),
+    "seed-20-cmc-a": CaseSpec(
+        Theorem.CMC_A,
+        ProfileParams(a=1.9759664029476196, b=0.2059659349513015, c=1.0),
+        f0=4.800600000000001, u_span=(0.0, 0.3371197042233832), nu=41, nv=41,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WORST_DRAWS))
+def test_worst_recorded_draws_pass_with_room(name):
+    """The fourth-order FD sweep keeps every check of these draws at <= 0.2 of its bound."""
+    report = verify_case(_WORST_DRAWS[name])
+    assert report.status == "pass"
+    ratios = {c["name"]: c["value"] / c["threshold"] for c in report.checks
+              if c["comparison"] == "<=" and c["threshold"] > 0.0}
+    assert max(ratios.values()) <= 0.2, ratios
+
+
 _FLOAT_SLOTS = [
     (f.name, i)
     for f in fields(CaseSpec)

@@ -16,6 +16,7 @@ from meridian4 import (
     integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
+    richardson_jet,
     standard_initial_frame,
 )
 
@@ -118,6 +119,35 @@ def test_fd_truncation_is_second_order():
         errs.append(abs(n2 - 0.25))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
+
+
+def _jet4(immersion, u, v, h):
+    return richardson_jet(fd_jet(immersion, u, v, h), fd_jet(immersion, u, v, 2.0 * h))
+
+
+def test_richardson_jet_is_fourth_order():
+    """norm2H error on the cylinder shrinks ~16x when the step halves."""
+    errs = [abs(fundamental_forms(_jet4(_cylinder, 0.6, 0.1, h)).norm2H - 0.25)
+            for h in (0.04, 0.02, 0.01)]
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all(ratios >= 12.0), ratios  # measured 16.0
+
+
+def test_richardson_jet_is_exact_on_quadratics():
+    u, v = np.meshgrid(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 2.0, 4), indexing="ij")
+    fine, coarse = fd_jet(_quadratic, u, v, 0.1), fd_jet(_quadratic, u, v, 0.2)
+    jet = richardson_jet(fine, coarse)
+    assert jet.h is fine.h and jet.z is fine.z
+    for name in ("zu", "zv", "zuu", "zuv", "zvv"):
+        np.testing.assert_allclose(getattr(jet, name), getattr(fine, name), atol=1e-12)
+
+
+def test_richardson_jet_needs_steps_h_and_2h_at_the_same_points():
+    fine = fd_jet(_cylinder, 0.6, 0.1, 1e-3)
+    with pytest.raises(ValueError, match="steps h and 2h"):
+        richardson_jet(fine, fd_jet(_cylinder, 0.6, 0.1, 3e-3))
+    with pytest.raises(ValueError, match="same points"):
+        richardson_jet(fine, fd_jet(_cylinder, 0.7, 0.1, 2e-3))
 
 
 # ---------------------------------------------------------------------------
