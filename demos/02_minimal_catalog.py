@@ -39,9 +39,7 @@ def main():
         # minimality needs both curvature coefficients to vanish: the profile
         # kills h2, and a geodesic directrix (kappa = 0) kills h1
         cf = family.curve_family
-        curve = integrate_frenet(
-            cf, lambda v: 0.0, standard_initial_frame(cf), (0.0, 1.2), 1e-3
-        )
+        curve = integrate_frenet(cf, 0.0, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
         surface = assemble(family, curve, profile)
 
         print(f"== {family.value} ==")
@@ -73,9 +71,7 @@ def main():
     )
     profile = integrate_profile(phi, f0=2.0, u_span=(0.0, 0.8), step=1e-3)
     cf = MeridianFamily.FIRST_TIMELIKE.curve_family
-    curve = integrate_frenet(
-        cf, lambda v: 1.2, standard_initial_frame(cf), (0.0, 1.2), 1e-3
-    )
+    curve = integrate_frenet(cf, 1.2, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
     surface = assemble(MeridianFamily.FIRST_TIMELIKE, curve, profile)
     cloud = surface.grid_points(
         np.linspace(0.05, 0.75, 15), np.linspace(0.0, 1.2, 15)

@@ -37,9 +37,7 @@ def build(family, params, f0, u_span):
     # the reduced law only describes surfaces whose directrix has constant
     # spherical curvature equal to the integration constant a
     cf = family.curve_family
-    curve = integrate_frenet(
-        cf, lambda v: params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3
-    )
+    curve = integrate_frenet(cf, params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3)
     return assemble(family, curve, profile)
 
 

@@ -46,7 +46,7 @@ def main():
     phi = phi_closed_form(GoverningLaw.CMC, family, params, (1e-3, 12.0))
     profile = integrate_profile(phi, f0=0.8, u_span=(0.0, 0.3), step=1e-3)
     cf = family.curve_family
-    curve = integrate_frenet(cf, lambda v: params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3)
+    curve = integrate_frenet(cf, params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3)
     surface = assemble(family, curve, profile)
 
     kind = TildeKind.PRIME

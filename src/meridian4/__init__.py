@@ -33,7 +33,7 @@ from .curves import (
     integrate_frenet,
     standard_initial_frame,
 )
-from .errors import DegeneracyError, DomainError, IntegrationError
+from .errors import DegeneracyError, DomainError
 from .export import export_mesh
 from .families import MeridianFamily
 from .harness import (
@@ -95,7 +95,6 @@ __all__ = [
     # errors
     "DomainError",
     "DegeneracyError",
-    "IntegrationError",
     # curves
     "CurveFamily",
     "ChartKind",

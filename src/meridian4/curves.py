@@ -7,9 +7,8 @@ The directrix curves of Lorentz meridian surfaces live in the Lorentzian
 * the hyperbolic sphere H^2_1(-1):  <l, l> = -1.
 
 Each admissible causal type carries a Frenet system for the moving frame
-(l, t, n) with a single curvature function kappa(v) = <t'(v), n(v)>.  With
-the frame's causal signs (e_l, e_t, e_n) = (<l,l>, <t,t>, <n,n>), all three
-systems read
+(l, t, n) with a single curvature kappa = <t'(v), n(v)>.  With the frame's
+causal signs (e_l, e_t, e_n) = (<l,l>, <t,t>, <n,n>), all three systems read
 
     l' = t,   t' = -e_l e_t l + e_n kappa n,   n' = -e_t kappa t,
 
@@ -24,28 +23,24 @@ timelike on S^2_1      l' = t,  t' =  kappa n + l,  n' =  kappa t  (+1, -1, +1)
 spacelike on H^2_1     l' = t,  t' =  kappa n + l,  n' = -kappa t  (-1, +1, +1)
 =====================  =========================================  ==============
 
-``integrate_frenet`` advances the 3x3 frame matrix by one 4th-order
-Magnus step per grid interval, exponentiated in closed form.  The flow is
-in the frame group, so the Gram matrix is kept up to roundoff with no
-re-orthonormalization; for the constant curvatures of the classification
-each step is the exact flow exp(hB).  The n step matrices are composed by
-a two-level blocked prefix product (about 2 sqrt(n) batched matmuls), which
-agrees with the sequential product to roundoff.
+The curvature is a constant: h1 = alpha kappa / 2f is the only coefficient
+of H that depends on v, and <H, H> is constant on every classified surface.
+``integrate_frenet`` writes each sample in closed form as the exact flow
+exp((v - v0) B) S0.  The flow is in the frame group, so the Gram matrix is
+kept up to roundoff with no re-orthonormalization.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 # orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
 from .algebra import SIG3_PPM, Signature, orthonormality_deviation, orthonormalize  # noqa: F401
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 __all__ = [
     "CurveFamily",
@@ -99,21 +94,23 @@ class CurveFamily(enum.Enum):
         w2 = 1/2 tr B(kappa)^2 = -e_t (e_l + e_n kappa^2): the frame
         components solve l''' = w2 l', so positive w2 means cosh-type growth.
         """
-        e_l, e_t, e_n = self.frame_signs
-        # Expanded so that w2 = 0 comes out as +0.0; the trace form differs in the last bit.
-        w2 = -e_t * e_n * kappa * kappa - e_t * e_l
-        return float(np.sqrt(max(w2, 0.0)))
+        return float(np.sqrt(max(self._w2(kappa), 0.0)))
 
-    def tangent_rate(self, kappa, l, t, n):
+    def _w2(self, kappa: float) -> float:
+        """w2 = 1/2 tr B(kappa)^2 (see :meth:`growth_rate`)."""
+        e_l, e_t, e_n = self.frame_signs
+        # Expanded so that w2 = 0 comes out as +0.0 and w2 is finite wherever
+        # kappa^2 is; the trace form differs in the last bit and overflows first.
+        return -e_t * e_n * kappa * kappa - e_t * e_l
+
+    def tangent_rate(self, kappa: float, l, t, n):
         """t'(v) from the family's Frenet system (vectorized over samples)."""
         e_l, e_t, e_n = self.frame_signs
-        k = np.asarray(kappa, dtype=float)[..., None]
-        return e_n * k * n - e_l * e_t * l
+        return e_n * kappa * n - e_l * e_t * l
 
-    def normal_rate(self, kappa, t):
+    def normal_rate(self, kappa: float, t):
         """n'(v) from the family's Frenet system (vectorized over samples)."""
-        k = np.asarray(kappa, dtype=float)[..., None]
-        return -self.frame_signs[1] * k * t
+        return -self.frame_signs[1] * kappa * t
 
 
 class ChartKind(enum.Enum):
@@ -218,17 +215,13 @@ def standard_initial_frame(family: CurveFamily) -> FrenetState:
     return FrenetState(0.0, e3, e1, e2)
 
 
-#: A curvature law is any callable kappa(v) -> float.
-CurvatureLaw = Callable[[float], float]
-
-
 @dataclass(eq=False)
 class FrameField:
     """A sampled Frenet frame field along a curve.
 
     Samples sit on the uniform grid ``vs``; rows of ``ls``/``ts``/``ns`` are
-    the frame vectors, ``ks`` the curvature at each sample.  The field keeps
-    the integration step and the largest deviation of a sample's Gram matrix
+    the frame vectors, ``kappa`` the (constant) curvature.  The field keeps
+    the sample spacing and the largest deviation of a sample's Gram matrix
     from diag(e_l, e_t, e_n) (0.0 for analytically constructed fields).
     """
 
@@ -237,10 +230,9 @@ class FrameField:
     ls: np.ndarray
     ts: np.ndarray
     ns: np.ndarray
-    ks: np.ndarray
+    kappa: float
     step: float
     max_gram_drift: float = 0.0
-    _kappa_spline: CubicSpline | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.vs = np.asarray(self.vs, dtype=float)
@@ -249,9 +241,7 @@ class FrameField:
             if arr.shape != (len(self.vs), 3):
                 raise ValueError(f"{name} must have shape (n_samples, 3)")
             setattr(self, name, arr)
-        self.ks = np.asarray(self.ks, dtype=float)
-        if self.ks.shape != self.vs.shape:
-            raise ValueError("ks must match vs in shape")
+        self.kappa = _finite_kappa(self.kappa)
 
     def __len__(self) -> int:
         return len(self.vs)
@@ -263,15 +253,13 @@ class FrameField:
     def state(self, i: int) -> FrenetState:
         return FrenetState(float(self.vs[i]), self.ls[i], self.ts[i], self.ns[i])
 
-    def kappa_at(self, v) -> np.ndarray:
-        """Curvature at arbitrary v within the span (cubic interpolation)."""
-        if self._kappa_spline is None:
-            if len(self.vs) >= 4:
-                self._kappa_spline = CubicSpline(self.vs, self.ks)
-            else:
-                # Too few samples for a cubic; fall back to linear.
-                self._kappa_spline = lambda v: np.interp(v, self.vs, self.ks)  # type: ignore[assignment]
-        return np.asarray(self._kappa_spline(v), dtype=float)
+
+def _finite_kappa(kappa) -> float:
+    """kappa as a float; a non-finite curvature is refused with a ValueError."""
+    k = float(kappa)
+    if not math.isfinite(k):
+        raise ValueError(f"kappa must be finite, got {k}")
+    return k
 
 
 #: Cap on the samples of one uniform grid (about 450 B each along a curve).
@@ -300,35 +288,30 @@ def _grid_intervals(span, step: float, minimum: int = 2, var: str = "v") -> int:
 
 def integrate_frenet(
     family: CurveFamily,
-    law: CurvatureLaw,
+    kappa: float,
     init: FrenetState,
     v_span: tuple[float, float],
     step: float = 1e-3,
 ) -> FrameField:
-    """Integrate S' = B(kappa(v)) S, S with rows (l, t, n), by 4th-order Magnus steps.
+    """Solve S' = B(kappa) S, S with rows (l, t, n), on a uniform v-grid.
 
-    B = B0 + kappa K is affine in kappa, so with k1, k2 the curvature at the
-    Gauss points v + (1/2 -+ sqrt(3)/6) h the step over [v, v + h] is
+    B^3 = w2 B with w2 = tr(B^2)/2, so the exact flow is, with t = v - v0,
 
-        Omega = h B0 + (h/2)(k1 + k2) K + (sqrt(3)/12) h^2 (k1 - k2) [B0, K].
+        S(v) = S0 + sinhc(w2 t^2) t B S0 + sinhc(w2 t^2/4)^2 (t^2/2) B^2 S0,
 
-    In the frame's Lie algebra Omega^3 = w2 Omega with w2 = tr(Omega^2)/2, so
-    exp(Omega) = I + sinhc(w2) Omega + sinhc(w2/4)^2/2 Omega^2 in closed form.
-    For constant kappa each step is the exact flow exp(hB).  Nothing is
-    corrected; ``max_gram_drift`` is the measured Gram deviation of the output.
+    written at each sample directly; no step is composed and nothing is
+    corrected.  ``max_gram_drift`` is the measured Gram deviation of the output.
 
     Raises
     ------
     ValueError
-        If the initial frame violates the family Gram matrix by more than
-        1e-10, or the span/step are malformed.
+        If kappa is not finite, the initial frame violates the family Gram
+        matrix by more than 1e-10, or the span/step are malformed.
     DomainError
         If the grid would exceed :data:`_MAX_SAMPLES` samples, or the frame
         overflows (the first such v is named).
-    IntegrationError
-        If the curvature law returns a non-finite value at a node or a
-        Gauss point (the first such v is named).
     """
+    kappa = _finite_kappa(kappa)
     init_dev = orthonormality_deviation(init.frame, family.frame_signs, CURVE_SIGNATURE)
     if init_dev > 1e-10:
         raise ValueError(
@@ -338,32 +321,17 @@ def integrate_frenet(
     n = _grid_intervals(v_span, step)
     v0, v1 = float(v_span[0]), float(v_span[1])
     vs = np.linspace(v0, v1, n + 1)
-    h = (v1 - v0) / n
     if abs(float(init.v) - v0) > 1e-12 * max(1.0, abs(v0)):
         raise ValueError(f"initial state sits at v={init.v}, but the span starts at {v0}")
 
-    # law at v_i, then the two Gauss points of step i, in increasing v
-    gauss = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
-    pts = np.append(np.column_stack([vs[:-1], vs[:-1, None] + h * gauss]).ravel(), v1)
-    kappas = np.array([law(float(v)) for v in pts], dtype=float)
-    bad = ~np.isfinite(kappas)
-    if bad.any():
-        v_bad = float(pts[np.argmax(bad)])
-        raise IntegrationError(f"curvature law returned non-finite value at v={v_bad!r}")
-    ks, k1, k2 = kappas[::3], kappas[1::3, None, None], kappas[2::3, None, None]
-
-    B0 = family.frenet_matrix(0.0)
-    K = family.frenet_matrix(1.0) - B0
-    omega = (
-        h * B0
-        + (0.5 * h) * (k1 + k2) * K
-        + (np.sqrt(3.0) / 12.0 * h * h) * (k1 - k2) * (B0 @ K - K @ B0)
-    )
-    omega2 = omega @ omega
-    w2 = 0.5 * np.trace(omega2, axis1=1, axis2=2)[:, None, None]
+    B = family.frenet_matrix(kappa)
+    t = vs - v0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        steps = np.eye(3) + _sinhc(w2) * omega + 0.5 * _sinhc(0.25 * w2) ** 2 * omega2
-        frames = _compose(steps, init.frame)
+        x = family._w2(kappa) * t * t
+        a = _sinhc(x) * t
+        b = 0.5 * (_sinhc(0.25 * x) * t) ** 2
+        BS0 = B @ init.frame
+        frames = init.frame + a[:, None, None] * BS0 + b[:, None, None] * (B @ BS0)
     finite = np.isfinite(frames).all(axis=(1, 2))
     if not finite.all():
         v_bad = float(vs[np.argmin(finite)])
@@ -371,35 +339,7 @@ def integrate_frenet(
 
     gram = (frames * CURVE_SIGNATURE.array) @ frames.transpose(0, 2, 1)
     drift = float(np.max(np.abs(gram - np.diag(np.asarray(family.frame_signs, dtype=float)))))
-    return FrameField(family, vs, *frames.transpose(1, 0, 2), ks, h, drift)
-
-
-def _compose(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Frames S_0 = first, S_{i+1} = E_i S_i for the n step matrices E_i.
-
-    A two-level blocked prefix product (Blelloch 1990): the steps are cut
-    into blocks of b = isqrt(n), the last one padded with identities; the
-    in-block prefix products take b - 1 batched matmuls across all blocks,
-    the block totals are chained from ``first`` one matmul per block, and
-    one batched matmul applies each block's start frame.  About 2 sqrt(n)
-    matmul calls in place of n.
-    """
-    n = len(steps)
-    b = math.isqrt(n)
-    m = -(-n // b)
-    prefix = np.empty((m, b, 3, 3))
-    prefix.reshape(m * b, 3, 3)[:n] = steps
-    prefix.reshape(m * b, 3, 3)[n:] = np.eye(3)
-    for j in range(1, b):
-        prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
-    starts = np.empty((m, 3, 3))
-    starts[0] = first
-    for k in range(1, m):
-        np.matmul(prefix[k - 1, -1], starts[k - 1], out=starts[k])
-    frames = np.empty((n + 1, 3, 3))
-    frames[0] = first
-    frames[1:] = (prefix @ starts[:, None]).reshape(m * b, 3, 3)[:n]
-    return frames
+    return FrameField(family, vs, *frames.transpose(1, 0, 2), kappa, (v1 - v0) / n, drift)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,3 @@ class DegeneracyError(DomainError):
     product vanishes relative to the vector's size the frame cannot be
     normalized and this error is raised instead of returning garbage.
     """
-
-
-class IntegrationError(RuntimeError):
-    """A numerical integration could not proceed (non-finite data, etc.)."""

@@ -143,13 +143,12 @@ class MeridianFamily(enum.Enum):
         """Sign eps = beta in the CMC radicand a^2 + 4 eps c t^2."""
         return self.beta
 
-    def h_coefficients(self, kappa, f, fp, fpp, gp):
-        """Normal components (h1, h2) of H = h1 n1 + h2 n2.
+    def h_coefficients(self, kappa: float, f, fp, fpp, gp):
+        """Normal components (h1, h2) of H = h1 n1 + h2 n2 for directrix curvature kappa.
 
         Uses the signed g', so the formulas remain valid on every sign
         branch of the profile.
         """
-        kappa = np.asarray(kappa, dtype=float)
         f = np.asarray(f, dtype=float)
         gp = np.asarray(gp, dtype=float)
         core = self.governing_core(f, fp, fpp)

@@ -353,7 +353,7 @@ def _build_case(spec: CaseSpec):
     cf = family.curve_family
     # the standard frame, placed at the start of the case's own v-window
     init = replace(standard_initial_frame(cf), v=v_span[0])
-    curve = integrate_frenet(cf, lambda v: kappa, init, v_span, spec.step)
+    curve = integrate_frenet(cf, kappa, init, v_span, spec.step)
 
     if thm is Theorem.NEGATIVE_CONTROL:
         u_span = spec.u_span if spec.u_span is not None else (0.0, 2.0)
@@ -549,9 +549,7 @@ def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]
     out = {}
     for family, (params, u_span, kappa, v_span) in recipes.items():
         cf = family.curve_family
-        curve = integrate_frenet(
-            cf, lambda v: kappa, standard_initial_frame(cf), v_span, spec.step
-        )
+        curve = integrate_frenet(cf, kappa, standard_initial_frame(cf), v_span, spec.step)
         profile = minimal_profile(family, params, u_span, _samples_for(u_span, spec.step))
         out[family] = assemble(family, curve, profile)
     return out

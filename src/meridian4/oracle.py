@@ -174,14 +174,22 @@ class FundamentalForms:
 def fundamental_forms(jet: Jet2, sig: Signature = SIG4) -> FundamentalForms:
     """Assemble the fundamental forms and mean curvature from a jet.
 
-    Raises :class:`DegeneracyError`, naming the first such point, when
-    |EG - F^2| <= 1e-10 (degenerate induced metric).
+    Raises :class:`DomainError` when EG - F^2 is not finite (the form
+    overflows), and :class:`DegeneracyError` when |EG - F^2| <= 1e-10
+    (degenerate induced metric), each naming the first such point.
     """
     zu, zv = jet.zu, jet.zv
-    E = inner(zu, zu, sig)
-    F = inner(zu, zv, sig)
-    G = inner(zv, zv, sig)
-    W = E * G - F * F
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is named below
+        E = inner(zu, zu, sig)
+        F = inner(zu, zv, sig)
+        G = inner(zv, zv, sig)
+        W = E * G - F * F
+    overflow = ~np.isfinite(W)
+    if np.any(overflow):
+        raise DomainError(
+            f"first fundamental form is not finite at {_at(jet.u, jet.v, overflow)}: "
+            f"EG - F^2 = {np.asarray(W)[overflow][0]:.3e}"
+        )
     degenerate = np.abs(W) <= 1e-10
     if np.any(degenerate):
         raise DegeneracyError(
@@ -240,18 +248,18 @@ def frame_equation_residuals(surface, u, v, h=None):
         D_X n1 = 0                    D_Y n1 = -(k/f) Y
         D_X n2 = kappa_m X            D_Y n2 = (g'/f) Y
 
-    where D_X = d/du, D_Y = (1/f) d/dv, k = kappa(v) and kappa_m is the
-    meridian curvature.  This function differentiates the analytic frame
-    by central differences (step ``h``, default 1e-5 scaled per point) at
-    the broadcast points (u, v), all in one ``surface.frames`` call, and
-    returns a dict of max-abs residuals over the points, one entry per
-    table line.  Agreement at the default step certifies both the frame
+    where D_X = d/du, D_Y = (1/f) d/dv, k is the directrix curvature and
+    kappa_m the meridian curvature.  This function differentiates the
+    analytic frame by central differences (step ``h``, default 1e-5 scaled
+    per point) at the broadcast points (u, v), all in one ``surface.frames``
+    call, and returns a dict of max-abs residuals over the points, one entry
+    per table line.  Agreement at the default step certifies both the frame
     and the derivative table.
     """
     u, v, h = _points(u, v, h, 1e-5)
     family = surface.family
     f, fp, fpp, _, gp = (x[..., None] for x in surface.profile_values(u))
-    kappa = surface.curve.kappa_at(v)[..., None]
+    kappa = surface.curve.kappa
     kappa_m = family.meridian_curvature(fpp, gp)
 
     hs = h[..., None]

@@ -119,15 +119,13 @@ class MeridianSurface:
                 f"a {family.value!r} surface needs a {family.curve_family.value!r} "
                 f"directrix, got {curve.family.value!r}"
             )
-        if not np.all(np.isfinite(curve.ks)):
-            raise ValueError("directrix curvature samples contain non-finite values")
         self.family = family
         self.curve = curve
         self.profile = profile
 
         cf = family.curve_family
-        tp = cf.tangent_rate(curve.ks, curve.ls, curve.ts, curve.ns)
-        n_rate = cf.normal_rate(curve.ks, curve.ts)
+        tp = cf.tangent_rate(curve.kappa, curve.ls, curve.ts, curve.ns)
+        n_rate = cf.normal_rate(curve.kappa, curve.ts)
         self._Pl = _hermite(curve.vs, np.stack([curve.ls, curve.ts, tp], axis=1))
         self._Pt = self._Pl.derivative()
         self._Pn = _hermite(curve.vs, np.stack([curve.ns, n_rate], axis=1))
@@ -235,7 +233,7 @@ class MeridianSurface:
         """Closed-form mean curvature decomposition at (u, v).
 
         h1 multiplies the directrix normal n1 and carries the spherical
-        curvature kappa(v); h2 multiplies n2 and carries the profile's
+        curvature kappa; h2 multiplies n2 and carries the profile's
         governing expression f f'' + f'^2 +- 1.  Degenerate spots (f -> 0
         or a vanishing g'^2 radicand, where n2 blows up) raise
         :class:`DomainError`.
@@ -253,9 +251,9 @@ class MeridianSurface:
                 "meridian speed radicand g'^2 vanishes on the requested set; "
                 "the second normal degenerates there"
             )
-        kappa = self.curve.kappa_at(v)
-        # f broadcast to the grid makes h2 (a u-factor) grid-shaped like h1
-        h1, h2 = self.family.h_coefficients(kappa, np.broadcast_to(f, shape), fp, fpp, gp)
+        # h1 and h2 are both u-factors; f broadcast to the grid makes them grid-shaped
+        f = np.broadcast_to(f, shape)
+        h1, h2 = self.family.h_coefficients(self.curve.kappa, f, fp, fpp, gp)
         _, _, n1, n2 = self.frames(u, v)
         vector = h1[..., None] * n1 + h2[..., None] * n2
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]

@@ -224,7 +224,7 @@ def _generic_surface(family):
     params, u_span, kappa = recipes[family]
     cf = family.curve_family
     curve = integrate_frenet(
-        cf, lambda v: kappa, standard_initial_frame(cf), (0.0, 1.2), 1e-3
+        cf, kappa, standard_initial_frame(cf), (0.0, 1.2), 1e-3
     )
     return assemble(family, curve, minimal_profile(family, params, u_span, 1601))
 

@@ -165,12 +165,17 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
         (["--theorem=minimal-a", "--a=0", "--b=1e300", "--u-min=0", "--u-max=1",
           "--nu", "5", "--nv", "5"],
          "for a = 0.0, b = 1e+300 overflows on the u-window (0.0, 1.0)"),
+        # f ~ 1e100 is finite, but EG - F^2 of the FD oracle's jet is not (verify only)
+        (["verify", "--theorem=minimal-a", "--a=0", "--b=1e200", "--u-min=0", "--u-max=1",
+          "--nu", "5", "--nv", "5"],
+         "first fundamental form is not finite at (u=0.0044, v=0.0044): EG - F^2 = nan"),
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_generate_rejects_non_finite_values(tmp_path, capsys, flags, message):
     out = tmp_path / "mesh.csv"
-    assert main(["generate", *flags, "--out", str(out)]) == 2
+    argv = flags if flags[0] == "verify" else ["generate", *flags, "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err and "np.float64" not in err
     assert not out.exists()

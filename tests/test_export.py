@@ -32,7 +32,7 @@ from meridian4.harness import _build_case
 def small_surface():
     family = MeridianFamily.SECOND
     cf = family.curve_family
-    curve = integrate_frenet(cf, lambda v: 0.5, standard_initial_frame(cf), (0.0, 1.0), 1e-2)
+    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0), 1e-2)
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.4, 0.4), 81)
     return assemble(family, curve, profile)
 

@@ -160,7 +160,7 @@ def meridian_surface():
     """A second-family minimal surface over a directrix with kappa = 0.5."""
     family = MeridianFamily.SECOND
     cf = family.curve_family
-    curve = integrate_frenet(cf, lambda v: 0.5, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
+    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 1201)
     return assemble(family, curve, profile)
 

@@ -33,7 +33,7 @@ SECOND = MeridianFamily.SECOND
 
 def _curve(family, kappa, v_span=(0.0, 1.2), step=1e-3):
     cf = family.curve_family
-    return integrate_frenet(cf, lambda v: kappa, standard_initial_frame(cf), v_span, step)
+    return integrate_frenet(cf, kappa, standard_initial_frame(cf), v_span, step)
 
 
 def _minimal_surface(family, params, u_span, kappa=0.0):
@@ -97,8 +97,8 @@ def test_hermite_equals_from_derivatives(uniform, d, tail):
 def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
     surface = _minimal_surface(family, params, u_span, kappa=0.4)
     curve, prof, cf = surface.curve, surface.profile, family.curve_family
-    tp = cf.tangent_rate(curve.ks, curve.ls, curve.ts, curve.ns)
-    n_rate = cf.normal_rate(curve.ks, curve.ts)
+    tp = cf.tangent_rate(curve.kappa, curve.ls, curve.ts, curve.ns)
+    n_rate = cf.normal_rate(curve.kappa, curve.ts)
     refs = {
         "_Pl": BPoly.from_derivatives(curve.vs, np.stack([curve.ls, curve.ts, tp], axis=1)),
         "_Pn": BPoly.from_derivatives(curve.vs, np.stack([curve.ns, n_rate], axis=1)),
