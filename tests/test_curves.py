@@ -173,16 +173,49 @@ def test_constant_curvature_is_the_exact_flow(family, kappa):
     assert np.max(np.abs(S - exact)) <= 1e-12 * max(1.0, np.max(np.abs(S)))
 
 
+def _fields(family, kappa, n):
+    """Fields over v in [0, 2] with step 2/n.  A number gives one field at that
+    kappa; "variable" gives four pieces of constant kappa, each started at the
+    end state of the one before (a non-standard frame at v0 > 0)."""
+    init = standard_initial_frame(family)
+    if kappa != "variable":
+        return [integrate_frenet(family, kappa, init, (0.0, 2.0), 2.0 / n)]
+    fields = []
+    for j in range(4):
+        k = 0.4 + 0.3 * np.sin(0.5 * j + 0.25)
+        fields.append(integrate_frenet(family, k, init, (0.5 * j, 0.5 * j + 0.5), 2.0 / n))
+        init = fields[-1].state(len(fields[-1]) - 1)
+    return fields
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-@pytest.mark.parametrize("kappa", [0.0, 0.4, 2.0])
+@pytest.mark.parametrize("kappa", [1.3, "variable"])
+@pytest.mark.parametrize("n", [2, 3, 400, 2003])
+def test_frames_match_the_sequential_product(family, kappa, n):
+    """Each node is the one-step flow E = exp(h B) of the node before it, so the
+    closed form agrees step by step with the product S_{i+1} = E S_i."""
+    fields = _fields(family, kappa, n)
+    if kappa != "variable":
+        assert len(fields[0]) == n + 1
+    start = standard_initial_frame(family).frame
+    for field in fields:
+        S = _frames(field)
+        E = expm(field.step * family.frenet_matrix(field.kappa))
+        assert np.array_equal(S[0], start)
+        start = S[-1]
+        assert np.max(np.abs(S[1:] - E @ S[:-1])) <= 1e-13 * max(1.0, np.max(np.abs(S)))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("kappa", [0.0, 0.4, 2.0, "variable"])
 def test_max_gram_drift_is_the_measured_deviation(family, kappa):
     """Nothing corrects the frame, and its Gram matrix stays at roundoff."""
-    field = integrate_frenet(family, kappa, standard_initial_frame(family), (0.0, 2.0), 1e-3)
-    S = _frames(field)
     expected = np.asarray(family.frame_signs, dtype=float)
-    measured = max(orthonormality_deviation(s, expected, SIG3_PPM) for s in S)
-    assert field.max_gram_drift == measured
-    assert measured <= 1e-12 * max(1.0, np.max(np.abs(S))) ** 2
+    for field in _fields(family, kappa, 2000):
+        S = _frames(field)
+        measured = max(orthonormality_deviation(s, expected, SIG3_PPM) for s in S)
+        assert field.max_gram_drift == measured
+        assert measured <= 1e-12 * max(1.0, np.max(np.abs(S))) ** 2
 
 
 def test_bad_initial_frame_rejected():
