@@ -25,9 +25,10 @@ spacelike on H^2_1     l' = t,  t' =  kappa n + l,  n' = -kappa t  (-1, +1, +1)
 
 The curvature is a constant: h1 = alpha kappa / 2f is the only coefficient
 of H that depends on v, and <H, H> is constant on every classified surface.
-``integrate_frenet`` writes each sample in closed form as the exact flow
-exp((v - v0) B) S0.  The flow is in the frame group, so the Gram matrix is
-kept up to roundoff with no re-orthonormalization.
+``integrate_frenet`` writes each sample, and :meth:`FrameField.frame_at` any
+v, in closed form as the exact flow exp((v - v0) B) S0.  The flow is in the
+frame group, so the Gram matrix is kept up to roundoff with no
+re-orthonormalization, and the frame between samples does not depend on the step.
 """
 
 from __future__ import annotations
@@ -97,20 +98,15 @@ class CurveFamily(enum.Enum):
         return float(np.sqrt(max(self._w2(kappa), 0.0)))
 
     def _w2(self, kappa: float) -> float:
-        """w2 = 1/2 tr B(kappa)^2 (see :meth:`growth_rate`)."""
+        """w2 = 1/2 tr B(kappa)^2 (see :meth:`growth_rate`); DomainError if not finite."""
         e_l, e_t, e_n = self.frame_signs
+        k = float(kappa)
         # Expanded so that w2 = 0 comes out as +0.0 and w2 is finite wherever
         # kappa^2 is; the trace form differs in the last bit and overflows first.
-        return -e_t * e_n * kappa * kappa - e_t * e_l
-
-    def tangent_rate(self, kappa: float, l, t, n):
-        """t'(v) from the family's Frenet system (vectorized over samples)."""
-        e_l, e_t, e_n = self.frame_signs
-        return e_n * kappa * n - e_l * e_t * l
-
-    def normal_rate(self, kappa: float, t):
-        """n'(v) from the family's Frenet system (vectorized over samples)."""
-        return -self.frame_signs[1] * kappa * t
+        w2 = -e_t * e_n * k * k - e_t * e_l
+        if not math.isfinite(w2):
+            raise DomainError(f"curvature kappa = {k!r} is out of range: kappa^2 overflows")
+        return w2
 
 
 class ChartKind(enum.Enum):
@@ -217,12 +213,13 @@ def standard_initial_frame(family: CurveFamily) -> FrenetState:
 
 @dataclass(eq=False)
 class FrameField:
-    """A sampled Frenet frame field along a curve.
+    """A Frenet frame field of constant curvature along a curve.
 
     Samples sit on the uniform grid ``vs``; rows of ``ls``/``ts``/``ns`` are
     the frame vectors, ``kappa`` the (constant) curvature.  The field keeps
     the sample spacing and the largest deviation of a sample's Gram matrix
     from diag(e_l, e_t, e_n) (0.0 for analytically constructed fields).
+    :meth:`frame_at` evaluates the exact flow from the first sample at any v.
     """
 
     family: CurveFamily
@@ -252,6 +249,24 @@ class FrameField:
 
     def state(self, i: int) -> FrenetState:
         return FrenetState(float(self.vs[i]), self.ls[i], self.ts[i], self.ns[i])
+
+    def frame_at(self, v) -> np.ndarray:
+        """Rows (l, t, n) at any v of the span, shape ``v.shape + (3, 3)``.
+
+        The exact flow from the first sample, by the closed form that writes the
+        samples, so ``frame_at(vs)`` equals them bit for bit.  Other v are a DomainError."""
+        v = np.asarray(v, dtype=float)
+        _check_window(v, self.v_span, "v out of directrix domain")
+        return _flow(self.family, self.kappa, self.state(0).frame, v - self.vs[0])
+
+
+def _check_window(x: np.ndarray, span: tuple[float, float], what: str) -> None:
+    """DomainError if x is NaN or beyond ``span`` by more than 1e-12 relative."""
+    lo, hi = span
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    # written so that NaN, which compares False, fails the check
+    if x.size and not (x.min() >= lo - slack and x.max() <= hi + slack):
+        raise DomainError(f"{what} [{lo:.6g}, {hi:.6g}]: requested [{x.min():.6g}, {x.max():.6g}]")
 
 
 def _finite_kappa(kappa) -> float:
@@ -295,11 +310,8 @@ def integrate_frenet(
 ) -> FrameField:
     """Solve S' = B(kappa) S, S with rows (l, t, n), on a uniform v-grid.
 
-    B^3 = w2 B with w2 = tr(B^2)/2, so the exact flow is, with t = v - v0,
-
-        S(v) = S0 + sinhc(w2 t^2) t B S0 + sinhc(w2 t^2/4)^2 (t^2/2) B^2 S0,
-
-    written at each sample directly; no step is composed and nothing is
+    Each sample is the exact flow S(v) = exp((v - v0) B) S0, written in
+    closed form (see :func:`_flow`); no step is composed and nothing is
     corrected.  ``max_gram_drift`` is the measured Gram deviation of the output.
 
     Raises
@@ -308,8 +320,9 @@ def integrate_frenet(
         If kappa is not finite, the initial frame violates the family Gram
         matrix by more than 1e-10, or the span/step are malformed.
     DomainError
-        If the grid would exceed :data:`_MAX_SAMPLES` samples, or the frame
-        overflows (the first such v is named).
+        If kappa^2 overflows (kappa is named), the grid would exceed
+        :data:`_MAX_SAMPLES` samples, or the frame overflows (the first
+        such v is named).
     """
     kappa = _finite_kappa(kappa)
     init_dev = orthonormality_deviation(init.frame, family.frame_signs, CURVE_SIGNATURE)
@@ -324,14 +337,7 @@ def integrate_frenet(
     if abs(float(init.v) - v0) > 1e-12 * max(1.0, abs(v0)):
         raise ValueError(f"initial state sits at v={init.v}, but the span starts at {v0}")
 
-    B = family.frenet_matrix(kappa)
-    t = vs - v0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        x = family._w2(kappa) * t * t
-        a = _sinhc(x) * t
-        b = 0.5 * (_sinhc(0.25 * x) * t) ** 2
-        BS0 = B @ init.frame
-        frames = init.frame + a[:, None, None] * BS0 + b[:, None, None] * (B @ BS0)
+    frames = _flow(family, kappa, init.frame, vs - v0)
     finite = np.isfinite(frames).all(axis=(1, 2))
     if not finite.all():
         v_bad = float(vs[np.argmin(finite)])
@@ -340,6 +346,18 @@ def integrate_frenet(
     gram = (frames * CURVE_SIGNATURE.array) @ frames.transpose(0, 2, 1)
     drift = float(np.max(np.abs(gram - np.diag(np.asarray(family.frame_signs, dtype=float)))))
     return FrameField(family, vs, *frames.transpose(1, 0, 2), kappa, (v1 - v0) / n, drift)
+
+
+def _flow(family: CurveFamily, kappa: float, s0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t B) s0, shape ``t.shape + (3, 3)``, overflow left as inf/nan: B^3 = w2 B,
+    so exp(t B) = I + sinhc(w2 t^2) t B + sinhc(w2 t^2/4)^2 (t^2/2) B^2."""
+    B = family.frenet_matrix(kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = family._w2(kappa) * t * t
+        a = _sinhc(x) * t
+        b = 0.5 * (_sinhc(0.25 * x) * t) ** 2
+        Bs0 = B @ s0
+        return s0 + a[..., None, None] * Bs0 + b[..., None, None] * (B @ Bs0)
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:

@@ -97,8 +97,10 @@ class CaseSpec:
     minimal cases, the parameter a otherwise) - that is how the curvature-
     mismatch negative control is expressed.  ``f0`` seeds the profile ODE
     for quasi-minimal/CMC cases.  ``u_span``/``v_span`` default to
-    theorem-appropriate windows.  ``tol_norm2`` defaults per target size:
-    1e-5 absolute for |target| <= 1, else 1e-4 relative.
+    theorem-appropriate windows.  ``step`` sets the profile step and the
+    directrix nodes that measure the Gram drift (the surface reads the frame
+    in closed form).  ``tol_norm2`` defaults per target size: 1e-5 absolute
+    for |target| <= 1, else 1e-4 relative.
 
     The field annotations are the one list of fields: :meth:`to_dict` and
     :meth:`from_dict` read them, and every ``float`` or span field must be

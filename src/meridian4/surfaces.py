@@ -8,10 +8,13 @@ immersion with adapted frames and the closed-form mean curvature
 decomposition, and implements the neutral-space congruence transform that
 carries each family to its "tilde" partner.
 
-Between samples, curve and profile data are evaluated by Hermite
-interpolation (quintic for positions, matching the stored first and second
-derivatives), so finite-difference probes of the immersion see a C^2
-surface whose interpolation error sits far below the FD truncation error.
+The directrix frame (l, t, n) is read from
+:meth:`~meridian4.curves.FrameField.frame_at`, the exact flow at any v, so
+it has no interpolation error.  Hermite interpolation is for the profile
+only: f and g are quintic between the samples, matching the stored first
+and second derivatives, so finite-difference probes of the immersion see a
+C^2 surface whose interpolation error sits far below the FD truncation
+error.
 
 The interpolants are :class:`scipy.interpolate.BPoly` objects whose
 Bernstein coefficients :func:`_hermite` computes for all intervals at once.
@@ -34,7 +37,7 @@ from scipy.interpolate import BPoly, CubicSpline
 from scipy.special import comb, poch
 
 from .algebra import SIG4, inner
-from .curves import ChartKind, FrameField, chart, chart_params
+from .curves import ChartKind, FrameField, _check_window, chart, chart_params
 from .errors import DomainError
 from .families import MeridianFamily
 from .profiles import MeridianProfile
@@ -51,18 +54,18 @@ __all__ = [
 ]
 
 
-def _embed3(vecs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Pad 3-vectors of span{e1,e2,e3} with a zero fourth coordinate,
-    broadcasting them to ``shape + (4,)``."""
-    out = np.zeros(shape + (4,))
-    out[..., :3] = vecs
+def _lift(a, x: np.ndarray, b, shape: tuple[int, ...]) -> np.ndarray:
+    """a x + b e4 for 3-vectors x of span{e1,e2,e3}, broadcast to ``shape + (4,)``."""
+    out = np.empty(shape + (4,))
+    out[..., :3] = np.asarray(a)[..., None] * x
+    out[..., 3] = b
     return out
 
 
 def _hermite(x: np.ndarray, y: np.ndarray) -> BPoly:
     """Hermite interpolant equal, bit for bit, to ``BPoly.from_derivatives(x, y)``.
 
-    ``y`` has shape (len(x), d, ...): the value and first d - 1 derivatives
+    ``y`` has shape (len(x), d): the value and first d - 1 derivatives
     at each knot.  Each interval gets the Bernstein coefficients of the
     degree 2d - 1 polynomial matching both ends, computed as in scipy's
     ``BPoly._construct_from_derivatives`` but over all intervals at once.
@@ -71,9 +74,9 @@ def _hermite(x: np.ndarray, y: np.ndarray) -> BPoly:
     y = np.asarray(y, dtype=float)
     d = y.shape[1]
     n = 2 * d
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 2))
+    h = np.diff(x)
     ya, yb = y[:-1], y[1:]
-    c = np.empty((n, len(h)) + y.shape[2:])
+    c = np.empty((n, len(h)))
     for q in range(d):
         hq = np.float_power(h, q)
         c[q] = ya[:, q] / poch(n - q, q) * hq
@@ -123,12 +126,6 @@ class MeridianSurface:
         self.curve = curve
         self.profile = profile
 
-        cf = family.curve_family
-        tp = cf.tangent_rate(curve.kappa, curve.ls, curve.ts, curve.ns)
-        n_rate = cf.normal_rate(curve.kappa, curve.ts)
-        self._Pl = _hermite(curve.vs, np.stack([curve.ls, curve.ts, tp], axis=1))
-        self._Pt = self._Pl.derivative()
-        self._Pn = _hermite(curve.vs, np.stack([curve.ns, n_rate], axis=1))
         self._Pf = _hermite(profile.us, np.column_stack([profile.f, profile.fp, profile.fpp]))
         self._Pf_d1 = self._Pf.derivative()
         # f'' is interpolated by value: twice-differentiating the Hermite
@@ -155,27 +152,16 @@ class MeridianSurface:
     def _checked(self, u, v) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """(u, v) as float arrays, not broadcast, and their broadcast shape.
 
-        An empty broadcast is returned as empty arrays, unchecked.
+        u is checked here and v by :meth:`FrameField.frame_at`, which every
+        v-factor goes through.  An empty broadcast is returned as empty
+        arrays, unchecked.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         shape = np.broadcast_shapes(u.shape, v.shape)
         if 0 in shape:
             return *np.broadcast_arrays(u, v), shape
-        (u0, u1), (v0, v1) = self.u_span, self.v_span
-        slack_u = 1e-12 * max(1.0, abs(u0), abs(u1))
-        slack_v = 1e-12 * max(1.0, abs(v0), abs(v1))
-        # written so that NaN, which compares False, fails the check
-        if not (u.min() >= u0 - slack_u and u.max() <= u1 + slack_u):
-            raise DomainError(
-                f"u out of profile domain [{u0:.6g}, {u1:.6g}]: "
-                f"requested [{u.min():.6g}, {u.max():.6g}]"
-            )
-        if not (v.min() >= v0 - slack_v and v.max() <= v1 + slack_v):
-            raise DomainError(
-                f"v out of directrix domain [{v0:.6g}, {v1:.6g}]: "
-                f"requested [{v.min():.6g}, {v.max():.6g}]"
-            )
+        _check_window(u, self.u_span, "u out of profile domain")
         return u, v, shape
 
     def profile_values(self, u):
@@ -196,10 +182,7 @@ class MeridianSurface:
         product grid costs one evaluation per grid line.
         """
         u, v, shape = self._checked(u, v)
-        out = np.empty(shape + (4,))
-        out[..., :3] = self._Pf(u)[..., None] * self._Pl(v)
-        out[..., 3] = self._Pg(u)
-        return out
+        return _lift(self._Pf(u), self.curve.frame_at(v)[..., 0, :], self._Pg(u), shape)
 
     def grid_points(self, us, vs) -> np.ndarray:
         """Immersion on a product grid, shape (len(us), len(vs), 4)."""
@@ -220,14 +203,9 @@ class MeridianSurface:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}; frame undefined")
         fp = self._Pf_d1(u)
         gp = self._Pg_d1(u)
-        l = self._Pl(v)
-        X = np.empty(shape + (4,))
-        X[..., :3] = fp[..., None] * l
-        X[..., 3] = gp
-        n2 = np.empty(shape + (4,))
-        n2[..., :3] = (-self.family.alpha * gp)[..., None] * l
-        n2[..., 3] = fp
-        return X, _embed3(self._Pt(v), shape), _embed3(self._Pn(v), shape), n2
+        l, t, n = np.moveaxis(self.curve.frame_at(v), -2, 0)
+        n2 = _lift(-self.family.alpha * gp, l, fp, shape)
+        return _lift(fp, l, gp, shape), _lift(1.0, t, 0.0, shape), _lift(1.0, n, 0.0, shape), n2
 
     def mean_curvature(self, u, v) -> MeanCurvatureDecomp:
         """Closed-form mean curvature decomposition at (u, v).
@@ -351,7 +329,7 @@ class TildeSurface:
         """
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         src = self.source
-        l = src._Pl(v)
+        l = src.curve.frame_at(v)[..., 0, :]
         w1, w2 = chart_params(src.family.carrier, l)
         f, _, _, g, _ = src.profile_values(u)
         out = f[..., None] * chart(self.kind.carrier, w1, w2)

@@ -127,6 +127,11 @@ def test_verify_bad_case_file_exits_2(tmp_path, capsys):
         ({"theorem": "minimal-a", "params": {"b": 10**400}}, "params.b"),
         ({"theorem": "minimal-a", "params": {"b": 1.0}, "n_probe": 10**7},
          "n_probe of 10000000 points exceeds the cap"),
+        # kappa^2 overflows: the frame (given v-span) and the growth rate (default) name kappa
+        ({"theorem": "minimal-a", "params": {"b": 1.0}, "curve_kappa": 1e300, "v_span": [0, 1]},
+         "curvature kappa = 1e+300 is out of range: kappa^2 overflows"),
+        ({"theorem": "minimal-a", "params": {"b": 1.0}, "curve_kappa": 1e300},
+         "curvature kappa = 1e+300 is out of range: kappa^2 overflows"),
     ],
 )
 def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):

@@ -1,5 +1,7 @@
 """Tests for the carrier charts and the Frenet frame integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,16 +92,10 @@ def test_standard_initial_frames_are_exact(family):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("kappa", [-1.3, 0.0, 0.4, 2.0])
 def test_frenet_matrix_preserves_frame_gram(family, kappa):
-    """B diag(e_l, e_t, e_n) is antisymmetric, and the vectorized rates are
-    the rows of B applied to (l, t, n)."""
+    """B diag(e_l, e_t, e_n) is antisymmetric, and l' = t."""
     B = family.frenet_matrix(kappa)
     skew = B @ np.diag(np.asarray(family.frame_signs, dtype=float))
     assert np.array_equal(skew, -skew.T)
-    l, t, n = np.random.default_rng(5).normal(size=(3, 4, 3))
-    np.testing.assert_allclose(
-        family.tangent_rate(kappa, l, t, n), B[1, 0] * l + B[1, 2] * n, atol=1e-15
-    )
-    np.testing.assert_allclose(family.normal_rate(kappa, t), B[2, 1] * t, atol=1e-15)
     assert B[0].tolist() == [0.0, 1.0, 0.0] and B[1, 1] == B[2, 0] == B[2, 2] == 0.0
 
 
@@ -173,6 +169,32 @@ def test_constant_curvature_is_the_exact_flow(family, kappa):
     assert np.max(np.abs(S - exact)) <= 1e-12 * max(1.0, np.max(np.abs(S)))
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("step", [1e-3, 0.1])
+def test_frame_at_is_the_exact_flow_between_nodes(family, step):
+    """frame_at gives the samples bit for bit at the nodes and exp((v - v0) B) S0
+    between them, whatever the step."""
+    kappa, init = 0.8, replace(standard_initial_frame(family), v=0.3)
+    field = integrate_frenet(family, kappa, init, (0.3, 1.5), step)
+    assert np.array_equal(field.frame_at(field.vs), _frames(field))
+    v = np.random.default_rng(3).uniform(0.3, 1.5, (20, 10))
+    exact = expm((v - 0.3)[..., None, None] * family.frenet_matrix(kappa)) @ init.frame
+    S = field.frame_at(v)
+    assert S.shape == (20, 10, 3, 3)
+    assert np.max(np.abs(S - exact)) <= 1e-14 * np.max(np.abs(S))
+    assert field.frame_at(v[0, 0]).shape == (3, 3)
+    assert field.frame_at(np.empty((2, 0))).shape == (2, 0, 3, 3)
+
+
+def test_frame_at_refuses_v_outside_the_span():
+    family = CurveFamily.SPACELIKE_H21
+    field = integrate_frenet(family, 0.5, standard_initial_frame(family), (0.0, 1.0), 0.1)
+    field.frame_at([0.0 - 1e-13, 1.0 + 1e-13])  # inside the 1e-12 slack
+    for v in (-1e-3, 1.001, np.nan, [0.5, np.nan]):
+        with pytest.raises(DomainError, match=r"v out of directrix domain \[0, 1\]"):
+            field.frame_at(v)
+
+
 def _fields(family, kappa, n):
     """Fields over v in [0, 2] with step 2/n.  A number gives one field at that
     kappa; "variable" gives four pieces of constant kappa, each started at the
@@ -237,6 +259,16 @@ def test_nonfinite_curvature_raises():
             integrate_frenet(family, kappa, init, (0.0, 1.0), 1e-2)
         with pytest.raises(ValueError, match=message):
             FrameField(family, [0.0], *frame, kappa, 1e-2)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_curvature_whose_square_overflows_is_named(family):
+    init = standard_initial_frame(family)
+    message = r"curvature kappa = -1e\+300 is out of range: kappa\^2 overflows$"
+    with pytest.raises(DomainError, match=message):
+        integrate_frenet(family, -1e300, init, (0.0, 1.0), 0.1)
+    with pytest.raises(DomainError, match=message):
+        family.growth_rate(-1e300)
 
 
 def test_frame_overflow_is_named():

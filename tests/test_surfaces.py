@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BPoly
+from scipy.linalg import expm
 
 from meridian4 import (
     SIG4,
@@ -71,7 +72,7 @@ def _assert_same_bpoly(got, ref):
 
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("tail", [(), (3,)])
+@pytest.mark.parametrize("tail", [()])
 def test_hermite_equals_from_derivatives(uniform, d, tail):
     rng = np.random.default_rng(17 + d + len(tail))
     if uniform:
@@ -96,12 +97,8 @@ def test_hermite_equals_from_derivatives(uniform, d, tail):
 )
 def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
     surface = _minimal_surface(family, params, u_span, kappa=0.4)
-    curve, prof, cf = surface.curve, surface.profile, family.curve_family
-    tp = cf.tangent_rate(curve.kappa, curve.ls, curve.ts, curve.ns)
-    n_rate = cf.normal_rate(curve.kappa, curve.ts)
+    prof = surface.profile
     refs = {
-        "_Pl": BPoly.from_derivatives(curve.vs, np.stack([curve.ls, curve.ts, tp], axis=1)),
-        "_Pn": BPoly.from_derivatives(curve.vs, np.stack([curve.ns, n_rate], axis=1)),
         "_Pf": BPoly.from_derivatives(prof.us, np.column_stack([prof.f, prof.fp, prof.fpp])),
         "_Pg": BPoly.from_derivatives(prof.us, np.column_stack([prof.g, prof.gp, prof.gpp])),
     }
@@ -112,6 +109,46 @@ def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
 # ---------------------------------------------------------------------------
 # assembly and evaluation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family,params,u_span",
+    [
+        (FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
+        (FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0)),
+        (SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
+    ],
+)
+@pytest.mark.parametrize("step", [1e-3, 0.1])
+def test_directrix_factors_are_the_exact_flow_off_the_nodes(family, params, u_span, step):
+    """frames and immersion read l, t and n from the exact flow exp(v B) S0 at
+    any v, so they agree with scipy's expm between the curve's nodes too."""
+    kappa, cf = 0.8, family.curve_family
+    profile = minimal_profile(family, params, u_span, 1201)
+    surface = assemble(family, _curve(family, kappa, (0.0, 1.2), step), profile)
+    rng = np.random.default_rng(11)
+    u = rng.uniform(*u_span, 200)
+    v = rng.uniform(0.0, 1.2, 200)
+    ltn = expm(v[:, None, None] * cf.frenet_matrix(kappa)) @ standard_initial_frame(cf).frame
+    _, Y, n1, _ = surface.frames(u, v)
+    f, _, _, g, _ = surface.profile_values(u)
+    z = surface.immersion(u, v)
+    assert np.max(np.abs(Y[:, :3] - ltn[:, 1])) <= 1e-14
+    assert np.max(np.abs(n1[:, :3] - ltn[:, 2])) <= 1e-14
+    assert np.max(np.abs(z[:, :3] - f[:, None] * ltn[:, 0])) <= 1e-14
+    assert np.array_equal(z[:, 3], g) and not Y[:, 3].any() and not n1[:, 3].any()
+
+
+def test_directrix_factors_do_not_depend_on_the_curve_step():
+    profile = minimal_profile(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), 801)
+    coarse, fine = (assemble(FS, _curve(FS, 0.8, (0.0, 1.2), step), profile)
+                    for step in (0.1, 1e-3))
+    us = np.linspace(0.25, 0.95, 17)
+    vs = np.linspace(0.0, 1.2, 23)
+    assert np.array_equal(coarse.grid_points(us, vs), fine.grid_points(us, vs))
+    grid = (us[:, None], vs[None, :])
+    for a, b in zip(coarse.frames(*grid), fine.frames(*grid)):
+        assert np.array_equal(a, b)
 
 
 def test_assemble_rejects_family_mismatch():
