@@ -9,7 +9,8 @@ expression f f'' + f'^2 +- 1 then collapses, and the auxiliary quantity
 obeys a *linear* equation t z' + z = w(t): with w = +-a for quasi-minimal
 surfaces, and w = +-sqrt(a^2 + 4 eps c t^2) for constant <H,H> = c.  This
 script builds the closed form, checks the identities numerically, and then
-marches the profile back in u to confirm the round trip.
+inverts u(f) = u0 + int dt / phi(t) back to the profile to confirm the
+round trip.
 
 Run:  python3 demos/03_reduction_walkthrough.py
 """
@@ -47,15 +48,15 @@ def main():
     p = np.asarray(phi(ts))
     print(f"   max |z^2 - (phi^2 + 1)| = {np.max(np.abs(z * z - (p * p + 1.0))):.2e}")
 
-    # march the profile in u and measure the governing law directly
+    # invert the first integral on the u-grid and measure the governing law directly
     profile = integrate_profile(phi, f0=2.0, u_span=(0.0, 0.8), step=1e-3)
     res = profile_residuals(profile, GoverningLaw.QUASI_MINIMAL, params)
-    print("   round trip through the u-domain march:")
+    print("   round trip through the profile in u:")
     print(f"      governing law residual  {res.max_governing:.2e}")
     print(f"      unit-speed constraint   {res.max_constraint:.2e}")
 
     # the second family's substitution flips orientation and its warp factor
-    # is capped by sqrt of the phi-domain edge; the integrator stops there
+    # is capped by the phi-domain edge; the profile ends exactly at its u*
     print("second family hits its domain wall and truncates honestly:")
     phi2 = phi_closed_form(GoverningLaw.QUASI_MINIMAL, SECOND, ProfileParams(a=0.5, c=2.0), (1e-3, 12.0))
     lo2, hi2 = phi2.domain[0]

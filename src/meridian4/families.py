@@ -92,8 +92,8 @@ class MeridianFamily(enum.Enum):
     def gprime_radicand(self, fp):
         """g'^2 expressed through f' by the unit-speed constraint.
 
-        Float or array: a Python float gives a Python float (the profile
-        march calls it once per RK4 stage), an array the same-shape array.
+        Float or array: a Python float gives a Python float, an array the
+        same-shape array.
         """
         return self.z2_from_phi2(fp * fp)
 

@@ -1,4 +1,4 @@
-"""Meridian profiles (f, g): closed forms, first-integral reductions, ODE marching.
+"""Meridian profiles (f, g): closed forms and first-integral reductions.
 
 A profile is the pair of functions (f(u), g(u)) entering the meridian
 immersion z = f l + g e4, sampled on a uniform u-grid together with the
@@ -10,38 +10,27 @@ profiles:
   family;
 * :func:`phi_closed_form` + :func:`integrate_profile` - the quasi-minimal
   and constant-<H,H> profiles, obtained by reducing the second-order ODE
-  to f' = phi(f) through an integrating-factor first integral and marching
-  f with RK4;
+  to f' = phi(f) through an integrating-factor first integral and
+  inverting u(f) = u0 + int dt / phi(t) by quadrature, with exact
+  truncation at the end u* of phi's domain interval;
 * :func:`profile_from_callable` - user-supplied f with the family's g'
   rule, for experiments and negative controls.
 
 All constructions keep f > 0 on the grid (the warp factor divides the
 surface geometry) and record how they were made, so the residual checker
 can warn when a profile is tested against a law it was not built for.
-
-The closed form of z(t) is written once (:meth:`PhiFunction._z`); it
-serves the array path ``phi(t)`` and the RK4 stage kernel
-(:meth:`PhiFunction._stage`, one Python float per stage).  On a float it
-calls the numpy ufuncs ``np.log``/``np.arcsin``/``np.sqrt``, which give
-the bits of the same value inside an array; ``math.log``/``math.asin``
-round differently on some inputs.  ``math.sqrt`` appears only on clamped,
-non-negative radicands, where it is correctly rounded like ``np.sqrt``.
-So the march is bit for bit an RK4 loop over the array path, and its
-first stage at each node gives the profile's f' and g'.  ``_z``
-holds no ``np.errstate``: ``z_exact`` does, and ``integrate_profile``
-holds one around its whole loop.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.optimize import brentq
 
 from .curves import _grid_intervals
 from .errors import DomainError
@@ -167,12 +156,12 @@ class MeridianProfile:
 
     Invariants enforced at construction: uniform grid with at least 3
     samples, finite data, and f > 0 everywhere (the geometry divides by f).
-    ``truncated`` marks ODE profiles that stopped before the requested
-    window end; ``us`` then covers only the reached span.
-    ``truncation_reason`` says why (None when the march did not stop):
-    ``"phi-inadmissible"`` (phi not finite at an RK4 stage),
-    ``"gprime-radicand"`` (the g' radicand below roundoff at a finite phi)
-    or ``"left-domain"`` (the RK4 step landed outside phi's domain).
+    ``truncated`` marks ODE profiles that end before the requested window
+    end; ``us`` then covers only the reached span.  ``truncation_reason``
+    says why (None when the profile is whole): ``"phi-inadmissible"`` (the
+    domain interval of phi ends at u*), ``"left-domain"`` (the scan window
+    of phi's domain ends at u*) or ``"gprime-radicand"`` (a node's g'
+    radicand is below roundoff).
     """
 
     family: MeridianFamily
@@ -371,11 +360,7 @@ class PhiFunction:
         return -self.family.alpha * float(self.params.branch.rhs)
 
     def _z(self, t):
-        """The closed form of z(t) for t > 0, on a Python float or an array.
-
-        Only numpy ufuncs touch t, so a float gives the same bits as the
-        same value inside an array.  The caller holds ``np.errstate``.
-        """
+        """The closed form of z(t) for t > 0; the caller holds ``np.errstate``."""
         a = self.params.a
         s = self._ode_sign
         if self.law is GoverningLaw.QUASI_MINIMAL:
@@ -426,29 +411,6 @@ class PhiFunction:
             tiny = _ADMISSIBLE_RTOL * np.maximum(1.0, z * z)
             admissible = (p2 >= -tiny) & (z >= -tiny)
         return z, p2, admissible
-
-    def _stage(self, t: float) -> tuple[float, float]:
-        """(phi(t), g'(t)) at one Python float t: the RK4 stage kernel.
-
-        phi equals ``self(t)`` bit for bit and g' equals
-        ``sign_g * sqrt(max(gprime_radicand(phi), 0))``.  phi is NaN where
-        ``self(t)`` is (t <= 0, NaN t, or t inadmissible); g' alone is NaN
-        where phi is finite but the radicand lies below roundoff.  The
-        caller holds ``np.errstate`` (:func:`integrate_profile` holds it
-        around the whole march).
-        """
-        if not t > 0.0:
-            return math.nan, math.nan
-        z = float(self._z(t))
-        p2 = self.family.phi2_from_z2(z * z)
-        tiny = _ADMISSIBLE_RTOL * max(1.0, z * z)
-        if not (p2 >= -tiny and z >= -tiny):
-            return math.nan, math.nan
-        phi = self.params.branch.phi * math.sqrt(max(p2, 0.0))
-        rad = self.family.gprime_radicand(phi)
-        if rad < _RADICAND_FLOOR:
-            return phi, math.nan
-        return phi, self.params.branch.g * math.sqrt(max(rad, 0.0))
 
     def __call__(self, t) -> np.ndarray:
         _, p2, admissible = self._admissible(t)
@@ -571,13 +533,172 @@ def phi_closed_form(
 
 
 # ---------------------------------------------------------------------------
-# profile ODE marching
+# profiles by quadrature of the first integral
 # ---------------------------------------------------------------------------
+
+# Gauss-Legendre rule of every quadrature panel (Golub and Welsch, 1969).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Panels of the table that gives the first guess of each node.
+_TABLE_PANELS = 128
+_NEWTON_MAX = 16
 
 
 def _contains(domain: tuple[tuple[float, float], ...], t: float) -> bool:
     slack = 1e-9
     return any(lo - slack <= t <= hi + slack for lo, hi in domain)
+
+
+def _simple_roots(phi: PhiFunction, edges: tuple[float, float]):
+    """Each domain edge moved onto the simple root of phi^2 at it (None if it
+    is none), and |(phi^2)'| there.
+
+    The scan bisects an edge to ~1e-12 of its size.  Two Newton steps on
+    phi^2, with (phi^2)' = -2 alpha z z', take an edge that is a simple
+    root of phi^2 onto it to roundoff.  An edge where z or an inner
+    radicand ends, or the end of the scan window, is no root, and Newton
+    moves it far or to NaN.
+    """
+    t = np.asarray(edges, dtype=float)
+    r = t.copy()
+    for _ in range(2):
+        z, p2 = phi._z_phi2(r)
+        slope = -2.0 * phi.family.alpha * z * phi._z_prime(r, z)
+        r = r - p2 / slope
+    near = np.abs(r - t) <= 1e-10 * np.maximum(1.0, np.abs(t))
+    return [float(x) if ok else None for x, ok in zip(r, near)], np.abs(slope)
+
+
+class _Path:
+    """t(s) = t_b + (t_e - t_b) m(s) for s in [0, 1], from the edge t_b of
+    phi's domain interval behind the start to the edge t_e ahead of it.
+
+    m is the cubic with m(0) = 0, m(1) = 1, and slope 0 at an end that is a
+    simple root of phi^2 (there t = t* -+ c s^2) and 1 at any other end.
+    So the rate du/ds = t'(s) / phi(t(s)) of the inverse u(f) stays smooth
+    and positive on all of [0, 1], and Gauss-Legendre panels in s
+    integrate it up to the root, where 1/phi itself is infinite.
+    """
+
+    def __init__(self, phi: PhiFunction, t_b: float, t_e: float, root_b: bool, root_e: bool):
+        slope_b, slope_e = float(not root_b), float(not root_e)
+        width = t_e - t_b
+        self.phi, self.t_b = phi, t_b
+        self.coef = (width * slope_b, width * (3.0 - 2.0 * slope_b - slope_e),
+                     width * (slope_b + slope_e - 2.0))
+
+    def t(self, s):
+        c1, c2, c3 = self.coef
+        return self.t_b + ((c3 * s + c2) * s + c1) * s
+
+    def rates(self, s):
+        """du/ds, dg/ds and du/dt = 1/phi along the path, inside phi's domain interval.
+
+        Between the edges z >= 0, so g' = sign_g z (the g' radicand is z^2).
+        """
+        c1, c2, c3 = self.coef
+        phi = self.phi
+        z = phi._z(self.t(s))
+        dudt = 1.0 / (phi.params.branch.phi * np.sqrt(phi.family.phi2_from_z2(z * z)))
+        rate = ((3.0 * c3 * s + 2.0 * c2) * s + c1) * dudt
+        return rate, phi.params.branch.g * z * rate, dudt
+
+    def sweep(self, s: np.ndarray):
+        """u - u0 and g - c0 at the nodes s, and du/ds and du/dt at each node.
+
+        Both are cumulative sums of one Gauss-Legendre panel between each
+        pair of consecutive nodes, so the sum up to node i depends on s_i
+        alone, and its derivative in s_i is du/ds at s_i.
+        """
+        a, b = s[:-1, None], s[1:, None]
+        half = 0.5 * (b - a)
+        rate, g_rate, dudt = self.rates(np.concatenate([(a + half * (1.0 + _GL_NODES)).ravel(), s]))
+        m = rate.size - s.size
+        sums = np.zeros((2, s.size))
+        for row, r in zip(sums, (rate, g_rate)):
+            np.cumsum(half[:, 0] * (r[:m].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS), out=row[1:])
+        return sums[0], sums[1], rate[m:], dudt[m:]
+
+
+def _hermite_inverse(u, us, ss, rate):
+    """s at u from the table rows (us, ss) and du/ds = rate there, by the
+    cubic Hermite interpolant of s(u), or by the chord where that leaves
+    the rows' interval: du/ds is 0/0 at a root end, and tends to 0 where
+    phi is unbounded (phi ~ 1/t near t = 0)."""
+    k = np.clip(np.searchsorted(us, u) - 1, 0, len(us) - 2)
+    ds = ss[k + 1] - ss[k]
+    du = us[k + 1] - us[k]
+    w = (u - us[k]) / du
+    slope_0, slope_1 = du / rate[k], du / rate[k + 1]
+    step = w * (ds * w * (3.0 - 2.0 * w) + (1.0 - w) * (slope_0 * (1.0 - w) - slope_1 * w))
+    return ss[k] + np.where((0.0 <= step) & (step <= ds), step, w * ds)
+
+
+def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.ndarray):
+    """f and g - c0 at the nodes u0 + offsets that come before the end u*
+    of f0's domain interval, and why the rest are cut (None if none is)."""
+    sign = 1.0 if rate0 > 0.0 else -1.0
+    lo, hi = next(iv for iv in phi.domain if _contains((iv,), f0))
+    t_b, t_e = (lo, hi) if sign > 0.0 else (hi, lo)
+    # phi is still admissible past the end of the scan window
+    beyond = phi(t_e + sign * 1e-9 * max(1.0, abs(t_e)))
+    cut = "left-domain" if np.isfinite(beyond) else "phi-inadmissible"
+    (root_b, root_e), slopes = _simple_roots(phi, (t_b, t_e))
+    t_b = t_b if root_b is None else root_b
+    t_e = t_e if root_e is None else root_e
+    if not sign * (f0 - t_b) > 0.0:
+        # f0 on the edge behind it, or within the slack outside it
+        t_b, root_b = f0, None
+    path = _Path(phi, t_b, t_e, root_b is not None, root_e is not None)
+    if not sign * (path.t(1.0) - f0) > 0.0:
+        return np.array([f0]), np.zeros(1), cut
+    s0 = brentq(lambda s: path.t(s) - f0, 0.0, 1.0, xtol=1e-16)
+
+    # Tabulate u(s) coarsely up to the edge, then finely up to the row the
+    # last node reaches, again while that is under half of the table.  When
+    # the nodes may pass the edge, the fine table ends there and its last
+    # row is u*.
+    table = np.linspace(s0, 1.0, _TABLE_PANELS // 8 + 1)
+    for _ in range(4):
+        us, _, rate, _ = path.sweep(table)
+        if not np.all(np.isfinite(us)):
+            raise DomainError(f"phi is not finite inside its domain interval {(lo, hi)}, "
+                              f"between two samples of the domain scan")
+        reach = min(int(np.searchsorted(us, offsets[-1])), len(us) - 1)
+        if len(table) > _TABLE_PANELS and reach > _TABLE_PANELS // 2:
+            break
+        table = np.linspace(s0, table[reach], _TABLE_PANELS + 1)
+    reason = cut if offsets[-1] > us[-1] else None
+    offsets = offsets[offsets <= us[-1]]
+    if len(offsets) < 2:
+        return np.array([f0]), np.zeros(1), reason
+    s = np.clip(_hermite_inverse(offsets, us, table, rate), s0, 1.0)
+    s[0] = s0
+
+    # Newton on all nodes at once for u(s_i) - u0 = offset_i
+    eps = np.finfo(float).eps
+    for _ in range(_NEWTON_MAX):
+        us, gs, rate, dudt = path.sweep(s)
+        miss = us - offsets
+        f = path.t(s)
+        # roundoff: what 64 ulps of u and of f move u by
+        tol = 64.0 * eps * (offsets[-1] + np.abs(f * dudt))
+        at_root = (s == 1.0) & (root_e is not None)
+        if at_root.any():
+            # on the root itself du/ds is 0/0, and f moves by |(phi^2)'| miss^2 / 4
+            tol[at_root] = 2.0 * np.sqrt(64.0 * eps * np.abs(f[at_root]) / slopes[1])
+            rate[at_root] = (np.diff(us) / np.diff(s))[at_root[1:]]
+        if np.all(np.abs(miss) <= tol):
+            break
+        s[1:] = np.clip(s[1:] - miss[1:] / rate[1:], s0, 1.0)
+    else:
+        i = int(np.nanargmax(np.abs(miss) / tol))
+        raise DomainError(
+            f"the profile quadrature did not converge at node {i} "
+            f"(u = {u0 + offsets[i]:.6g}, f = {f[i]:.6g}): "
+            f"|u(f) - u| = {abs(miss[i]):.3e}"
+        )
+    f[0] = f0
+    return f, gs, reason
 
 
 def integrate_profile(
@@ -586,26 +707,29 @@ def integrate_profile(
     u_span: tuple[float, float],
     step: float = 1e-3,
 ) -> MeridianProfile:
-    """March (f, g) with fixed-step RK4 and rebuild the full profile.
+    """The profile f' = phi(f) through f(u0) = f0, by quadrature of its inverse.
 
-    Both components are advanced together: f' = phi(f) and
-    g' = sign_g * sqrt(radicand(phi(f))), so the g samples share the
-    integrator's smooth error and stay consistent with the recorded
-    derivatives (a separate quadrature of g' leaves per-node noise that
-    finite differencing of the interpolated surface amplifies).  The
-    first stage at each node, (phi(f), g'), is that node's f' and g';
+    phi keeps one sign on the domain interval of f0, so f is monotone and
+    its inverse is explicit: u(f) = u0 + int_{f0}^{f} dt / phi(t), and
+    g = c0 + int g'(t) / phi(t) dt.  Each node of the uniform u-grid solves
+    u(f_i) = u_i by Newton on all nodes at once, from a first guess read
+    off a table of u(f); u(f_i) sums 12-node Gauss-Legendre panels
+    between consecutive nodes, in a variable that is quadratic at a simple
+    root of phi^2, so that the root is integrated exactly.  A node that
+    does not converge to roundoff is a :class:`DomainError` naming it.
+    f' = phi(f) and g' = sign_g * sqrt(radicand(phi(f))) at each node, and
     f'' comes from the closed form :meth:`PhiFunction.second_derivative`.
 
-    If a stage leaves the admissible domain of phi, or the g' radicand
-    goes negative beyond roundoff, the march stops early and the profile
-    is returned with ``truncated=True`` and a ``truncation_reason``,
-    covering the reached span (at least 3 samples; otherwise a
-    :class:`DomainError` is raised).  A node whose own stage fails is
-    not kept.
-
-    Each step calls :meth:`PhiFunction._stage` on four Python floats (the
-    last node on one), all under one ``np.errstate``; no 0-d arrays are
-    built in the loop.
+    The truncation at the end of the domain interval is exact: the profile
+    keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and
+    returns ``truncated=True`` with ``truncation_reason``
+    ``"phi-inadmissible"`` if t* is an edge of phi's domain or
+    ``"left-domain"`` if it is the end of the scan window; a node whose g'
+    radicand is below roundoff ends the profile before it
+    (``"gprime-radicand"``).  Fewer than 3 samples are a
+    :class:`DomainError`.  Where phi(f0) = 0 (a degenerate phi, or f0 on a
+    simple root of phi^2), the profile is the constant f = f0 with
+    g = c0 + g'(f0) (u - u0).
     """
     n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
@@ -614,53 +738,33 @@ def integrate_profile(
         raise DomainError(
             f"f0 = {f0:.6g} lies outside the admissible domain {phi.domain} of phi"
         )
-
     h = (u1 - u0) / n
-    stage = phi._stage
-    isfinite = math.isfinite
-
-    fs, gs, fps, gps = [], [], [], []
-    t = f0
-    gcur = float(phi.params.c0)
-    reason = None
+    offsets = h * np.arange(n + 1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i in range(n + 1):
-            k1, q1 = stage(t)
-            if not isfinite(k1):
-                reason = "phi-inadmissible"
-                break
-            if not isfinite(q1):
-                reason = "gprime-radicand"
-                break
-            fs.append(t)
-            gs.append(gcur)
-            fps.append(k1)
-            gps.append(q1)
-            if i == n:
-                break
-            k2, q2 = stage(t + 0.5 * h * k1)
-            k3, q3 = stage(t + 0.5 * h * k2)
-            k4, q4 = stage(t + h * k3)
-            if not (isfinite(k2) and isfinite(k3) and isfinite(k4)):
-                reason = "phi-inadmissible"
-                break
-            if not (isfinite(q2) and isfinite(q3) and isfinite(q4)):
-                reason = "gprime-radicand"
-                break
-            t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (isfinite(t_next) and t_next > 0.0 and _contains(phi.domain, t_next)):
-                reason = "left-domain"
-                break
-            gcur = gcur + (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            t = t_next
+        rate0 = phi(f0)
+        if rate0 == 0.0:
+            f, g, reason = np.full(n + 1, f0), None, None
+        elif np.isfinite(rate0):
+            f, g, reason = _invert(phi, f0, rate0, u0, offsets)
+        else:
+            f, g, reason = np.empty(0), np.empty(0), "phi-inadmissible"
+        fp = phi(f)
+        rad = phi.family.gprime_radicand(fp)
+        failed = ~np.isfinite(fp) | (rad < _RADICAND_FLOOR)
+        if failed.any():
+            keep = int(np.argmax(failed))
+            reason = "phi-inadmissible" if not np.isfinite(fp[keep]) else "gprime-radicand"
+            f, fp, rad = f[:keep], fp[:keep], rad[:keep]
+        gp = phi.params.branch.g * np.sqrt(np.clip(rad, 0.0, None))
+        if g is None:
+            g = gp[:1] * offsets[:len(f)]
+        g = phi.params.c0 + g[:len(f)]
 
-    if len(fs) < 3:
+    if len(f) < 3:
         raise DomainError(
-            f"profile window collapsed: only {len(fs)} admissible samples from "
+            f"profile window collapsed: only {len(f)} admissible samples from "
             f"f0 = {f0:.6g} before leaving the domain"
         )
-
-    f = np.asarray(fs, dtype=float)
     provenance = (
         Provenance.QUASI_MINIMAL_ODE
         if phi.law is GoverningLaw.QUASI_MINIMAL
@@ -670,10 +774,10 @@ def integrate_profile(
         family=phi.family,
         us=u0 + h * np.arange(len(f)),
         f=f,
-        fp=fps,
+        fp=fp,
         fpp=phi.second_derivative(f),
-        g=gs,
-        gp=gps,
+        g=g,
+        gp=gp,
         params=phi.params,
         provenance=provenance,
         truncated=reason is not None,

@@ -204,8 +204,12 @@ class MeridianSurface:
         fp = self._Pf_d1(u)
         gp = self._Pg_d1(u)
         l, t, n = np.moveaxis(self.curve.frame_at(v), -2, 0)
-        n2 = _lift(-self.family.alpha * gp, l, fp, shape)
-        return _lift(fp, l, gp, shape), _lift(1.0, t, 0.0, shape), _lift(1.0, n, 0.0, shape), n2
+        return (_lift(fp, l, gp, shape), _lift(1.0, t, 0.0, shape),
+                *self._normals(l, n, fp, gp, shape))
+
+    def _normals(self, l, n, fp, gp, shape):
+        """n1 = n and n2 = -alpha g' l + f' e4 from the directrix rows and the u-factors."""
+        return _lift(1.0, n, 0.0, shape), _lift(-self.family.alpha * gp, l, fp, shape)
 
     def mean_curvature(self, u, v) -> MeanCurvatureDecomp:
         """Closed-form mean curvature decomposition at (u, v).
@@ -232,7 +236,8 @@ class MeridianSurface:
         # h1 and h2 are both u-factors; f broadcast to the grid makes them grid-shaped
         f = np.broadcast_to(f, shape)
         h1, h2 = self.family.h_coefficients(self.curve.kappa, f, fp, fpp, gp)
-        _, _, n1, n2 = self.frames(u, v)
+        l, _, n = np.moveaxis(self.curve.frame_at(v), -2, 0)
+        n1, n2 = self._normals(l, n, fp, gp, shape)
         vector = h1[..., None] * n1 + h2[..., None] * n2
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]
         norm2 = s1 * h1 * h1 + s2 * h2 * h2

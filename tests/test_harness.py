@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,3 +387,27 @@ def test_case_spec_rejects_a_negative_seed():
     CaseSpec(Theorem.MINIMAL_A, seed=0)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         CaseSpec(Theorem.MINIMAL_A, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's seeded draws
+# ---------------------------------------------------------------------------
+
+_DRAWS_DENSE_SPECS = Path(__file__).parent / "fixtures" / "draws_dense_specs.json"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_draws_dense_specs_equal_the_committed_fixture(seed):
+    """The dense-draws mix (minimal and quasi theorems, then CMC at c = +m
+    and -m with m drawn from {0.5, 1}) draws the specs the fixture holds.
+
+    Any change to the samplers or to what they integrate that moves an
+    accept/reject decision or a drawn value fails this.
+    """
+    rng = np.random.default_rng(seed)
+    draws = [(Theorem(f"{law}-{x}"), None) for law in ("minimal", "quasi") for x in "abc"]
+    m = float(rng.choice([0.5, 1.0]))
+    draws += [(Theorem(f"cmc-{x}"), c) for c in (m, -m) for x in "abc"]
+    specs = [sample_case(t, rng, c=c, nu=41, nv=41).to_dict() for t, c in draws]
+    expected = json.loads(_DRAWS_DENSE_SPECS.read_text())[str(seed)]
+    assert json.loads(json.dumps(specs)) == expected

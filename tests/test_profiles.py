@@ -1,10 +1,12 @@
 """Tests for meridian profile constructions and their governing residuals."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from meridian4 import (
@@ -22,6 +24,7 @@ from meridian4 import (
     profile_from_callable,
     profile_residuals,
 )
+from meridian4 import profiles
 from meridian4.profiles import _positive_intervals
 
 FT = MeridianFamily.FIRST_TIMELIKE
@@ -363,41 +366,18 @@ def test_phi_domains_equal_the_per_sample_walk():
     assert {0, 1} <= seen
 
 
-def test_march_never_evaluates_phi_on_arrays(monkeypatch):
-    """f' and g' come from the march's own stages: phi(f) is never called."""
-    full = phi_closed_form(
-        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
-    )
-    bounded = phi_closed_form(
-        GoverningLaw.QUASI_MINIMAL, SECOND, ProfileParams(a=0.5, c=2.0), (1e-3, 12.0)
-    )
-    expected = [integrate_profile(full, 2.0, (0.0, 0.8), 1e-3),
-                integrate_profile(bounded, 2.0, (0.0, 5.0), 1e-3)]
-
-    def refuse(self, t):
-        raise AssertionError("phi evaluated outside the march")
-
-    monkeypatch.setattr(PhiFunction, "__call__", refuse)
-    got = [integrate_profile(full, 2.0, (0.0, 0.8), 1e-3),
-           integrate_profile(bounded, 2.0, (0.0, 5.0), 1e-3)]
-    for mine, theirs in zip(got, expected):
-        for name in ("us", "f", "fp", "fpp", "g", "gp"):
-            assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
-        assert mine.truncation_reason == theirs.truncation_reason
-    assert got[1].truncation_reason == "phi-inadmissible"
-
-
 # ---------------------------------------------------------------------------
-# profile marching
+# profiles by quadrature
 # ---------------------------------------------------------------------------
 
 
 def _exact_quasi_trajectory_error(step):
-    """|f_end - f_exact| for the a=1, c=2 first-timelike quasi profile.
+    """max |f_i - f_exact(u_i)| over the nodes of the a=1, c=2 first-timelike
+    quasi profile.
 
     The reduced ODE f' = 2 sqrt(1 + f)/f integrates implicitly to
     u(f) = [w^3/3 - w] - [w0^3/3 - w0] with w = sqrt(1 + f), which pins the
-    exact endpoint for any step size.
+    exact f at every node for any step size.
     """
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.0, c=2.0), (1e-6, 40.0)
@@ -409,19 +389,18 @@ def _exact_quasi_trajectory_error(step):
         w0 = np.sqrt(3.0)
         return (w**3 / 3.0 - w) - (w0**3 / 3.0 - w0)
 
-    f_exact = brentq(lambda fv: u_of_f(fv) - prof.us[-1], 2.0, 10.0, xtol=1e-14)
-    return abs(prof.f[-1] - f_exact)
+    f_exact = [brentq(lambda fv: u_of_f(fv) - u, 2.0, 10.0, xtol=1e-15) for u in prof.us[1:]]
+    return float(np.max(np.abs(prof.f[1:] - f_exact)))
 
 
 def test_profile_march_hits_exact_trajectory():
     assert _exact_quasi_trajectory_error(1e-3) < 1e-11
 
 
-def test_profile_march_is_fourth_order():
-    """Halving the step shrinks the endpoint error ~16x (measured 16.1/16.0)."""
-    e1 = _exact_quasi_trajectory_error(0.02)
-    e2 = _exact_quasi_trajectory_error(0.01)
-    assert e1 / e2 >= 8.0
+@pytest.mark.parametrize("step", [1e-3, 1e-2, 2e-2])
+def test_profile_nodes_lie_on_the_exact_trajectory(step):
+    """The quadrature has no step error: every node is exact at any step."""
+    assert _exact_quasi_trajectory_error(step) < 1e-13
 
 
 def test_integrated_profile_residuals_are_tiny():
@@ -461,47 +440,82 @@ def test_march_reports_leaving_the_domain():
 
 
 def test_march_reports_gprime_radicand(monkeypatch):
-    """A stage with finite phi but no g' stops the march with its own reason.
+    """A node with finite phi but no g' ends the profile before it, with its own reason.
 
     With a consistent family the g' radicand equals z^2 up to a few ulp, so
-    no PhiFunction reaches this branch; the stage kernel is stubbed here.
+    no PhiFunction reaches this branch; the radicand is stubbed here.
     """
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
     )
-    stage = phi._stage
+    full = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
+    edge = float(phi(2.1))  # phi falls as f grows here, so |phi| < edge means f > 2.1
+    radicand = MeridianFamily.gprime_radicand
     monkeypatch.setattr(
-        phi, "_stage", lambda t: (stage(t)[0], np.nan) if t > 2.1 else stage(t)
+        MeridianFamily, "gprime_radicand",
+        lambda self, fp: np.where(np.abs(fp) < edge, -1.0, radicand(self, fp)),
     )
     prof = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
     assert prof.truncated and prof.truncation_reason == "gprime-radicand"
-    assert prof.f[-1] <= 2.1
+    assert prof.f[-1] <= 2.1 < full.f[len(prof)]
+    assert np.array_equal(prof.f, full.f[:len(prof)])
     short = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
     assert not short.truncated and short.truncation_reason is None
 
 
 @pytest.mark.parametrize("which,reason", [(0, "phi-inadmissible"), (1, "gprime-radicand")])
-def test_node_whose_own_stage_fails_is_dropped(monkeypatch, which, reason):
-    """The last node gets its own stage; if it is not finite the node goes."""
+def test_failing_node_is_dropped(monkeypatch, which, reason):
+    """If phi or the g' radicand fails at the last node, that node goes."""
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
     )
     full = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
     assert len(full) == 11 and not full.truncated
-    stage, last = phi._stage, float(full.f[-1])
-
-    def failing_at_last(t):
-        out = list(stage(t))
-        if t == last:
-            out[which] = np.nan
-        return tuple(out)
-
-    monkeypatch.setattr(phi, "_stage", failing_at_last)
+    last = float(full.f[-1])
+    if which == 0:
+        call = PhiFunction.__call__
+        monkeypatch.setattr(
+            PhiFunction, "__call__",
+            lambda self, t: np.where(np.asarray(t) == last, np.nan, call(self, t)),
+        )
+    else:
+        radicand, fp_last = MeridianFamily.gprime_radicand, float(full.fp[-1])
+        monkeypatch.setattr(
+            MeridianFamily, "gprime_radicand",
+            lambda self, fp: np.where(np.asarray(fp) == fp_last, -1.0, radicand(self, fp)),
+        )
     cut = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
     assert cut.truncated and cut.truncation_reason == reason
     assert len(cut) == 10
     for name in ("us", "f", "fp", "fpp", "g", "gp"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:10]), name
+
+
+def test_unconverged_node_is_a_named_domain_error(monkeypatch):
+    """A node whose u(f_i) misses u_i beyond roundoff is never returned."""
+    phi = phi_closed_form(
+        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.0, c=2.0), (1e-6, 40.0)
+    )
+    monkeypatch.setattr(profiles, "_NEWTON_MAX", 1)  # the table's first guess only
+    with pytest.raises(DomainError, match=r"did not converge at node \d+ \(u = .*, f = .*\)"):
+        integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
+
+
+@pytest.mark.parametrize("law,family,params,f0", [
+    # phi == 0: z = a on this branch, so phi^2 = a^2 - 1 = 0
+    (QM, FT, ProfileParams(a=1.0, c=0.0), 2.0),
+    # f0 on the simple root z(2) = c/2 + a = 1 of phi^2 = z^2 - 1
+    (QM, FT, ProfileParams(a=0.5, c=1.0), 2.0),
+], ids=["degenerate-phi", "f0-on-a-simple-root"])
+def test_stationary_start_gives_the_constant_profile(law, family, params, f0):
+    phi = phi_closed_form(law, family, params, (1e-3, 12.0))
+    assert phi(f0) == 0.0
+    prof = integrate_profile(phi, f0, (0.0, 0.5), 1e-2)
+    assert len(prof) == 51 and not prof.truncated
+    assert np.all(prof.f == f0) and np.all(prof.fp == 0.0)
+    gp0 = np.sqrt(family.gprime_radicand(0.0))
+    assert np.all(prof.gp == gp0)
+    np.testing.assert_array_equal(prof.g, params.c0 + gp0 * (prof.us - prof.us[0]))
 
 
 def test_march_rejects_f0_outside_domain():
@@ -525,12 +539,12 @@ def test_march_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# the stage kernel against the array path
+# the quadrature against independent references
 # ---------------------------------------------------------------------------
 
 # (law, family, a, b, c, rhs): both laws, the three families, every rhs/c
 # sign pair that has a domain, CMC with 4 beta c > 0 (log branch of z) and
-# < 0 (arcsin branch); the two starts per case include truncating ones.
+# < 0 (arcsin branch); the starts per case (_starts) include truncating ones.
 _MARCH_CASES = [
     (QM, FT, 1.2, 0.0, 1.0, 1),
     (QM, FT, 1.2, 0.0, 1.0, -1),
@@ -564,11 +578,13 @@ def _march_phi(law, family, a, b, c, rhs):
 
 
 def _reference_march(phi, f0, u_span, step):
-    """The RK4 profile march written over the public array calls only.
+    """The profile by a fixed-step RK4 march over the public array calls.
 
-    Each stage calls ``phi(t)`` and ``family.gprime_radicand``; the result
-    must match :func:`integrate_profile` bit for bit.  Returns None where
-    fewer than 3 samples survive.
+    Each stage calls ``phi(t)`` and ``family.gprime_radicand``; a stage
+    whose phi is not finite (``"phi-inadmissible"``) or whose g' radicand is
+    below roundoff (``"gprime-radicand"``), or a step that leaves phi's
+    domain (``"left-domain"``), ends the march, and a node that fails its own
+    stage is dropped.  Returns None where fewer than 3 samples survive.
     """
     family = phi.family
     u0, u1 = u_span
@@ -584,19 +600,22 @@ def _reference_march(phi, f0, u_span, step):
         return any(lo - 1e-9 <= t <= hi + 1e-9 for lo, hi in phi.domain)
 
     fs, gs = [f0], [float(phi.params.c0)]
-    t, gcur, truncated = f0, gs[0], False
+    t, gcur, reason = f0, gs[0], None
     for _ in range(n):
         k1 = phi(t)
         k2 = phi(t + 0.5 * h * k1)
         k3 = phi(t + 0.5 * h * k2)
         k4 = phi(t + h * k3)
         qs = [g_rate(k) for k in (k1, k2, k3, k4)]
-        if not np.all(np.isfinite([k1, k2, k3, k4, *qs])):
-            truncated = True
+        if not np.all(np.isfinite([k1, k2, k3, k4])):
+            reason = "phi-inadmissible"
+            break
+        if not np.all(np.isfinite(qs)):
+            reason = "gprime-radicand"
             break
         t_next = t + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (np.isfinite(t_next) and t_next > 0.0 and inside(t_next)):
-            truncated = True
+            reason = "left-domain"
             break
         gcur = gcur + (h / 6.0) * (qs[0] + 2.0 * qs[1] + 2.0 * qs[2] + qs[3])
         fs.append(t_next)
@@ -605,39 +624,116 @@ def _reference_march(phi, f0, u_span, step):
 
     f, g = np.asarray(fs), np.asarray(gs)
     fp = np.asarray(phi(f))
-    keep = int(np.argmin(np.isfinite(fp))) if not np.isfinite(fp).all() else len(f)
+    keep = len(f)
+    if not np.isfinite(fp).all():
+        keep, reason = int(np.argmin(np.isfinite(fp))), "phi-inadmissible"
     rad = family.gprime_radicand(fp[:keep])
     if (rad < -1e-12).any():
-        keep = int(np.argmax(rad < -1e-12))
-    truncated = truncated or keep < len(f)
+        keep, reason = int(np.argmax(rad < -1e-12)), "gprime-radicand"
     if keep < 3:
         return None
     f, g, fp, rad = f[:keep], g[:keep], fp[:keep], rad[:keep]
     us = u0 + h * np.arange(keep)
     gp = sg * np.sqrt(np.clip(rad, 0.0, None))
-    return us, f, fp, np.asarray(phi.second_derivative(f)), g, gp, truncated
+    return us, f, fp, np.asarray(phi.second_derivative(f)), g, gp, reason
+
+
+def _starts(phi):
+    """Two starts inside the widest domain interval, and one 1e-6 inside the
+    edge behind them (every case has phi > 0, so f rises)."""
+    lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
+    return lo + 0.4 * (hi - lo), lo + 0.9 * (hi - lo), lo + 1e-6
+
+
+_QUAD = dict(epsabs=1e-15, epsrel=1e-14, limit=400)
+
+
+def _scipy_reference(phi, f0, offsets, guesses):
+    """(f, g - c0, g') at u0 + offsets, and u*, from quad and brentq alone.
+
+    f solves u(f) = int_{f0}^{f} dt / phi(t) = offset by brentq within
+    +-1e-11 of its guess (without a sign change there the test fails), and
+    g - c0 = int_{f0}^{f} g'(t) / phi(t) dt.  If phi^2 has a root r at the
+    far edge, the last 1e-5 of the interval's width before r is integrated
+    with the weight (r - t)^(-1/2) (``weight='alg'``), and u* = u(r).  g is
+    NaN there: so close to r the closed form gives phi to only ~eps / phi^2
+    relative, and quad's adaptive g of g'/phi is no longer good to 1e-12.
+    """
+    (lo, hi), = [iv for iv in phi.domain if iv[0] - 1e-9 <= f0 <= iv[1] + 1e-9]
+    width, family, sg = hi - lo, phi.family, phi.params.branch.g
+
+    def gp(t):
+        return sg * np.sqrt(max(float(family.gprime_radicand(phi(t))), 0.0))
+
+    def inv(t):
+        return 1.0 / phi(t)
+
+    def p2(t):
+        return float(phi.phi_squared(t))
+
+    d = 1e-6 * width
+    root = near = None
+    if p2(hi - d) * p2(hi + d) < 0.0:
+        root = brentq(p2, hi - d, hi + d, xtol=1e-16, rtol=8.9e-16)
+        slope = (-p2(root + 2 * d) + 8 * p2(root + d) - 8 * p2(root - d) + p2(root - 2 * d)) / (12 * d)
+        near = root - 1e-5 * width
+
+    def to_root(a):
+        # int_a^r dt / phi(t), with sqrt(r - t) / phi(t) -> 1 / sqrt|(phi^2)'(r)|
+        def smooth(t):
+            return 1.0 / np.sqrt(abs(slope)) if root - t < 1e-12 * width else np.sqrt(root - t) / phi(t)
+        return quad(smooth, a, root, weight="alg", wvar=(0.0, -0.5), epsabs=1e-14, epsrel=1e-13)[0]
+
+    def u_of(f):
+        if root is None or f <= near:
+            return quad(inv, f0, f, **_QUAD)[0]
+        return u_near - to_root(f)
+
+    if root is not None:
+        u_near = quad(inv, f0, near, **_QUAD)[0] + to_root(near)
+
+    rows = []
+    for offset, guess in zip(offsets, guesses):
+        a = guess - 1e-11 * max(1.0, abs(guess))
+        b = min(2.0 * guess - a, hi if root is None else root)
+        u_a = u_of(a)
+        f = brentq(lambda x: u_a + quad(inv, a, x, **_QUAD)[0] - offset, a, b,
+                   xtol=1e-16, rtol=8.9e-16)
+        g = quad(lambda t: gp(t) / phi(t), f0, f, **_QUAD)[0] if root is None or f <= near else np.nan
+        rows.append((f, g, gp(f)))
+    return np.array(rows), u_of(hi if root is None else root)
 
 
 @pytest.mark.parametrize("case", _MARCH_CASES)
-def test_march_matches_the_array_reference_bit_for_bit(case):
+def test_profile_matches_the_scipy_reference(case):
+    """f, g, g' within 1e-12 of quad + brentq; a truncated profile ends at u*."""
     phi = _march_phi(*case)
-    lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
-    for f0 in (lo + 0.4 * (hi - lo), lo + 0.9 * (hi - lo)):
-        ref = _reference_march(phi, f0, (0.0, 1.0), 2e-3)
-        if ref is None:
-            with pytest.raises(DomainError, match="collapsed"):
-                integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
-            continue
-        prof = integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
-        got = (prof.us, prof.f, prof.fp, prof.fpp, prof.g, prof.gp)
-        for name, mine, theirs in zip(("us", "f", "fp", "fpp", "g", "gp"), got, ref):
-            assert np.array_equal(mine, theirs), name
-        assert prof.truncated == ref[-1]
-        assert (prof.truncation_reason is None) == (not prof.truncated)
+    with np.errstate(invalid="ignore", divide="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for f0 in _starts(phi):
+            try:
+                prof = integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+            except DomainError as exc:
+                assert "collapsed" in str(exc)
+                continue
+            n = len(prof)
+            nodes = np.unique([1, n // 2, n - 4, n - 1])
+            ref, u_star = _scipy_reference(phi, f0, prof.us[nodes] - prof.us[0], prof.f[nodes])
+            np.testing.assert_allclose(prof.f[nodes], ref[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(prof.gp[nodes], ref[:, 2], rtol=1e-12, atol=1e-12)
+            inner = np.isfinite(ref[:, 1])
+            assert inner[0]
+            np.testing.assert_allclose(prof.g[nodes[inner]] - prof.params.c0, ref[inner, 1],
+                                       rtol=0, atol=1e-12)
+            u_last = prof.us[-1] - prof.us[0]
+            if prof.truncated:
+                assert u_last <= u_star < u_last + prof.step
+            else:
+                assert u_star >= u_last
 
 
 def test_march_reference_cases_truncate_and_run_through():
-    """The bit-for-bit cases above cover both a full march and a truncated one."""
+    """The reference cases above cover both a whole profile and a truncated one."""
     seen = set()
     for case in _MARCH_CASES:
         phi = _march_phi(*case)
@@ -651,36 +747,26 @@ def test_march_reference_cases_truncate_and_run_through():
 
 
 @pytest.mark.parametrize("case", _MARCH_CASES)
-def test_stage_kernel_matches_the_array_path(case):
+def test_truncation_matches_the_rk4_reference(case):
+    """The truncated flag and the reason equal those of the RK4 march.
+
+    Where the march collapses, so does the quadrature, unless the march's
+    first step (f0 + h phi(f0)) already jumps past the whole interval:
+    near t = 0 phi grows like 1/t, beyond what RK4 resolves at this step.
+    """
     phi = _march_phi(*case)
-    family = phi.family
-    parts = [np.array([0.0, -1.0, np.nan])]
-    for lo, hi in phi.domain:
-        edges = np.array([lo, hi])
-        parts += [
-            np.linspace(lo, hi, 512),
-            edges,
-            np.nextafter(edges, -np.inf),
-            np.nextafter(edges, np.inf),
-        ]
-        # the bisected edges sit within ~1e-12 of the true ones, where the
-        # roundoff allowance on phi^2 and z decides admissibility
-        for edge in edges:
-            width = 2e-12 * max(1.0, abs(edge))
-            parts.append(np.linspace(edge - width, edge + width, 257))
-    ts = np.concatenate(parts)
-    p = phi(ts)
-    rad = family.gprime_radicand(p)
-    with np.errstate(invalid="ignore"):
-        sg = float(phi.params.branch.g)
-        gp = np.where(rad < -1e-12, np.nan, sg * np.sqrt(np.clip(rad, 0.0, None)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        got = np.array([phi._stage(float(t)) for t in ts])
-    assert np.array_equal(got[:, 0], p, equal_nan=True)
-    assert np.array_equal(got[:, 1], gp, equal_nan=True)
-    finite = np.isfinite(p)
-    assert np.array_equal(np.signbit(got[finite, 0]), np.signbit(p[finite]))
-    assert finite.sum() >= 512 and (~finite).sum() >= 3
+    lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
+    for f0 in _starts(phi):
+        ref = _reference_march(phi, f0, (0.0, 1.0), 2e-3)
+        if ref is None:
+            if 2e-3 * abs(phi(f0)) > hi - lo:
+                continue
+            with pytest.raises(DomainError, match="collapsed"):
+                integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+            continue
+        prof = integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+        assert prof.truncation_reason == ref[-1]
+        assert prof.truncated == (ref[-1] is not None)
 
 
 @pytest.mark.parametrize("family", [FT, FS, SECOND])

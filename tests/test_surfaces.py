@@ -25,6 +25,7 @@ from meridian4 import (
     tilde_surface,
     transform_T,
 )
+from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases
 from meridian4.surfaces import _hermite
 
 FT = MeridianFamily.FIRST_TIMELIKE
@@ -226,6 +227,47 @@ def test_frames_are_pseudo_orthonormal():
         X, Y, n1, n2 = surface.frames(u, v)
         frame = np.stack([X, Y, n1, n2])
         np.testing.assert_allclose(gram_matrix(frame, SIG4), expected, atol=1e-9)
+
+
+def _direct_frames_and_curvature(surface, u, v):
+    """(X, Y, n1, n2) and (h1, h2, H, <H,H>) written out from the profile
+    interpolants and the directrix rows, each factor evaluated separately."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    f, fp, fpp, gp = surface._Pf(u), surface._Pf_d1(u), surface._Pf_d2(u), surface._Pg_d1(u)
+    l, t, n = np.moveaxis(surface.curve.frame_at(v), -2, 0)
+
+    def lift(a, x, b):
+        out = np.empty(shape + (4,))
+        out[..., :3] = np.asarray(a)[..., None] * x
+        out[..., 3] = b
+        return out
+
+    family = surface.family
+    frames = (lift(fp, l, gp), lift(1.0, t, 0.0), lift(1.0, n, 0.0), lift(-family.alpha * gp, l, fp))
+    h1, h2 = family.h_coefficients(surface.curve.kappa, np.broadcast_to(f, shape), fp, fpp, gp)
+    vector = h1[..., None] * frames[2] + h2[..., None] * frames[3]
+    s1, s2 = family.frame_signs[2:]
+    return frames, (h1, h2, vector, s1 * h1 * h1 + s2 * h2 * h2)
+
+
+@pytest.mark.parametrize("spec", [
+    CaseSpec(Theorem.CMC_A, ProfileParams(a=2.0, b=0.5, c=0.5), f0=1.0),
+    *(spec for spec in _suite_cases() if spec.theorem in (Theorem.QUASI_B, Theorem.CMC_C)),
+], ids=lambda spec: spec.theorem.value)
+def test_frames_and_mean_curvature_equal_the_direct_formulas(spec):
+    """frames and mean_curvature share the normal frame and stay bit for bit."""
+    surface = _build_case(spec)[0]
+    (u0, u1), (v0, v1) = surface.u_span, surface.v_span
+    us, vs = np.linspace(u0, u1, 41), np.linspace(v0, v1, 41)
+    rng = np.random.default_rng(7)
+    points = (rng.uniform(u0, u1, 50), rng.uniform(v0, v1, 50))
+    for u, v in ((us[:, None], vs[None, :]), points, (us[3], vs[5])):
+        frames, curvature = _direct_frames_and_curvature(surface, u, v)
+        mc = surface.mean_curvature(u, v)
+        for got, want in zip((*surface.frames(u, v), mc.h1, mc.h2, mc.vector, mc.norm2),
+                             (*frames, *curvature)):
+            assert np.array_equal(got, want)
 
 
 def test_cylinder_mean_curvature_frozen(cylinder_surface):
