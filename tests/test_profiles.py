@@ -769,6 +769,79 @@ def test_truncation_matches_the_rk4_reference(case):
         assert prof.truncated == (ref[-1] is not None)
 
 
+@pytest.mark.parametrize("case", _MARCH_CASES)
+def test_march_matches_the_array_reference_bit_for_bit(case):
+    """Every column but g is the public array calls at the profile's nodes.
+
+    The u-grid is u0 + h i, f' = phi(f), f'' = phi.second_derivative(f) and
+    g' = sign_g sqrt(radicand(f')), bit for bit; the first node is (f0, c0)
+    itself, and f moves strictly in the direction of phi(f0).
+    """
+    phi = _march_phi(*case)
+    sg = float(phi.params.branch.g)
+    for f0 in _starts(phi):
+        try:
+            prof = integrate_profile(phi, f0, (0.0, 1.0), 2e-3)
+        except DomainError as exc:
+            assert "collapsed" in str(exc)
+            continue
+        f = prof.f
+        fp = np.asarray(phi(f))
+        rad = phi.family.gprime_radicand(fp)
+        assert np.all(rad >= -1e-12)
+        ref = (
+            0.0 + (1.0 / 500) * np.arange(len(f)),
+            fp,
+            np.asarray(phi.second_derivative(f)),
+            sg * np.sqrt(np.clip(rad, 0.0, None)),
+        )
+        got = (prof.us, prof.fp, prof.fpp, prof.gp)
+        for name, mine, theirs in zip(("us", "fp", "fpp", "gp"), got, ref):
+            assert np.array_equal(mine, theirs), name
+        assert f[0] == f0 and prof.g[0] == prof.params.c0
+        assert np.all(np.sign(np.diff(f)) == np.sign(phi(f0)))
+        assert (prof.truncation_reason is None) == (not prof.truncated)
+
+
+@pytest.mark.parametrize("case", _MARCH_CASES)
+def test_stage_kernel_matches_the_array_path(case):
+    """The quadrature's integrands are 1/phi and g'/phi of the array path.
+
+    On the path over each domain interval (mapped onto the roots of phi^2
+    as the profile maps it), at panel stages and at s within 1e-6 of either
+    end: phi(t) is finite and non-zero, du/dt is 1/phi(t) bit for bit, du/ds
+    is positive, dg/ds is sign_g z du/ds, and z^2 is the g' radicand of
+    phi(t) up to the roundoff of phi^2 and z^2.
+    """
+    phi = _march_phi(*case)
+    family, sg = phi.family, float(phi.params.branch.g)
+    panels = np.linspace(0.0, 1.0, 17)
+    a, half = panels[:-1, None], 0.5 * np.diff(panels)[:, None]
+    ends = np.geomspace(1e-6, 1e-1, 64)
+    s = np.concatenate([
+        (a + half * (1.0 + profiles._GL_NODES)).ravel(),
+        np.linspace(0.0, 1.0, 513)[1:-1],
+        ends,
+        1.0 - ends,
+    ])
+    for lo, hi in phi.domain:
+        (root_b, root_e), _ = profiles._simple_roots(phi, (lo, hi))
+        t_b = lo if root_b is None else root_b
+        t_e = hi if root_e is None else root_e
+        path = profiles._Path(phi, t_b, t_e, root_b is not None, root_e is not None)
+        t = path.t(s)
+        rate, g_rate, dudt = path.rates(s)
+        p = np.asarray(phi(t))
+        assert np.all(np.isfinite(p) & (p != 0.0))
+        assert np.array_equal(dudt, 1.0 / p)
+        assert np.all(rate > 0.0)
+        z = phi.z_exact(t)
+        assert np.array_equal(g_rate, sg * z * rate)
+        rad = family.gprime_radicand(p)
+        scale = z * z + p * p + abs(family.beta)
+        assert np.all(np.abs(z * z - rad) <= 8.0 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("family", [FT, FS, SECOND])
 def test_family_helpers_keep_floats_as_floats(family):
     xs = np.array([0.0, 0.3, 1.0, 1.7, 2.5])
