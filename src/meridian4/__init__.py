@@ -49,10 +49,10 @@ from .oracle import (
     FundamentalForms,
     Jet2,
     fd_jet,
+    fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
     mean_curvature_fd,
-    richardson_jet,
 )
 from .profiles import (
     BranchSigns,
@@ -131,10 +131,10 @@ __all__ = [
     # oracle
     "Jet2",
     "fd_jet",
+    "fd_jet4",
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "richardson_jet",
     "frame_equation_residuals",
     # harness
     "Theorem",

@@ -105,7 +105,10 @@ def inner(x, y, sig: Signature = SIG4):
     y = np.asarray(y, dtype=float)
     _check_dim(x, sig, "x")
     _check_dim(y, sig, "y")
-    out = np.sum(sig.array * x * y, axis=-1)
+    p = sig.array * x * y
+    out = p[..., 0] + 0.0  # np.sum's order and signed zeros, without its overhead
+    for k in range(1, p.shape[-1]):
+        out = out + p[..., k]
     if out.ndim == 0:
         return float(out)
     return out

@@ -16,6 +16,7 @@ import enum
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from .algebra import SIG4, CausalCharacter, affine_rank, causal_character, inner
 from .curves import _MAX_SAMPLES, _grid_intervals, integrate_frenet, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
-from .oracle import fd_jet, frame_equation_residuals, fundamental_forms, richardson_jet
+from .oracle import fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms
 from .profiles import (
     BranchSigns,
     GoverningLaw,
@@ -388,15 +389,10 @@ def _build_case(spec: CaseSpec):
     return surface, law, target
 
 
-def _jet4(immersion, u, v, h: float):
-    """Fourth-order FD jet at the scalar step h; its 2h arm stays inside
-    the 3 h margin of :func:`_interior_grid`."""
-    return richardson_jet(fd_jet(immersion, u, v, h), fd_jet(immersion, u, v, 2.0 * h))
-
-
 def _interior_grid(surface: MeridianSurface, spec: CaseSpec):
     (u0, u1), (v0, v1) = surface.u_span, surface.v_span
     scale = max(1.0, abs(u0), abs(u1), abs(v0), abs(v1))
+    # the fd_jet4 stencil reaches 2 h past the grid, h = fd_step * scale
     margin = 3.0 * spec.fd_step * scale
     if u0 + margin >= u1 - margin or v0 + margin >= v1 - margin:
         raise DomainError(
@@ -439,7 +435,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     # finite-difference sweep
     scale = max(1.0, float(np.max(np.abs(us))), float(np.max(np.abs(vs))))
     h_fd = spec.fd_step * scale
-    forms = fundamental_forms(_jet4(surface.immersion, us[:, None], vs[None, :], h_fd))
+    forms = fundamental_forms(fd_jet4(surface.immersion, us[:, None], vs[None, :], h_fd))
     H_inf = np.max(np.abs(forms.H), axis=-1)
     max_H_inf = float(np.max(H_inf))
     min_H_inf = float(np.min(H_inf))
@@ -451,7 +447,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     pu = rng.uniform(us[0], us[-1], spec.n_probe)
     pv = rng.uniform(vs[0], vs[-1], spec.n_probe)
     max_frame = max(frame_equation_residuals(surface, pu, pv).values())
-    forms = fundamental_forms(_jet4(surface.immersion, pu, pv, h_fd))
+    forms = fundamental_forms(fd_jet4(surface.immersion, pu, pv, h_fd))
     f_probe = surface.profile_values(pu)[0]
     max_mixed = float(np.max(np.max(np.abs(forms.h_uv_vec), axis=-1) / f_probe))
 
@@ -794,45 +790,54 @@ def _reduced_priors(family, law, c, rng):
 
 
 def _sample_reduced(theorem, family, rng, law, c) -> CaseSpec:
-    needs_gp_floor = family is not MeridianFamily.FIRST_TIMELIKE
+    rejected = Counter()
     for _ in range(800):
-        params = _reduced_priors(family, law, c, rng)
-        try:
-            phi = phi_closed_form(law, family, params, window=(1e-3, 12.0))
-        except (ValueError, DomainError):
-            continue
-        if phi.degenerate or not phi.domain:
-            continue
-        lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
-        width = hi - lo
-        if width < 0.3:
-            continue
-        f0 = lo + 0.4 * width
-        reach = hi - 0.05 * width
-        probe = np.linspace(f0, reach, 64)
-        vals = np.abs(np.asarray(phi(probe), dtype=float))
-        vmax = float(np.nanmax(vals)) if np.any(np.isfinite(vals)) else np.nan
-        if not np.isfinite(vmax) or vmax > 12.0:
-            continue
-        u_len = min(0.5, 0.6 * (reach - f0) / max(vmax, 0.2))
-        if u_len < 0.1:
-            continue
-        try:
-            profile = integrate_profile(phi, f0, (0.0, u_len), 1e-3)
-        except DomainError:
-            continue
-        if profile.truncated or np.min(profile.f) < 0.3:
-            continue
-        if needs_gp_floor and float(np.min(np.abs(profile.gp))) < 0.1:
-            continue
-        # Keep the curvature coefficients moderate: the FD oracle's noise
-        # enters <H,H> as 2|H| * deltaH, so large |h| eats the tolerance.
-        h1r, h2r = family.h_coefficients(
-            params.a, profile.f, profile.fp, profile.fpp, profile.gp
-        )
-        if max(float(np.max(np.abs(h1r))), float(np.max(np.abs(h2r)))) > 3.0:
-            continue
-        return CaseSpec(theorem, params, f0=f0, u_span=(0.0, u_len))
+        outcome = _draw_reduced(theorem, family, rng, law, c)
+        if isinstance(outcome, CaseSpec):
+            return outcome
+        rejected[outcome] += 1
+    counts = ", ".join(f"{reason} {n}" for reason, n in rejected.most_common())
     raise RuntimeError(
-        f"could not draw an admissible {theorem.value} case in 800 attempts"
+        f"could not draw an admissible {theorem.value} case in 800 attempts "
+        f"(rejected: {counts})"
     )
+
+
+def _draw_reduced(theorem, family, rng, law, c) -> CaseSpec | str:
+    """One attempt: an admissible spec, or the reason it was rejected."""
+    needs_gp_floor = family is not MeridianFamily.FIRST_TIMELIKE
+    params = _reduced_priors(family, law, c, rng)
+    try:
+        phi = phi_closed_form(law, family, params, window=(1e-3, 12.0))
+    except (ValueError, DomainError):
+        return "phi construction error"
+    if phi.degenerate or not phi.domain:
+        return "no domain"
+    lo, hi = max(phi.domain, key=lambda iv: iv[1] - iv[0])
+    width = hi - lo
+    if width < 0.3:
+        return "too narrow"
+    f0 = lo + 0.4 * width
+    reach = hi - 0.05 * width
+    probe = np.linspace(f0, reach, 64)
+    vals = np.abs(np.asarray(phi(probe), dtype=float))
+    vmax = float(np.nanmax(vals)) if np.any(np.isfinite(vals)) else np.nan
+    if not np.isfinite(vmax) or vmax > 12.0:
+        return "too steep"
+    u_len = min(0.5, 0.6 * (reach - f0) / max(vmax, 0.2))
+    if u_len < 0.1:
+        return "too short"
+    try:
+        profile = integrate_profile(phi, f0, (0.0, u_len), 1e-3)
+    except DomainError:
+        return "profile error"
+    if profile.truncated or np.min(profile.f) < 0.3:
+        return "truncated or f < 0.3"
+    if needs_gp_floor and float(np.min(np.abs(profile.gp))) < 0.1:
+        return "g' floor"
+    # Keep the curvature coefficients moderate: the FD oracle's noise
+    # enters <H,H> as 2|H| * deltaH, so large |h| eats the tolerance.
+    h1r, h2r = family.h_coefficients(params.a, profile.f, profile.fp, profile.fpp, profile.gp)
+    if max(float(np.max(np.abs(h1r))), float(np.max(np.abs(h2r)))) > 3.0:
+        return "large h"
+    return CaseSpec(theorem, params, f0=f0, u_span=(0.0, u_len))

@@ -2,15 +2,15 @@
 
 This module is the package's independent referee.  It knows nothing about
 meridian structure: given any callable immersion (u, v) -> R^4 it computes
-a second-order jet by central differences (``fd_jet``), extrapolates two
-such jets at steps h and 2h to fourth order (``richardson_jet``),
+a second-order jet by central differences on a 9-point stencil
+(``fd_jet``) or a fourth-order one on a 17-point stencil (``fd_jet4``),
 assembles the fundamental forms under the neutral metric, and produces the
 mean curvature vector from the trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
 which is basis-independent: no normal frame is chosen.  ``fd_jet``,
-``fundamental_forms``, ``mean_curvature_fd`` and
+``fd_jet4``, ``fundamental_forms``, ``mean_curvature_fd`` and
 ``frame_equation_residuals`` broadcast over (u, v) arrays, a scalar point
 being the 0-d case, so a whole grid is one immersion call; the stencil
 keeps u and v at their own shapes, so an immersion that evaluates
@@ -21,7 +21,7 @@ never the other way around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,26 @@ from .errors import DegeneracyError, DomainError
 __all__ = [
     "Jet2",
     "fd_jet",
-    "richardson_jet",
+    "fd_jet4",
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
     "frame_equation_residuals",
 ]
 
-# Stencil offsets, in units of h: center, +-u, +-v, and the four corners.
-_DU = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
-_DV = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# One arm of a stencil, in units of its length: +-u, +-v and the four corners.
+_ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+_ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# A stencil: arm lengths s in units of h, then integer weights per arm and a
+# denominator for the first, pure second and mixed derivatives.  With
+# d = z - z(center): z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the
+# same with d(s, 0) + d(-s, 0) over den h^2, z_uv with the corners
+# d(s, s) - d(s, -s) - d(-s, s) + d(-s, -s).  Weighting differences from the
+# center, not raw samples, keeps the roundoff of the 5-point weights (Fornberg
+# 1988) at that of the two 9-point stencils they extrapolate.
+_SECOND_ORDER = ((1.0,), ((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0))
+_FOURTH_ORDER = ((1.0, 2.0), ((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0))
+_DU, _DV = (np.concatenate([[0.0], arm]) for arm in (_ARM_DU, _ARM_DV))
 
 
 def _points(u, v, h, rel_step: float):
@@ -81,6 +91,46 @@ class Jet2:
     zvv: np.ndarray
 
 
+def _stencil_jet(immersion, u, v, h, rel_step: float, stencil) -> Jet2:
+    """The jet of ``immersion`` at (u, v) from one call on ``stencil``."""
+    arms, first, second, mixed = stencil
+    du, dv = (np.concatenate([[0.0], *(s * arm for s in arms)]) for arm in (_ARM_DU, _ARM_DV))
+    u, v, h = _points(u, v, h, rel_step)
+    stencil_u, stencil_v = u[..., None] + h[..., None] * du, v[..., None] + h[..., None] * dv
+    u, v, h = np.broadcast_arrays(u, v, h)
+    try:
+        pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
+    except DomainError as exc:
+        raise DomainError(
+            f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
+            f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
+        ) from exc
+    expected = u.shape + (len(du), 4)
+    if pts.shape != expected:
+        raise ValueError(f"immersion returned shape {pts.shape}, expected {expected}")
+    bad = ~np.all(np.isfinite(pts), axis=(-2, -1))
+    if np.any(bad):
+        raise DomainError(
+            f"immersion returned non-finite values inside the stencil at "
+            f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
+        )
+    # (sample, component, point) in memory, so that every sum below runs over
+    # contiguous points: the differences from the center, then per arm the odd
+    # and even parts along u and v and the corner combination
+    n = u.size
+    t = np.ascontiguousarray(pts.reshape(n, -1).T).reshape(-1, 4, n)
+    t[1:] -= t[0]
+    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(len(arms), 8, 4, n), 1, 0)
+    diffs = (up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm)
+    step, jet = h.reshape(-1), np.empty((5, 4, n))
+    tables = (first, first, second, second, mixed)
+    for out, diff, (weights, den), order in zip(jet, diffs, tables, (1, 1, 2, 2, 2)):
+        np.divide((np.reshape(weights, (-1, 1, 1)) * diff).sum(axis=0), den * step**order, out=out)
+    # S + (4,) views that keep the points contiguous, so the forms' sums stay fast
+    zu, zv, zuu, zvv, zuv = np.moveaxis(jet.reshape((5, 4) + u.shape), 1, -1)
+    return Jet2(u=u, v=v, h=h, z=pts[..., 0, :], zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
+
+
 def fd_jet(immersion, u, v, h=None) -> Jet2:
     """Second-order central-difference jet of ``immersion`` at (u, v).
 
@@ -96,57 +146,19 @@ def fd_jet(immersion, u, v, h=None) -> Jet2:
     raised by the immersion (e.g. a stencil arm leaving the domain) is
     re-raised with the requested coordinates; other errors propagate.
     """
-    u, v, h = _points(u, v, h, 1e-4)
-    hs = h[..., None]
-    stencil_u, stencil_v = u[..., None] + hs * _DU, v[..., None] + hs * _DV
-    u, v, h = np.broadcast_arrays(u, v, h)
-    try:
-        pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
-    except DomainError as exc:
-        raise DomainError(
-            f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
-            f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
-        ) from exc
-    if pts.shape != u.shape + (9, 4):
-        raise ValueError(f"immersion returned shape {pts.shape}, expected {u.shape + (9, 4)}")
-    bad = ~np.all(np.isfinite(pts), axis=(-2, -1))
-    if np.any(bad):
-        raise DomainError(
-            f"immersion returned non-finite values inside the stencil at "
-            f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
-        )
-    c, up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(pts, -2, 0)
-    h2 = hs * hs
-    return Jet2(
-        u=u,
-        v=v,
-        h=h,
-        z=c,
-        zu=(up - um) / (2.0 * hs),
-        zv=(vp - vm) / (2.0 * hs),
-        zuu=(up - 2.0 * c + um) / h2,
-        zvv=(vp - 2.0 * c + vm) / h2,
-        zuv=(pp - pm - mp + mm) / (4.0 * h2),
-    )
+    return _stencil_jet(immersion, u, v, h, 1e-4, _SECOND_ORDER)
 
 
-def richardson_jet(fine: Jet2, coarse: Jet2) -> Jet2:
-    """Fourth-order jet (4 J(h) - J(2h)) / 3 from two :func:`fd_jet` jets.
+def fd_jet4(immersion, u, v, h=None) -> Jet2:
+    """Fourth-order jet (4 J(h) - J(2h)) / 3 of two :func:`fd_jet` stencils.
 
-    ``fine`` and ``coarse`` are jets of one immersion at the same points,
-    with steps h and 2h.  The h^2 terms of the central differences cancel
-    in every derivative, so the truncation error is O(h^4), and a step ten
-    times the second-order one keeps the roundoff (~eps/h^2) small.  The
-    result carries the fine step.
+    One immersion call on their 17 points (the center, +-h and +-2h on each
+    axis, the corners at h and at 2h) gives 5-point central differences with
+    an O(h^4) truncation error, so a step ten times the second-order one keeps
+    the roundoff (~eps/h^2) small: the default is ``1e-3 * max(1, |u|, |v|)``.
+    Shapes, checks and errors are those of :func:`fd_jet`, with 17 for 9.
     """
-    same_points = np.array_equal(fine.u, coarse.u) and np.array_equal(fine.v, coarse.v)
-    if not (same_points and np.array_equal(coarse.h, 2.0 * fine.h)):
-        raise ValueError("richardson_jet needs jets at the same points with steps h and 2h")
-
-    def extrapolate(name: str) -> np.ndarray:
-        return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
-
-    return replace(fine, **{name: extrapolate(name) for name in ("zu", "zv", "zuu", "zuv", "zvv")})
+    return _stencil_jet(immersion, u, v, h, 1e-3, _FOURTH_ORDER)
 
 
 @dataclass(frozen=True)
@@ -196,17 +208,16 @@ def fundamental_forms(jet: Jet2, sig: Signature = SIG4) -> FundamentalForms:
             f"induced metric is degenerate at {_at(jet.u, jet.v, degenerate)}: "
             f"EG - F^2 = {np.asarray(W)[degenerate][0]:.3e}"
         )
-    gram = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
+    E_, F_, G_, W_ = (np.asarray(x)[..., None] for x in (E, F, G, W))
 
     def normal_part(w: np.ndarray) -> np.ndarray:
-        rhs = np.stack([inner(w, zu, sig), inner(w, zv, sig)], axis=-1)
-        coeffs = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        return w - coeffs[..., :1] * zu - coeffs[..., 1:] * zv
+        # the tangent part c_u z_u + c_v z_v solves the 2x2 Gram system
+        wu, wv = (np.asarray(inner(w, t, sig))[..., None] for t in (zu, zv))
+        return w - (G_ * wu - F_ * wv) / W_ * zu - (E_ * wv - F_ * wu) / W_ * zv
 
     h_uu_vec = normal_part(jet.zuu)
     h_uv_vec = normal_part(jet.zuv)
     h_vv_vec = normal_part(jet.zvv)
-    E_, F_, G_, W_ = (np.asarray(x)[..., None] for x in (E, F, G, W))
     H = (E_ * h_vv_vec - 2.0 * F_ * h_uv_vec + G_ * h_uu_vec) / (2.0 * W_)
     return FundamentalForms(
         E=E,

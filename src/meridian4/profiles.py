@@ -727,9 +727,10 @@ def integrate_profile(
     ``"left-domain"`` if it is the end of the scan window; a node whose g'
     radicand is below roundoff ends the profile before it
     (``"gprime-radicand"``).  Fewer than 3 samples are a
-    :class:`DomainError`.  Where phi(f0) = 0 (a degenerate phi, or f0 on a
-    simple root of phi^2), the profile is the constant f = f0 with
-    g = c0 + g'(f0) (u - u0).
+    :class:`DomainError`.  Where phi(f0) = 0 and f''(f0) = 0 (a degenerate
+    phi), the profile is the constant f = f0 with g = c0 + g'(f0) (u - u0);
+    where phi(f0) = 0 but f''(f0) != 0 (f0 on a simple root of phi^2), f0
+    is a turning point of the second-order law and a :class:`DomainError`.
     """
     n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
@@ -743,6 +744,9 @@ def integrate_profile(
     with np.errstate(invalid="ignore", divide="ignore"):
         rate0 = phi(f0)
         if rate0 == 0.0:
+            if phi.second_derivative(f0) != 0.0:
+                raise DomainError(f"f0 = {f0:.6g} is a turning point of the profile: phi(f0) "
+                                  f"= 0 but f''(f0) = {phi.second_derivative(f0):.6g}")
             f, g, reason = np.full(n + 1, f0), None, None
         elif np.isfinite(rate0):
             f, g, reason = _invert(phi, f0, rate0, u0, offsets)

@@ -37,6 +37,26 @@ def test_inner_broadcasts():
     assert out[0] == 1.0 and out[1] == -1.0
 
 
+@pytest.mark.parametrize("sig", [SIG4, SIG3_PPM], ids=["SIG4", "SIG3"])
+def test_inner_equals_the_summed_products_bit_for_bit(sig):
+    rng = np.random.default_rng(7)
+    n = len(sig)
+    x = rng.standard_normal((41, 41, n)) * 10.0 ** rng.integers(-8, 9, (41, 41, n))
+    y = rng.standard_normal((41, 41, n)) * 10.0 ** rng.integers(-8, 9, (41, 41, n))
+    # rows whose products are all -0.0, and rows that mix -0.0 and 0.0
+    x[0, :] = -0.0
+    y[0, :] = sig.array
+    x[1, :, 0], y[1, :] = -0.0, 1.0
+    expected = np.sum(sig.array * x * y, axis=-1)
+    out = inner(x, y, sig)
+    assert np.array_equal(out, expected) and np.array_equal(np.signbit(out), np.signbit(expected))
+    assert np.all(out[0] == 0.0) and not np.any(np.signbit(out[0]))
+    for i, j in ((0, 0), (1, 3), (20, 17), (40, 40)):
+        one = inner(x[i, j], y[i, j], sig)
+        assert isinstance(one, float) and one == out[i, j]
+        assert np.signbit(one) == np.signbit(out[i, j])
+
+
 def test_inner_dimension_mismatch():
     with pytest.raises(ValueError, match="trailing dimension"):
         inner([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])

@@ -99,6 +99,13 @@ def test_verify_domain_error_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_start_at_a_turning_point_exits_2(capsys):
+    # f0 = 2 sits on a simple root of phi^2, where f' = 0 but f'' = -0.25
+    argv = ["verify", "--theorem=quasi-a", "--a=0.5", "--c=1", "--f0=2", "--u-min=0", "--u-max=0.5"]
+    assert main(argv) == 2
+    assert "turning point" in capsys.readouterr().err
+
+
 def test_verify_bad_case_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "case.json"
     bad.write_text("{not json")

@@ -1,7 +1,7 @@
 """Tests for the verification harness: case specs, reports, suite, samplers."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,10 @@ from meridian4 import (
     sample_case,
     verify_case,
 )
-from meridian4.harness import _samples_for
+from meridian4 import harness
+from meridian4.harness import _samples_for, _suite_cases
 from meridian4.profiles import BranchSigns
+from meridian4.surfaces import MeridianSurface
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,19 @@ def test_sample_case_cmc_needs_target():
         sample_case(Theorem.CONGRUENCE_TILDE, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("params,reason", [
+    # a = 0 is refused by phi_closed_form
+    (ProfileParams(a=0.0, c=1.0), "phi construction error"),
+    # a = 1, c = 0: phi == 0, a degenerate phi with no interval to start in
+    (ProfileParams(a=1.0, c=0.0), "no domain"),
+], ids=["phi-error", "no-domain"])
+def test_failed_draw_counts_its_rejections(params, reason, monkeypatch):
+    monkeypatch.setattr(harness, "_reduced_priors", lambda family, law, c, rng: params)
+    expected = rf"quasi-a case in 800 attempts \(rejected: {reason} 800\)$"
+    with pytest.raises(RuntimeError, match=expected):
+        sample_case(Theorem.QUASI_A, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("theorem", [Theorem.MINIMAL_A, Theorem.MINIMAL_B, Theorem.MINIMAL_C])
 def test_sampled_minimal_draws_verify(theorem):
     rng = np.random.default_rng(101)
@@ -387,6 +402,26 @@ def test_case_spec_rejects_a_negative_seed():
     CaseSpec(Theorem.MINIMAL_A, seed=0)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
         CaseSpec(Theorem.MINIMAL_A, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE],
+    ids=lambda s: s.theorem.value,
+)
+def test_verify_case_calls_the_immersion_three_times(spec, monkeypatch):
+    """One call each for the FD grid sweep, the FD probe sweep and the rank grid."""
+    calls = []
+    immersion = MeridianSurface.immersion
+
+    def counting(self, u, v):
+        calls.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+        return immersion(self, u, v)
+
+    monkeypatch.setattr(MeridianSurface, "immersion", counting)
+    report = verify_case(replace(spec, nu=9, nv=7, n_probe=5))
+    assert report.status == "pass"
+    assert calls == [(9, 7, 17), (5, 17), (9, 7)]
 
 
 # ---------------------------------------------------------------------------

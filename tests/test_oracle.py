@@ -1,5 +1,7 @@
 """Tests for the finite-difference oracle (jets, forms, frame residuals)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,13 @@ from meridian4 import (
     ProfileParams,
     assemble,
     fd_jet,
+    fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
     inner,
     integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
-    richardson_jet,
     standard_initial_frame,
 )
 
@@ -26,6 +28,13 @@ def _quadratic(u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return np.stack([u * u, v * v, u * v, u + v], axis=-1)
+
+
+def _quartic(u, v):
+    """Polynomial immersion whose jet only the fourth-order stencil reproduces."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return np.stack([u**4, v**4, u**3 * v + u * v**3, u * u * v * v], axis=-1)
 
 
 def _cylinder(u, v):
@@ -121,13 +130,22 @@ def test_fd_truncation_is_second_order():
     assert 3.0 < ratio < 5.0
 
 
-def _jet4(immersion, u, v, h):
-    return richardson_jet(fd_jet(immersion, u, v, h), fd_jet(immersion, u, v, 2.0 * h))
+def richardson_jet(fine, coarse):
+    """Reference fourth-order jet (4 J(h) - J(2h)) / 3 from two second-order
+    jets of one immersion at the same points, with steps h and 2h."""
+    same_points = np.array_equal(fine.u, coarse.u) and np.array_equal(fine.v, coarse.v)
+    if not (same_points and np.array_equal(coarse.h, 2.0 * fine.h)):
+        raise ValueError("richardson_jet needs jets at the same points with steps h and 2h")
+
+    def extrapolate(name: str) -> np.ndarray:
+        return (4.0 * getattr(fine, name) - getattr(coarse, name)) / 3.0
+
+    return replace(fine, **{name: extrapolate(name) for name in ("zu", "zv", "zuu", "zuv", "zvv")})
 
 
 def test_richardson_jet_is_fourth_order():
     """norm2H error on the cylinder shrinks ~16x when the step halves."""
-    errs = [abs(fundamental_forms(_jet4(_cylinder, 0.6, 0.1, h)).norm2H - 0.25)
+    errs = [abs(fundamental_forms(fd_jet4(_cylinder, 0.6, 0.1, h)).norm2H - 0.25)
             for h in (0.04, 0.02, 0.01)]
     ratios = np.array(errs[:-1]) / np.array(errs[1:])
     assert np.all(ratios >= 12.0), ratios  # measured 16.0
@@ -150,11 +168,6 @@ def test_richardson_jet_needs_steps_h_and_2h_at_the_same_points():
         richardson_jet(fine, fd_jet(_cylinder, 0.7, 0.1, 2e-3))
 
 
-# ---------------------------------------------------------------------------
-# the batched path: arrays of points give exactly the per-point results
-# ---------------------------------------------------------------------------
-
-
 @pytest.fixture(scope="module")
 def meridian_surface():
     """A second-family minimal surface over a directrix with kappa = 0.5."""
@@ -165,6 +178,74 @@ def meridian_surface():
     return assemble(family, curve, profile)
 
 
+# ---------------------------------------------------------------------------
+# the 17-point fourth-order stencil
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["cylinder", "meridian"])
+def test_fd_jet4_equals_the_richardson_reference(which, meridian_surface):
+    immersion = _cylinder if which == "cylinder" else meridian_surface.immersion
+    us, vs = np.linspace(-0.5, 0.5, 5)[:, None], np.linspace(0.1, 1.1, 7)[None, :]
+    h = 1e-3
+    jet = fd_jet4(immersion, us, vs, h)
+    ref = richardson_jet(fd_jet(immersion, us, vs, h), fd_jet(immersion, us, vs, 2.0 * h))
+    for name in ("u", "v", "h", "z"):
+        assert np.array_equal(getattr(jet, name), getattr(ref, name)), name
+    # equal in exact arithmetic; the roundoff of a k-th derivative is ~eps / h^k
+    for name, tol in (("zu", 1e-12), ("zv", 1e-12), ("zuu", 1e-9), ("zuv", 1e-9), ("zvv", 1e-9)):
+        np.testing.assert_allclose(getattr(jet, name), getattr(ref, name), rtol=0, atol=tol)
+
+
+def test_fd_jet4_is_exact_on_quartics():
+    u, v, h = 0.7, -0.3, 0.1
+    expected = {
+        "zu": [4 * u**3, 0.0, 3 * u * u * v + v**3, 2 * u * v * v],
+        "zv": [0.0, 4 * v**3, u**3 + 3 * u * v * v, 2 * u * u * v],
+        "zuu": [12 * u * u, 0.0, 6 * u * v, 2 * v * v],
+        "zuv": [0.0, 0.0, 3 * u * u + 3 * v * v, 4 * u * v],
+        "zvv": [0.0, 12 * v * v, 6 * u * v, 2 * u * u],
+    }
+    jet4, jet2 = fd_jet4(_quartic, u, v, h), fd_jet(_quartic, u, v, h)
+    for name, value in expected.items():
+        np.testing.assert_allclose(getattr(jet4, name), value, rtol=0, atol=1e-12)
+    # the second-order stencil misses by ~h^2 times the fourth derivatives
+    assert np.max(np.abs(jet2.zuu - expected["zuu"])) > 1e-2
+
+
+def test_fd_jet4_makes_one_call_on_17_points():
+    seen = []
+
+    def recording(u, v):
+        seen.append((u.shape, v.shape))
+        return _cylinder(u, v)
+
+    us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
+    jet = fd_jet4(recording, us[:, None], vs[None, :], 1e-3)
+    assert seen == [((5, 1, 17), (1, 7, 17))]
+    for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
+        assert getattr(jet, name).shape == (5, 7, 4), name
+    assert fd_jet4(_cylinder, 50.0, 0.0).h == pytest.approx(50.0 * 1e-3)
+
+
+def test_fd_jet4_rejects_bad_immersions():
+    with pytest.raises(ValueError, match="expected \\(17, 4\\)"):
+        fd_jet4(lambda u, v: np.zeros((9, 4)), 0.0, 0.0, 1e-3)
+    with pytest.raises(DomainError, match="non-finite .* at \\(u=0, v=0\\)"):
+        fd_jet4(lambda u, v: np.full((17, 4), np.inf), 0.0, 0.0, 1e-3)
+
+    def outside(u, v):
+        raise DomainError("outside the chart")
+
+    with pytest.raises(DomainError, match="stencil evaluation failed for u in \\[0.5, 0.5\\]"):
+        fd_jet4(outside, 0.5, 0.0, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the batched path: arrays of points give exactly the per-point results
+# ---------------------------------------------------------------------------
+
+
 @pytest.mark.parametrize("which", ["cylinder", "meridian"])
 def test_batched_oracle_equals_scalar_calls(which, meridian_surface):
     if which == "cylinder":
@@ -173,19 +254,21 @@ def test_batched_oracle_equals_scalar_calls(which, meridian_surface):
         immersion = meridian_surface.immersion
         us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
     U, V = us[:, None], vs[None, :]
-    jet = fd_jet(immersion, U, V)
-    forms = fundamental_forms(jet)
+    jet_fns = (fd_jet, fd_jet4)
+    jets = [jet_fn(immersion, U, V) for jet_fn in jet_fns]
+    forms = [fundamental_forms(jet) for jet in jets]
     H, n2 = mean_curvature_fd(immersion, U, V)
-    assert jet.zuv.shape == forms.H.shape == H.shape == (5, 7, 4)
+    assert jets[0].zuv.shape == forms[0].H.shape == H.shape == (5, 7, 4)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            jet1 = fd_jet(immersion, u, v)
-            forms1 = fundamental_forms(jet1)
+            for jet, form, jet_fn in zip(jets, forms, jet_fns):
+                jet1 = jet_fn(immersion, u, v)
+                forms1 = fundamental_forms(jet1)
+                for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
+                    assert np.array_equal(getattr(jet, name)[i, j], getattr(jet1, name)), name
+                for name in ("E", "F", "G", "h_uu_vec", "h_uv_vec", "h_vv_vec", "H", "norm2H"):
+                    assert np.array_equal(getattr(form, name)[i, j], getattr(forms1, name)), name
             H1, n21 = mean_curvature_fd(immersion, u, v)
-            for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
-                assert np.array_equal(getattr(jet, name)[i, j], getattr(jet1, name)), name
-            for name in ("E", "F", "G", "h_uu_vec", "h_uv_vec", "h_vv_vec", "H", "norm2H"):
-                assert np.array_equal(getattr(forms, name)[i, j], getattr(forms1, name)), name
             assert np.array_equal(H[i, j], H1) and n2[i, j] == n21
 
 

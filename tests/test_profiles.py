@@ -504,18 +504,25 @@ def test_unconverged_node_is_a_named_domain_error(monkeypatch):
 @pytest.mark.parametrize("law,family,params,f0", [
     # phi == 0: z = a on this branch, so phi^2 = a^2 - 1 = 0
     (QM, FT, ProfileParams(a=1.0, c=0.0), 2.0),
-    # f0 on the simple root z(2) = c/2 + a = 1 of phi^2 = z^2 - 1
-    (QM, FT, ProfileParams(a=0.5, c=1.0), 2.0),
-], ids=["degenerate-phi", "f0-on-a-simple-root"])
+], ids=["degenerate-phi"])
 def test_stationary_start_gives_the_constant_profile(law, family, params, f0):
     phi = phi_closed_form(law, family, params, (1e-3, 12.0))
-    assert phi(f0) == 0.0
+    assert phi(f0) == 0.0 and phi.second_derivative(f0) == 0.0
     prof = integrate_profile(phi, f0, (0.0, 0.5), 1e-2)
     assert len(prof) == 51 and not prof.truncated
     assert np.all(prof.f == f0) and np.all(prof.fp == 0.0)
     gp0 = np.sqrt(family.gprime_radicand(0.0))
     assert np.all(prof.gp == gp0)
     np.testing.assert_array_equal(prof.g, params.c0 + gp0 * (prof.us - prof.us[0]))
+
+
+def test_start_on_a_simple_root_is_a_turning_point():
+    """f0 on the simple root z(2) = c/2 + a = 1 of phi^2 = z^2 - 1: f' = 0 but
+    f'' = -z z' = -0.25, so the law turns f around and f = f0 is no solution."""
+    phi = phi_closed_form(QM, FT, ProfileParams(a=0.5, c=1.0), (1e-3, 12.0))
+    assert phi(2.0) == 0.0 and phi.second_derivative(2.0) == -0.25
+    with pytest.raises(DomainError, match=r"f0 = 2 is a turning point .* f''\(f0\) = -0\.25"):
+        integrate_profile(phi, 2.0, (0.0, 0.5), 1e-2)
 
 
 def test_march_rejects_f0_outside_domain():
