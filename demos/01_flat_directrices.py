@@ -8,6 +8,9 @@ each node, and the frame that ``frame_at`` writes at 1,000 random v between
 the nodes, agrees with the matrix exponential exp(vB) S0 of scipy.linalg.expm,
 and the frame's Gram matrix stays at roundoff with no correction.
 
+Needs scipy (in the ``[test]`` extra), for ``expm`` as the reference;
+meridian4 itself needs numpy only.
+
 Run:  python3 demos/01_flat_directrices.py
 """
 

@@ -114,6 +114,19 @@ def inner(x, y, sig: Signature = SIG4):
     return out
 
 
+def _causal_codes(v, sig: Signature = SIG4, tol: float | None = None) -> np.ndarray:
+    """:func:`causal_character` as integer codes, the member's index in
+    :class:`CausalCharacter` (0 spacelike, 1 timelike, 2 lightlike)."""
+    v = np.asarray(v, dtype=float)
+    _check_dim(v, sig, "v")
+    q = np.sum(sig.array * v * v, axis=-1)
+    if tol is None:
+        scale = np.max(np.abs(v), axis=-1)
+        tol = 1e-12 * np.maximum(1.0, scale * scale)
+    code = np.where(q > tol, 0, np.where(q < -tol, 1, 2))
+    return np.where(np.any(v, axis=-1), code, 0)
+
+
 def causal_character(v, sig: Signature = SIG4, tol: float | None = None):
     """Classify vectors (trailing axis, matching ``sig``) by causal character.
 
@@ -123,15 +136,7 @@ def causal_character(v, sig: Signature = SIG4, tol: float | None = None):
     each vector, ``1e-12 * max(1, |v|_inf^2)``, so near-null vectors of any
     magnitude classify consistently.
     """
-    v = np.asarray(v, dtype=float)
-    _check_dim(v, sig, "v")
-    q = np.sum(sig.array * v * v, axis=-1)
-    if tol is None:
-        scale = np.max(np.abs(v), axis=-1)
-        tol = 1e-12 * np.maximum(1.0, scale * scale)
-    code = np.where(q > tol, 0, np.where(q < -tol, 1, 2))
-    code = np.where(np.any(v, axis=-1), code, 0)
-    return _CHARACTERS[code]  # a 0-d index picks the member itself
+    return _CHARACTERS[_causal_codes(v, sig, tol)]  # a 0-d index picks the member itself
 
 
 def gram_matrix(frame, sig: Signature = SIG4) -> np.ndarray:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .algebra import SIG4, CausalCharacter, affine_rank, causal_character, inner
+from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_rank,
+                      causal_character, inner)
 from .curves import _MAX_SAMPLES, _grid_intervals, integrate_frenet, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
@@ -440,7 +441,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     max_H_inf = float(np.max(H_inf))
     min_H_inf = float(np.min(H_inf))
     max_norm2_dev = float(np.max(np.abs(forms.norm2H - target)))
-    characters = set(causal_character(forms.H).ravel())
+    characters = set(_CHARACTERS[np.unique(_causal_codes(forms.H))])
 
     # frame equations and mixed second-form component at probe points
     rng = np.random.default_rng(spec.seed)

@@ -24,13 +24,12 @@ can warn when a profile is tested against a law it was not built for.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.optimize import brentq
 
 from .curves import _grid_intervals
 from .errors import DomainError
@@ -543,6 +542,65 @@ _TABLE_PANELS = 128
 _NEWTON_MAX = 16
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f between xa and xb by Brent's method, as ``scipy.optimize.brentq``
+    with its default ``rtol`` (4 eps) and ``maxiter`` (100).
+
+    A line-for-line port of scipy's C ``brentq`` (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4), so it takes the same
+    steps and returns the same bits.  Raises ValueError when f(xa) and
+    f(xb) have the same sign or f returns NaN, and RuntimeError when 100
+    iterations do not converge.
+    """
+    rtol, maxiter = 4.0 * math.ulp(1.0), 100
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:g}")
+
+
 def _contains(domain: tuple[tuple[float, float], ...], t: float) -> bool:
     slack = 1e-9
     return any(lo - slack <= t <= hi + slack for lo, hi in domain)
@@ -651,7 +709,7 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.nd
     path = _Path(phi, t_b, t_e, root_b is not None, root_e is not None)
     if not sign * (path.t(1.0) - f0) > 0.0:
         return np.array([f0]), np.zeros(1), cut
-    s0 = brentq(lambda s: path.t(s) - f0, 0.0, 1.0, xtol=1e-16)
+    s0 = _brentq(lambda s: path.t(s) - f0, 0.0, 1.0, xtol=1e-16)
 
     # Tabulate u(s) coarsely up to the edge, then finely up to the row the
     # last node reaches, again while that is under half of the table.  When
@@ -789,6 +847,27 @@ def integrate_profile(
     )
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Composite-Simpson integral of equally spaced samples y (at least 3)
+    from the first sample to each: bit for bit
+    ``scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)``.
+
+    Each interval is integrated by the quadratic through it and the next
+    sample, except that every second interval, and the last, uses the
+    quadratic through it and the sample before; the pieces are summed in
+    order.
+    """
+    def leading(y):
+        return dx / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
+
+    ahead, behind = leading(y), leading(y[::-1])[::-1]
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])
+
+
 def profile_from_callable(
     family: MeridianFamily,
     f: Callable[[np.ndarray], np.ndarray],
@@ -819,7 +898,7 @@ def profile_from_callable(
             f"{radicand[i_min]:.3e} at u = {us[i_min]:.6g}"
         )
     gp = params.branch.g * np.sqrt(radicand)
-    g = params.c0 + cumulative_simpson(gp, dx=float(us[1] - us[0]), initial=0.0)
+    g = params.c0 + _cumulative_simpson(gp, float(us[1] - us[0]))
     return MeridianProfile(
         family=family,
         us=us,

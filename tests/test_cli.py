@@ -3,7 +3,11 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -474,3 +478,14 @@ def test_any_mutated_case_file_exits_0_1_or_2(tmp_path, capsys, doc):
     case_path.write_text(json.dumps(doc))
     assert main(["verify", str(case_path)]) in (0, 1, 2)
     capsys.readouterr()
+
+
+def test_importing_the_package_and_the_cli_loads_no_scipy():
+    """numpy is the one runtime dependency: scipy is for the tests only."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, meridian4, meridian4.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, cumulative_simpson, quad
 from scipy.optimize import brentq
 
 from meridian4 import (
@@ -858,6 +858,79 @@ def test_family_helpers_keep_floats_as_floats(family):
             out = fn(float(x))
             assert type(out) is float
             assert out == expected
+
+
+# ---------------------------------------------------------------------------
+# the root finder and the quadrature against scipy's
+# ---------------------------------------------------------------------------
+
+_BRENTQ_CASES = [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 3.0, -1.0, 3.0),
+    (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+    (lambda x: (x - 0.7) ** 3, 0.0, 1.0),  # flat at the root: Brent bisects
+    (lambda x: 1e-300 * (x - 0.25), 0.0, 1.0),
+    (lambda x: x - 0.5, 0.5, 2.0),  # a root on the bracket
+    (lambda x: x - 2.0, 0.5, 2.0),
+]
+
+
+@pytest.mark.parametrize("fn,a,b", _BRENTQ_CASES)
+@pytest.mark.parametrize("xtol", [1e-16, 2e-12, 1e-6])
+def test_brentq_equals_scipy(fn, a, b, xtol):
+    """The same root, bit for bit, or the same exception class."""
+    def outcome(solve, lo, hi):
+        try:
+            return solve(fn, lo, hi, xtol=xtol)
+        except RuntimeError as exc:  # no convergence in 100 iterations
+            return type(exc)
+
+    for lo, hi in ((a, b), (b, a)):
+        got = outcome(profiles._brentq, lo, hi)
+        assert type(got) is float or got is RuntimeError
+        assert got == outcome(brentq, lo, hi)
+
+
+def test_brentq_equals_scipy_on_path_cubics():
+    """The quadrature's own use: s with t(s) = f0 on a cubic path from 0 to 1."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        t_b, width = rng.uniform(-3.0, 3.0), rng.uniform(1e-6, 5.0)
+        slope_b, slope_e = rng.integers(0, 2, 2).astype(float)
+        c1, c2, c3 = (width * slope_b, width * (3.0 - 2.0 * slope_b - slope_e),
+                      width * (slope_b + slope_e - 2.0))
+        f0 = t_b + width * rng.uniform(0.0, 1.0)
+
+        def fn(s):
+            return t_b + ((c3 * s + c2) * s + c1) * s - f0
+
+        assert profiles._brentq(fn, 0.0, 1.0, xtol=1e-16) == brentq(fn, 0.0, 1.0, xtol=1e-16)
+
+
+def test_brentq_fails_as_scipy_does():
+    def same_sign(x):
+        return x * x + 1.0
+
+    for solve in (profiles._brentq, brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solve(same_sign, -1.0, 1.0, xtol=1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            solve(lambda x: np.nan if x > 0.1 else x - 0.5, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(RuntimeError, match="converge"):
+            solve(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-16)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 50, 801])
+def test_cumulative_simpson_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    for dx in (1e-3, 0.37, 2.5):
+        got = profiles._cumulative_simpson(y, dx)
+        assert np.array_equal(got, cumulative_simpson(y, dx=dx, initial=0.0))
+    y = np.sqrt(np.linspace(0.0, 2.0, n))
+    assert np.array_equal(profiles._cumulative_simpson(y, 2.0 / (n - 1)),
+                          cumulative_simpson(y, dx=2.0 / (n - 1), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import BPoly
+from scipy.interpolate import BPoly, CubicSpline
 from scipy.linalg import expm
 
 from meridian4 import (
@@ -25,8 +25,10 @@ from meridian4 import (
     tilde_surface,
     transform_T,
 )
-from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases
-from meridian4.surfaces import _hermite
+from meridian4 import surfaces
+from meridian4.cli import main
+from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases, verify_case
+from meridian4.surfaces import _hermite, _not_a_knot
 
 FT = MeridianFamily.FIRST_TIMELIKE
 FS = MeridianFamily.FIRST_SPACELIKE
@@ -66,11 +68,6 @@ def cylinder_surface():
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_bpoly(got, ref):
-    assert np.array_equal(got.c, ref.c)
-    assert np.array_equal(got.x, ref.x)
-
-
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("tail", [()])
@@ -84,8 +81,33 @@ def test_hermite_equals_from_derivatives(uniform, d, tail):
         x = np.cumsum(rng.uniform(1e-4, 0.3, 12001)) - 2.0
     m = len(x)
     # magnitudes from 1e-6 to 1e6, so every rounding step is exercised
-    y = rng.standard_normal((m, d) + tail) * 10.0 ** rng.uniform(-6, 6, (m, d) + tail)
-    _assert_same_bpoly(_hermite(x, y), BPoly.from_derivatives(x, y))
+    y, y2 = rng.standard_normal((2, m, d) + tail) * 10.0 ** rng.uniform(-6, 6, (2, m, d) + tail)
+    # interpolants built together share the step powers
+    for got, yi in zip(_hermite(x, y, y2), (y, y2)):
+        assert np.array_equal(got, BPoly.from_derivatives(x, yi).c)
+
+
+def _scipy_interpolants(prof):
+    """scipy's f, f', f'', g and g' of a profile: BPoly.from_derivatives and its
+    derivative, and CubicSpline through the f'' samples (below 4 knots, f's
+    second derivative)."""
+    Pf = BPoly.from_derivatives(prof.us, np.column_stack([prof.f, prof.fp, prof.fpp]))
+    Pg = BPoly.from_derivatives(prof.us, np.column_stack([prof.g, prof.gp, prof.gpp]))
+    Pf_d2 = CubicSpline(prof.us, prof.fpp) if len(prof.us) >= 4 else Pf.derivative(2)
+    return Pf, Pf.derivative(), Pf_d2, Pg, Pg.derivative()
+
+
+def _reference_points(prof, rng):
+    """Random points, every knot, the closed right end and the 1e-12 slack window."""
+    u0, u1 = prof.u_span
+    slack = 1e-12 * max(1.0, abs(u0), abs(u1))
+    return np.concatenate([
+        rng.uniform(u0, u1, 2000),
+        prof.us,
+        [u1, np.nextafter(u1, -np.inf), np.nextafter(u0, np.inf)],
+        u0 - slack * rng.uniform(0.0, 1.0, 20),
+        u1 + slack * rng.uniform(0.0, 1.0, 20),
+    ])
 
 
 @pytest.mark.parametrize(
@@ -97,14 +119,49 @@ def test_hermite_equals_from_derivatives(uniform, d, tail):
     ],
 )
 def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
+    """f, f', f'', g and g' equal scipy's BPoly.from_derivatives, its
+    derivative and CubicSpline bit for bit, at random points, at the knots,
+    at the closed right end and in the slack window past either end."""
     surface = _minimal_surface(family, params, u_span, kappa=0.4)
-    prof = surface.profile
-    refs = {
-        "_Pf": BPoly.from_derivatives(prof.us, np.column_stack([prof.f, prof.fp, prof.fpp])),
-        "_Pg": BPoly.from_derivatives(prof.us, np.column_stack([prof.g, prof.gp, prof.gpp])),
-    }
-    for name, ref in refs.items():
-        _assert_same_bpoly(getattr(surface, name), ref)
+    refs = _scipy_interpolants(surface.profile)
+    for got, ref in zip((surface._cf, surface._cg), refs[::3]):
+        assert np.array_equal(got, ref.c)
+    u = _reference_points(surface.profile, np.random.default_rng(5))
+    # a grid line's shapes and a single point take the same path
+    for at in (u, u[:60].reshape(5, 1, 12), u[7]):
+        for got, ref in zip(surface.profile_values(at), refs):
+            assert np.shape(got) == np.shape(at) and np.array_equal(got, ref(at))
+
+
+@pytest.mark.parametrize("n_samples", [3, 4, 5, 37])
+def test_few_knot_profiles_equal_scipy(n_samples):
+    """Below 4 knots f'' is the second derivative of f, scipy's k == 3
+    Bernstein branch; from 4 knots on it is the spline."""
+    profile = profile_from_callable(
+        FT,
+        f=lambda u: 2.0 + np.sin(u),
+        fp=np.cos,
+        fpp=lambda u: -np.sin(u),
+        u_span=(0.1, 0.4),
+        n_samples=n_samples,
+    )
+    surface = assemble(FT, _curve(FT, 0.3), profile)
+    u = _reference_points(profile, np.random.default_rng(n_samples))
+    for got, ref in zip(surface.profile_values(u), _scipy_interpolants(profile)):
+        assert np.array_equal(got, ref(u))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 201, 1201, 3201])
+def test_not_a_knot_equals_cubic_spline(n):
+    """The spline's coefficients equal CubicSpline's bit for bit on uniform
+    grids, with data from 1e-6 to 1e6 in size."""
+    rng = np.random.default_rng(n)
+    x = -0.37 + 1e-3 * np.arange(n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
+    x = np.linspace(2.0, 2.9, n)
+    y = np.cos(5.0 * x) / x
+    assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +291,7 @@ def _direct_frames_and_curvature(surface, u, v):
     interpolants and the directrix rows, each factor evaluated separately."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape)
-    f, fp, fpp, gp = surface._Pf(u), surface._Pf_d1(u), surface._Pf_d2(u), surface._Pg_d1(u)
+    f, fp, fpp, _, gp = surface.profile_values(u)
     l, t, n = np.moveaxis(surface.curve.frame_at(v), -2, 0)
 
     def lift(a, x, b):
@@ -294,6 +351,30 @@ def test_frame_equations_hold_on_generic_surface():
     assert set(res) == {
         "du_X", "du_Y", "du_n1", "du_n2", "dv_X", "dv_Y", "dv_n1", "dv_n2",
     }
+
+
+def test_the_f2_spline_is_solved_only_when_f2_is_read(monkeypatch, tmp_path):
+    """The immersion, grid points, the tilde chart reference, ``generate`` and
+    the congruence case read f and g only and never solve the f'' spline;
+    mean curvature solves it once per surface."""
+    solved = []
+    not_a_knot = surfaces._not_a_knot
+    monkeypatch.setattr(surfaces, "_not_a_knot",
+                        lambda x, y: solved.append(len(x)) or not_a_knot(x, y))
+    surface = _minimal_surface(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), kappa=0.4)
+    us, vs = np.linspace(-0.4, 0.4, 7), np.linspace(0.1, 1.1, 5)
+    surface.immersion(us[:, None], vs[None, :])
+    surface.grid_points(us, vs)
+    tilde_surface(TildeKind.PRIME, surface).chart_reference(us[:, None], vs[None, :])
+    argv = ["generate", "--theorem=minimal-a", "--a=1", "--nu=9", "--nv=9",
+            f"--out={tmp_path / 'mesh.obj'}"]
+    assert main(argv) == 0
+    congruence = [s for s in _suite_cases() if s.theorem is Theorem.CONGRUENCE_TILDE]
+    assert verify_case(congruence[0]).status == "pass"
+    assert solved == []
+    surface.mean_curvature(us[:, None], vs[None, :])
+    surface.profile_values(us)
+    assert solved == [len(surface.profile.us)]
 
 
 def test_mean_curvature_guards_degenerate_radicand():
