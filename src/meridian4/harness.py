@@ -372,11 +372,7 @@ def _build_case(spec: CaseSpec):
         )
     elif law is GoverningLaw.MINIMAL:
         u_span = spec.u_span if spec.u_span is not None else _default_minimal_span(family, params)
-        # closed forms are free to sample densely; halving the step keeps
-        # the interpolated f'' inside the 1e-9 analytic minimality budget
-        profile = minimal_profile(
-            family, params, u_span, _samples_for(u_span, 0.5 * spec.step)
-        )
+        profile = minimal_profile(family, params, u_span, _samples_for(u_span, spec.step))
     else:
         if spec.f0 is None:
             raise ValueError(f"{thm.value} needs f0 (initial warp value f(u0))")

@@ -1,8 +1,9 @@
 """Meridian profiles (f, g): closed forms and first-integral reductions.
 
 A profile is the pair of functions (f(u), g(u)) entering the meridian
-immersion z = f l + g e4, sampled on a uniform u-grid together with the
-derivatives the downstream geometry needs.  Three constructions produce
+immersion z = f l + g e4: samples on a uniform u-grid with the derivatives
+the residual checks read, and an exact evaluator of (f, f', f'', g, g') at
+any u of its window, which the surface reads.  Three constructions produce
 profiles:
 
 * :func:`minimal_profile` - the closed-form solutions of the minimality
@@ -155,6 +156,9 @@ class MeridianProfile:
 
     Invariants enforced at construction: uniform grid with at least 3
     samples, finite data, and f > 0 everywhere (the geometry divides by f).
+    ``evaluate`` maps u in ``u_span`` to (f, f', f'', g, g') at u, each of
+    u's shape, exactly: the closed forms, the inverted first integral or the
+    user's callables.
     ``truncated`` marks ODE profiles that end before the requested window
     end; ``us`` then covers only the reached span.  ``truncation_reason``
     says why (None when the profile is whole): ``"phi-inadmissible"`` (the
@@ -172,6 +176,7 @@ class MeridianProfile:
     gp: np.ndarray
     params: ProfileParams
     provenance: Provenance
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]] = field(repr=False)
     truncated: bool = False
     truncation_reason: str | None = None
 
@@ -244,42 +249,57 @@ def minimal_profile(
     So ``FIRST_TIMELIKE`` needs a^2 + b > 0, ``FIRST_SPACELIKE`` a^2 - b > 0
     and ``SECOND`` b - a^2 > 0.  The window must keep the radicand of f
     strictly positive; otherwise a :class:`DomainError` names the
-    offending endpoint.  A profile that overflows a float or varies faster
+    offending point.  A profile that overflows a float or varies faster
     than its samples (length scale f^2 / sqrt(disc) under the spacing) is a
-    :class:`DomainError` naming a, b and the window.
+    :class:`DomainError` naming a, b and the window.  The samples and the
+    profile's evaluator are the same closed forms.
     """
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
-    a, b, c0 = params.a, params.b, params.c0
+    a, b, c0, sg = params.a, params.b, params.c0, params.branch.g
     if params.branch.f < 0:
         raise DomainError(
             "the f < 0 branch violates the positive-warp invariant; it yields a "
             "congruent surface via l -> -l combined with the g sign flip"
         )
-    sg = params.branch.g
     alpha, beta = family.alpha, family.beta
     disc = family.minimal_discriminant(a, b)
     root = np.sqrt(disc)
 
+    def evaluate(u):
+        """The closed forms (f, f', f'', g, g') at u, for u where f^2 > 0."""
+        f = np.sqrt(-beta * u * u + 2.0 * a * u + b)
+        fp = (a - beta * u) / f
+        with np.errstate(over="ignore"):
+            fpp = alpha * disc / f**3
+        if beta > 0:
+            g = sg * root * np.arcsin((u - a) / root) + c0
+        else:
+            g = sg * root * np.log(np.abs(u + a + f)) + c0
+        return f, fp, fpp, g, sg * root / f
+
     us = np.linspace(float(u_span[0]), float(u_span[1]), n_samples)
     if us[-1] <= us[0]:
         raise ValueError(f"u_span must be increasing, got {u_span}")
-    radicand = -beta * us * us + 2.0 * a * us + b
+    # f^2 at the samples and at the vertex of the quadratic, its least value
+    # on the window when beta < 0
+    checked = np.append(us, np.clip(a / beta, us[0], us[-1]))
+    radicand = -beta * checked * checked + 2.0 * a * checked + b
     i_min = int(np.argmin(radicand))
     if radicand[i_min] <= 1e-10:
         raise DomainError(
             f"u-window leaves the admissible domain: f^2 = {radicand[i_min]:.3e} "
-            f"at u = {us[i_min]:.6g}"
+            f"at u = {checked[i_min]:.6g}"
         )
-    f = np.sqrt(radicand)
-    fp = (a - beta * us) / f
+    f, fp, fpp, g, gp = evaluate(us)
     with np.errstate(over="ignore", invalid="ignore"):
         f3 = f**3
-        fpp = alpha * disc / f3
-        # the surface interpolates f'' by value, through its slopes between samples
         slopes = np.diff(fpp) / np.diff(us)
-    # f varies on the length scale f^2 / sqrt(disc) (|f''| / f = disc / f^4);
-    # samples coarser than that leave the interpolant of f free to swing
+    # f'' = alpha disc / f^3 is lost where f^3 overflows, and the surface's
+    # curvature terms overflow where f'' changes by more than a float between
+    # samples.  f varies on the length scale f^2 / sqrt(disc) (|f''| / f =
+    # disc / f^4); coarser samples would let the residual checks, which read
+    # the samples only, certify a profile they do not see.
     spacing, scale = us[1] - us[0], radicand[i_min] / root
     profile = f"the minimal profile for a = {a!r}, b = {b!r}"
     window = f"on the u-window ({float(u_span[0])!r}, {float(u_span[1])!r})"
@@ -290,12 +310,6 @@ def minimal_profile(
     if not spacing <= scale:
         raise DomainError(f"{profile} is not resolved {window}: it varies on a length "
                           f"scale of {scale:.3g}, under the sample spacing {spacing:.3g}{retry}")
-    if beta > 0:
-        g = sg * root * np.arcsin((us - a) / root) + c0
-    else:
-        g = sg * root * np.log(np.abs(us + a + f)) + c0
-    gp = sg * root / f
-
     return MeridianProfile(
         family=family,
         us=us,
@@ -306,6 +320,7 @@ def minimal_profile(
         gp=gp,
         params=params,
         provenance=Provenance.CLOSED_FORM_MINIMAL,
+        evaluate=evaluate,
     )
 
 
@@ -434,7 +449,7 @@ class PhiFunction:
                 out = -self.params.c / (t * t)
             else:
                 k = 4.0 * self.family.cmc_inner_sign * self.params.c
-                rate = np.sqrt(np.clip(a * a + k * t * t, 0.0, None))
+                rate = np.sqrt(np.maximum(a * a + k * t * t, 0.0))
                 out = (s * rate - z) / t
         return np.where(t > 0.0, out, np.nan)
 
@@ -540,65 +555,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 # Panels of the table that gives the first guess of each node.
 _TABLE_PANELS = 128
 _NEWTON_MAX = 16
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f between xa and xb by Brent's method, as ``scipy.optimize.brentq``
-    with its default ``rtol`` (4 eps) and ``maxiter`` (100).
-
-    A line-for-line port of scipy's C ``brentq`` (Brent, *Algorithms for
-    Minimization Without Derivatives*, 1973, ch. 4), so it takes the same
-    steps and returns the same bits.  Raises ValueError when f(xa) and
-    f(xb) have the same sign or f returns NaN, and RuntimeError when 100
-    iterations do not converge.
-    """
-    rtol, maxiter = 4.0 * math.ulp(1.0), 100
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:g}")
+_EPS = np.finfo(float).eps
 
 
 def _contains(domain: tuple[tuple[float, float], ...], t: float) -> bool:
@@ -640,7 +597,7 @@ class _Path:
     def __init__(self, phi: PhiFunction, t_b: float, t_e: float, root_b: bool, root_e: bool):
         slope_b, slope_e = float(not root_b), float(not root_e)
         width = t_e - t_b
-        self.phi, self.t_b = phi, t_b
+        self.phi, self.t_b, self.width = phi, t_b, width
         self.coef = (width * slope_b, width * (3.0 - 2.0 * slope_b - slope_e),
                      width * (slope_b + slope_e - 2.0))
 
@@ -648,17 +605,57 @@ class _Path:
         c1, c2, c3 = self.coef
         return self.t_b + ((c3 * s + c2) * s + c1) * s
 
+    def slope(self, s):
+        """t'(s)."""
+        c1, c2, c3 = self.coef
+        return (3.0 * c3 * s + 2.0 * c2) * s + c1
+
+    def start(self, f0: float) -> float:
+        """The s in [0, 1) with t(s) = f0, for f0 from t(0) up to before t(1).
+
+        t is monotone, so [0, 1] brackets the root.  Each Newton step
+        shrinks the bracket, and a step that would leave it is a bisection
+        instead; the last step is under an ulp of s.
+        """
+        sign = math.copysign(1.0, self.width)
+        lo, hi, s = 0.0, 1.0, min(max((f0 - self.t_b) / self.width, 0.0), 1.0)
+        for _ in range(100):
+            miss = sign * (self.t(s) - f0)
+            if miss == 0.0:
+                break
+            lo, hi = (lo, s) if miss > 0.0 else (s, hi)
+            slope = sign * self.slope(s)
+            nxt = s - miss / slope if slope > 0.0 else hi
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - s) <= _EPS * s:
+                return nxt
+            s = nxt
+        return s
+
     def rates(self, s):
         """du/ds, dg/ds and du/dt = 1/phi along the path, inside phi's domain interval.
 
         Between the edges z >= 0, so g' = sign_g z (the g' radicand is z^2).
         """
-        c1, c2, c3 = self.coef
         phi = self.phi
         z = phi._z(self.t(s))
         dudt = 1.0 / (phi.params.branch.phi * np.sqrt(phi.family.phi2_from_z2(z * z)))
-        rate = ((3.0 * c3 * s + 2.0 * c2) * s + c1) * dudt
+        rate = self.slope(s) * dudt
         return rate, phi.params.branch.g * z * rate, dudt
+
+    def panels(self, a: np.ndarray, b: np.ndarray, ends: np.ndarray):
+        """int du/ds ds and int dg/ds ds over each [a_j, b_j] by one
+        Gauss-Legendre panel, and du/ds and du/dt at ``ends``."""
+        half = 0.5 * (b - a)
+        rate, g_rate, dudt = self.rates(
+            np.concatenate([(a[:, None] + half[:, None] * (1.0 + _GL_NODES)).ravel(), ends]))
+        m = rate.size - ends.size
+        # a row sum adds each panel's terms in one order whatever the number
+        # of panels, where a matrix-vector product need not
+        du, dg = (half * np.add.reduce(r[:m].reshape(-1, _GL_NODES.size) * _GL_WEIGHTS, axis=1)
+                  for r in (rate, g_rate))
+        return du, dg, rate[m:], dudt[m:]
 
     def sweep(self, s: np.ndarray):
         """u - u0 and g - c0 at the nodes s, and du/ds and du/dt at each node.
@@ -667,33 +664,89 @@ class _Path:
         pair of consecutive nodes, so the sum up to node i depends on s_i
         alone, and its derivative in s_i is du/ds at s_i.
         """
-        a, b = s[:-1, None], s[1:, None]
-        half = 0.5 * (b - a)
-        rate, g_rate, dudt = self.rates(np.concatenate([(a + half * (1.0 + _GL_NODES)).ravel(), s]))
-        m = rate.size - s.size
-        sums = np.zeros((2, s.size))
-        for row, r in zip(sums, (rate, g_rate)):
-            np.cumsum(half[:, 0] * (r[:m].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS), out=row[1:])
-        return sums[0], sums[1], rate[m:], dudt[m:]
+        du, dg, rate, dudt = self.panels(s[:-1], s[1:], s)
+        return *(np.concatenate([[0.0], np.cumsum(x)]) for x in (du, dg)), rate, dudt
 
 
-def _hermite_inverse(u, us, ss, rate):
-    """s at u from the table rows (us, ss) and du/ds = rate there, by the
-    cubic Hermite interpolant of s(u), or by the chord where that leaves
-    the rows' interval: du/ds is 0/0 at a root end, and tends to 0 where
-    phi is unbounded (phi ~ 1/t near t = 0)."""
-    k = np.clip(np.searchsorted(us, u) - 1, 0, len(us) - 2)
-    ds = ss[k + 1] - ss[k]
-    du = us[k + 1] - us[k]
-    w = (u - us[k]) / du
-    slope_0, slope_1 = du / rate[k], du / rate[k + 1]
-    step = w * (ds * w * (3.0 - 2.0 * w) + (1.0 - w) * (slope_0 * (1.0 - w) - slope_1 * w))
-    return ss[k] + np.where((0.0 <= step) & (step <= ds), step, w * ds)
+def _hermite_rows(us, ss, rate) -> np.ndarray:
+    """Per row interval k of (us, ss), with du/ds = rate at the rows: s_k,
+    s_{k+1} - s_k, u_k, u_{k+1} - u_k and the coefficients c1, c2, c3 of the
+    cubic Hermite interpolant s_k + c1 w + c2 w^2 + c3 w^3 of s(u), with
+    w = (u - u_k) / (u_{k+1} - u_k)."""
+    ds, du = np.diff(ss), np.diff(us)
+    slope_0, slope_1 = du / rate[:-1], du / rate[1:]
+    return np.column_stack([ss[:-1], ds, us[:-1], du, slope_0,
+                            3.0 * ds - 2.0 * slope_0 - slope_1, slope_0 + slope_1 - 2.0 * ds])
 
 
-def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.ndarray):
-    """f and g - c0 at the nodes u0 + offsets that come before the end u*
-    of f0's domain interval, and why the rest are cut (None if none is)."""
+def _hermite_inverse(u, rows):
+    """s at u from the :func:`_hermite_rows` line of its interval, by the cubic
+    Hermite interpolant, or by the chord where that leaves the interval:
+    du/ds is 0/0 at a root end, and tends to 0 where phi is unbounded
+    (phi ~ 1/t near t = 0)."""
+    s_k, ds, u_k, du, c1, c2, c3 = rows.T[:7]
+    w = (u - u_k) / du
+    step = ((c3 * w + c2) * w + c1) * w
+    return s_k + np.where((0.0 <= step) & (step <= ds), step, w * ds)
+
+
+class _Inverse:
+    """A quasi-minimal or CMC profile at any u of its window, from the rows
+    (s_i, u_i, g_i, du/ds) of its nodes on the path.
+
+    A query u lies in the grid interval i = floor((u - u0) / h).  The cubic
+    Hermite inverse of rows i and i + 1 guesses s; Newton steps solve
+    u_i + int_{s_i}^{s} du/ds ds = u by one Gauss-Legendre panel, and each
+    point is frozen once its miss is at roundoff, so its value does not
+    depend on the other points asked for with it.  The miss left is
+    corrected to first order: f = t(s) - miss phi and g = g(s) - miss g'.
+    f' = phi, g' = sign_g z and f'' = -alpha z z' come from z at that f.
+    """
+
+    def __init__(self, path: _Path, u0: float, h: float, s, us, gs, rate):
+        self.path, self.u0, self.h, self.span = path, u0, h, us[-1]
+        self.rows = np.column_stack([_hermite_rows(us, s, rate), gs[:-1]])
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        path, phi = self.path, self.path.phi
+        # each distinct u once: a stencil's arms repeat most of them
+        offsets = (u - self.u0).ravel()
+        w = np.unique(offsets)
+        back = np.searchsorted(w, offsets)
+        # (u - u0) / h truncates to interval 0 in the slack below u0
+        rows = self.rows[np.minimum((w / self.h).astype(np.intp), len(self.rows) - 1)]
+        s_i, u_i, g_i = rows[:, 0], rows[:, 2], rows[:, 7]
+        f, g, miss = np.empty((3, w.size))
+        todo = np.arange(w.size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.minimum(np.maximum(_hermite_inverse(w, rows), 0.0), 1.0)
+            for _ in range(_NEWTON_MAX):
+                du, dg, rate, dudt = path.panels(s_i, s, s)
+                t, m = path.t(s), u_i + du - w
+                f[todo], g[todo], miss[todo] = t - m / dudt, g_i + dg, m
+                done = np.abs(m) <= 64.0 * _EPS * (self.span + np.abs(t * dudt))
+                if done.all():
+                    break
+                keep = ~done
+                s = np.minimum(np.maximum((s - m / rate)[keep], 0.0), 1.0)
+                todo, s_i, u_i, g_i, w, m = (x[keep] for x in (todo, s_i, u_i, g_i, w, m))
+            else:
+                raise DomainError(f"the profile inversion did not converge at u = "
+                                  f"{self.u0 + w[0]:.6g}: |u(f) - u| = {abs(m[0]):.3e}")
+            z = phi._z(f)
+            fp = phi.params.branch.phi * np.sqrt(np.maximum(phi.family.phi2_from_z2(z * z), 0.0))
+            fpp = -phi.family.alpha * z * phi._z_prime(f, z)
+        gp = phi.params.branch.g * z
+        g = phi.params.c0 + g - miss * gp
+        return tuple(x[back].reshape(u.shape) for x in (f, fp, fpp, g, gp))
+
+
+def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: int):
+    """f and g - c0 at the nodes u0 + h i, i = 0..n, that come before the end
+    u* of f0's domain interval, why the rest are cut (None if none is), and
+    the profile's evaluator (None below two nodes)."""
+    offsets = h * np.arange(n + 1)
     sign = 1.0 if rate0 > 0.0 else -1.0
     lo, hi = next(iv for iv in phi.domain if _contains((iv,), f0))
     t_b, t_e = (lo, hi) if sign > 0.0 else (hi, lo)
@@ -708,8 +761,8 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.nd
         t_b, root_b = f0, None
     path = _Path(phi, t_b, t_e, root_b is not None, root_e is not None)
     if not sign * (path.t(1.0) - f0) > 0.0:
-        return np.array([f0]), np.zeros(1), cut
-    s0 = _brentq(lambda s: path.t(s) - f0, 0.0, 1.0, xtol=1e-16)
+        return np.array([f0]), np.zeros(1), cut, None
+    s0 = path.start(f0)
 
     # Tabulate u(s) coarsely up to the edge, then finely up to the row the
     # last node reaches, again while that is under half of the table.  When
@@ -728,22 +781,22 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.nd
     reason = cut if offsets[-1] > us[-1] else None
     offsets = offsets[offsets <= us[-1]]
     if len(offsets) < 2:
-        return np.array([f0]), np.zeros(1), reason
-    s = np.clip(_hermite_inverse(offsets, us, table, rate), s0, 1.0)
+        return np.array([f0]), np.zeros(1), reason, None
+    k = np.clip(np.searchsorted(us, offsets) - 1, 0, len(us) - 2)
+    s = np.clip(_hermite_inverse(offsets, _hermite_rows(us, table, rate)[k]), s0, 1.0)
     s[0] = s0
 
     # Newton on all nodes at once for u(s_i) - u0 = offset_i
-    eps = np.finfo(float).eps
     for _ in range(_NEWTON_MAX):
         us, gs, rate, dudt = path.sweep(s)
         miss = us - offsets
         f = path.t(s)
         # roundoff: what 64 ulps of u and of f move u by
-        tol = 64.0 * eps * (offsets[-1] + np.abs(f * dudt))
+        tol = 64.0 * _EPS * (offsets[-1] + np.abs(f * dudt))
         at_root = (s == 1.0) & (root_e is not None)
         if at_root.any():
             # on the root itself du/ds is 0/0, and f moves by |(phi^2)'| miss^2 / 4
-            tol[at_root] = 2.0 * np.sqrt(64.0 * eps * np.abs(f[at_root]) / slopes[1])
+            tol[at_root] = 2.0 * np.sqrt(64.0 * _EPS * np.abs(f[at_root]) / slopes[1])
             rate[at_root] = (np.diff(us) / np.diff(s))[at_root[1:]]
         if np.all(np.abs(miss) <= tol):
             break
@@ -756,7 +809,7 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, offsets: np.nd
             f"|u(f) - u| = {abs(miss[i]):.3e}"
         )
     f[0] = f0
-    return f, gs, reason
+    return f, gs, reason, _Inverse(path, u0, h, s, us, gs, rate)
 
 
 def integrate_profile(
@@ -777,6 +830,8 @@ def integrate_profile(
     does not converge to roundoff is a :class:`DomainError` naming it.
     f' = phi(f) and g' = sign_g * sqrt(radicand(phi(f))) at each node, and
     f'' comes from the closed form :meth:`PhiFunction.second_derivative`.
+    Between the nodes the profile's evaluator solves u(f) = u the same
+    way, from the node at or below u.
 
     The truncation at the end of the domain interval is exact: the profile
     keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and
@@ -798,18 +853,17 @@ def integrate_profile(
             f"f0 = {f0:.6g} lies outside the admissible domain {phi.domain} of phi"
         )
     h = (u1 - u0) / n
-    offsets = h * np.arange(n + 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         rate0 = phi(f0)
         if rate0 == 0.0:
             if phi.second_derivative(f0) != 0.0:
                 raise DomainError(f"f0 = {f0:.6g} is a turning point of the profile: phi(f0) "
                                   f"= 0 but f''(f0) = {phi.second_derivative(f0):.6g}")
-            f, g, reason = np.full(n + 1, f0), None, None
+            f, g, reason, evaluate = np.full(n + 1, f0), None, None, None
         elif np.isfinite(rate0):
-            f, g, reason = _invert(phi, f0, rate0, u0, offsets)
+            f, g, reason, evaluate = _invert(phi, f0, rate0, u0, h, n)
         else:
-            f, g, reason = np.empty(0), np.empty(0), "phi-inadmissible"
+            f, g, reason, evaluate = np.empty(0), np.empty(0), "phi-inadmissible", None
         fp = phi(f)
         rad = phi.family.gprime_radicand(fp)
         failed = ~np.isfinite(fp) | (rad < _RADICAND_FLOOR)
@@ -819,7 +873,7 @@ def integrate_profile(
             f, fp, rad = f[:keep], fp[:keep], rad[:keep]
         gp = phi.params.branch.g * np.sqrt(np.clip(rad, 0.0, None))
         if g is None:
-            g = gp[:1] * offsets[:len(f)]
+            g = gp[:1] * (h * np.arange(len(f)))
         g = phi.params.c0 + g[:len(f)]
 
     if len(f) < 3:
@@ -827,6 +881,9 @@ def integrate_profile(
             f"profile window collapsed: only {len(f)} admissible samples from "
             f"f0 = {f0:.6g} before leaving the domain"
         )
+    if evaluate is None:
+        # the constant profile of a degenerate phi
+        evaluate = _constant(f0, phi.params.c0, u0, fp[0], phi.second_derivative(f0), gp[0])
     provenance = (
         Provenance.QUASI_MINIMAL_ODE
         if phi.law is GoverningLaw.QUASI_MINIMAL
@@ -844,28 +901,17 @@ def integrate_profile(
         provenance=provenance,
         truncated=reason is not None,
         truncation_reason=reason,
+        evaluate=evaluate,
     )
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Composite-Simpson integral of equally spaced samples y (at least 3)
-    from the first sample to each: bit for bit
-    ``scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)``.
-
-    Each interval is integrated by the quadratic through it and the next
-    sample, except that every second interval, and the last, uses the
-    quadratic through it and the sample before; the pieces are summed in
-    order.
-    """
-    def leading(y):
-        return dx / 3 * (5 * y[:-2] / 4 + 2 * y[1:-1] - y[2:] / 4)
-
-    ahead, behind = leading(y), leading(y[::-1])[::-1]
-    pieces = np.empty(len(y) - 1)
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])
+def _constant(f0: float, c0: float, u0: float, fp: float, fpp: float, gp: float):
+    """The evaluator of the profile f = f0, g = c0 + g' (u - u0) of a degenerate phi."""
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        return (np.full(u.shape, f0), np.full(u.shape, fp), np.full(u.shape, fpp),
+                c0 + gp * (u - u0), np.full(u.shape, gp))
+    return evaluate
 
 
 def profile_from_callable(
@@ -880,16 +926,36 @@ def profile_from_callable(
     """Build a user-supplied profile from callables for f and its derivatives.
 
     g' is produced by the family's unit-speed rule (with the g branch sign
-    from ``params``) and g by composite-Simpson quadrature from params.c0.
-    The supplied f must keep the g' radicand non-negative on the window.
+    from ``params``), and g from params.c0 by one 12-node Gauss-Legendre
+    panel of g' between each pair of consecutive samples.  The profile's
+    evaluator calls f, f' and f'' at u, and adds to g at the nearest sample
+    one panel from there to u.  The supplied f must keep the g' radicand
+    non-negative on the window.
     """
     if n_samples < 3:
         raise ValueError(f"n_samples must be at least 3, got {n_samples}")
     params = params if params is not None else ProfileParams()
     us = np.linspace(float(u_span[0]), float(u_span[1]), n_samples)
-    fv = np.asarray(f(us), dtype=float)
-    fpv = np.asarray(fp(us), dtype=float)
-    fppv = np.asarray(fpp(us), dtype=float)
+
+    def gprime(fp_values):
+        rad = family.gprime_radicand(fp_values)
+        return params.branch.g * np.sqrt(np.clip(rad, 0.0, None))
+
+    def panel(a, b):
+        """int_a^b g' du by one Gauss-Legendre panel."""
+        half = 0.5 * (b - a)
+        fps = np.asarray(fp(a[..., None] + half[..., None] * (1.0 + _GL_NODES)), dtype=float)
+        return half * (gprime(fps) * _GL_WEIGHTS).sum(axis=-1)
+
+    g = params.c0 + np.concatenate([[0.0], np.cumsum(panel(us[:-1], us[1:]))])
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        fu, fpu, fppu = (np.asarray(fn(u), dtype=float) for fn in (f, fp, fpp))
+        near = np.clip(np.rint((u - us[0]) / (us[1] - us[0])).astype(np.intp), 0, len(us) - 1)
+        return fu, fpu, fppu, g[near] + panel(us[near], u), gprime(fpu)
+
+    fv, fpv, fppv, _, gp = evaluate(us)
     radicand = family.gprime_radicand(fpv)
     i_min = int(np.argmin(radicand))
     if radicand[i_min] < 0.0:
@@ -897,8 +963,6 @@ def profile_from_callable(
             f"user profile breaks the unit-speed constraint: g'^2 = "
             f"{radicand[i_min]:.3e} at u = {us[i_min]:.6g}"
         )
-    gp = params.branch.g * np.sqrt(radicand)
-    g = params.c0 + _cumulative_simpson(gp, float(us[1] - us[0]))
     return MeridianProfile(
         family=family,
         us=us,
@@ -909,6 +973,7 @@ def profile_from_callable(
         gp=gp,
         params=params,
         provenance=Provenance.USER_SUPPLIED,
+        evaluate=evaluate,
     )
 
 

@@ -294,6 +294,22 @@ def test_batched_jet_names_the_first_non_finite_point():
         fd_jet(holed, us[:, None], vs[None, :], 1e-4)
 
 
+def test_batched_forms_name_the_first_point_where_the_first_form_overflows():
+    def stretched(u, v):
+        # z_u = (1e200, 0, 0, 0) for u > 0.75: E = 1e400, and so EG - F^2, overflow there
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        return np.stack([np.where(u > 0.75, 1e200, 1.0) * u, v, u * v, np.zeros_like(u)], axis=-1)
+
+    jet = fd_jet(stretched, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
+    assert np.all(np.isfinite(jet.zu)) and np.all(np.isfinite(jet.z))
+    with pytest.raises(DomainError, match="first fundamental form is not finite at "
+                                          "\\(u=1, v=0\\): EG - F\\^2 = (-?inf|nan)"):
+        fundamental_forms(jet)
+    # and through the whole FD mean curvature of one such point
+    with pytest.raises(DomainError, match="first fundamental form is not finite"):
+        mean_curvature_fd(stretched, 1.0, 0.5)
+
+
 def test_batched_forms_detect_one_degenerate_point():
     def tilted_plane(u, v):
         # z_u = (1, 0, u, 0): E = 1 - u^2, F = 0, G = 1, so EG - F^2 = 0 at u = 1

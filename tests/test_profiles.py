@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import IntegrationWarning, cumulative_simpson, quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from meridian4 import (
@@ -18,13 +18,17 @@ from meridian4 import (
     PhiFunction,
     ProfileParams,
     Provenance,
+    assemble,
+    integrate_frenet,
     integrate_profile,
     minimal_profile,
     phi_closed_form,
     profile_from_callable,
     profile_residuals,
+    standard_initial_frame,
 )
 from meridian4 import profiles
+from meridian4.harness import _build_case, _suite_cases
 from meridian4.profiles import _positive_intervals
 
 FT = MeridianFamily.FIRST_TIMELIKE
@@ -737,6 +741,23 @@ def test_profile_matches_the_scipy_reference(case):
                 assert u_last <= u_star < u_last + prof.step
             else:
                 assert u_star >= u_last
+            # off the nodes: the midpoints before those nodes, and random u
+            u = np.concatenate([0.5 * (prof.us[nodes - 1] + prof.us[nodes]),
+                                np.random.default_rng(n).uniform(*prof.u_span, 2)])
+            f, _, _, g, gp = _surface_of(prof).profile_values(u)
+            ref, _ = _scipy_reference(phi, f0, u - prof.us[0], f)
+            np.testing.assert_allclose(f, ref[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gp, ref[:, 2], rtol=1e-12, atol=1e-12)
+            inner = np.isfinite(ref[:, 1])
+            np.testing.assert_allclose(g[inner] - prof.params.c0, ref[inner, 1],
+                                       rtol=0, atol=1e-12)
+
+
+def _surface_of(prof):
+    """prof assembled with a short directrix of its family."""
+    cf = prof.family.curve_family
+    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0), 0.1)
+    return assemble(prof.family, curve, prof)
 
 
 def test_march_reference_cases_truncate_and_run_through():
@@ -861,76 +882,53 @@ def test_family_helpers_keep_floats_as_floats(family):
 
 
 # ---------------------------------------------------------------------------
-# the root finder and the quadrature against scipy's
+# the start of the path
 # ---------------------------------------------------------------------------
 
-_BRENTQ_CASES = [
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.exp(x) - 3.0, -1.0, 3.0),
-    (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
-    (lambda x: (x - 0.7) ** 3, 0.0, 1.0),  # flat at the root: Brent bisects
-    (lambda x: 1e-300 * (x - 0.25), 0.0, 1.0),
-    (lambda x: x - 0.5, 0.5, 2.0),  # a root on the bracket
-    (lambda x: x - 2.0, 0.5, 2.0),
-]
+
+def _start_residual_ok(path, f0, s0):
+    """s0 in [0, 1) and t(s0) = f0 to the roundoff of evaluating t."""
+    eps = np.finfo(float).eps
+    bound = 4.0 * eps * (abs(path.t_b) + abs(path.width))
+    return 0.0 <= s0 < 1.0 and abs(path.t(s0) - f0) <= bound
 
 
-@pytest.mark.parametrize("fn,a,b", _BRENTQ_CASES)
-@pytest.mark.parametrize("xtol", [1e-16, 2e-12, 1e-6])
-def test_brentq_equals_scipy(fn, a, b, xtol):
-    """The same root, bit for bit, or the same exception class."""
-    def outcome(solve, lo, hi):
-        try:
-            return solve(fn, lo, hi, xtol=xtol)
-        except RuntimeError as exc:  # no convergence in 100 iterations
-            return type(exc)
+def test_path_start_solves_the_cubic_on_every_suite_path(monkeypatch):
+    """Every quasi-minimal and CMC case of the suite starts its path at an s0
+    with t(s0) = f0 to roundoff."""
+    seen = []
+    start = profiles._Path.start
 
-    for lo, hi in ((a, b), (b, a)):
-        got = outcome(profiles._brentq, lo, hi)
-        assert type(got) is float or got is RuntimeError
-        assert got == outcome(brentq, lo, hi)
+    def recording(path, f0):
+        s0 = start(path, f0)
+        seen.append((path, f0, s0))
+        return s0
 
-
-def test_brentq_equals_scipy_on_path_cubics():
-    """The quadrature's own use: s with t(s) = f0 on a cubic path from 0 to 1."""
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        t_b, width = rng.uniform(-3.0, 3.0), rng.uniform(1e-6, 5.0)
-        slope_b, slope_e = rng.integers(0, 2, 2).astype(float)
-        c1, c2, c3 = (width * slope_b, width * (3.0 - 2.0 * slope_b - slope_e),
-                      width * (slope_b + slope_e - 2.0))
-        f0 = t_b + width * rng.uniform(0.0, 1.0)
-
-        def fn(s):
-            return t_b + ((c3 * s + c2) * s + c1) * s - f0
-
-        assert profiles._brentq(fn, 0.0, 1.0, xtol=1e-16) == brentq(fn, 0.0, 1.0, xtol=1e-16)
+    monkeypatch.setattr(profiles._Path, "start", recording)
+    reduced = [s for s in _suite_cases() if s.theorem.law is not GoverningLaw.MINIMAL
+               and s.theorem.family is not None]
+    for spec in reduced:
+        _build_case(spec)
+    assert len(seen) == len(reduced) == 9
+    for path, f0, s0 in seen:
+        assert _start_residual_ok(path, f0, s0)
 
 
-def test_brentq_fails_as_scipy_does():
-    def same_sign(x):
-        return x * x + 1.0
-
-    for solve in (profiles._brentq, brentq):
-        with pytest.raises(ValueError, match="different signs"):
-            solve(same_sign, -1.0, 1.0, xtol=1e-12)
-        with pytest.raises(ValueError, match="NaN"):
-            solve(lambda x: np.nan if x > 0.1 else x - 0.5, 0.0, 1.0, xtol=1e-12)
-        with pytest.raises(RuntimeError, match="converge"):
-            solve(lambda x: (x - 0.7) ** 3, 0.0, 1.0, xtol=1e-16)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 50, 801])
-def test_cumulative_simpson_equals_scipy(n):
-    rng = np.random.default_rng(n)
-    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
-    for dx in (1e-3, 0.37, 2.5):
-        got = profiles._cumulative_simpson(y, dx)
-        assert np.array_equal(got, cumulative_simpson(y, dx=dx, initial=0.0))
-    y = np.sqrt(np.linspace(0.0, 2.0, n))
-    assert np.array_equal(profiles._cumulative_simpson(y, 2.0 / (n - 1)),
-                          cumulative_simpson(y, dx=2.0 / (n - 1), initial=0.0))
+@pytest.mark.parametrize("root_b,root_e", [(False, True), (True, True), (True, False), (False, False)])
+def test_path_start_solves_the_cubic_up_to_a_root_end(root_b, root_e):
+    """On paths with slope 0 at a root end, with starts from t(0) to just
+    before t(1), down to 1e-16 of the width from either end."""
+    phi = _march_phi(QM, FT, 1.2, 0.0, 1.0, 1)
+    rng = np.random.default_rng(3)
+    ends = np.geomspace(1e-16, 0.5, 40)
+    for t_b, t_e in ((0.5, 3.0), (3.0, 0.5), (-1e-3, 7e4)):
+        path = profiles._Path(phi, t_b, t_e, root_b, root_e)
+        fracs = np.concatenate([rng.uniform(0.0, 1.0, 50), [0.0, 1e-300], ends, 1.0 - ends])
+        for frac in fracs:
+            f0 = t_b + (t_e - t_b) * frac
+            if not abs(path.t(1.0) - f0) > 0.0:
+                continue
+            assert _start_residual_ok(path, f0, path.start(f0)), (t_b, t_e, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -998,6 +996,8 @@ def _profile_kwargs(**overrides):
         gp=np.ones_like(us),
         params=ProfileParams(),
         provenance=Provenance.USER_SUPPLIED,
+        evaluate=lambda u: (np.ones_like(u), np.zeros_like(u), np.zeros_like(u), u,
+                            np.ones_like(u)),
     )
     base.update(overrides)
     return base

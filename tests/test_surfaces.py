@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import BPoly, CubicSpline
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from meridian4 import (
     SIG4,
+    BranchSigns,
     DomainError,
     MeridianFamily,
     ProfileParams,
@@ -25,10 +26,7 @@ from meridian4 import (
     tilde_surface,
     transform_T,
 )
-from meridian4 import surfaces
-from meridian4.cli import main
-from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases, verify_case
-from meridian4.surfaces import _hermite, _not_a_knot
+from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases
 
 FT = MeridianFamily.FIRST_TIMELIKE
 FS = MeridianFamily.FIRST_SPACELIKE
@@ -64,37 +62,8 @@ def cylinder_surface():
 
 
 # ---------------------------------------------------------------------------
-# the vectorized Hermite construction
+# the profile's exact evaluation
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("uniform", [True, False])
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("tail", [()])
-def test_hermite_equals_from_derivatives(uniform, d, tail):
-    rng = np.random.default_rng(17 + d + len(tail))
-    if uniform:
-        x = np.linspace(-0.7, 1.3, 1201)
-    else:
-        # enough random steps that some h**2 round differently in numpy's
-        # array power than in the scalar pow (about 1 in 1,000 on x86-64)
-        x = np.cumsum(rng.uniform(1e-4, 0.3, 12001)) - 2.0
-    m = len(x)
-    # magnitudes from 1e-6 to 1e6, so every rounding step is exercised
-    y, y2 = rng.standard_normal((2, m, d) + tail) * 10.0 ** rng.uniform(-6, 6, (2, m, d) + tail)
-    # interpolants built together share the step powers
-    for got, yi in zip(_hermite(x, y, y2), (y, y2)):
-        assert np.array_equal(got, BPoly.from_derivatives(x, yi).c)
-
-
-def _scipy_interpolants(prof):
-    """scipy's f, f', f'', g and g' of a profile: BPoly.from_derivatives and its
-    derivative, and CubicSpline through the f'' samples (below 4 knots, f's
-    second derivative)."""
-    Pf = BPoly.from_derivatives(prof.us, np.column_stack([prof.f, prof.fp, prof.fpp]))
-    Pg = BPoly.from_derivatives(prof.us, np.column_stack([prof.g, prof.gp, prof.gpp]))
-    Pf_d2 = CubicSpline(prof.us, prof.fpp) if len(prof.us) >= 4 else Pf.derivative(2)
-    return Pf, Pf.derivative(), Pf_d2, Pg, Pg.derivative()
 
 
 def _reference_points(prof, rng):
@@ -110,58 +79,112 @@ def _reference_points(prof, rng):
     ])
 
 
-@pytest.mark.parametrize(
-    "family,params,u_span",
-    [
-        (FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
-        (FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0)),
-        (SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
-    ],
-)
-def test_assembled_interpolants_equal_from_derivatives(family, params, u_span):
-    """f, f', f'', g and g' equal scipy's BPoly.from_derivatives, its
-    derivative and CubicSpline bit for bit, at random points, at the knots,
-    at the closed right end and in the slack window past either end."""
-    surface = _minimal_surface(family, params, u_span, kappa=0.4)
-    refs = _scipy_interpolants(surface.profile)
-    for got, ref in zip((surface._cf, surface._cg), refs[::3]):
-        assert np.array_equal(got, ref.c)
-    u = _reference_points(surface.profile, np.random.default_rng(5))
-    # a grid line's shapes and a single point take the same path
-    for at in (u, u[:60].reshape(5, 1, 12), u[7]):
-        for got, ref in zip(surface.profile_values(at), refs):
-            assert np.shape(got) == np.shape(at) and np.array_equal(got, ref(at))
-
-
-@pytest.mark.parametrize("n_samples", [3, 4, 5, 37])
-def test_few_knot_profiles_equal_scipy(n_samples):
-    """Below 4 knots f'' is the second derivative of f, scipy's k == 3
-    Bernstein branch; from 4 knots on it is the spline."""
-    profile = profile_from_callable(
-        FT,
+def _callable_profile(n_samples, family=FT):
+    return profile_from_callable(
+        family,
         f=lambda u: 2.0 + np.sin(u),
         fp=np.cos,
         fpp=lambda u: -np.sin(u),
         u_span=(0.1, 0.4),
         n_samples=n_samples,
+        params=ProfileParams(c0=0.3),
     )
+
+
+@pytest.fixture(scope="module")
+def evaluated():
+    """One surface of each profile construction, and a truncated one, by name."""
+    reduced = [s for s in _suite_cases() if s.theorem in (Theorem.QUASI_B, Theorem.CMC_C)]
+    # the second-family branch of domain [4/3, 4] ends where z, and so g', reaches 0
+    truncated = CaseSpec(Theorem.QUASI_C, ProfileParams(a=0.5, c=2.0, c0=0.25,
+                                                        branch=BranchSigns(g=-1)),
+                         f0=2.0, u_span=(0.0, 5.0))
+    return {
+        "minimal": _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), kappa=0.4),
+        **{spec.theorem.value: _build_case(spec)[0] for spec in reduced},
+        "truncated": _build_case(truncated)[0],
+        "callable": assemble(FT, _curve(FT, 0.3), _callable_profile(37)),
+    }
+
+
+def test_the_truncated_case_is_truncated(evaluated):
+    assert evaluated["truncated"].profile.truncation_reason == "phi-inadmissible"
+    assert not any(evaluated[k].profile.truncated for k in evaluated if k != "truncated")
+
+
+@pytest.mark.parametrize("name", ["minimal", "quasi-b", "cmc-c", "truncated", "callable"])
+def test_profile_values_at_the_nodes_are_the_node_arrays(evaluated, name):
+    """The closed forms give the node arrays bit for bit; the inversion of
+    the first integral and the callable profile to a few ulps of each array
+    and of f times the column's rate of change in f.  The node rule
+    g' = sign_g sqrt(radicand(f')) finds g'^2 as a difference of terms of
+    size f'^2 + 1, so it carries eps (f'^2 + 1) / |g'| more, which is large
+    where the truncated profile ends, at g' -> 0."""
+    surface = evaluated[name]
+    prof = surface.profile
+    eps = np.finfo(float).eps
+    nodes = (prof.f, prof.fp, prof.fpp, prof.g, prof.gp)
+    for k, (got, node) in enumerate(zip(surface.profile_values(prof.us), nodes)):
+        assert got.shape == node.shape
+        if name == "minimal":
+            assert np.array_equal(got, node)
+            continue
+        tol = 16.0 * eps * (np.max(np.abs(node)) + np.abs(prof.f * np.gradient(node, prof.f)))
+        if k == 4:
+            tol += 16.0 * eps * (prof.fp**2 + 1.0) / np.abs(node)
+        assert np.all(np.abs(got - node) <= tol), k
+
+
+@pytest.mark.parametrize("family,params,u_span", [
+    (FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5)),
+    (FS, ProfileParams(a=1.5, b=1.0, c0=0.2), (0.2, 1.0)),
+    (SECOND, ProfileParams(a=0.3, b=1.0, branch=BranchSigns(g=-1)), (-0.5, 0.5)),
+])
+def test_minimal_profile_values_are_the_closed_forms(family, params, u_span):
+    """Off the nodes too, f, f', f'', g and g' are the closed forms of
+    minimal_profile, which sampled at the nodes give its arrays: f^2 is the
+    quadratic, the profile has unit speed and solves f f'' + f'^2 + beta = 0,
+    and g' is the derivative of g, to roundoff."""
+    surface = _minimal_surface(family, params, u_span, kappa=0.4)
+    u = _reference_points(surface.profile, np.random.default_rng(5))
+    f, fp, fpp, g, gp = surface.profile_values(u)
+    eps = np.finfo(float).eps
+    a, b = params.a, params.b
+    assert np.max(np.abs(f * f - (-family.beta * u * u + 2.0 * a * u + b))) <= 8 * eps
+    assert np.max(np.abs(family.speed_residual(fp, gp))) <= 16 * eps
+    assert np.max(np.abs(family.governing_core(f, fp, fpp))) <= 16 * eps
+    g0 = surface.profile_values(u_span[0])[3]
+    for x in u[:4]:
+        gain = quad(lambda t: surface.profile_values(t)[4], u_span[0], x, epsabs=1e-15)[0]
+        assert abs(gain - (surface.profile_values(x)[3] - g0)) <= 1e-14
+    # a grid line's shape and a single point take the same path
+    for at in (u[:60].reshape(5, 1, 12), u[7]):
+        for got, ref in zip(surface.profile_values(at), surface.profile_values(np.ravel(at))):
+            assert np.shape(got) == np.shape(at) and np.array_equal(np.ravel(got), ref)
+
+
+@pytest.mark.parametrize("n_samples", [3, 4, 5, 37])
+def test_callable_profile_values_are_its_callables(n_samples):
+    """f, f' and f'' are the user's callables bit for bit at any u, g' the
+    unit-speed rule of f', and g the integral of g' from c0 to 1e-14."""
+    profile = _callable_profile(n_samples)
     surface = assemble(FT, _curve(FT, 0.3), profile)
     u = _reference_points(profile, np.random.default_rng(n_samples))
-    for got, ref in zip(surface.profile_values(u), _scipy_interpolants(profile)):
-        assert np.array_equal(got, ref(u))
+    f, fp, fpp, g, gp = surface.profile_values(u)
+    assert np.array_equal(f, 2.0 + np.sin(u))
+    assert np.array_equal(fp, np.cos(u))
+    assert np.array_equal(fpp, -np.sin(u))
+    assert np.array_equal(gp, np.sqrt(FT.gprime_radicand(np.cos(u))))
 
+    def integral(x):
+        return quad(lambda t: np.sqrt(FT.gprime_radicand(np.cos(t))), 0.1, x,
+                    epsabs=1e-14, epsrel=1e-14)[0]
 
-@pytest.mark.parametrize("n", [4, 5, 6, 201, 1201, 3201])
-def test_not_a_knot_equals_cubic_spline(n):
-    """The spline's coefficients equal CubicSpline's bit for bit on uniform
-    grids, with data from 1e-6 to 1e6 in size."""
-    rng = np.random.default_rng(n)
-    x = -0.37 + 1e-3 * np.arange(n)
-    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
-    assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
-    x = np.linspace(2.0, 2.9, n)
-    y = np.cos(5.0 * x) / x
-    assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
+    pick = np.random.default_rng(1).choice(len(u), 40, replace=False)
+    ref = 0.3 + np.array([integral(x) for x in u[pick]])
+    np.testing.assert_allclose(g[pick], ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(profile.g, 0.3 + np.array([integral(x) for x in profile.us]),
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +270,33 @@ def test_grid_points_shape_and_domain_check():
             surface.profile_values(u)
 
 
-def test_product_grid_evaluation_equals_broadcast_evaluation():
-    """u-factors on u and v-factors on v give the broadcast values bit for bit."""
-    surface = _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.3, 1.2), kappa=0.4)
-    us = np.linspace(0.35, 1.15, 9)
-    vs = np.linspace(0.05, 1.15, 6)
-    grid = (us[:, None], vs[None, :])
-    full = tuple(x.copy() for x in np.broadcast_arrays(*grid))
-    assert np.array_equal(surface.immersion(*grid), surface.immersion(*full))
-    assert surface.immersion(*grid).shape == (9, 6, 4)
-    for got, ref in zip(surface.frames(*grid), surface.frames(*full)):
-        assert got.shape == (9, 6, 4) and np.array_equal(got, ref)
-    mc, mc_full = surface.mean_curvature(*grid), surface.mean_curvature(*full)
-    for name in ("h1", "h2", "vector", "norm2"):
-        got, ref = getattr(mc, name), getattr(mc_full, name)
-        assert got.shape == ref.shape and np.array_equal(got, ref), name
+def test_product_grid_evaluation_equals_broadcast_evaluation(evaluated):
+    """u-factors on u and v-factors on v give the broadcast values bit for bit,
+    for a minimal, a quasi-minimal, a CMC and a truncated profile: the
+    inversion of the first integral gives each point the same bits whatever
+    points it is asked for with."""
+    surfaces = [_minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.3, 1.2), kappa=0.4),
+                *(evaluated[k] for k in ("quasi-b", "cmc-c", "truncated"))]
+    for surface in surfaces:
+        (u0, u1), (v0, v1) = surface.u_span, surface.v_span
+        us = np.linspace(u0 + 0.05, u1 - 0.05, 9)
+        vs = np.linspace(v0 + 0.05, v1 - 0.05, 6)
+        grid = (us[:, None], vs[None, :])
+        full = tuple(x.copy() for x in np.broadcast_arrays(*grid))
+        assert np.array_equal(surface.immersion(*grid), surface.immersion(*full))
+        assert surface.immersion(*grid).shape == (9, 6, 4)
+        for got, ref in zip(surface.frames(*grid), surface.frames(*full)):
+            assert got.shape == (9, 6, 4) and np.array_equal(got, ref)
+        mc, mc_full = surface.mean_curvature(*grid), surface.mean_curvature(*full)
+        for name in ("h1", "h2", "vector", "norm2"):
+            got, ref = getattr(mc, name), getattr(mc_full, name)
+            assert got.shape == ref.shape and np.array_equal(got, ref), name
+        # and each point alone, and the points in reverse order
+        values = surface.profile_values(us)
+        for k in (0, 4, 8):
+            assert all(np.array_equal(x[k], y) for x, y in zip(values, surface.profile_values(us[k])))
+        for x, y in zip(values, surface.profile_values(us[::-1])):
+            assert np.array_equal(x, y[::-1])
 
 
 def test_empty_broadcast_skips_the_domain_check():
@@ -351,30 +386,6 @@ def test_frame_equations_hold_on_generic_surface():
     assert set(res) == {
         "du_X", "du_Y", "du_n1", "du_n2", "dv_X", "dv_Y", "dv_n1", "dv_n2",
     }
-
-
-def test_the_f2_spline_is_solved_only_when_f2_is_read(monkeypatch, tmp_path):
-    """The immersion, grid points, the tilde chart reference, ``generate`` and
-    the congruence case read f and g only and never solve the f'' spline;
-    mean curvature solves it once per surface."""
-    solved = []
-    not_a_knot = surfaces._not_a_knot
-    monkeypatch.setattr(surfaces, "_not_a_knot",
-                        lambda x, y: solved.append(len(x)) or not_a_knot(x, y))
-    surface = _minimal_surface(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), kappa=0.4)
-    us, vs = np.linspace(-0.4, 0.4, 7), np.linspace(0.1, 1.1, 5)
-    surface.immersion(us[:, None], vs[None, :])
-    surface.grid_points(us, vs)
-    tilde_surface(TildeKind.PRIME, surface).chart_reference(us[:, None], vs[None, :])
-    argv = ["generate", "--theorem=minimal-a", "--a=1", "--nu=9", "--nv=9",
-            f"--out={tmp_path / 'mesh.obj'}"]
-    assert main(argv) == 0
-    congruence = [s for s in _suite_cases() if s.theorem is Theorem.CONGRUENCE_TILDE]
-    assert verify_case(congruence[0]).status == "pass"
-    assert solved == []
-    surface.mean_curvature(us[:, None], vs[None, :])
-    surface.profile_values(us)
-    assert solved == [len(surface.profile.us)]
 
 
 def test_mean_curvature_guards_degenerate_radicand():
