@@ -97,13 +97,6 @@ class MeridianFamily(enum.Enum):
         """
         return self.z2_from_phi2(fp * fp)
 
-    def gpp_rule(self, fp, fpp, gp):
-        """g'' implied by differentiating the unit-speed constraint."""
-        fp = np.asarray(fp, dtype=float)
-        fpp = np.asarray(fpp, dtype=float)
-        gp = np.asarray(gp, dtype=float)
-        return -self.alpha * fp * fpp / gp
-
     def minimal_discriminant(self, a: float, b: float) -> float:
         """-alpha (a^2 + beta b), which the minimal closed forms need positive.
 

@@ -214,16 +214,6 @@ class MeridianProfile:
     def step(self) -> float:
         return float(self.us[1] - self.us[0])
 
-    @property
-    def gpp(self) -> np.ndarray:
-        """g'' from the differentiated unit-speed constraint.
-
-        Where g' touches zero (a vertical tangent of g) the rule returns a
-        non-finite value; curvature evaluations guard that locus themselves.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.family.gpp_rule(self.fp, self.fpp, self.gp)
-
 
 # ---------------------------------------------------------------------------
 # closed-form minimal profiles

@@ -1,7 +1,10 @@
 """Tests for mesh export: formats, counts, byte determinism."""
 
+import errno
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +26,10 @@ from meridian4 import (
     tilde_surface,
     verify_case,
 )
-from meridian4 import __version__
-from meridian4.export import CSV_HEADER, _mesh_metadata, _render_csv, _render_json, _render_obj
+from meridian4 import __version__, export
+from meridian4.export import (
+    CSV_HEADER, _csv_text, _file_bytes, _json_text, _mesh_metadata, _obj_text,
+)
 from meridian4.harness import _build_case
 
 
@@ -229,9 +234,12 @@ def _point_grids(draw):
 @given(grid=_point_grids())
 def test_renderers_match_the_reference_on_any_finite_points(small_surface, grid):
     us, vs, points = grid
-    assert _render_csv(us, vs, points) == _ref_csv(us, vs, points)
-    assert _render_obj(us, vs, points) == _ref_obj(us, vs, points)
-    assert _render_json(small_surface, us, vs, points) == _ref_json(small_surface, us, vs, points)
+    def in_process(text):
+        return b"".join(_file_bytes(text, 1)).decode("ascii")
+
+    assert in_process(_csv_text(us, vs, points)) == _ref_csv(us, vs, points)
+    assert in_process(_obj_text(us, vs, points)) == _ref_obj(us, vs, points)
+    assert in_process(_json_text(small_surface, us, vs, points)) == _ref_json(small_surface, us, vs, points)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
@@ -262,3 +270,149 @@ def test_nan_grid_is_a_domain_error(small_surface, tmp_path, axis):
     # a finite grid still writes RFC 8259 JSON
     path = export_mesh(small_surface, us[[0, 2]], vs[[0, 2]], tmp_path / "ok.json", fmt="json")
     json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# Fan-out over forked workers: the same bytes from any number of workers, a
+# failed worker raises before the file is opened, and no child outlives a call.
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """``fan_out(w)``: render every mesh with w usable CPUs and no size floor;
+    returns the list of pids that ``os.fork`` gave the parent."""
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def setup(workers):
+        monkeypatch.setattr(export, "_FAN_OUT_MIN_POINTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forked
+
+    return setup
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+@pytest.mark.parametrize("kind", ["meridian", "tilde", "truncated"])
+@pytest.mark.parametrize("shape", [(2, 5), (7, 4)])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fanned_out_bytes_match_the_reference(small_surface, tmp_path, fan_out, fmt, kind,
+                                              shape, workers):
+    # nu = 2 gives fewer u lines than 3 workers (and one face row); 7 lines
+    # split 3 + 4 or 2 + 2 + 3
+    forked = fan_out(workers)
+    meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
+    us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
+    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+    path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
+    assert len(forked) == min(workers, shape[0]) - 1
+    assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failing_worker_raises_and_writes_nothing(small_surface, grids, tmp_path, fan_out,
+                                                    monkeypatch, capfd, workers):
+    forked = fan_out(workers)
+    parent, real_xyz = os.getpid(), export._xyz
+
+    def xyz_failing_in_a_child(line):
+        if os.getpid() != parent:
+            raise ValueError("render failed in a child")
+        return real_xyz(line)
+
+    monkeypatch.setattr(export, "_xyz", xyz_failing_in_a_child)
+    path = tmp_path / "mesh.obj"
+    with pytest.raises(RuntimeError, match="mesh rendering failed in worker"):
+        export_mesh(small_surface, *grids, path, fmt="obj")
+    assert len(forked) == workers - 1
+    assert not path.exists()
+    assert "render failed in a child" in capfd.readouterr().err
+    _assert_no_child_left()
+
+
+def test_a_failing_parent_reaps_its_workers(small_surface, grids, tmp_path, fan_out, monkeypatch):
+    forked = fan_out(3)
+    parent, real_xyz = os.getpid(), export._xyz
+
+    def xyz_failing_in_the_parent(line):
+        if os.getpid() == parent:
+            raise ValueError("render failed in the parent")
+        return real_xyz(line)
+
+    monkeypatch.setattr(export, "_xyz", xyz_failing_in_the_parent)
+    path = tmp_path / "mesh.csv"
+    with pytest.raises(ValueError, match="render failed in the parent"):
+        export_mesh(small_surface, *grids, path)
+    assert len(forked) == 2
+    assert not path.exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+@pytest.mark.parametrize("forks_before_failing", [0, 1])
+def test_a_fork_that_fails_renders_in_process(small_surface, grids, tmp_path, fan_out,
+                                              monkeypatch, fmt, forks_before_failing):
+    forked = fan_out(3)
+    counting_fork = os.fork
+
+    def fork_that_fails():
+        if len(forked) >= forks_before_failing:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork_that_fails)
+    path = export_mesh(small_surface, *grids, tmp_path / f"mesh.{fmt}", fmt=fmt)
+    assert len(forked) == forks_before_failing
+    assert path.read_bytes() == _reference(fmt, small_surface, *grids).encode("ascii")
+    _assert_no_child_left()
+
+
+def _fork_must_not_run():
+    raise AssertionError("os.fork called")
+
+
+def test_small_meshes_render_in_process(small_surface, grids, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    us, vs = grids
+    assert len(us) * len(vs) < export._FAN_OUT_MIN_POINTS
+    path = export_mesh(small_surface, us, vs, tmp_path / "mesh.csv")
+    assert path.read_bytes() == _reference("csv", small_surface, us, vs).encode("ascii")
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_no_fork_without_the_os_calls(small_surface, grids, tmp_path, fan_out, monkeypatch,
+                                      missing):
+    fan_out(3)
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    monkeypatch.delattr(os, missing)
+    path = export_mesh(small_surface, *grids, tmp_path / "mesh.obj", fmt="obj")
+    assert path.read_bytes() == _reference("obj", small_surface, *grids).encode("ascii")
+
+
+def test_no_fork_while_another_thread_runs(small_surface, grids, tmp_path, fan_out, monkeypatch):
+    fan_out(3)
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        path = export_mesh(small_surface, *grids, tmp_path / "mesh.json", fmt="json")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert path.read_bytes() == _reference("json", small_surface, *grids).encode("ascii")

@@ -1032,11 +1032,3 @@ def test_profile_rejects_nonfinite():
     f[5] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         MeridianProfile(**_profile_kwargs(f=f))
-
-
-def test_gpp_follows_the_constraint():
-    prof = minimal_profile(FT, ProfileParams(a=0.2, b=1.0), (-0.4, 0.6), 801)
-    # differentiate g' numerically and compare with the constraint-derived g''
-    h = prof.step
-    fd = np.gradient(prof.gp, h)
-    np.testing.assert_allclose(prof.gpp[2:-2], fd[2:-2], atol=1e-5)
