@@ -162,9 +162,8 @@ class MeridianProfile:
     ``truncated`` marks ODE profiles that end before the requested window
     end; ``us`` then covers only the reached span.  ``truncation_reason``
     says why (None when the profile is whole): ``"phi-inadmissible"`` (the
-    domain interval of phi ends at u*), ``"left-domain"`` (the scan window
-    of phi's domain ends at u*) or ``"gprime-radicand"`` (a node's g'
-    radicand is below roundoff).
+    domain interval of phi ends at u*) or ``"left-domain"`` (the scan window
+    of phi's domain ends at u*).
     """
 
     family: MeridianFamily
@@ -318,11 +317,9 @@ def minimal_profile(
 # first-integral reductions: f' = phi(f)
 # ---------------------------------------------------------------------------
 
-# Roundoff allowances at a domain edge: phi^2 and z down to
-# -_ADMISSIBLE_RTOL * max(1, z^2) count as zero, and so does a g'^2
-# radicand down to _RADICAND_FLOOR.
+# Roundoff allowance at a domain edge: phi^2 and z down to
+# -_ADMISSIBLE_RTOL * max(1, z^2) count as zero.
 _ADMISSIBLE_RTOL = 1e-13
-_RADICAND_FLOOR = -1e-12
 
 
 @dataclass(eq=False)
@@ -542,7 +539,7 @@ def phi_closed_form(
 
 # Gauss-Legendre rule of every quadrature panel (Golub and Welsch, 1969).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-# Panels of the table that gives the first guess of each node.
+# Panels of the u(s) table whose rows the evaluator starts from.
 _TABLE_PANELS = 128
 _NEWTON_MAX = 16
 _EPS = np.finfo(float).eps
@@ -553,9 +550,9 @@ def _contains(domain: tuple[tuple[float, float], ...], t: float) -> bool:
     return any(lo - slack <= t <= hi + slack for lo, hi in domain)
 
 
-def _simple_roots(phi: PhiFunction, edges: tuple[float, float]):
+def _simple_roots(phi: PhiFunction, edges: tuple[float, float]) -> list[float | None]:
     """Each domain edge moved onto the simple root of phi^2 at it (None if it
-    is none), and |(phi^2)'| there.
+    is none).
 
     The scan bisects an edge to ~1e-12 of its size.  Two Newton steps on
     phi^2, with (phi^2)' = -2 alpha z z', take an edge that is a simple
@@ -570,7 +567,7 @@ def _simple_roots(phi: PhiFunction, edges: tuple[float, float]):
         slope = -2.0 * phi.family.alpha * z * phi._z_prime(r, z)
         r = r - p2 / slope
     near = np.abs(r - t) <= 1e-10 * np.maximum(1.0, np.abs(t))
-    return [float(x) if ok else None for x, ok in zip(r, near)], np.abs(slope)
+    return [float(x) if ok else None for x, ok in zip(r, near)]
 
 
 class _Path:
@@ -648,54 +645,39 @@ class _Path:
         return du, dg, rate[m:], dudt[m:]
 
     def sweep(self, s: np.ndarray):
-        """u - u0 and g - c0 at the nodes s, and du/ds and du/dt at each node.
-
-        Both are cumulative sums of one Gauss-Legendre panel between each
-        pair of consecutive nodes, so the sum up to node i depends on s_i
-        alone, and its derivative in s_i is du/ds at s_i.
-        """
-        du, dg, rate, dudt = self.panels(s[:-1], s[1:], s)
-        return *(np.concatenate([[0.0], np.cumsum(x)]) for x in (du, dg)), rate, dudt
-
-
-def _hermite_rows(us, ss, rate) -> np.ndarray:
-    """Per row interval k of (us, ss), with du/ds = rate at the rows: s_k,
-    s_{k+1} - s_k, u_k, u_{k+1} - u_k and the coefficients c1, c2, c3 of the
-    cubic Hermite interpolant s_k + c1 w + c2 w^2 + c3 w^3 of s(u), with
-    w = (u - u_k) / (u_{k+1} - u_k)."""
-    ds, du = np.diff(ss), np.diff(us)
-    slope_0, slope_1 = du / rate[:-1], du / rate[1:]
-    return np.column_stack([ss[:-1], ds, us[:-1], du, slope_0,
-                            3.0 * ds - 2.0 * slope_0 - slope_1, slope_0 + slope_1 - 2.0 * ds])
-
-
-def _hermite_inverse(u, rows):
-    """s at u from the :func:`_hermite_rows` line of its interval, by the cubic
-    Hermite interpolant, or by the chord where that leaves the interval:
-    du/ds is 0/0 at a root end, and tends to 0 where phi is unbounded
-    (phi ~ 1/t near t = 0)."""
-    s_k, ds, u_k, du, c1, c2, c3 = rows.T[:7]
-    w = (u - u_k) / du
-    step = ((c3 * w + c2) * w + c1) * w
-    return s_k + np.where((0.0 <= step) & (step <= ds), step, w * ds)
+        """u - u0 and g - c0 at the rows s, as cumulative sums of one
+        Gauss-Legendre panel between consecutive rows, and du/ds at each row."""
+        du, dg, rate, _ = self.panels(s[:-1], s[1:], s)
+        return *(np.concatenate([[0.0], np.cumsum(x)]) for x in (du, dg)), rate
 
 
 class _Inverse:
     """A quasi-minimal or CMC profile at any u of its window, from the rows
-    (s_i, u_i, g_i, du/ds) of its nodes on the path.
+    (s_k, u_k, g_k, du/ds) of a table of u - u0 and g - c0 along the path.
 
-    A query u lies in the grid interval i = floor((u - u0) / h).  The cubic
-    Hermite inverse of rows i and i + 1 guesses s; Newton steps solve
-    u_i + int_{s_i}^{s} du/ds ds = u by one Gauss-Legendre panel, and each
-    point is frozen once its miss is at roundoff, so its value does not
-    depend on the other points asked for with it.  The miss left is
-    corrected to first order: f = t(s) - miss phi and g = g(s) - miss g'.
-    f' = phi, g' = sign_g z and f'' = -alpha z z' come from z at that f.
+    A query u lies in the row interval k with u_k <= u - u0 < u_{k+1}, or
+    in the first or last one in the slack outside the table.  The cubic
+    Hermite inverse of rows k and k + 1 guesses s, or their chord where it
+    leaves the interval: du/ds is 0/0 at a root end, and tends to 0 where
+    phi is unbounded (phi ~ 1/t near t = 0).  Newton steps solve
+    u_k + int_{s_k}^{s} du/ds ds = u - u0 by one Gauss-Legendre panel, and
+    each point is frozen once its miss is at roundoff, so its value does
+    not depend on the other points asked for with it.  The miss left is
+    corrected to first order: f = t(s) - miss phi and g = g(s) - miss g';
+    at u0 itself f is f0, which t(s0) may miss by an ulp.  f' = phi,
+    g' = sign_g z and f'' = -alpha z z' come from z at that f.
     """
 
-    def __init__(self, path: _Path, u0: float, h: float, s, us, gs, rate):
-        self.path, self.u0, self.h, self.span = path, u0, h, us[-1]
-        self.rows = np.column_stack([_hermite_rows(us, s, rate), gs[:-1]])
+    def __init__(self, path: _Path, f0: float, u0: float, span: float, s, us, gs, rate):
+        self.path, self.f0, self.u0, self.span = path, f0, u0, span
+        ds, du = np.diff(s), np.diff(us)
+        slope_0, slope_1 = du / rate[:-1], du / rate[1:]
+        # per row interval: s_k, s_{k+1} - s_k, u_k, u_{k+1} - u_k, g_k and the
+        # coefficients c1, c2, c3 of the cubic Hermite inverse
+        # s_k + c1 x + c2 x^2 + c3 x^3, with x = (u - u0 - u_k) / (u_{k+1} - u_k)
+        self.rows = np.column_stack([s[:-1], ds, us[:-1], du, gs[:-1], slope_0,
+                                     3.0 * ds - 2.0 * slope_0 - slope_1,
+                                     slope_0 + slope_1 - 2.0 * ds])
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -704,26 +686,30 @@ class _Inverse:
         offsets = (u - self.u0).ravel()
         w = np.unique(offsets)
         back = np.searchsorted(w, offsets)
-        # (u - u0) / h truncates to interval 0 in the slack below u0
-        rows = self.rows[np.minimum((w / self.h).astype(np.intp), len(self.rows) - 1)]
-        s_i, u_i, g_i = rows[:, 0], rows[:, 2], rows[:, 7]
+        k = np.clip(np.searchsorted(self.rows[:, 2], w, side="right") - 1, 0, len(self.rows) - 1)
+        s_k, ds, u_k, du_k, g_k, c1, c2, c3 = self.rows[k].T
         f, g, miss = np.empty((3, w.size))
+        at_u0 = w == 0.0
         todo = np.arange(w.size)
         with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.minimum(np.maximum(_hermite_inverse(w, rows), 0.0), 1.0)
+            frac = (w - u_k) / du_k
+            step = ((c3 * frac + c2) * frac + c1) * frac
+            s = s_k + np.where((0.0 <= step) & (step <= ds), step, frac * ds)
+            s = np.minimum(np.maximum(s, 0.0), 1.0)
             for _ in range(_NEWTON_MAX):
-                du, dg, rate, dudt = path.panels(s_i, s, s)
-                t, m = path.t(s), u_i + du - w
-                f[todo], g[todo], miss[todo] = t - m / dudt, g_i + dg, m
+                du, dg, rate, dudt = path.panels(s_k, s, s)
+                t, m = path.t(s), u_k + du - w
+                f[todo], g[todo], miss[todo] = t - m / dudt, g_k + dg, m
                 done = np.abs(m) <= 64.0 * _EPS * (self.span + np.abs(t * dudt))
                 if done.all():
                     break
                 keep = ~done
                 s = np.minimum(np.maximum((s - m / rate)[keep], 0.0), 1.0)
-                todo, s_i, u_i, g_i, w, m = (x[keep] for x in (todo, s_i, u_i, g_i, w, m))
+                todo, s_k, u_k, g_k, w, m = (x[keep] for x in (todo, s_k, u_k, g_k, w, m))
             else:
                 raise DomainError(f"the profile inversion did not converge at u = "
                                   f"{self.u0 + w[0]:.6g}: |u(f) - u| = {abs(m[0]):.3e}")
+            f[at_u0] = self.f0
             z = phi._z(f)
             fp = phi.params.branch.phi * np.sqrt(np.maximum(phi.family.phi2_from_z2(z * z), 0.0))
             fpp = -phi.family.alpha * z * phi._z_prime(f, z)
@@ -733,9 +719,9 @@ class _Inverse:
 
 
 def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: int):
-    """f and g - c0 at the nodes u0 + h i, i = 0..n, that come before the end
-    u* of f0's domain interval, why the rest are cut (None if none is), and
-    the profile's evaluator (None below two nodes)."""
+    """How many of the nodes u0 + h i, i = 0..n, come before the end u* of
+    f0's domain interval, why the rest are cut (None if none is), and the
+    profile's evaluator (None if the path ends at f0)."""
     offsets = h * np.arange(n + 1)
     sign = 1.0 if rate0 > 0.0 else -1.0
     lo, hi = next(iv for iv in phi.domain if _contains((iv,), f0))
@@ -743,7 +729,7 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: i
     # phi is still admissible past the end of the scan window
     beyond = phi(t_e + sign * 1e-9 * max(1.0, abs(t_e)))
     cut = "left-domain" if np.isfinite(beyond) else "phi-inadmissible"
-    (root_b, root_e), slopes = _simple_roots(phi, (t_b, t_e))
+    root_b, root_e = _simple_roots(phi, (t_b, t_e))
     t_b = t_b if root_b is None else root_b
     t_e = t_e if root_e is None else root_e
     if not sign * (f0 - t_b) > 0.0:
@@ -751,7 +737,7 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: i
         t_b, root_b = f0, None
     path = _Path(phi, t_b, t_e, root_b is not None, root_e is not None)
     if not sign * (path.t(1.0) - f0) > 0.0:
-        return np.array([f0]), np.zeros(1), cut, None
+        return 1, cut, None
     s0 = path.start(f0)
 
     # Tabulate u(s) coarsely up to the edge, then finely up to the row the
@@ -759,47 +745,19 @@ def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: i
     # the nodes may pass the edge, the fine table ends there and its last
     # row is u*.
     table = np.linspace(s0, 1.0, _TABLE_PANELS // 8 + 1)
-    for _ in range(4):
-        us, _, rate, _ = path.sweep(table)
+    for zoom in range(4):
+        if zoom:
+            table = np.linspace(s0, table[reach], _TABLE_PANELS + 1)
+        us, gs, rate = path.sweep(table)
         if not np.all(np.isfinite(us)):
             raise DomainError(f"phi is not finite inside its domain interval {(lo, hi)}, "
                               f"between two samples of the domain scan")
         reach = min(int(np.searchsorted(us, offsets[-1])), len(us) - 1)
-        if len(table) > _TABLE_PANELS and reach > _TABLE_PANELS // 2:
+        if zoom and reach > _TABLE_PANELS // 2:
             break
-        table = np.linspace(s0, table[reach], _TABLE_PANELS + 1)
-    reason = cut if offsets[-1] > us[-1] else None
-    offsets = offsets[offsets <= us[-1]]
-    if len(offsets) < 2:
-        return np.array([f0]), np.zeros(1), reason, None
-    k = np.clip(np.searchsorted(us, offsets) - 1, 0, len(us) - 2)
-    s = np.clip(_hermite_inverse(offsets, _hermite_rows(us, table, rate)[k]), s0, 1.0)
-    s[0] = s0
-
-    # Newton on all nodes at once for u(s_i) - u0 = offset_i
-    for _ in range(_NEWTON_MAX):
-        us, gs, rate, dudt = path.sweep(s)
-        miss = us - offsets
-        f = path.t(s)
-        # roundoff: what 64 ulps of u and of f move u by
-        tol = 64.0 * _EPS * (offsets[-1] + np.abs(f * dudt))
-        at_root = (s == 1.0) & (root_e is not None)
-        if at_root.any():
-            # on the root itself du/ds is 0/0, and f moves by |(phi^2)'| miss^2 / 4
-            tol[at_root] = 2.0 * np.sqrt(64.0 * _EPS * np.abs(f[at_root]) / slopes[1])
-            rate[at_root] = (np.diff(us) / np.diff(s))[at_root[1:]]
-        if np.all(np.abs(miss) <= tol):
-            break
-        s[1:] = np.clip(s[1:] - miss[1:] / rate[1:], s0, 1.0)
-    else:
-        i = int(np.nanargmax(np.abs(miss) / tol))
-        raise DomainError(
-            f"the profile quadrature did not converge at node {i} "
-            f"(u = {u0 + offsets[i]:.6g}, f = {f[i]:.6g}): "
-            f"|u(f) - u| = {abs(miss[i]):.3e}"
-        )
-    f[0] = f0
-    return f, gs, reason, _Inverse(path, u0, h, s, us, gs, rate)
+    count = int(np.searchsorted(offsets, us[-1], side="right"))
+    reason = cut if count <= n else None
+    return count, reason, _Inverse(path, f0, u0, offsets[count - 1], table, us, gs, rate)
 
 
 def integrate_profile(
@@ -812,28 +770,25 @@ def integrate_profile(
 
     phi keeps one sign on the domain interval of f0, so f is monotone and
     its inverse is explicit: u(f) = u0 + int_{f0}^{f} dt / phi(t), and
-    g = c0 + int g'(t) / phi(t) dt.  Each node of the uniform u-grid solves
-    u(f_i) = u_i by Newton on all nodes at once, from a first guess read
-    off a table of u(f); u(f_i) sums 12-node Gauss-Legendre panels
-    between consecutive nodes, in a variable that is quadratic at a simple
-    root of phi^2, so that the root is integrated exactly.  A node that
-    does not converge to roundoff is a :class:`DomainError` naming it.
-    f' = phi(f) and g' = sign_g * sqrt(radicand(phi(f))) at each node, and
-    f'' comes from the closed form :meth:`PhiFunction.second_derivative`.
-    Between the nodes the profile's evaluator solves u(f) = u the same
-    way, from the node at or below u.
+    g = c0 + int g'(t) / phi(t) dt.  A table of u(f) and g(f) sums 12-node
+    Gauss-Legendre panels in a variable that is quadratic at a simple root
+    of phi^2, so that the root is integrated exactly.  The profile's
+    evaluator solves u(f) = u at any u of the window by Newton on one more
+    panel from the table row below u; a u that does not converge to
+    roundoff is a :class:`DomainError` naming it.  It gives f' = phi(f),
+    g' = sign_g z and f'' = -alpha z z' (:meth:`PhiFunction.second_derivative`)
+    from z(f), and the node arrays are its values at the nodes.
 
     The truncation at the end of the domain interval is exact: the profile
     keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and
     returns ``truncated=True`` with ``truncation_reason``
     ``"phi-inadmissible"`` if t* is an edge of phi's domain or
-    ``"left-domain"`` if it is the end of the scan window; a node whose g'
-    radicand is below roundoff ends the profile before it
-    (``"gprime-radicand"``).  Fewer than 3 samples are a
-    :class:`DomainError`.  Where phi(f0) = 0 and f''(f0) = 0 (a degenerate
-    phi), the profile is the constant f = f0 with g = c0 + g'(f0) (u - u0);
-    where phi(f0) = 0 but f''(f0) != 0 (f0 on a simple root of phi^2), f0
-    is a turning point of the second-order law and a :class:`DomainError`.
+    ``"left-domain"`` if it is the end of the scan window.  Fewer than 3
+    samples are a :class:`DomainError`.  Where phi(f0) = 0 and
+    f''(f0) = 0 (a degenerate phi), the profile is the constant f = f0
+    with g = c0 + g'(f0) (u - u0); where phi(f0) = 0 but f''(f0) != 0 (f0
+    on a simple root of phi^2), f0 is a turning point of the second-order
+    law and a :class:`DomainError`.
     """
     n = _grid_intervals(u_span, step, var="u")
     u0, u1 = float(u_span[0]), float(u_span[1])
@@ -846,34 +801,24 @@ def integrate_profile(
     with np.errstate(invalid="ignore", divide="ignore"):
         rate0 = phi(f0)
         if rate0 == 0.0:
-            if phi.second_derivative(f0) != 0.0:
+            fpp0 = phi.second_derivative(f0)
+            if fpp0 != 0.0:
                 raise DomainError(f"f0 = {f0:.6g} is a turning point of the profile: phi(f0) "
-                                  f"= 0 but f''(f0) = {phi.second_derivative(f0):.6g}")
-            f, g, reason, evaluate = np.full(n + 1, f0), None, None, None
+                                  f"= 0 but f''(f0) = {fpp0:.6g}")
+            gp0 = phi.params.branch.g * float(phi.z_exact(f0))
+            count, reason = n + 1, None
+            evaluate = _constant(f0, phi.params.c0, u0, rate0, fpp0, gp0)
         elif np.isfinite(rate0):
-            f, g, reason, evaluate = _invert(phi, f0, rate0, u0, h, n)
+            count, reason, evaluate = _invert(phi, f0, rate0, u0, h, n)
         else:
-            f, g, reason, evaluate = np.empty(0), np.empty(0), "phi-inadmissible", None
-        fp = phi(f)
-        rad = phi.family.gprime_radicand(fp)
-        failed = ~np.isfinite(fp) | (rad < _RADICAND_FLOOR)
-        if failed.any():
-            keep = int(np.argmax(failed))
-            reason = "phi-inadmissible" if not np.isfinite(fp[keep]) else "gprime-radicand"
-            f, fp, rad = f[:keep], fp[:keep], rad[:keep]
-        gp = phi.params.branch.g * np.sqrt(np.clip(rad, 0.0, None))
-        if g is None:
-            g = gp[:1] * (h * np.arange(len(f)))
-        g = phi.params.c0 + g[:len(f)]
-
-    if len(f) < 3:
+            count, reason, evaluate = 0, "phi-inadmissible", None
+    if count < 3:
         raise DomainError(
-            f"profile window collapsed: only {len(f)} admissible samples from "
+            f"profile window collapsed: only {count} admissible samples from "
             f"f0 = {f0:.6g} before leaving the domain"
         )
-    if evaluate is None:
-        # the constant profile of a degenerate phi
-        evaluate = _constant(f0, phi.params.c0, u0, fp[0], phi.second_derivative(f0), gp[0])
+    us = u0 + h * np.arange(count)
+    f, fp, fpp, g, gp = evaluate(us)
     provenance = (
         Provenance.QUASI_MINIMAL_ODE
         if phi.law is GoverningLaw.QUASI_MINIMAL
@@ -881,10 +826,10 @@ def integrate_profile(
     )
     return MeridianProfile(
         family=phi.family,
-        us=u0 + h * np.arange(len(f)),
+        us=us,
         f=f,
         fp=fp,
-        fpp=phi.second_derivative(f),
+        fpp=fpp,
         g=g,
         gp=gp,
         params=phi.params,

@@ -15,7 +15,6 @@ from meridian4 import (
     GoverningLaw,
     MeridianFamily,
     MeridianProfile,
-    PhiFunction,
     ProfileParams,
     Provenance,
     assemble,
@@ -443,65 +442,14 @@ def test_march_reports_leaving_the_domain():
     assert 11.9 < prof.f[-1] <= 12.0 + 1e-9
 
 
-def test_march_reports_gprime_radicand(monkeypatch):
-    """A node with finite phi but no g' ends the profile before it, with its own reason.
-
-    With a consistent family the g' radicand equals z^2 up to a few ulp, so
-    no PhiFunction reaches this branch; the radicand is stubbed here.
-    """
-    phi = phi_closed_form(
-        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
-    )
-    full = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
-    edge = float(phi(2.1))  # phi falls as f grows here, so |phi| < edge means f > 2.1
-    radicand = MeridianFamily.gprime_radicand
-    monkeypatch.setattr(
-        MeridianFamily, "gprime_radicand",
-        lambda self, fp: np.where(np.abs(fp) < edge, -1.0, radicand(self, fp)),
-    )
-    prof = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
-    assert prof.truncated and prof.truncation_reason == "gprime-radicand"
-    assert prof.f[-1] <= 2.1 < full.f[len(prof)]
-    assert np.array_equal(prof.f, full.f[:len(prof)])
-    short = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
-    assert not short.truncated and short.truncation_reason is None
-
-
-@pytest.mark.parametrize("which,reason", [(0, "phi-inadmissible"), (1, "gprime-radicand")])
-def test_failing_node_is_dropped(monkeypatch, which, reason):
-    """If phi or the g' radicand fails at the last node, that node goes."""
-    phi = phi_closed_form(
-        GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
-    )
-    full = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
-    assert len(full) == 11 and not full.truncated
-    last = float(full.f[-1])
-    if which == 0:
-        call = PhiFunction.__call__
-        monkeypatch.setattr(
-            PhiFunction, "__call__",
-            lambda self, t: np.where(np.asarray(t) == last, np.nan, call(self, t)),
-        )
-    else:
-        radicand, fp_last = MeridianFamily.gprime_radicand, float(full.fp[-1])
-        monkeypatch.setattr(
-            MeridianFamily, "gprime_radicand",
-            lambda self, fp: np.where(np.asarray(fp) == fp_last, -1.0, radicand(self, fp)),
-        )
-    cut = integrate_profile(phi, 2.0, (0.0, 1e-2), 1e-3)
-    assert cut.truncated and cut.truncation_reason == reason
-    assert len(cut) == 10
-    for name in ("us", "f", "fp", "fpp", "g", "gp"):
-        assert np.array_equal(getattr(cut, name), getattr(full, name)[:10]), name
-
-
 def test_unconverged_node_is_a_named_domain_error(monkeypatch):
-    """A node whose u(f_i) misses u_i beyond roundoff is never returned."""
+    """A node whose u(f) misses u beyond roundoff is never returned: the
+    evaluator that gives the nodes names the u it did not converge at."""
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.0, c=2.0), (1e-6, 40.0)
     )
     monkeypatch.setattr(profiles, "_NEWTON_MAX", 1)  # the table's first guess only
-    with pytest.raises(DomainError, match=r"did not converge at node \d+ \(u = .*, f = .*\)"):
+    with pytest.raises(DomainError, match=r"inversion did not converge at u = \S+: \|u\(f\) - u\| = "):
         integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
 
 
@@ -527,6 +475,37 @@ def test_start_on_a_simple_root_is_a_turning_point():
     assert phi(2.0) == 0.0 and phi.second_derivative(2.0) == -0.25
     with pytest.raises(DomainError, match=r"f0 = 2 is a turning point .* f''\(f0\) = -0\.25"):
         integrate_profile(phi, 2.0, (0.0, 0.5), 1e-2)
+
+
+def test_profile_ends_on_a_simple_root():
+    """Windows that end one float below u*, where f reaches the simple root
+    t = 2 of phi^2 = (1/t + 1/2)^2 - 1, are whole at every step, and their
+    last node is the root to roundoff; f rises to it monotonically.
+
+    u* is the least float at which the 4-step window is truncated, as the
+    profile finds it.  It is within 1e-10 of the closed form
+    int_1^2 t dt / sqrt(1 + t - 3 t^2 / 4) = sqrt(5)/1.5 + (pi/2 - asin(1/4)) 4/(3 sqrt 3).
+    """
+    phi = phi_closed_form(QM, FT, ProfileParams(a=0.5, c=1.0), (1e-3, 12.0))
+    eps = np.finfo(float).eps
+    whole, cut = 2.5, 2.6
+    while np.nextafter(whole, cut) < cut:
+        mid = 0.5 * (whole + cut)
+        if integrate_profile(phi, 1.0, (0.0, mid), mid / 4).truncated:
+            cut = mid
+        else:
+            whole = mid
+    closed = np.sqrt(1.25) / 0.75 + (0.5 * np.pi - np.arcsin(0.25)) * 4.0 / (3.0 * np.sqrt(3.0))
+    assert abs(cut - closed) <= 1e-10
+    below = cut - np.geomspace(1e-2, 1e-14, 13)
+    for n in (4, 400, 4000):
+        prof = integrate_profile(phi, 1.0, (0.0, whole), whole / n)
+        assert len(prof) == n + 1 and not prof.truncated
+        assert 2.0 - 4.0 * eps <= prof.f[-1] <= 2.0
+        assert 0.0 <= prof.fp[-1] <= 1e-7
+        assert abs(prof.gp[-1] - 1.0) <= 4.0 * eps
+        f = np.append(prof.evaluate(below)[0], prof.f[-1])
+        assert np.all(np.diff(f) >= 0.0) and f[-1] <= 2.0
 
 
 def test_march_rejects_f0_outside_domain():
@@ -802,8 +781,8 @@ def test_march_matches_the_array_reference_bit_for_bit(case):
     """Every column but g is the public array calls at the profile's nodes.
 
     The u-grid is u0 + h i, f' = phi(f), f'' = phi.second_derivative(f) and
-    g' = sign_g sqrt(radicand(f')), bit for bit; the first node is (f0, c0)
-    itself, and f moves strictly in the direction of phi(f0).
+    g' = sign_g z_exact(f), bit for bit; the first node is (f0, c0) itself,
+    and f moves strictly in the direction of phi(f0).
     """
     phi = _march_phi(*case)
     sg = float(phi.params.branch.g)
@@ -814,14 +793,11 @@ def test_march_matches_the_array_reference_bit_for_bit(case):
             assert "collapsed" in str(exc)
             continue
         f = prof.f
-        fp = np.asarray(phi(f))
-        rad = phi.family.gprime_radicand(fp)
-        assert np.all(rad >= -1e-12)
         ref = (
             0.0 + (1.0 / 500) * np.arange(len(f)),
-            fp,
+            np.asarray(phi(f)),
             np.asarray(phi.second_derivative(f)),
-            sg * np.sqrt(np.clip(rad, 0.0, None)),
+            sg * phi.z_exact(f),
         )
         got = (prof.us, prof.fp, prof.fpp, prof.gp)
         for name, mine, theirs in zip(("us", "fp", "fpp", "gp"), got, ref):
@@ -853,7 +829,7 @@ def test_stage_kernel_matches_the_array_path(case):
         1.0 - ends,
     ])
     for lo, hi in phi.domain:
-        (root_b, root_e), _ = profiles._simple_roots(phi, (lo, hi))
+        root_b, root_e = profiles._simple_roots(phi, (lo, hi))
         t_b = lo if root_b is None else root_b
         t_e = hi if root_e is None else root_e
         path = profiles._Path(phi, t_b, t_e, root_b is not None, root_e is not None)
