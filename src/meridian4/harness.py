@@ -432,12 +432,14 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     # finite-difference sweep
     scale = max(1.0, float(np.max(np.abs(us))), float(np.max(np.abs(vs))))
     h_fd = spec.fd_step * scale
-    forms = fundamental_forms(fd_jet4(surface.immersion, us[:, None], vs[None, :], h_fd))
+    jet = fd_jet4(surface.immersion, us[:, None], vs[None, :], h_fd)
+    forms = fundamental_forms(jet)
     H_inf = np.max(np.abs(forms.H), axis=-1)
     max_H_inf = float(np.max(H_inf))
     min_H_inf = float(np.min(H_inf))
     max_norm2_dev = float(np.max(np.abs(forms.norm2H - target)))
-    characters = set(_CHARACTERS[np.unique(_causal_codes(forms.H))])
+    codes = _causal_codes(forms.H).ravel()
+    characters = set(_CHARACTERS[np.bincount(codes, minlength=len(_CHARACTERS)) > 0])
 
     # frame equations and mixed second-form component at probe points
     rng = np.random.default_rng(spec.seed)
@@ -453,7 +455,8 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     max_governing = res.max_governing
     max_constraint = res.max_constraint
 
-    rank, rank_res = affine_rank(surface.grid_points(us, vs).reshape(-1, 4))
+    # the stencil's center samples are the grid points: its arm 0 is u + 0 h
+    rank, rank_res = affine_rank(jet.z.reshape(-1, 4))
 
     stats = {
         "max_h1_analytic": max_h1,

@@ -461,22 +461,37 @@ def _positive_intervals(
     n_scan: int = 4096,
 ) -> tuple[tuple[float, float], ...]:
     """Maximal subintervals of ``window`` where fn >= 0, located by scanning
-    and bisection (boundary accuracy ~1e-12 of the window width)."""
+    and bisection (boundary accuracy ~1e-12 of the window width).
+
+    Each edge is bisected, 0.5 (t_bad + t_good) at a time, until the
+    bracket is under 1e-12 max(1, |t|) or after 60 steps.  One call of fn
+    evaluates the 31 midpoints of the next five levels, and a walk down
+    them takes the decisions of one midpoint per call, so an edge of n
+    steps is the same float in ceil(n / 5) calls.
+    """
     lo, hi = float(window[0]), float(window[1])
     ts = np.linspace(lo, hi, n_scan)
     vals = np.asarray(fn(ts), dtype=float)
     good = np.isfinite(vals) & (vals >= 0.0)
 
     def refine(t_bad: float, t_good: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (t_bad + t_good)
-            v = float(np.asarray(fn(np.asarray([mid])), dtype=float)[0])
-            if np.isfinite(v) and v >= 0.0:
-                t_good = mid
-            else:
-                t_bad = mid
-            if abs(t_good - t_bad) < 1e-12 * max(1.0, abs(t_good)):
-                break
+        for _ in range(12):  # 60 steps, five per call
+            # midpoint i halves (bads[i], goods[i]); its children 2i + 1 and
+            # 2i + 2 halve what is left when it is good and when it is bad
+            bads, goods, mids = [t_bad], [t_good], []
+            for i in range(31):
+                mids.append(0.5 * (bads[i] + goods[i]))
+                bads += [bads[i], mids[i]]
+                goods += [mids[i], goods[i]]
+            vals = np.asarray(fn(np.asarray(mids)), dtype=float)
+            i = 0
+            for _ in range(5):
+                if np.isfinite(vals[i]) and vals[i] >= 0.0:
+                    t_good, i = mids[i], 2 * i + 1
+                else:
+                    t_bad, i = mids[i], 2 * i + 2
+                if abs(t_good - t_bad) < 1e-12 * max(1.0, abs(t_good)):
+                    return t_good
         return t_good
 
     # Runs of good samples start where the padded mask rises and end one
@@ -621,33 +636,32 @@ class _Path:
         return s
 
     def rates(self, s):
-        """du/ds, dg/ds and du/dt = 1/phi along the path, inside phi's domain interval.
+        """du/ds, du/dt = 1/phi and z along the path, inside phi's domain interval.
 
         Between the edges z >= 0, so g' = sign_g z (the g' radicand is z^2).
         """
         phi = self.phi
         z = phi._z(self.t(s))
         dudt = 1.0 / (phi.params.branch.phi * np.sqrt(phi.family.phi2_from_z2(z * z)))
-        rate = self.slope(s) * dudt
-        return rate, phi.params.branch.g * z * rate, dudt
+        return self.slope(s) * dudt, dudt, z
 
     def panels(self, a: np.ndarray, b: np.ndarray, ends: np.ndarray):
         """int du/ds ds and int dg/ds ds over each [a_j, b_j] by one
-        Gauss-Legendre panel, and du/ds and du/dt at ``ends``."""
+        Gauss-Legendre panel, and du/ds, du/dt and z at ``ends``."""
         half = 0.5 * (b - a)
-        rate, g_rate, dudt = self.rates(
+        rate, dudt, z = self.rates(
             np.concatenate([(a[:, None] + half[:, None] * (1.0 + _GL_NODES)).ravel(), ends]))
         m = rate.size - ends.size
         # a row sum adds each panel's terms in one order whatever the number
         # of panels, where a matrix-vector product need not
         du, dg = (half * np.add.reduce(r[:m].reshape(-1, _GL_NODES.size) * _GL_WEIGHTS, axis=1)
-                  for r in (rate, g_rate))
-        return du, dg, rate[m:], dudt[m:]
+                  for r in (rate, self.phi.params.branch.g * z * rate))
+        return du, dg, rate[m:], dudt[m:], z[m:]
 
     def sweep(self, s: np.ndarray):
         """u - u0 and g - c0 at the rows s, as cumulative sums of one
         Gauss-Legendre panel between consecutive rows, and du/ds at each row."""
-        du, dg, rate, _ = self.panels(s[:-1], s[1:], s)
+        du, dg, rate, _, _ = self.panels(s[:-1], s[1:], s)
         return *(np.concatenate([[0.0], np.cumsum(x)]) for x in (du, dg)), rate
 
 
@@ -659,12 +673,15 @@ class _Inverse:
     in the first or last one in the slack outside the table.  The cubic
     Hermite inverse of rows k and k + 1 guesses s, or their chord where it
     leaves the interval: du/ds is 0/0 at a root end, and tends to 0 where
-    phi is unbounded (phi ~ 1/t near t = 0).  Newton steps solve
-    u_k + int_{s_k}^{s} du/ds ds = u - u0 by one Gauss-Legendre panel, and
-    each point is frozen once its miss is at roundoff, so its value does
-    not depend on the other points asked for with it.  The miss left is
-    corrected to first order: f = t(s) - miss phi and g = g(s) - miss g';
-    at u0 itself f is f0, which t(s0) may miss by an ulp.  f' = phi,
+    phi is unbounded (phi ~ 1/t near t = 0).  One Gauss-Legendre panel
+    from s_k gives the miss m = u_k + int_{s_k}^{s} du/ds ds - (u - u0),
+    corrected to first order: f = t(s) - m phi and g = g(s) - m g'.  A point
+    is done when the remainder of that correction, m^2/2 |f''| and
+    m^2/2 |g''| at t(s), is under an ulp of f and of g, as it is after the
+    table's guess (m ~ 1e-9), or when m is at roundoff; the others take
+    Newton steps on one panel each.  Each point is decided on its own miss,
+    so its value does not depend on the other points asked for with it.  At
+    u0 itself f is f0, which t(s0) may miss by an ulp.  f' = phi,
     g' = sign_g z and f'' = -alpha z z' come from z at that f.
     """
 
@@ -682,9 +699,12 @@ class _Inverse:
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         path, phi = self.path, self.path.phi
-        # each distinct u once: a stencil's arms repeat most of them
+        # each distinct u once, sorted: a stencil's arms repeat most of them
         offsets = (u - self.u0).ravel()
-        w = np.unique(offsets)
+        w = np.sort(offsets)
+        distinct = np.ones(w.shape, dtype=bool)
+        distinct[1:] = w[1:] != w[:-1]
+        w = w[distinct]
         back = np.searchsorted(w, offsets)
         k = np.clip(np.searchsorted(self.rows[:, 2], w, side="right") - 1, 0, len(self.rows) - 1)
         s_k, ds, u_k, du_k, g_k, c1, c2, c3 = self.rows[k].T
@@ -697,10 +717,16 @@ class _Inverse:
             s = s_k + np.where((0.0 <= step) & (step <= ds), step, frac * ds)
             s = np.minimum(np.maximum(s, 0.0), 1.0)
             for _ in range(_NEWTON_MAX):
-                du, dg, rate, dudt = path.panels(s_k, s, s)
+                du, dg, rate, dudt, z = path.panels(s_k, s, s)
                 t, m = path.t(s), u_k + du - w
                 f[todo], g[todo], miss[todo] = t - m / dudt, g_k + dg, m
-                done = np.abs(m) <= 64.0 * _EPS * (self.span + np.abs(t * dudt))
+                # the remainders m^2/2 |f''| and m^2/2 |g''| of the correction,
+                # f'' = -alpha z z' and g'' = sign_g z' phi at t(s), against an
+                # ulp of f and of g
+                tail = 0.5 * m * m * np.abs(phi._z_prime(t, z))
+                exact = (tail * np.abs(z) <= _EPS * t) & (
+                    tail <= _EPS * np.abs((phi.params.c0 + g_k + dg) * dudt))
+                done = exact | (np.abs(m) <= 64.0 * _EPS * (self.span + np.abs(t * dudt)))
                 if done.all():
                     break
                 keep = ~done
@@ -773,11 +799,13 @@ def integrate_profile(
     g = c0 + int g'(t) / phi(t) dt.  A table of u(f) and g(f) sums 12-node
     Gauss-Legendre panels in a variable that is quadratic at a simple root
     of phi^2, so that the root is integrated exactly.  The profile's
-    evaluator solves u(f) = u at any u of the window by Newton on one more
-    panel from the table row below u; a u that does not converge to
-    roundoff is a :class:`DomainError` naming it.  It gives f' = phi(f),
-    g' = sign_g z and f'' = -alpha z z' (:meth:`PhiFunction.second_derivative`)
-    from z(f), and the node arrays are its values at the nodes.
+    evaluator solves u(f) = u at any u of the window by one more panel from
+    the table row below u and a first-order correction, exact to roundoff
+    after the table's guess, or else by Newton on that panel; a u that does
+    not converge to roundoff is a :class:`DomainError` naming it.  It gives
+    f' = phi(f), g' = sign_g z and f'' = -alpha z z'
+    (:meth:`PhiFunction.second_derivative`) from z(f), and the node arrays
+    are its values at the nodes.
 
     The truncation at the end of the domain interval is exact: the profile
     keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and

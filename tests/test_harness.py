@@ -409,8 +409,9 @@ def test_case_spec_rejects_a_negative_seed():
     [s for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE],
     ids=lambda s: s.theorem.value,
 )
-def test_verify_case_calls_the_immersion_three_times(spec, monkeypatch):
-    """One call each for the FD grid sweep, the FD probe sweep and the rank grid."""
+def test_verify_case_calls_the_immersion_twice(spec, monkeypatch):
+    """One call each for the FD grid sweep and the FD probe sweep; the rank
+    reads the grid sweep's center samples."""
     calls = []
     immersion = MeridianSurface.immersion
 
@@ -421,7 +422,32 @@ def test_verify_case_calls_the_immersion_three_times(spec, monkeypatch):
     monkeypatch.setattr(MeridianSurface, "immersion", counting)
     report = verify_case(replace(spec, nu=9, nv=7, n_probe=5))
     assert report.status == "pass"
-    assert calls == [(9, 7, 17), (5, 17), (9, 7)]
+    assert calls == [(9, 7, 17), (5, 17)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(s, id=s.theorem.value)
+     for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE]
+    + [pytest.param(CaseSpec(Theorem.QUASI_C, ProfileParams(a=0.5, c=2.0), f0=2.0,
+                             u_span=(0.0, 5.0)), id="quasi-c-truncated")],
+)
+def test_grid_sweep_centers_are_the_grid_points(spec, monkeypatch):
+    """The FD grid sweep's center samples, which the affine rank reads, are
+    ``grid_points`` on its grid bit for bit: stencil arm 0 is u + 0 h = u."""
+    jets = []
+    fd_jet4 = harness.fd_jet4
+
+    def recording(immersion, u, v, h=None):
+        jets.append((immersion, fd_jet4(immersion, u, v, h)))
+        return jets[-1][1]
+
+    monkeypatch.setattr(harness, "fd_jet4", recording)
+    verify_case(spec)
+    immersion, jet = jets[0]
+    us, vs = jet.u[:, 0], jet.v[0, :]
+    assert jet.z.shape == (spec.nu, spec.nv, 4)
+    assert np.array_equal(jet.z, immersion.__self__.grid_points(us, vs))
 
 
 # ---------------------------------------------------------------------------

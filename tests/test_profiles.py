@@ -25,6 +25,7 @@ from meridian4 import (
     profile_from_callable,
     profile_residuals,
     standard_initial_frame,
+    verify_case,
 )
 from meridian4 import profiles
 from meridian4.harness import _build_case, _suite_cases
@@ -369,6 +370,59 @@ def test_phi_domains_equal_the_per_sample_walk():
     assert {0, 1} <= seen
 
 
+@pytest.mark.parametrize("window,n_scan,edge,side", [
+    ((0.0, 1.0), 64, 0.3, 1.0),  # admissible left of the edge
+    ((0.0, 1.0), 64, 0.3, -1.0),  # admissible right of it
+    ((1e-6, 20.0), 4096, 2.121320343558991, 1.0),  # a suite CMC edge, at the suite's scan
+    ((0.0, 1e7), 3, 0.25, 1.0),  # the 60-step cap binds: 5e6 / 2^60 > 1e-12
+], ids=["right-edge", "left-edge", "suite-scan", "step-cap"])
+def test_domain_edges_take_one_call_per_five_bisection_steps(window, n_scan, edge, side):
+    """An edge bisected in n steps costs ceil(n / 5) indicator calls, and ends
+    where the one-midpoint-per-call walk ends, bit for bit."""
+    sizes = []
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        sizes.append(t.size)
+        return side * (edge - t)
+
+    ref = _reference_intervals(fn, window, n_scan)
+    steps = len(sizes) - 1  # after the scan, one call per bisection step
+    sizes.clear()
+    assert _positive_intervals(fn, window, n_scan) == ref
+    assert sizes[0] == n_scan and len(sizes) - 1 == -(-steps // 5)
+    if window[1] == 1e7:
+        assert steps == 60
+
+
+def test_suite_phi_scans_take_seven_calls_per_edge(monkeypatch):
+    """Each quasi-minimal and CMC case of the suite scans phi's domain in one
+    indicator call and bisects each edge inside the window in at most seven
+    (35 bisection steps take a 20 / 4095 bracket under 1e-12)."""
+    calls, seen = [], []
+    indicator, closed_form = profiles.PhiFunction._domain_indicator, profiles.phi_closed_form
+
+    def counting(phi, t):
+        calls.append(np.size(t))
+        return indicator(phi, t)
+
+    def recording(law, family, params, window):
+        calls.clear()
+        phi = closed_form(law, family, params, window)
+        inner = sum(t not in window for ivl in phi.domain for t in ivl)
+        seen.append((len(calls), inner))
+        return phi
+
+    monkeypatch.setattr(profiles.PhiFunction, "_domain_indicator", counting)
+    monkeypatch.setattr("meridian4.harness.phi_closed_form", recording)
+    for spec in _suite_cases():
+        if spec.theorem.law is not GoverningLaw.MINIMAL and spec.theorem.family is not None:
+            _build_case(spec)
+    assert len(seen) == 9
+    assert all(n <= 1 + 7 * inner for n, inner in seen)
+    assert sum(n for n, _ in seen) <= 8 * len(seen)
+
+
 # ---------------------------------------------------------------------------
 # profiles by quadrature
 # ---------------------------------------------------------------------------
@@ -448,7 +502,10 @@ def test_unconverged_node_is_a_named_domain_error(monkeypatch):
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.0, c=2.0), (1e-6, 40.0)
     )
-    monkeypatch.setattr(profiles, "_NEWTON_MAX", 1)  # the table's first guess only
+    # the first guess only, from a table too coarse for it to be exact after
+    # its one correction
+    monkeypatch.setattr(profiles, "_NEWTON_MAX", 1)
+    monkeypatch.setattr(profiles, "_TABLE_PANELS", 8)
     with pytest.raises(DomainError, match=r"inversion did not converge at u = \S+: \|u\(f\) - u\| = "):
         integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
 
@@ -813,12 +870,12 @@ def test_stage_kernel_matches_the_array_path(case):
 
     On the path over each domain interval (mapped onto the roots of phi^2
     as the profile maps it), at panel stages and at s within 1e-6 of either
-    end: phi(t) is finite and non-zero, du/dt is 1/phi(t) bit for bit, du/ds
-    is positive, dg/ds is sign_g z du/ds, and z^2 is the g' radicand of
-    phi(t) up to the roundoff of phi^2 and z^2.
+    end: phi(t) is finite and non-zero, du/dt is 1/phi(t) and z is z(t) bit
+    for bit, du/ds is positive, and z^2 (dg/ds = sign_g z du/ds) is the g'
+    radicand of phi(t) up to the roundoff of phi^2 and z^2.
     """
     phi = _march_phi(*case)
-    family, sg = phi.family, float(phi.params.branch.g)
+    family = phi.family
     panels = np.linspace(0.0, 1.0, 17)
     a, half = panels[:-1, None], 0.5 * np.diff(panels)[:, None]
     ends = np.geomspace(1e-6, 1e-1, 64)
@@ -834,13 +891,12 @@ def test_stage_kernel_matches_the_array_path(case):
         t_e = hi if root_e is None else root_e
         path = profiles._Path(phi, t_b, t_e, root_b is not None, root_e is not None)
         t = path.t(s)
-        rate, g_rate, dudt = path.rates(s)
+        rate, dudt, z = path.rates(s)
         p = np.asarray(phi(t))
         assert np.all(np.isfinite(p) & (p != 0.0))
         assert np.array_equal(dudt, 1.0 / p)
         assert np.all(rate > 0.0)
-        z = phi.z_exact(t)
-        assert np.array_equal(g_rate, sg * z * rate)
+        assert np.array_equal(z, phi.z_exact(t))
         rad = family.gprime_radicand(p)
         scale = z * z + p * p + abs(family.beta)
         assert np.all(np.abs(z * z - rad) <= 8.0 * np.finfo(float).eps * scale)
@@ -905,6 +961,86 @@ def test_path_start_solves_the_cubic_up_to_a_root_end(root_b, root_e):
             if not abs(path.t(1.0) - f0) > 0.0:
                 continue
             assert _start_residual_ok(path, f0, path.start(f0)), (t_b, t_e, frac)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator of a reduced profile
+# ---------------------------------------------------------------------------
+
+_REDUCED_SUITE = [pytest.param(s, id=s.theorem.value) for s in _suite_cases()
+                  if s.theorem.law is not GoverningLaw.MINIMAL and s.theorem.family is not None]
+
+
+def _newton_reference(inverse, u):
+    """(f, g) at u by Newton on u(f) = u from the table's first guess until
+    every miss is at roundoff, then the first-order correction."""
+    path, w = inverse.path, np.unique(np.ravel(u) - inverse.u0)
+    k = np.clip(np.searchsorted(inverse.rows[:, 2], w, side="right") - 1, 0,
+                len(inverse.rows) - 1)
+    s_k, ds, u_k, du_k, g_k, c1, c2, c3 = inverse.rows[k].T
+    frac = (w - u_k) / du_k
+    step = ((c3 * frac + c2) * frac + c1) * frac
+    s = np.clip(s_k + np.where((0.0 <= step) & (step <= ds), step, frac * ds), 0.0, 1.0)
+    for _ in range(profiles._NEWTON_MAX):
+        du, dg, rate, dudt, _ = path.panels(s_k, s, s)
+        t, m = path.t(s), u_k + du - w
+        if np.all(np.abs(m) <= 64.0 * profiles._EPS * (inverse.span + np.abs(t * dudt))):
+            break
+        s = np.clip(s - m / rate, 0.0, 1.0)
+    f = np.where(w == 0.0, inverse.f0, t - m / dudt)
+    g = path.phi.params.c0 + g_k + dg - m * path.phi.params.branch.g * path.phi._z(f)
+    return w + inverse.u0, f, g
+
+
+def _query_sets(prof):
+    rng = np.random.default_rng(len(prof))
+    return [rng.uniform(*prof.u_span, n) for n in (1, 20, 205, 1001)]
+
+
+@pytest.mark.parametrize("spec", _REDUCED_SUITE)
+def test_every_evaluate_takes_one_quadrature_pass(spec, monkeypatch):
+    """Every evaluation of a suite profile, at its nodes, at the 17-point
+    stencils and probes of ``verify_case`` and at 1 to 1,001 random u, is
+    exact after the first Gauss-Legendre panel pass from the table's guess."""
+    panels, passes = [], []
+    path_panels, call = profiles._Path.panels, profiles._Inverse.__call__
+
+    def counting_panels(path, a, b, ends):
+        panels.append(len(ends))
+        return path_panels(path, a, b, ends)
+
+    def counting_call(inverse, u):
+        before = len(panels)
+        out = call(inverse, u)
+        passes.append(len(panels) - before)
+        return out
+
+    monkeypatch.setattr(profiles._Path, "panels", counting_panels)
+    monkeypatch.setattr(profiles._Inverse, "__call__", counting_call)
+    assert verify_case(spec).status == "pass"
+    n_case = len(passes)
+    prof = _build_case(spec)[0].profile
+    for u in _query_sets(prof):
+        prof.evaluate(u)
+    assert n_case >= 5 and passes == [1] * len(passes)
+
+
+@pytest.mark.parametrize("spec", _REDUCED_SUITE)
+def test_evaluate_matches_newton_to_roundoff(spec):
+    """f and g within 16 eps of their scale of Newton iterated to roundoff;
+    f', f'' and g' are the closed forms phi(f), -alpha z z' and sign_g z at
+    the returned f, so they carry no error but f's."""
+    prof = _build_case(spec)[0].profile
+    phi, eps = prof.evaluate.path.phi, np.finfo(float).eps
+    for u in _query_sets(prof):
+        f, fp, fpp, g, gp = prof.evaluate(u)
+        w, f_ref, g_ref = _newton_reference(prof.evaluate, u)
+        back = np.searchsorted(w, u)
+        for got, ref in ((f, f_ref[back]), (g, g_ref[back])):
+            assert np.max(np.abs(got - ref)) <= 16.0 * eps * np.max(np.abs(ref))
+        assert np.array_equal(fp, phi(f))
+        assert np.array_equal(fpp, phi.second_derivative(f))
+        assert np.array_equal(gp, phi.params.branch.g * phi.z_exact(f))
 
 
 # ---------------------------------------------------------------------------
