@@ -14,11 +14,11 @@ Run:  python3 demos/02_minimal_catalog.py
 import numpy as np
 
 from meridian4 import (
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
     affine_rank,
-    assemble,
-    integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
     standard_initial_frame,
@@ -39,8 +39,8 @@ def main():
         # minimality needs both curvature coefficients to vanish: the profile
         # kills h2, and a geodesic directrix (kappa = 0) kills h1
         cf = family.curve_family
-        curve = integrate_frenet(cf, 0.0, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
-        surface = assemble(family, curve, profile)
+        curve = FrameField(cf, 0.0, standard_initial_frame(cf), (0.0, 1.2))
+        surface = MeridianSurface(family, curve, profile)
 
         print(f"== {family.value} ==")
         print(f"   governing residual |f f'' + f'^2 +- 1| <= "
@@ -71,8 +71,8 @@ def main():
     )
     profile = integrate_profile(phi, f0=2.0, u_span=(0.0, 0.8), step=1e-3)
     cf = MeridianFamily.FIRST_TIMELIKE.curve_family
-    curve = integrate_frenet(cf, 1.2, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
-    surface = assemble(MeridianFamily.FIRST_TIMELIKE, curve, profile)
+    curve = FrameField(cf, 1.2, standard_initial_frame(cf), (0.0, 1.2))
+    surface = MeridianSurface(MeridianFamily.FIRST_TIMELIKE, curve, profile)
     cloud = surface.grid_points(
         np.linspace(0.05, 0.75, 15), np.linspace(0.0, 1.2, 15)
     ).reshape(-1, 4)

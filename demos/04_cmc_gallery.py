@@ -19,11 +19,11 @@ import numpy as np
 from meridian4 import (
     BranchSigns,
     GoverningLaw,
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
-    assemble,
     export_mesh,
-    integrate_frenet,
     integrate_profile,
     mean_curvature_fd,
     phi_closed_form,
@@ -37,8 +37,8 @@ def build(family, params, f0, u_span):
     # the reduced law only describes surfaces whose directrix has constant
     # spherical curvature equal to the integration constant a
     cf = family.curve_family
-    curve = integrate_frenet(cf, params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3)
-    return assemble(family, curve, profile)
+    curve = FrameField(cf, params.a, standard_initial_frame(cf), (0.0, 1.0))
+    return MeridianSurface(family, curve, profile)
 
 
 def certify(surface, c, n=7):

@@ -15,12 +15,12 @@ from meridian4 import (
     TRANSFORM_T,
     BranchSigns,
     GoverningLaw,
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
     TildeKind,
-    assemble,
     inner,
-    integrate_frenet,
     integrate_profile,
     mean_curvature_fd,
     phi_closed_form,
@@ -46,8 +46,8 @@ def main():
     phi = phi_closed_form(GoverningLaw.CMC, family, params, (1e-3, 12.0))
     profile = integrate_profile(phi, f0=0.8, u_span=(0.0, 0.3), step=1e-3)
     cf = family.curve_family
-    curve = integrate_frenet(cf, params.a, standard_initial_frame(cf), (0.0, 1.0), 1e-3)
-    surface = assemble(family, curve, profile)
+    curve = FrameField(cf, params.a, standard_initial_frame(cf), (0.0, 1.0))
+    surface = MeridianSurface(family, curve, profile)
 
     kind = TildeKind.PRIME
     til = tilde_surface(kind, surface)

@@ -27,10 +27,8 @@ from .curves import (
     ChartKind,
     CurveFamily,
     FrameField,
-    FrenetState,
     chart,
     chart_params,
-    integrate_frenet,
     standard_initial_frame,
 )
 from .errors import DegeneracyError, DomainError
@@ -74,7 +72,6 @@ from .surfaces import (
     MeridianSurface,
     TildeKind,
     TildeSurface,
-    assemble,
     tilde_surface,
     transform_T,
 )
@@ -100,10 +97,8 @@ __all__ = [
     "ChartKind",
     "chart",
     "chart_params",
-    "FrenetState",
     "standard_initial_frame",
     "FrameField",
-    "integrate_frenet",
     # families
     "MeridianFamily",
     # profiles
@@ -122,7 +117,6 @@ __all__ = [
     # surfaces
     "MeridianSurface",
     "MeanCurvatureDecomp",
-    "assemble",
     "TRANSFORM_T",
     "transform_T",
     "TildeKind",

@@ -118,7 +118,7 @@ def _case_flags(group, command: str) -> None:
 def _sampling_flags(group, command: str) -> None:
     group.add_argument("--nu", type=int, help="grid samples along u (default 21)")
     group.add_argument("--nv", type=int, help="grid samples along v (default 21)")
-    group.add_argument("--step", type=float, help="integrator step (default 1e-3)")
+    group.add_argument("--step", type=float, help="profile node spacing (default 1e-3)")
 
 
 def _check_flags(group, command: str) -> None:

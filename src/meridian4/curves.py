@@ -25,10 +25,10 @@ spacelike on H^2_1     l' = t,  t' =  kappa n + l,  n' = -kappa t  (-1, +1, +1)
 
 The curvature is a constant: h1 = alpha kappa / 2f is the only coefficient
 of H that depends on v, and <H, H> is constant on every classified surface.
-``integrate_frenet`` writes each sample, and :meth:`FrameField.frame_at` any
-v, in closed form as the exact flow exp((v - v0) B) S0.  The flow is in the
+A :class:`FrameField` is that flow: :meth:`FrameField.frame_at` writes the
+frame at any v in closed form as exp((v - v0) B) S0.  The flow is in the
 frame group, so the Gram matrix is kept up to roundoff with no
-re-orthonormalization, and the frame between samples does not depend on the step.
+re-orthonormalization, and nothing is sampled or stepped.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ __all__ = [
     "ChartKind",
     "chart",
     "chart_params",
-    "FrenetState",
     "standard_initial_frame",
     "FrameField",
-    "integrate_frenet",
 ]
 
 #: All three Frenet systems live in span{e1,e2,e3} with this metric.
@@ -177,23 +175,8 @@ def chart_params(kind: ChartKind, p) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"chart_params supports S21 and H21, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class FrenetState:
-    """Frame snapshot (l, t, n) at one parameter value v."""
-
-    v: float
-    l: np.ndarray
-    t: np.ndarray
-    n: np.ndarray
-
-    @property
-    def frame(self) -> np.ndarray:
-        """Rows (l, t, n) as a 3x3 matrix."""
-        return np.stack([self.l, self.t, self.n])
-
-
-def standard_initial_frame(family: CurveFamily) -> FrenetState:
-    """The canonical frame at v = 0 for each family.
+def standard_initial_frame(family: CurveFamily) -> np.ndarray:
+    """The canonical frame of each family, rows (l, t, n):
 
     * spacelike on S^2_1: l = e1, t = e2, n = e3
     * timelike on S^2_1:  l = e1, t = e3, n = e2
@@ -201,63 +184,63 @@ def standard_initial_frame(family: CurveFamily) -> FrenetState:
 
     Each satisfies the family's Gram matrix exactly.
     """
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    if family is CurveFamily.SPACELIKE_S21:
-        return FrenetState(0.0, e1, e2, e3)
-    if family is CurveFamily.TIMELIKE_S21:
-        return FrenetState(0.0, e1, e3, e2)
-    return FrenetState(0.0, e3, e1, e2)
+    rows = {
+        CurveFamily.SPACELIKE_S21: (0, 1, 2),
+        CurveFamily.TIMELIKE_S21: (0, 2, 1),
+        CurveFamily.SPACELIKE_H21: (2, 0, 1),
+    }[family]
+    return np.eye(3)[list(rows)]
 
 
 @dataclass(eq=False)
 class FrameField:
-    """A Frenet frame field of constant curvature along a curve.
+    """The Frenet frame field of constant curvature ``kappa`` over ``v_span``.
 
-    Samples sit on the uniform grid ``vs``; rows of ``ls``/``ts``/``ns`` are
-    the frame vectors, ``kappa`` the (constant) curvature.  The field keeps
-    the sample spacing and the largest deviation of a sample's Gram matrix
-    from diag(e_l, e_t, e_n) (0.0 for analytically constructed fields).
-    :meth:`frame_at` evaluates the exact flow from the first sample at any v.
+    ``frame0`` holds the rows (l, t, n) at v0 = ``v_span[0]``, and
+    :meth:`frame_at` evaluates the exact flow exp((v - v0) B(kappa)) frame0.
+
+    Raises
+    ------
+    ValueError
+        If kappa is not finite, ``frame0`` violates the family Gram matrix by
+        more than 1e-10, or the span is not finite and increasing.
+    DomainError
+        If kappa^2 overflows (kappa is named) or the frame is not finite at
+        v1.  The flow's coefficients grow monotonically in |v - v0|, so the
+        frame is then finite on the whole span.
     """
 
     family: CurveFamily
-    vs: np.ndarray
-    ls: np.ndarray
-    ts: np.ndarray
-    ns: np.ndarray
     kappa: float
-    step: float
-    max_gram_drift: float = 0.0
+    frame0: np.ndarray
+    v_span: tuple[float, float]
 
     def __post_init__(self) -> None:
-        self.vs = np.asarray(self.vs, dtype=float)
-        for name in ("ls", "ts", "ns"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (len(self.vs), 3):
-                raise ValueError(f"{name} must have shape (n_samples, 3)")
-            setattr(self, name, arr)
-        self.kappa = _finite_kappa(self.kappa)
-
-    def __len__(self) -> int:
-        return len(self.vs)
-
-    @property
-    def v_span(self) -> tuple[float, float]:
-        return float(self.vs[0]), float(self.vs[-1])
-
-    def state(self, i: int) -> FrenetState:
-        return FrenetState(float(self.vs[i]), self.ls[i], self.ts[i], self.ns[i])
+        k = float(self.kappa)
+        if not math.isfinite(k):
+            raise ValueError(f"kappa must be finite, got {k}")
+        self.kappa = k
+        self.frame0 = np.asarray(self.frame0, dtype=float)
+        dev = orthonormality_deviation(self.frame0, self.family.frame_signs, CURVE_SIGNATURE)
+        if not dev <= 1e-10:
+            raise ValueError(
+                f"initial frame violates the {self.family.value} Gram matrix "
+                f"(deviation {dev:.3e} > 1e-10)"
+            )
+        v0, v1 = float(self.v_span[0]), float(self.v_span[1])
+        if not (math.isfinite(v0) and math.isfinite(v1) and v1 > v0):
+            raise ValueError(f"v_span must be finite and increasing (v1 > v0), got {self.v_span}")
+        self.v_span = (v0, v1)
+        if not np.isfinite(self.frame_at(v1)).all():
+            raise DomainError(f"the frame is not finite at v1={v1!r}; shorten the v-span")
 
     def frame_at(self, v) -> np.ndarray:
         """Rows (l, t, n) at any v of the span, shape ``v.shape + (3, 3)``.
 
-        The exact flow from the first sample, by the closed form that writes the
-        samples, so ``frame_at(vs)`` equals them bit for bit.  Other v are a DomainError."""
+        Other v are a DomainError."""
         v = np.asarray(v, dtype=float)
         _check_window(v, self.v_span, "v out of directrix domain")
-        return _flow(self.family, self.kappa, self.state(0).frame, v - self.vs[0])
+        return _flow(self.family, self.kappa, self.frame0, v - self.v_span[0])
 
 
 def _check_window(x: np.ndarray, span: tuple[float, float], what: str) -> None:
@@ -269,83 +252,27 @@ def _check_window(x: np.ndarray, span: tuple[float, float], what: str) -> None:
         raise DomainError(f"{what} [{lo:.6g}, {hi:.6g}]: requested [{x.min():.6g}, {x.max():.6g}]")
 
 
-def _finite_kappa(kappa) -> float:
-    """kappa as a float; a non-finite curvature is refused with a ValueError."""
-    k = float(kappa)
-    if not math.isfinite(k):
-        raise ValueError(f"kappa must be finite, got {k}")
-    return k
-
-
-#: Cap on the samples of one uniform grid (about 450 B each along a curve).
+#: Cap on the samples of one grid: a profile's u-grid, a case's nu x nv grid
+#: and its probe points.
 _MAX_SAMPLES = 10**6
 
 
-def _grid_intervals(span, step: float, minimum: int = 2, var: str = "v") -> int:
-    """Intervals of a uniform grid over ``span`` with spacing close to ``step``.
+def _grid_intervals(span, step: float, minimum: int = 2) -> int:
+    """Intervals of a uniform u-grid over ``span`` with spacing close to ``step``.
 
     Validates the span and the step, and refuses, before anything is
     allocated, a grid of more than :data:`_MAX_SAMPLES` samples.
     """
     lo, hi = float(span[0]), float(span[1])
     if not (np.isfinite([lo, hi]).all() and hi > lo):
-        raise ValueError(
-            f"{var}_span must be finite and increasing ({var}1 > {var}0), got {span}"
-        )
+        raise ValueError(f"u_span must be finite and increasing (u1 > u0), got {span}")
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     n = (hi - lo) / step
     if not n + 1.0 <= _MAX_SAMPLES:
-        raise DomainError(f"{var}-grid of {n + 1.0:.4g} samples (span {hi - lo:.6g}, "
+        raise DomainError(f"u-grid of {n + 1.0:.4g} samples (span {hi - lo:.6g}, "
                           f"step {step:.3g}) exceeds the cap of {_MAX_SAMPLES} samples")
     return max(minimum, int(round(n)))
-
-
-def integrate_frenet(
-    family: CurveFamily,
-    kappa: float,
-    init: FrenetState,
-    v_span: tuple[float, float],
-    step: float = 1e-3,
-) -> FrameField:
-    """Solve S' = B(kappa) S, S with rows (l, t, n), on a uniform v-grid.
-
-    Each sample is the exact flow S(v) = exp((v - v0) B) S0, written in
-    closed form (see :func:`_flow`); no step is composed and nothing is
-    corrected.  ``max_gram_drift`` is the measured Gram deviation of the output.
-
-    Raises
-    ------
-    ValueError
-        If kappa is not finite, the initial frame violates the family Gram
-        matrix by more than 1e-10, or the span/step are malformed.
-    DomainError
-        If kappa^2 overflows (kappa is named), the grid would exceed
-        :data:`_MAX_SAMPLES` samples, or the frame overflows (the first
-        such v is named).
-    """
-    kappa = _finite_kappa(kappa)
-    init_dev = orthonormality_deviation(init.frame, family.frame_signs, CURVE_SIGNATURE)
-    if init_dev > 1e-10:
-        raise ValueError(
-            f"initial frame violates the {family.value} Gram matrix "
-            f"(deviation {init_dev:.3e} > 1e-10)"
-        )
-    n = _grid_intervals(v_span, step)
-    v0, v1 = float(v_span[0]), float(v_span[1])
-    vs = np.linspace(v0, v1, n + 1)
-    if abs(float(init.v) - v0) > 1e-12 * max(1.0, abs(v0)):
-        raise ValueError(f"initial state sits at v={init.v}, but the span starts at {v0}")
-
-    frames = _flow(family, kappa, init.frame, vs - v0)
-    finite = np.isfinite(frames).all(axis=(1, 2))
-    if not finite.all():
-        v_bad = float(vs[np.argmin(finite)])
-        raise DomainError(f"the frame overflows at v={v_bad!r}; shorten the v-span")
-
-    gram = (frames * CURVE_SIGNATURE.array) @ frames.transpose(0, 2, 1)
-    drift = float(np.max(np.abs(gram - np.diag(np.asarray(family.frame_signs, dtype=float)))))
-    return FrameField(family, vs, *frames.transpose(1, 0, 2), kappa, (v1 - v0) / n, drift)
 
 
 def _flow(family: CurveFamily, kappa: float, s0: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 A :class:`CaseSpec` names one classification statement (a theorem tag plus
 profile parameters, grids and tolerances); :func:`verify_case` builds the
-full pipeline - Frenet curve, profile, assembled surface - and certifies
+full pipeline - directrix frame, profile, assembled surface - and certifies
 the statement against the finite-difference oracle, producing a
 :class:`VerificationReport` whose pass/fail is recomputable from its own
 recorded statistics.  :func:`run_theorem_suite` covers all nine theorem
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_rank,
                       causal_character, inner)
-from .curves import _MAX_SAMPLES, _grid_intervals, integrate_frenet, standard_initial_frame
+from .curves import _MAX_SAMPLES, FrameField, _grid_intervals, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
 from .oracle import fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms
@@ -43,7 +43,6 @@ from .surfaces import (
     TRANSFORM_T,
     MeridianSurface,
     TildeKind,
-    assemble,
     tilde_surface,
     transform_T,
 )
@@ -99,10 +98,10 @@ class CaseSpec:
     minimal cases, the parameter a otherwise) - that is how the curvature-
     mismatch negative control is expressed.  ``f0`` seeds the profile ODE
     for quasi-minimal/CMC cases.  ``u_span``/``v_span`` default to
-    theorem-appropriate windows.  ``step`` sets the profile step and the
-    directrix nodes that measure the Gram drift (the surface reads the frame
-    in closed form).  ``tol_norm2`` defaults per target size: 1e-5 absolute
-    for |target| <= 1, else 1e-4 relative.
+    theorem-appropriate windows.  ``step`` is the profile node spacing (the
+    directrix frame is the closed-form flow and has no nodes).
+    ``tol_norm2`` defaults per target size: 1e-5 absolute for
+    |target| <= 1, else 1e-4 relative.
 
     The field annotations are the one list of fields: :meth:`to_dict` and
     :meth:`from_dict` read them, and every ``float`` or span field must be
@@ -305,7 +304,7 @@ def _check(name: str, value, threshold, comparison: str) -> dict:
 
 
 def _samples_for(span: tuple[float, float], step: float) -> int:
-    return _grid_intervals(span, step, minimum=8, var="u") + 1
+    return _grid_intervals(span, step, minimum=8) + 1
 
 
 def _default_minimal_span(
@@ -356,8 +355,7 @@ def _build_case(spec: CaseSpec):
     v_span = spec.v_span if spec.v_span is not None else _default_v_span(family, kappa)
     cf = family.curve_family
     # the standard frame, placed at the start of the case's own v-window
-    init = replace(standard_initial_frame(cf), v=v_span[0])
-    curve = integrate_frenet(cf, kappa, init, v_span, spec.step)
+    curve = FrameField(cf, kappa, standard_initial_frame(cf), v_span)
 
     if thm is Theorem.NEGATIVE_CONTROL:
         u_span = spec.u_span if spec.u_span is not None else (0.0, 2.0)
@@ -381,7 +379,7 @@ def _build_case(spec: CaseSpec):
         phi = phi_closed_form(law, family, params, window)
         profile = integrate_profile(phi, spec.f0, u_span, spec.step)
 
-    surface = assemble(family, curve, profile)
+    surface = MeridianSurface(family, curve, profile)
     target = params.c if law is GoverningLaw.CMC else 0.0
     return surface, law, target
 
@@ -476,8 +474,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
         "truncated": bool(profile.truncated),
         "truncation_reason": profile.truncation_reason,
         "u_span_reached": [float(profile.us[0]), float(profile.us[-1])],
-        "v_span": [float(surface.curve.vs[0]), float(surface.curve.vs[-1])],
-        "max_gram_drift_curve": surface.curve.max_gram_drift,
+        "v_span": list(surface.v_span),
     }
 
     checks = [
@@ -547,9 +544,9 @@ def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]
     out = {}
     for family, (params, u_span, kappa, v_span) in recipes.items():
         cf = family.curve_family
-        curve = integrate_frenet(cf, kappa, standard_initial_frame(cf), v_span, spec.step)
+        curve = FrameField(cf, kappa, standard_initial_frame(cf), v_span)
         profile = minimal_profile(family, params, u_span, _samples_for(u_span, spec.step))
-        out[family] = assemble(family, curve, profile)
+        out[family] = MeridianSurface(family, curve, profile)
     return out
 
 

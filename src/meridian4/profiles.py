@@ -386,7 +386,7 @@ class PhiFunction:
     def z_exact(self, t) -> np.ndarray:
         """Closed-form solution z(t) of the reduced linear ODE (NaN if inadmissible)."""
         t = np.asarray(t, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return np.where(t > 0.0, self._z(t), np.nan)
 
     def _z_phi2(self, t):
@@ -406,7 +406,7 @@ class PhiFunction:
     def _admissible(self, t):
         """z(t), phi^2(t) and the admissibility mask at t."""
         z, p2 = self._z_phi2(t)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             # Clamp roundoff-negative phi^2 (scale of z^2) to zero instead of
             # declaring the point inadmissible right at a domain edge.
             tiny = _ADMISSIBLE_RTOL * np.maximum(1.0, z * z)
@@ -415,7 +415,7 @@ class PhiFunction:
 
     def __call__(self, t) -> np.ndarray:
         _, p2, admissible = self._admissible(t)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             vals = np.sqrt(np.clip(p2, 0.0, None))
         out = np.where(admissible, float(self.params.branch.phi) * vals, np.nan)
         if out.ndim == 0:
@@ -431,7 +431,7 @@ class PhiFunction:
         t = np.asarray(t, dtype=float)
         a = self.params.a
         s = self._ode_sign
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.law is GoverningLaw.QUASI_MINIMAL:
                 out = -self.params.c / (t * t)
             else:
@@ -711,7 +711,7 @@ class _Inverse:
         f, g, miss = np.empty((3, w.size))
         at_u0 = w == 0.0
         todo = np.arange(w.size)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             frac = (w - u_k) / du_k
             step = ((c3 * frac + c2) * frac + c1) * frac
             s = s_k + np.where((0.0 <= step) & (step <= ds), step, frac * ds)
@@ -818,7 +818,7 @@ def integrate_profile(
     on a simple root of phi^2), f0 is a turning point of the second-order
     law and a :class:`DomainError`.
     """
-    n = _grid_intervals(u_span, step, var="u")
+    n = _grid_intervals(u_span, step)
     u0, u1 = float(u_span[0]), float(u_span[1])
     f0 = float(f0)
     if not _contains(phi.domain, f0):
@@ -826,7 +826,7 @@ def integrate_profile(
             f"f0 = {f0:.6g} lies outside the admissible domain {phi.domain} of phi"
         )
     h = (u1 - u0) / n
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rate0 = phi(f0)
         if rate0 == 0.0:
             fpp0 = phi.second_derivative(f0)

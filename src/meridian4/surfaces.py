@@ -30,7 +30,6 @@ from .profiles import MeridianProfile
 __all__ = [
     "MeridianSurface",
     "MeanCurvatureDecomp",
-    "assemble",
     "TRANSFORM_T",
     "transform_T",
     "TildeKind",
@@ -184,13 +183,6 @@ class MeridianSurface:
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]
         norm2 = s1 * h1 * h1 + s2 * h2 * h2
         return MeanCurvatureDecomp(h1=h1, h2=h2, vector=vector, norm2=norm2)
-
-
-def assemble(
-    family: MeridianFamily, curve: FrameField, profile: MeridianProfile
-) -> MeridianSurface:
-    """Assemble a meridian surface, enforcing curve/profile/family consistency."""
-    return MeridianSurface(family, curve, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,17 @@ import pytest
 from meridian4 import (
     BranchSigns,
     CaseSpec,
+    FrameField,
     GoverningLaw,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
     Theorem,
     TildeKind,
-    assemble,
     fd_jet,
     frame_equation_residuals,
     fundamental_forms,
     inner,
-    integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
     phi_closed_form,
@@ -223,10 +223,8 @@ def _generic_surface(family):
     }
     params, u_span, kappa = recipes[family]
     cf = family.curve_family
-    curve = integrate_frenet(
-        cf, kappa, standard_initial_frame(cf), (0.0, 1.2), 1e-3
-    )
-    return assemble(family, curve, minimal_profile(family, params, u_span, 1601))
+    curve = FrameField(cf, kappa, standard_initial_frame(cf), (0.0, 1.2))
+    return MeridianSurface(family, curve, minimal_profile(family, params, u_span, 1601))
 
 
 def test_criterion_6_frame_equations():

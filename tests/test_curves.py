@@ -1,6 +1,4 @@
-"""Tests for the carrier charts and the Frenet frame integrator."""
-
-from dataclasses import replace
+"""Tests for the carrier charts and the Frenet frame flow."""
 
 import numpy as np
 import pytest
@@ -16,10 +14,10 @@ from meridian4 import (
     chart,
     chart_params,
     inner,
-    integrate_frenet,
     orthonormality_deviation,
     standard_initial_frame,
 )
+from meridian4.curves import _grid_intervals
 
 ALL_FAMILIES = list(CurveFamily)
 
@@ -76,17 +74,29 @@ def test_chart_params_rejects_tilde_kinds():
 
 
 # ---------------------------------------------------------------------------
-# initial frames and integration
+# initial frames and the flow
 # ---------------------------------------------------------------------------
+
+
+def _field(family, kappa, v_span, frame0=None):
+    frame0 = standard_initial_frame(family) if frame0 is None else frame0
+    return FrameField(family, kappa, frame0, v_span)
+
+
+def _grid(v_span, step):
+    """The uniform grid of spacing close to ``step`` over ``v_span``, and its spacing."""
+    n = max(2, int(round((v_span[1] - v_span[0]) / step)))
+    return np.linspace(v_span[0], v_span[1], n + 1), (v_span[1] - v_span[0]) / n
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_standard_initial_frames_are_exact(family):
-    state = standard_initial_frame(family)
-    assert orthonormality_deviation(state.frame, family.frame_signs, SIG3_PPM) == 0.0
+    frame = standard_initial_frame(family)
+    assert frame.shape == (3, 3)
+    assert orthonormality_deviation(frame, family.frame_signs, SIG3_PPM) == 0.0
     # the position starts on the right carrier
     target = -1.0 if family is CurveFamily.SPACELIKE_H21 else 1.0
-    assert inner(state.l, state.l, SIG3_PPM) == target
+    assert inner(frame[0], frame[0], SIG3_PPM) == target
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -114,47 +124,48 @@ def test_growth_rate_squared_is_half_the_trace_of_b_squared(family):
 def test_flat_circle_on_s21():
     """kappa == 0 on the spacelike family gives the unit equator circle."""
     family = CurveFamily.SPACELIKE_S21
-    field = integrate_frenet(family, 0.0, standard_initial_frame(family), (0.0, 1.5), 1e-3)
-    i = int(np.argmin(np.abs(field.vs - 1.0)))
-    np.testing.assert_allclose(field.ls[i], [np.cos(1.0), np.sin(1.0), 0.0], atol=1e-12)
-    np.testing.assert_allclose(field.ns[i], [0.0, 0.0, 1.0], atol=1e-12)
+    vs, _ = _grid((0.0, 1.5), 1e-3)
+    frames = _field(family, 0.0, (0.0, 1.5)).frame_at(vs)
+    i = int(np.argmin(np.abs(vs - 1.0)))
+    np.testing.assert_allclose(frames[i, 0], [np.cos(1.0), np.sin(1.0), 0.0], atol=1e-12)
+    np.testing.assert_allclose(frames[i, 2], [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_flat_timelike_branch_is_hyperbolic():
     """kappa == 0 on the timelike family gives l = (cosh v, 0, sinh v)."""
     family = CurveFamily.TIMELIKE_S21
-    field = integrate_frenet(family, 0.0, standard_initial_frame(family), (0.0, 1.2), 1e-3)
-    v = field.vs
-    np.testing.assert_allclose(field.ls[:, 0], np.cosh(v), atol=1e-11)
-    np.testing.assert_allclose(field.ls[:, 2], np.sinh(v), atol=1e-11)
-    np.testing.assert_allclose(field.ls[:, 1], 0.0, atol=1e-11)
+    v, _ = _grid((0.0, 1.2), 1e-3)
+    ls = _field(family, 0.0, (0.0, 1.2)).frame_at(v)[:, 0]
+    np.testing.assert_allclose(ls[:, 0], np.cosh(v), atol=1e-11)
+    np.testing.assert_allclose(ls[:, 2], np.sinh(v), atol=1e-11)
+    np.testing.assert_allclose(ls[:, 1], 0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_integrated_curve_stays_on_carrier(family):
     target = -1.0 if family is CurveFamily.SPACELIKE_H21 else 1.0
     expected = np.asarray(family.frame_signs, dtype=float)
+    vs, _ = _grid((0.0, 2.0), 1e-3)
     for kappa in (-1.3, 0.0, 0.7, 2.0):
-        field = integrate_frenet(family, kappa, standard_initial_frame(family), (0.0, 2.0), 1e-3)
-        carrier_dev = np.max(np.abs(inner(field.ls, field.ls, SIG3_PPM) - target))
+        frames = _field(family, kappa, (0.0, 2.0)).frame_at(vs)
+        ls = frames[:, 0]
+        carrier_dev = np.max(np.abs(inner(ls, ls, SIG3_PPM) - target))
         assert carrier_dev < 1e-12, kappa  # each node is an exact isometry up to roundoff
         # and the whole frame keeps its causal pattern
-        for i in (0, len(field) // 2, len(field) - 1):
-            assert orthonormality_deviation(field.state(i).frame, expected, SIG3_PPM) < 1e-12
+        for i in (0, len(vs) // 2, len(vs) - 1):
+            assert orthonormality_deviation(frames[i], expected, SIG3_PPM) < 1e-12
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_curvature_round_trip(family):
-    """Frame samples alone reproduce the input curvature."""
-    field = integrate_frenet(family, 0.5, standard_initial_frame(family), (0.0, 2.0), 1e-3)
+    """Frames on a grid alone reproduce the input curvature."""
+    field = _field(family, 0.5, (0.0, 2.0))
+    vs, h = _grid((0.0, 2.0), 1e-3)
+    _, ts, ns = np.moveaxis(field.frame_at(vs), 1, 0)
     # kappa = <t', n>, t' by second-order stencils (one-sided at the ends)
-    tp = np.gradient(field.ts, field.step, axis=0, edge_order=2)
-    est = inner(tp, field.ns, SIG3_PPM)
+    tp = np.gradient(ts, h, axis=0, edge_order=2)
+    est = inner(tp, ns, SIG3_PPM)
     assert np.max(np.abs(est - field.kappa)) < 1e-5
-
-
-def _frames(field):
-    return np.stack([field.ls, field.ts, field.ns], axis=1)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -162,23 +173,28 @@ def _frames(field):
 def test_constant_curvature_is_the_exact_flow(family, kappa):
     """For constant kappa every node is exp((v - v0) B) S0 up to roundoff."""
     init = standard_initial_frame(family)
-    field = integrate_frenet(family, kappa, init, (0.0, 2.0), 1e-3)
+    vs, _ = _grid((0.0, 2.0), 1e-3)
+    S = _field(family, kappa, (0.0, 2.0)).frame_at(vs)
     B = family.frenet_matrix(kappa)
-    exact = expm(field.vs[:, None, None] * B) @ init.frame
-    S = _frames(field)
+    exact = expm(vs[:, None, None] * B) @ init
     assert np.max(np.abs(S - exact)) <= 1e-12 * max(1.0, np.max(np.abs(S)))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("step", [1e-3, 0.1])
 def test_frame_at_is_the_exact_flow_between_nodes(family, step):
-    """frame_at gives the samples bit for bit at the nodes and exp((v - v0) B) S0
-    between them, whatever the step."""
-    kappa, init = 0.8, replace(standard_initial_frame(family), v=0.3)
-    field = integrate_frenet(family, kappa, init, (0.3, 1.5), step)
-    assert np.array_equal(field.frame_at(field.vs), _frames(field))
+    """frame_at gives frame0 bit for bit at v0 and exp((v - v0) B) frame0 at the
+    nodes of any grid and between them."""
+    kappa, init = 0.8, standard_initial_frame(family)
+    field = _field(family, kappa, (0.3, 1.5))
+    assert field.v_span == (0.3, 1.5)
+    assert np.array_equal(field.frame_at(0.3), init)
+    vs, _ = _grid((0.3, 1.5), step)
+    exact = expm((vs - 0.3)[:, None, None] * family.frenet_matrix(kappa)) @ init
+    S = field.frame_at(vs)
+    assert np.max(np.abs(S - exact)) <= 1e-14 * np.max(np.abs(S))
     v = np.random.default_rng(3).uniform(0.3, 1.5, (20, 10))
-    exact = expm((v - 0.3)[..., None, None] * family.frenet_matrix(kappa)) @ init.frame
+    exact = expm((v - 0.3)[..., None, None] * family.frenet_matrix(kappa)) @ init
     S = field.frame_at(v)
     assert S.shape == (20, 10, 3, 3)
     assert np.max(np.abs(S - exact)) <= 1e-14 * np.max(np.abs(S))
@@ -188,26 +204,28 @@ def test_frame_at_is_the_exact_flow_between_nodes(family, step):
 
 def test_frame_at_refuses_v_outside_the_span():
     family = CurveFamily.SPACELIKE_H21
-    field = integrate_frenet(family, 0.5, standard_initial_frame(family), (0.0, 1.0), 0.1)
+    field = _field(family, 0.5, (0.0, 1.0))
     field.frame_at([0.0 - 1e-13, 1.0 + 1e-13])  # inside the 1e-12 slack
     for v in (-1e-3, 1.001, np.nan, [0.5, np.nan]):
         with pytest.raises(DomainError, match=r"v out of directrix domain \[0, 1\]"):
             field.frame_at(v)
 
 
-def _fields(family, kappa, n):
-    """Fields over v in [0, 2] with step 2/n.  A number gives one field at that
-    kappa; "variable" gives four pieces of constant kappa, each started at the
-    end state of the one before (a non-standard frame at v0 > 0)."""
-    init = standard_initial_frame(family)
+def _pieces(family, kappa, n):
+    """(field, nodes, spacing) over v in [0, 2] with step 2/n.  A number gives one
+    field at that kappa; "variable" gives four pieces of constant kappa, each
+    started from the frame at the end of the one before (a non-standard frame
+    at v0 > 0)."""
     if kappa != "variable":
-        return [integrate_frenet(family, kappa, init, (0.0, 2.0), 2.0 / n)]
-    fields = []
+        return [(_field(family, kappa, (0.0, 2.0)), *_grid((0.0, 2.0), 2.0 / n))]
+    pieces, frame0 = [], standard_initial_frame(family)
     for j in range(4):
         k = 0.4 + 0.3 * np.sin(0.5 * j + 0.25)
-        fields.append(integrate_frenet(family, k, init, (0.5 * j, 0.5 * j + 0.5), 2.0 / n))
-        init = fields[-1].state(len(fields[-1]) - 1)
-    return fields
+        span = (0.5 * j, 0.5 * j + 0.5)
+        field = _field(family, k, span, frame0)
+        pieces.append((field, *_grid(span, 2.0 / n)))
+        frame0 = field.frame_at(span[1])
+    return pieces
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -216,13 +234,13 @@ def _fields(family, kappa, n):
 def test_frames_match_the_sequential_product(family, kappa, n):
     """Each node is the one-step flow E = exp(h B) of the node before it, so the
     closed form agrees step by step with the product S_{i+1} = E S_i."""
-    fields = _fields(family, kappa, n)
+    pieces = _pieces(family, kappa, n)
     if kappa != "variable":
-        assert len(fields[0]) == n + 1
-    start = standard_initial_frame(family).frame
-    for field in fields:
-        S = _frames(field)
-        E = expm(field.step * family.frenet_matrix(field.kappa))
+        assert len(pieces[0][1]) == n + 1
+    start = standard_initial_frame(family)
+    for field, vs, h in pieces:
+        S = field.frame_at(vs)
+        E = expm(h * family.frenet_matrix(field.kappa))
         assert np.array_equal(S[0], start)
         start = S[-1]
         assert np.max(np.abs(S[1:] - E @ S[:-1])) <= 1e-13 * max(1.0, np.max(np.abs(S)))
@@ -233,40 +251,34 @@ def test_frames_match_the_sequential_product(family, kappa, n):
 def test_max_gram_drift_is_the_measured_deviation(family, kappa):
     """Nothing corrects the frame, and its Gram matrix stays at roundoff."""
     expected = np.asarray(family.frame_signs, dtype=float)
-    for field in _fields(family, kappa, 2000):
-        S = _frames(field)
+    for field, vs, _ in _pieces(family, kappa, 2000):
+        S = field.frame_at(vs)
         measured = max(orthonormality_deviation(s, expected, SIG3_PPM) for s in S)
-        assert field.max_gram_drift == measured
         assert measured <= 1e-12 * max(1.0, np.max(np.abs(S))) ** 2
 
 
 def test_bad_initial_frame_rejected():
     family = CurveFamily.SPACELIKE_S21
-    state = standard_initial_frame(family)
-    tilted = type(state)(0.0, state.l + 0.01 * state.t, state.t, state.n)
+    l, t, n = standard_initial_frame(family)
+    tilted = np.stack([l + 0.01 * t, t, n])
     with pytest.raises(ValueError, match="violates the .* Gram matrix"):
-        integrate_frenet(family, 0.0, tilted, (0.0, 1.0))
+        _field(family, 0.0, (0.0, 1.0), tilted)
+    with pytest.raises(ValueError, match="does not match 3 expected signs"):
+        _field(family, 0.0, (0.0, 1.0), tilted[:2])
 
 
 def test_nonfinite_curvature_raises():
-    """integrate_frenet and a directly built FrameField refuse a non-finite kappa."""
     family = CurveFamily.SPACELIKE_S21
-    init = standard_initial_frame(family)
-    frame = init.frame[:, None, :]
     for kappa in (np.nan, np.inf, -np.inf):
-        message = rf"kappa must be finite, got {kappa}$"
-        with pytest.raises(ValueError, match=message):
-            integrate_frenet(family, kappa, init, (0.0, 1.0), 1e-2)
-        with pytest.raises(ValueError, match=message):
-            FrameField(family, [0.0], *frame, kappa, 1e-2)
+        with pytest.raises(ValueError, match=rf"kappa must be finite, got {kappa}$"):
+            _field(family, kappa, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_curvature_whose_square_overflows_is_named(family):
-    init = standard_initial_frame(family)
     message = r"curvature kappa = -1e\+300 is out of range: kappa\^2 overflows$"
     with pytest.raises(DomainError, match=message):
-        integrate_frenet(family, -1e300, init, (0.0, 1.0), 0.1)
+        _field(family, -1e300, (0.0, 1.0))
     with pytest.raises(DomainError, match=message):
         family.growth_rate(-1e300)
 
@@ -274,37 +286,26 @@ def test_curvature_whose_square_overflows_is_named(family):
 def test_frame_overflow_is_named():
     # the timelike frame grows like exp(sqrt(1 + kappa^2) v), beyond 1e308 near v = 1.77
     family = CurveFamily.TIMELIKE_S21
-    with pytest.raises(DomainError, match=r"frame overflows at v=1\.8;"):
-        integrate_frenet(family, 400.0, standard_initial_frame(family), (0.0, 3.0), 0.1)
+    with pytest.raises(DomainError, match=r"frame is not finite at v1=3\.0; shorten the v-span"):
+        _field(family, 400.0, (0.0, 3.0))
+    _field(family, 400.0, (0.0, 1.7))  # finite at v1, so on the whole span
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_huge_curvature_on_its_own_length_scale_is_finite(family):
     # kappa^2 is finite, tr B^2 is not: the exponent must not go through the trace
-    init = standard_initial_frame(family)
-    field = integrate_frenet(family, 1e154, init, (0.0, 1e-154), 1e-156)
-    assert field.max_gram_drift < 1e-14
-
-
-def test_sample_count_is_capped_before_allocation():
-    # 2e9 samples would need 16 GB for the grid alone
-    family = CurveFamily.TIMELIKE_S21
-    with pytest.raises(DomainError, match=r"v-grid of 2e\+09 samples .* exceeds the cap"):
-        integrate_frenet(family, 1.0, standard_initial_frame(family), (0.0, 2.0), 1e-9)
+    expected = np.asarray(family.frame_signs, dtype=float)
+    vs, _ = _grid((0.0, 1e-154), 1e-156)
+    S = _field(family, 1e154, (0.0, 1e-154)).frame_at(vs)
+    assert max(orthonormality_deviation(s, expected, SIG3_PPM) for s in S) < 1e-14
 
 
 def test_bad_span_and_step():
     family = CurveFamily.SPACELIKE_S21
-    init = standard_initial_frame(family)
-    with pytest.raises(ValueError, match="v1 > v0"):
-        integrate_frenet(family, 0.0, init, (1.0, 0.0))
+    for span in ((1.0, 0.0), (0.0, 0.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match=r"v_span must be finite and increasing \(v1 > v0\)"):
+            _field(family, 0.0, span)
+    # the u-grids of the profiles check their step
     with pytest.raises(ValueError, match="step must be positive"):
-        integrate_frenet(family, 0.0, init, (0.0, 1.0), step=-1e-3)
-
-
-def test_initial_state_must_sit_at_span_start():
-    family = CurveFamily.SPACELIKE_S21
-    init = standard_initial_frame(family)
-    with pytest.raises(ValueError, match="span starts at"):
-        integrate_frenet(family, 0.0, init, (0.5, 1.5))
+        _grid_intervals((0.0, 1.0), -1e-3)

@@ -14,13 +14,13 @@ from meridian4 import (
     BranchSigns,
     CaseSpec,
     DomainError,
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
     Theorem,
     TildeKind,
-    assemble,
     export_mesh,
-    integrate_frenet,
     minimal_profile,
     standard_initial_frame,
     tilde_surface,
@@ -37,9 +37,9 @@ from meridian4.harness import _build_case
 def small_surface():
     family = MeridianFamily.SECOND
     cf = family.curve_family
-    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0), 1e-2)
+    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0))
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.4, 0.4), 81)
-    return assemble(family, curve, profile)
+    return MeridianSurface(family, curve, profile)
 
 
 @pytest.fixture(scope="module")

@@ -8,15 +8,15 @@ import pytest
 from meridian4 import (
     DegeneracyError,
     DomainError,
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
-    assemble,
     fd_jet,
     fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
     inner,
-    integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
     standard_initial_frame,
@@ -173,9 +173,9 @@ def meridian_surface():
     """A second-family minimal surface over a directrix with kappa = 0.5."""
     family = MeridianFamily.SECOND
     cf = family.curve_family
-    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.2), 1e-3)
+    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.2))
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 1201)
-    return assemble(family, curve, profile)
+    return MeridianSurface(family, curve, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ from scipy.optimize import brentq
 from meridian4 import (
     BranchSigns,
     DomainError,
+    FrameField,
     GoverningLaw,
     MeridianFamily,
     MeridianProfile,
+    MeridianSurface,
     ProfileParams,
     Provenance,
-    assemble,
-    integrate_frenet,
     integrate_profile,
     minimal_profile,
     phi_closed_form,
@@ -792,8 +792,8 @@ def test_profile_matches_the_scipy_reference(case):
 def _surface_of(prof):
     """prof assembled with a short directrix of its family."""
     cf = prof.family.curve_family
-    curve = integrate_frenet(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0), 0.1)
-    return assemble(prof.family, curve, prof)
+    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0))
+    return MeridianSurface(prof.family, curve, prof)
 
 
 def test_march_reference_cases_truncate_and_run_through():

@@ -1,5 +1,7 @@
 """Tests for surface assembly, analytic curvature, and the congruence transform."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +12,15 @@ from meridian4 import (
     SIG4,
     BranchSigns,
     DomainError,
+    FrameField,
     MeridianFamily,
+    MeridianSurface,
     ProfileParams,
     TRANSFORM_T,
     TildeKind,
-    assemble,
     frame_equation_residuals,
     gram_matrix,
     inner,
-    integrate_frenet,
     mean_curvature_fd,
     minimal_profile,
     profile_from_callable,
@@ -33,14 +35,14 @@ FS = MeridianFamily.FIRST_SPACELIKE
 SECOND = MeridianFamily.SECOND
 
 
-def _curve(family, kappa, v_span=(0.0, 1.2), step=1e-3):
+def _curve(family, kappa, v_span=(0.0, 1.2)):
     cf = family.curve_family
-    return integrate_frenet(cf, kappa, standard_initial_frame(cf), v_span, step)
+    return FrameField(cf, kappa, standard_initial_frame(cf), v_span)
 
 
 def _minimal_surface(family, params, u_span, kappa=0.0):
     profile = minimal_profile(family, params, u_span, 1201)
-    return assemble(family, _curve(family, kappa), profile)
+    return MeridianSurface(family, _curve(family, kappa), profile)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +60,7 @@ def cylinder_surface():
         u_span=(0.0, 2.0),
         n_samples=801,
     )
-    return assemble(FT, _curve(FT, 0.7, (0.0, 1.5)), profile)
+    return MeridianSurface(FT, _curve(FT, 0.7, (0.0, 1.5)), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def evaluated():
         "minimal": _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), kappa=0.4),
         **{spec.theorem.value: _build_case(spec)[0] for spec in reduced},
         "truncated": _build_case(truncated)[0],
-        "callable": assemble(FT, _curve(FT, 0.3), _callable_profile(37)),
+        "callable": MeridianSurface(FT, _curve(FT, 0.3), _callable_profile(37)),
     }
 
 
@@ -157,7 +159,7 @@ def test_callable_profile_values_are_its_callables(n_samples):
     """f, f' and f'' are the user's callables bit for bit at any u, g' the
     unit-speed rule of f', and g the integral of g' from c0 to 1e-14."""
     profile = _callable_profile(n_samples)
-    surface = assemble(FT, _curve(FT, 0.3), profile)
+    surface = MeridianSurface(FT, _curve(FT, 0.3), profile)
     u = _reference_points(profile, np.random.default_rng(n_samples))
     f, fp, fpp, g, gp = surface.profile_values(u)
     assert np.array_equal(f, 2.0 + np.sin(u))
@@ -192,14 +194,15 @@ def test_callable_profile_values_are_its_callables(n_samples):
 @pytest.mark.parametrize("step", [1e-3, 0.1])
 def test_directrix_factors_are_the_exact_flow_off_the_nodes(family, params, u_span, step):
     """frames and immersion read l, t and n from the exact flow exp(v B) S0 at
-    any v, so they agree with scipy's expm between the curve's nodes too."""
+    any v, so they agree with scipy's expm on a grid of spacing ``step`` and
+    between its nodes."""
     kappa, cf = 0.8, family.curve_family
     profile = minimal_profile(family, params, u_span, 1201)
-    surface = assemble(family, _curve(family, kappa, (0.0, 1.2), step), profile)
+    surface = MeridianSurface(family, _curve(family, kappa, (0.0, 1.2)), profile)
     rng = np.random.default_rng(11)
-    u = rng.uniform(*u_span, 200)
-    v = rng.uniform(0.0, 1.2, 200)
-    ltn = expm(v[:, None, None] * cf.frenet_matrix(kappa)) @ standard_initial_frame(cf).frame
+    v = np.concatenate([np.linspace(0.0, 1.2, round(1.2 / step) + 1), rng.uniform(0.0, 1.2, 200)])
+    u = rng.uniform(*u_span, v.size)
+    ltn = expm(v[:, None, None] * cf.frenet_matrix(kappa)) @ standard_initial_frame(cf)
     _, Y, n1, _ = surface.frames(u, v)
     f, _, _, g, _ = surface.profile_values(u)
     z = surface.immersion(u, v)
@@ -210,36 +213,34 @@ def test_directrix_factors_are_the_exact_flow_off_the_nodes(family, params, u_sp
 
 
 def test_directrix_factors_do_not_depend_on_the_curve_step():
-    profile = minimal_profile(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), 801)
-    coarse, fine = (assemble(FS, _curve(FS, 0.8, (0.0, 1.2), step), profile)
-                    for step in (0.1, 1e-3))
-    us = np.linspace(0.25, 0.95, 17)
-    vs = np.linspace(0.0, 1.2, 23)
-    assert np.array_equal(coarse.grid_points(us, vs), fine.grid_points(us, vs))
-    grid = (us[:, None], vs[None, :])
-    for a, b in zip(coarse.frames(*grid), fine.frames(*grid)):
-        assert np.array_equal(a, b)
+    """A case's step sets its profile nodes only: the directrix is the same flow."""
+    spec = CaseSpec(Theorem.CMC_A, ProfileParams(a=1.2, c=1.0), f0=1.5)
+    coarse, fine = (_build_case(replace(spec, step=step))[0] for step in (0.1, 1e-3))
+    vs = np.linspace(*coarse.v_span, 23)
+    assert coarse.v_span == fine.v_span
+    assert np.array_equal(coarse.curve.frame_at(vs), fine.curve.frame_at(vs))
+    assert len(coarse.profile.us) < len(fine.profile.us)
 
 
 def test_assemble_rejects_family_mismatch():
     profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
     with pytest.raises(ValueError, match="cannot assemble"):
-        assemble(SECOND, _curve(SECOND, 0.0), profile)
+        MeridianSurface(SECOND, _curve(SECOND, 0.0), profile)
 
 
 def test_assemble_rejects_wrong_curve_type():
     profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
     with pytest.raises(ValueError, match="directrix"):
-        assemble(FT, _curve(FS, 0.0), profile)
+        MeridianSurface(FT, _curve(FS, 0.0), profile)
 
 
 def test_immersion_matches_definition_at_nodes():
     surface = _minimal_surface(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5))
     prof, curve = surface.profile, surface.curve
-    i, j = 300, 500
-    z = surface.immersion(prof.us[i], curve.vs[j])
+    i, v = 300, 0.5
+    z = surface.immersion(prof.us[i], v)
     expected = np.zeros(4)
-    expected[:3] = prof.f[i] * curve.ls[j]
+    expected[:3] = prof.f[i] * curve.frame_at(v)[0]
     expected[3] = prof.g[i]
     np.testing.assert_allclose(z, expected, atol=1e-12)
 
@@ -388,7 +389,7 @@ def test_mean_curvature_guards_degenerate_radicand():
         u_span=(0.0, 1.0),
         n_samples=401,
     )
-    surface = assemble(FS, _curve(FS, 0.0), profile)
+    surface = MeridianSurface(FS, _curve(FS, 0.0), profile)
     with pytest.raises(DomainError, match="radicand"):
         surface.mean_curvature(np.array([0.0, 0.5]), np.array([0.3, 0.3]))
 
