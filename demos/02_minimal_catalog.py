@@ -35,7 +35,7 @@ CATALOG = {
 def main():
     rng = np.random.default_rng(7)
     for family, (params, u_span) in CATALOG.items():
-        profile = minimal_profile(family, params, u_span, 1401)
+        profile = minimal_profile(family, params, u_span, step=1e-3)
         # minimality needs both curvature coefficients to vanish: the profile
         # kills h2, and a geodesic directrix (kappa = 0) kills h1
         cf = family.curve_family

@@ -124,7 +124,8 @@ def _sampling_flags(group, command: str) -> None:
 def _check_flags(group, command: str) -> None:
     group.add_argument("--seed", type=int, help="seed for interior sample points")
     group.add_argument("--tol-h", type=float, dest="tol_H",
-                       help="tolerance on FD mean-curvature components (default 1e-5)")
+                       help="tolerance on FD mean-curvature components and on the "
+                       "max_H_vector_dev_fd check of H_fd against H_an (default 1e-5)")
 
 
 def _output_flags(group, command: str) -> None:

@@ -252,29 +252,6 @@ def _check_window(x: np.ndarray, span: tuple[float, float], what: str) -> None:
         raise DomainError(f"{what} [{lo:.6g}, {hi:.6g}]: requested [{x.min():.6g}, {x.max():.6g}]")
 
 
-#: Cap on the samples of one grid: a profile's u-grid, a case's nu x nv grid
-#: and its probe points.
-_MAX_SAMPLES = 10**6
-
-
-def _grid_intervals(span, step: float, minimum: int = 2) -> int:
-    """Intervals of a uniform u-grid over ``span`` with spacing close to ``step``.
-
-    Validates the span and the step, and refuses, before anything is
-    allocated, a grid of more than :data:`_MAX_SAMPLES` samples.
-    """
-    lo, hi = float(span[0]), float(span[1])
-    if not (np.isfinite([lo, hi]).all() and hi > lo):
-        raise ValueError(f"u_span must be finite and increasing (u1 > u0), got {span}")
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    n = (hi - lo) / step
-    if not n + 1.0 <= _MAX_SAMPLES:
-        raise DomainError(f"u-grid of {n + 1.0:.4g} samples (span {hi - lo:.6g}, "
-                          f"step {step:.3g}) exceeds the cap of {_MAX_SAMPLES} samples")
-    return max(minimum, int(round(n)))
-
-
 def _flow(family: CurveFamily, kappa: float, s0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(t B) s0, shape ``t.shape + (3, 3)``, overflow left as inf/nan: B^3 = w2 B,
     so exp(t B) = I + sinhc(w2 t^2) t B + sinhc(w2 t^2/4)^2 (t^2/2) B^2."""

@@ -24,11 +24,12 @@ import numpy as np
 from . import __version__
 from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_rank,
                       causal_character, inner)
-from .curves import _MAX_SAMPLES, FrameField, _grid_intervals, standard_initial_frame
+from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
 from .oracle import fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms
 from .profiles import (
+    _MAX_SAMPLES,
     BranchSigns,
     GoverningLaw,
     MeridianProfile,
@@ -303,10 +304,6 @@ def _check(name: str, value, threshold, comparison: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _samples_for(span: tuple[float, float], step: float) -> int:
-    return _grid_intervals(span, step, minimum=8) + 1
-
-
 def _default_minimal_span(
     family: MeridianFamily, params: ProfileParams
 ) -> tuple[float, float]:
@@ -365,12 +362,12 @@ def _build_case(spec: CaseSpec):
             fp=lambda u: np.ones_like(u),
             fpp=lambda u: np.zeros_like(u),
             u_span=u_span,
-            n_samples=_samples_for(u_span, spec.step),
+            step=spec.step,
             params=params,
         )
     elif law is GoverningLaw.MINIMAL:
         u_span = spec.u_span if spec.u_span is not None else _default_minimal_span(family, params)
-        profile = minimal_profile(family, params, u_span, _samples_for(u_span, spec.step))
+        profile = minimal_profile(family, params, u_span, step=spec.step)
     else:
         if spec.f0 is None:
             raise ValueError(f"{thm.value} needs f0 (initial warp value f(u0))")
@@ -436,6 +433,9 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     max_H_inf = float(np.max(H_inf))
     min_H_inf = float(np.min(H_inf))
     max_norm2_dev = float(np.max(np.abs(forms.norm2H - target)))
+    # the vector itself: <H, H> is blind to the signs of h1 and h2
+    H_an = float(np.max(np.abs(mc.vector)))
+    max_H_vector_dev = float(np.max(np.abs(forms.H - mc.vector))) / max(1.0, H_an)
     codes = _causal_codes(forms.H).ravel()
     characters = set(_CHARACTERS[np.bincount(codes, minlength=len(_CHARACTERS)) > 0])
 
@@ -463,6 +463,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
         "max_H_fd_inf": max_H_inf,
         "min_H_fd_inf": min_H_inf,
         "max_norm2_dev_fd": max_norm2_dev,
+        "max_H_vector_dev_fd": max_H_vector_dev,
         "target_norm2": target,
         "max_frame_residual": max_frame,
         "max_mixed_fd": max_mixed,
@@ -479,6 +480,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
 
     checks = [
         _check("max_norm2_dev_fd", stats["max_norm2_dev_fd"], tol_norm2, "<="),
+        _check("max_H_vector_dev_fd", max_H_vector_dev, spec.tol_H, "<="),
         _check("max_governing_residual", max_governing, spec.tol_governing, "<="),
         _check("max_constraint_residual", max_constraint, spec.tol_constraint, "<="),
         _check("max_frame_residual", max_frame, spec.tol_frame, "<="),
@@ -545,7 +547,7 @@ def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]
     for family, (params, u_span, kappa, v_span) in recipes.items():
         cf = family.curve_family
         curve = FrameField(cf, kappa, standard_initial_frame(cf), v_span)
-        profile = minimal_profile(family, params, u_span, _samples_for(u_span, spec.step))
+        profile = minimal_profile(family, params, u_span, step=spec.step)
         out[family] = MeridianSurface(family, curve, profile)
     return out
 

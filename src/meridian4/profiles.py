@@ -1,10 +1,11 @@
 """Meridian profiles (f, g): closed forms and first-integral reductions.
 
 A profile is the pair of functions (f(u), g(u)) entering the meridian
-immersion z = f l + g e4: samples on a uniform u-grid with the derivatives
-the residual checks read, and an exact evaluator of (f, f', f'', g, g') at
-any u of its window, which the surface reads.  Three constructions produce
-profiles:
+immersion z = f l + g e4: an exact evaluator of (f, f', f'', g, g') at any
+u of its window, which the surface reads, and its values at the nodes, which
+the residual checks read.  One rule (:func:`_nodes`) places the nodes of
+every profile: uniform over the window, spaced close to ``step``.  Three
+constructions produce profiles:
 
 * :func:`minimal_profile` - the closed-form solutions of the minimality
   equation f f'' + f'^2 +- 1 = 0, one two-parameter family per surface
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import _grid_intervals
 from .errors import DomainError
 from .families import MeridianFamily
 
@@ -150,15 +150,40 @@ class ProfileParams:
                 "branch_signs": self.branch.as_string()}
 
 
+#: Cap on the samples of one grid: a profile's nodes, a case's nu x nv grid
+#: and its probe points.
+_MAX_SAMPLES = 10**6
+
+
+def _nodes(u_span, step: float) -> np.ndarray:
+    """The nodes of a profile: uniform over ``u_span``, both ends included,
+    spaced close to ``step``, and at least 3.
+
+    Validates the span and the step, and refuses, before anything is
+    allocated, more than :data:`_MAX_SAMPLES` nodes.
+    """
+    lo, hi = float(u_span[0]), float(u_span[1])
+    if not (np.isfinite([lo, hi]).all() and hi > lo):
+        raise ValueError(f"u_span must be finite and increasing (u1 > u0), got {u_span}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    n = (hi - lo) / step
+    if not n + 1.0 <= _MAX_SAMPLES:
+        raise DomainError(f"u-grid of {n + 1.0:.4g} samples (span {hi - lo:.6g}, "
+                          f"step {step:.3g}) exceeds the cap of {_MAX_SAMPLES} samples")
+    return np.linspace(lo, hi, max(2, int(round(n))) + 1)
+
+
 @dataclass(eq=False)
 class MeridianProfile:
-    """A sampled profile on a uniform u-grid with first two derivatives.
+    """A profile's exact evaluator and its values at the nodes ``us``.
 
-    Invariants enforced at construction: uniform grid with at least 3
-    samples, finite data, and f > 0 everywhere (the geometry divides by f).
     ``evaluate`` maps u in ``u_span`` to (f, f', f'', g, g') at u, each of
     u's shape, exactly: the closed forms, the inverted first integral or the
-    user's callables.
+    user's callables.  Construction evaluates it once at ``us`` and keeps
+    the values as ``f``, ``fp``, ``fpp``, ``g`` and ``gp``.  Invariants
+    enforced there: a uniform grid of at least 3 nodes, finite values, and
+    f > 0 at every node (the geometry divides by f).
     ``truncated`` marks ODE profiles that end before the requested window
     end; ``us`` then covers only the reached span.  ``truncation_reason``
     says why (None when the profile is whole): ``"phi-inadmissible"`` (the
@@ -168,33 +193,27 @@ class MeridianProfile:
 
     family: MeridianFamily
     us: np.ndarray
-    f: np.ndarray
-    fp: np.ndarray
-    fpp: np.ndarray
-    g: np.ndarray
-    gp: np.ndarray
     params: ProfileParams
     provenance: Provenance
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]] = field(repr=False)
     truncated: bool = False
     truncation_reason: str | None = None
+    f: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+    fpp: np.ndarray = field(init=False)
+    g: np.ndarray = field(init=False)
+    gp: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        arrays = {}
-        for name in ("us", "f", "fp", "fpp", "g", "gp"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-dimensional")
-            arrays[name] = arr
-        n = len(arrays["us"])
-        if n < 3:
-            raise DomainError(f"a profile needs at least 3 samples, got {n}")
-        if any(len(arr) != n for arr in arrays.values()):
-            raise ValueError("profile arrays must share one length")
-        steps = np.diff(arrays["us"])
+        us = np.asarray(self.us, dtype=float)
+        if len(us) < 3:
+            raise DomainError(f"a profile needs at least 3 samples, got {len(us)}")
+        steps = np.diff(us)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("profile u-grid must be uniform")
-        for name, arr in arrays.items():
+        names = ("us", "f", "fp", "fpp", "g", "gp")
+        for name, arr in zip(names, (us, *self.evaluate(us))):
+            arr = np.asarray(arr, dtype=float)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"profile array {name} contains non-finite values")
             setattr(self, name, arr)
@@ -202,16 +221,9 @@ class MeridianProfile:
         if fmin <= 0.0:
             raise DomainError(f"profile warp factor must stay positive, min f = {fmin:.3e}")
 
-    def __len__(self) -> int:
-        return len(self.us)
-
     @property
     def u_span(self) -> tuple[float, float]:
         return float(self.us[0]), float(self.us[-1])
-
-    @property
-    def step(self) -> float:
-        return float(self.us[1] - self.us[0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +235,10 @@ def minimal_profile(
     family: MeridianFamily,
     params: ProfileParams,
     u_span: tuple[float, float],
-    n_samples: int = 801,
+    *,
+    step: float = 1e-3,
 ) -> MeridianProfile:
-    """Sample the closed-form minimal profile of a family on a u-window.
+    """The closed-form minimal profile of a family on a u-window.
 
     The minimality equation f f'' + f'^2 + beta = 0 integrates to
     (f^2)'' = -2 beta, so f^2 is an explicit quadratic and g follows by the
@@ -239,12 +252,11 @@ def minimal_profile(
     and ``SECOND`` b - a^2 > 0.  The window must keep the radicand of f
     strictly positive; otherwise a :class:`DomainError` names the
     offending point.  A profile that overflows a float or varies faster
-    than its samples (length scale f^2 / sqrt(disc) under the spacing) is a
-    :class:`DomainError` naming a, b and the window.  The samples and the
-    profile's evaluator are the same closed forms.
+    than its nodes (length scale f^2 / sqrt(disc) under ``step``) is a
+    :class:`DomainError` naming a, b and the window.  The profile's evaluator
+    is the closed forms.
     """
-    if n_samples < 3:
-        raise ValueError(f"n_samples must be at least 3, got {n_samples}")
+    us = _nodes(u_span, step)
     a, b, c0, sg = params.a, params.b, params.c0, params.branch.g
     if params.branch.f < 0:
         raise DomainError(
@@ -267,10 +279,7 @@ def minimal_profile(
             g = sg * root * np.log(np.abs(u + a + f)) + c0
         return f, fp, fpp, g, sg * root / f
 
-    us = np.linspace(float(u_span[0]), float(u_span[1]), n_samples)
-    if us[-1] <= us[0]:
-        raise ValueError(f"u_span must be increasing, got {u_span}")
-    # f^2 at the samples and at the vertex of the quadratic, its least value
+    # f^2 at the nodes and at the vertex of the quadratic, its least value
     # on the window when beta < 0
     checked = np.append(us, np.clip(a / beta, us[0], us[-1]))
     radicand = -beta * checked * checked + 2.0 * a * checked + b
@@ -280,15 +289,14 @@ def minimal_profile(
             f"u-window leaves the admissible domain: f^2 = {radicand[i_min]:.3e} "
             f"at u = {checked[i_min]:.6g}"
         )
-    f, fp, fpp, g, gp = evaluate(us)
+    # f'' = alpha disc / f^3 (f^2 at the nodes) is lost where f^3 overflows,
+    # and the surface's curvature terms overflow where f'' changes by more
+    # than a float between nodes.  f varies on the length scale f^2 / sqrt(disc)
+    # (|f''| / f = disc / f^4); coarser nodes would let the residual checks,
+    # which read the nodes only, certify a profile they do not see.
     with np.errstate(over="ignore", invalid="ignore"):
-        f3 = f**3
-        slopes = np.diff(fpp) / np.diff(us)
-    # f'' = alpha disc / f^3 is lost where f^3 overflows, and the surface's
-    # curvature terms overflow where f'' changes by more than a float between
-    # samples.  f varies on the length scale f^2 / sqrt(disc) (|f''| / f =
-    # disc / f^4); coarser samples would let the residual checks, which read
-    # the samples only, certify a profile they do not see.
+        f3 = radicand[:-1] ** 1.5
+        slopes = np.diff(alpha * disc / f3) / np.diff(us)
     spacing, scale = us[1] - us[0], radicand[i_min] / root
     profile = f"the minimal profile for a = {a!r}, b = {b!r}"
     window = f"on the u-window ({float(u_span[0])!r}, {float(u_span[1])!r})"
@@ -299,18 +307,7 @@ def minimal_profile(
     if not spacing <= scale:
         raise DomainError(f"{profile} is not resolved {window}: it varies on a length "
                           f"scale of {scale:.3g}, under the sample spacing {spacing:.3g}{retry}")
-    return MeridianProfile(
-        family=family,
-        us=us,
-        f=f,
-        fp=fp,
-        fpp=fpp,
-        g=g,
-        gp=gp,
-        params=params,
-        provenance=Provenance.CLOSED_FORM_MINIMAL,
-        evaluate=evaluate,
-    )
+    return MeridianProfile(family, us, params, Provenance.CLOSED_FORM_MINIMAL, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +802,7 @@ def integrate_profile(
     not converge to roundoff is a :class:`DomainError` naming it.  It gives
     f' = phi(f), g' = sign_g z and f'' = -alpha z z'
     (:meth:`PhiFunction.second_derivative`) from z(f), and the node arrays
-    are its values at the nodes.
+    are its values at the nodes :func:`_nodes` places on ``u_span``.
 
     The truncation at the end of the domain interval is exact: the profile
     keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and
@@ -818,14 +815,14 @@ def integrate_profile(
     on a simple root of phi^2), f0 is a turning point of the second-order
     law and a :class:`DomainError`.
     """
-    n = _grid_intervals(u_span, step)
-    u0, u1 = float(u_span[0]), float(u_span[1])
+    us = _nodes(u_span, step)
+    n, u0 = len(us) - 1, us[0]
     f0 = float(f0)
     if not _contains(phi.domain, f0):
         raise DomainError(
             f"f0 = {f0:.6g} lies outside the admissible domain {phi.domain} of phi"
         )
-    h = (u1 - u0) / n
+    h = (us[-1] - u0) / n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rate0 = phi(f0)
         if rate0 == 0.0:
@@ -845,27 +842,10 @@ def integrate_profile(
             f"profile window collapsed: only {count} admissible samples from "
             f"f0 = {f0:.6g} before leaving the domain"
         )
-    us = u0 + h * np.arange(count)
-    f, fp, fpp, g, gp = evaluate(us)
-    provenance = (
-        Provenance.QUASI_MINIMAL_ODE
-        if phi.law is GoverningLaw.QUASI_MINIMAL
-        else Provenance.CMC_ODE
-    )
-    return MeridianProfile(
-        family=phi.family,
-        us=us,
-        f=f,
-        fp=fp,
-        fpp=fpp,
-        g=g,
-        gp=gp,
-        params=phi.params,
-        provenance=provenance,
-        truncated=reason is not None,
-        truncation_reason=reason,
-        evaluate=evaluate,
-    )
+    quasi = phi.law is GoverningLaw.QUASI_MINIMAL
+    provenance = Provenance.QUASI_MINIMAL_ODE if quasi else Provenance.CMC_ODE
+    return MeridianProfile(phi.family, us[:count], phi.params, provenance, evaluate,
+                           truncated=reason is not None, truncation_reason=reason)
 
 
 def _constant(f0: float, c0: float, u0: float, fp: float, fpp: float, gp: float):
@@ -883,22 +863,21 @@ def profile_from_callable(
     fp: Callable[[np.ndarray], np.ndarray],
     fpp: Callable[[np.ndarray], np.ndarray],
     u_span: tuple[float, float],
-    n_samples: int = 801,
+    *,
+    step: float = 1e-3,
     params: ProfileParams | None = None,
 ) -> MeridianProfile:
     """Build a user-supplied profile from callables for f and its derivatives.
 
     g' is produced by the family's unit-speed rule (with the g branch sign
     from ``params``), and g from params.c0 by one 12-node Gauss-Legendre
-    panel of g' between each pair of consecutive samples.  The profile's
-    evaluator calls f, f' and f'' at u, and adds to g at the nearest sample
+    panel of g' between each pair of consecutive nodes.  The profile's
+    evaluator calls f, f' and f'' at u, and adds to g at the nearest node
     one panel from there to u.  The supplied f must keep the g' radicand
     non-negative on the window.
     """
-    if n_samples < 3:
-        raise ValueError(f"n_samples must be at least 3, got {n_samples}")
+    us = _nodes(u_span, step)
     params = params if params is not None else ProfileParams()
-    us = np.linspace(float(u_span[0]), float(u_span[1]), n_samples)
 
     def gprime(fp_values):
         rad = family.gprime_radicand(fp_values)
@@ -918,26 +897,15 @@ def profile_from_callable(
         near = np.clip(np.rint((u - us[0]) / (us[1] - us[0])).astype(np.intp), 0, len(us) - 1)
         return fu, fpu, fppu, g[near] + panel(us[near], u), gprime(fpu)
 
-    fv, fpv, fppv, _, gp = evaluate(us)
-    radicand = family.gprime_radicand(fpv)
+    profile = MeridianProfile(family, us, params, Provenance.USER_SUPPLIED, evaluate)
+    radicand = family.gprime_radicand(profile.fp)
     i_min = int(np.argmin(radicand))
     if radicand[i_min] < 0.0:
         raise DomainError(
             f"user profile breaks the unit-speed constraint: g'^2 = "
             f"{radicand[i_min]:.3e} at u = {us[i_min]:.6g}"
         )
-    return MeridianProfile(
-        family=family,
-        us=us,
-        f=fv,
-        fp=fpv,
-        fpp=fppv,
-        g=g,
-        gp=gp,
-        params=params,
-        provenance=Provenance.USER_SUPPLIED,
-        evaluate=evaluate,
-    )
+    return profile
 
 
 # ---------------------------------------------------------------------------

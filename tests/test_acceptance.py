@@ -224,7 +224,8 @@ def _generic_surface(family):
     params, u_span, kappa = recipes[family]
     cf = family.curve_family
     curve = FrameField(cf, kappa, standard_initial_frame(cf), (0.0, 1.2))
-    return MeridianSurface(family, curve, minimal_profile(family, params, u_span, 1601))
+    profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1600)
+    return MeridianSurface(family, curve, profile)
 
 
 def test_criterion_6_frame_equations():

@@ -181,6 +181,10 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
         (["--theorem=minimal-a", "--a=0", "--b=1e300", "--u-min=0", "--u-max=1",
           "--nu", "5", "--nv", "5"],
          "for a = 0.0, b = 1e+300 overflows on the u-window (0.0, 1.0)"),
+        # f^2 ~ 2e-10 at the nodes, so f'' = disc / f^3 overflows to inf
+        (["--theorem=minimal-a", "--a=1e147", "--b=0", "--u-min=1e-157", "--u-max=2e-157",
+          "--nu", "5", "--nv", "5"],
+         "for a = 1e+147, b = 0.0 overflows on the u-window (1e-157, 2e-157)"),
     ],
 )
 @pytest.mark.filterwarnings("error")

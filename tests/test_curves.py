@@ -17,7 +17,7 @@ from meridian4 import (
     orthonormality_deviation,
     standard_initial_frame,
 )
-from meridian4.curves import _grid_intervals
+from meridian4.profiles import _nodes
 
 ALL_FAMILIES = list(CurveFamily)
 
@@ -308,4 +308,4 @@ def test_bad_span_and_step():
             _field(family, 0.0, span)
     # the u-grids of the profiles check their step
     with pytest.raises(ValueError, match="step must be positive"):
-        _grid_intervals((0.0, 1.0), -1e-3)
+        _nodes((0.0, 1.0), -1e-3)

@@ -38,7 +38,7 @@ def small_surface():
     family = MeridianFamily.SECOND
     cf = family.curve_family
     curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0))
-    profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.4, 0.4), 81)
+    profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.4, 0.4), step=1e-2)
     return MeridianSurface(family, curve, profile)
 
 

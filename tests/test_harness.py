@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from meridian4 import (
     CaseSpec,
     DomainError,
+    GoverningLaw,
+    MeridianFamily,
     ProfileParams,
     Theorem,
     VerificationReport,
@@ -19,8 +21,8 @@ from meridian4 import (
     verify_case,
 )
 from meridian4 import harness
-from meridian4.harness import _samples_for, _suite_cases
-from meridian4.profiles import BranchSigns
+from meridian4.harness import _suite_cases
+from meridian4.profiles import BranchSigns, _nodes
 from meridian4.surfaces import MeridianSurface
 
 
@@ -108,10 +110,9 @@ def test_sample_counts_are_capped():
     with pytest.raises(DomainError, match="1001x1000 = 1001000 points exceeds the cap"):
         CaseSpec(Theorem.MINIMAL_A, nu=1001, nv=1000)
     CaseSpec(Theorem.MINIMAL_A, nu=1000, nv=1000)
-    assert _samples_for((0.0, 1.0), 1e-3) == 1001
-    assert _samples_for((0.0, 1.0), 0.5) == 9
+    assert len(_nodes((0.0, 1.0), 1e-3)) == 1001
     with pytest.raises(DomainError, match=r"u-grid of 2e\+09 samples"):
-        _samples_for((0.0, 1.0), 5e-10)
+        _nodes((0.0, 1.0), 5e-10)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -287,6 +288,41 @@ def test_theorem_suite_all_pass():
     tags = [r.case["theorem"] for r in reports]
     # both CMC sign branches are exercised for every family
     assert tags.count("cmc-a") == tags.count("cmc-b") == tags.count("cmc-c") == 2
+
+
+def test_every_theorem_report_checks_the_mean_curvature_vector():
+    """|H_fd - H_an| / max(1, |H_an|) is checked against tol_H on every case
+    but the congruence; the suite reads <= 1e-8 of it at 21x21."""
+    for spec in _suite_cases():
+        report = verify_case(spec)
+        checks = {c["name"]: c for c in report.checks}
+        if spec.theorem is Theorem.CONGRUENCE_TILDE:
+            assert "max_H_vector_dev_fd" not in checks
+            continue
+        check = checks["max_H_vector_dev_fd"]
+        assert check["value"] == report.stats["max_H_vector_dev_fd"] <= 1e-8
+        assert check["threshold"] == spec.tol_H and check["ok"]
+
+
+@pytest.mark.parametrize("negated", [0, 1], ids=["h1", "h2"])
+def test_a_negated_mean_curvature_coefficient_fails_every_reduced_case(negated, monkeypatch):
+    """<H, H> is blind to the signs of h1 and h2; the vector check is not."""
+    h_coefficients = MeridianFamily.h_coefficients
+
+    def flipped(family, *args):
+        h = list(h_coefficients(family, *args))
+        h[negated] = -h[negated]
+        return tuple(h)
+
+    monkeypatch.setattr(MeridianFamily, "h_coefficients", flipped)
+    reduced = [s for s in _suite_cases()
+               if s.theorem.law in (GoverningLaw.QUASI_MINIMAL, GoverningLaw.CMC)]
+    assert len(reduced) == 9
+    for spec in reduced:
+        report = verify_case(spec)
+        failed = [c["name"] for c in report.checks if not c["ok"]]
+        assert report.status == "fail" and failed == ["max_H_vector_dev_fd"], failed
+        assert report.stats["max_H_vector_dev_fd"] >= 0.4
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def meridian_surface():
     family = MeridianFamily.SECOND
     cf = family.curve_family
     curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.2))
-    profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 1201)
+    profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), step=1e-3)
     return MeridianSurface(family, curve, profile)
 
 

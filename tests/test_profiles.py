@@ -75,7 +75,7 @@ def test_profile_params_must_be_finite(name, bad):
 
 def test_minimal_first_timelike_frozen_values():
     """a=0, b=1 gives f = sqrt(1 - u^2), g = arcsin(u)."""
-    prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 241)
+    prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), step=5e-3)
     us = prof.us
     np.testing.assert_allclose(prof.f, np.sqrt(1.0 - us * us), atol=1e-14)
     np.testing.assert_allclose(prof.g, np.arcsin(us), atol=1e-14)
@@ -85,7 +85,7 @@ def test_minimal_first_timelike_frozen_values():
 
 
 def test_minimal_first_spacelike_frozen_value():
-    prof = minimal_profile(FS, ProfileParams(a=1.5, b=1.0), (0.5, 1.0), 101)
+    prof = minimal_profile(FS, ProfileParams(a=1.5, b=1.0), (0.5, 1.0), step=5e-3)
     # f(1) = sqrt(1 + 3 + 1)
     assert abs(prof.f[-1] - np.sqrt(5.0)) < 1e-14
     res = profile_residuals(prof, GoverningLaw.MINIMAL)
@@ -94,7 +94,7 @@ def test_minimal_first_spacelike_frozen_value():
 
 
 def test_minimal_second_family_frozen_values():
-    prof = minimal_profile(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 201)
+    prof = minimal_profile(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=5e-3)
     i = int(np.argmin(np.abs(prof.us)))
     assert abs(prof.f[i] - 1.0) < 1e-14
     assert abs(prof.g[i]) < 1e-14  # g = ln(u + f) vanishes at u = 0
@@ -128,9 +128,9 @@ def test_negative_f_branch_rejected():
 
 def test_minimal_g_sign_branch():
     down = minimal_profile(
-        FT, ProfileParams(a=0.0, b=1.0, branch=BranchSigns(g=-1)), (-0.5, 0.5), 101
+        FT, ProfileParams(a=0.0, b=1.0, branch=BranchSigns(g=-1)), (-0.5, 0.5), step=1e-2
     )
-    up = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
+    up = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     np.testing.assert_allclose(down.g, -up.g, atol=1e-15)
     np.testing.assert_allclose(down.gp, -up.gp, atol=1e-15)
 
@@ -518,7 +518,7 @@ def test_stationary_start_gives_the_constant_profile(law, family, params, f0):
     phi = phi_closed_form(law, family, params, (1e-3, 12.0))
     assert phi(f0) == 0.0 and phi.second_derivative(f0) == 0.0
     prof = integrate_profile(phi, f0, (0.0, 0.5), 1e-2)
-    assert len(prof) == 51 and not prof.truncated
+    assert len(prof.us) == 51 and not prof.truncated
     assert np.all(prof.f == f0) and np.all(prof.fp == 0.0)
     gp0 = np.sqrt(family.gprime_radicand(0.0))
     assert np.all(prof.gp == gp0)
@@ -557,7 +557,7 @@ def test_profile_ends_on_a_simple_root():
     below = cut - np.geomspace(1e-2, 1e-14, 13)
     for n in (4, 400, 4000):
         prof = integrate_profile(phi, 1.0, (0.0, whole), whole / n)
-        assert len(prof) == n + 1 and not prof.truncated
+        assert len(prof.us) == n + 1 and not prof.truncated
         assert 2.0 - 4.0 * eps <= prof.f[-1] <= 2.0
         assert 0.0 <= prof.fp[-1] <= 1e-7
         assert abs(prof.gp[-1] - 1.0) <= 4.0 * eps
@@ -763,7 +763,7 @@ def test_profile_matches_the_scipy_reference(case):
             except DomainError as exc:
                 assert "collapsed" in str(exc)
                 continue
-            n = len(prof)
+            n = len(prof.us)
             nodes = np.unique([1, n // 2, n - 4, n - 1])
             ref, u_star = _scipy_reference(phi, f0, prof.us[nodes] - prof.us[0], prof.f[nodes])
             np.testing.assert_allclose(prof.f[nodes], ref[:, 0], rtol=0, atol=1e-12)
@@ -774,7 +774,7 @@ def test_profile_matches_the_scipy_reference(case):
                                        rtol=0, atol=1e-12)
             u_last = prof.us[-1] - prof.us[0]
             if prof.truncated:
-                assert u_last <= u_star < u_last + prof.step
+                assert u_last <= u_star < u_last + prof.us[1] - prof.us[0]
             else:
                 assert u_star >= u_last
             # off the nodes: the midpoints before those nodes, and random u
@@ -993,7 +993,7 @@ def _newton_reference(inverse, u):
 
 
 def _query_sets(prof):
-    rng = np.random.default_rng(len(prof))
+    rng = np.random.default_rng(len(prof.us))
     return [rng.uniform(*prof.u_span, n) for n in (1, 20, 205, 1001)]
 
 
@@ -1055,7 +1055,7 @@ def test_profile_from_callable_linear_f():
         fp=lambda u: np.ones_like(u),
         fpp=lambda u: np.zeros_like(u),
         u_span=(0.0, 2.0),
-        n_samples=401,
+        step=5e-3,
     )
     assert prof.provenance is Provenance.USER_SUPPLIED
     # g' = sqrt(f'^2 + 1) = sqrt(2) for the timelike meridian
@@ -1076,7 +1076,7 @@ def test_profile_from_callable_enforces_speed_constraint():
 
 
 def test_residual_checker_warns_on_law_mismatch():
-    prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
+    prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     with pytest.warns(UserWarning, match="checked against"):
         profile_residuals(prof, GoverningLaw.QUASI_MINIMAL)
 
@@ -1096,51 +1096,83 @@ def test_cmc_residual_is_sign_free():
 # ---------------------------------------------------------------------------
 
 
-def _profile_kwargs(**overrides):
-    us = np.linspace(0.0, 1.0, 11)
-    base = dict(
-        family=FT,
-        us=us,
-        f=np.ones_like(us),
-        fp=np.zeros_like(us),
-        fpp=np.zeros_like(us),
-        g=us.copy(),
-        gp=np.ones_like(us),
-        params=ProfileParams(),
-        provenance=Provenance.USER_SUPPLIED,
-        evaluate=lambda u: (np.ones_like(u), np.zeros_like(u), np.zeros_like(u), u,
-                            np.ones_like(u)),
-    )
-    base.update(overrides)
-    return base
+def _profile(us=np.linspace(0.0, 1.0, 11), f=np.ones_like):
+    """A profile whose evaluator gives f(u), f' = f'' = 0, g = u and g' = 1."""
+    return MeridianProfile(FT, us, ProfileParams(), Provenance.USER_SUPPLIED,
+                           lambda u: (f(u), np.zeros_like(u), np.zeros_like(u), u, np.ones_like(u)))
 
 
 def test_profile_requires_uniform_grid():
-    us = np.array([0.0, 0.1, 0.3, 0.6, 1.0])
-    kw = _profile_kwargs(
-        us=us, f=np.ones(5), fp=np.zeros(5), fpp=np.zeros(5), g=us, gp=np.ones(5)
-    )
     with pytest.raises(ValueError, match="uniform"):
-        MeridianProfile(**kw)
+        _profile(us=np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
 
 
 def test_profile_requires_positive_f():
-    kw = _profile_kwargs(f=np.linspace(-0.1, 1.0, 11))
     with pytest.raises(DomainError, match="positive"):
-        MeridianProfile(**kw)
+        _profile(f=lambda u: 1.1 * u - 0.1)
 
 
 def test_profile_requires_three_samples():
-    us = np.array([0.0, 1.0])
-    kw = _profile_kwargs(
-        us=us, f=np.ones(2), fp=np.zeros(2), fpp=np.zeros(2), g=us, gp=np.ones(2)
-    )
     with pytest.raises(DomainError, match="at least 3 samples"):
-        MeridianProfile(**kw)
+        _profile(us=np.array([0.0, 1.0]))
 
 
 def test_profile_rejects_nonfinite():
-    f = np.ones(11)
-    f[5] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        MeridianProfile(**_profile_kwargs(f=f))
+        _profile(f=lambda u: np.where(u == 0.5, np.inf, 1.0))
+
+
+def test_profile_keeps_the_values_of_one_evaluation_at_its_nodes():
+    calls = []
+
+    def evaluate(u):
+        calls.append(u.copy())
+        return 2.0 + u, np.ones_like(u), np.zeros_like(u), -u, np.full_like(u, 3.0)
+
+    us = np.linspace(0.0, 1.0, 11)
+    prof = MeridianProfile(FT, us, ProfileParams(), Provenance.USER_SUPPLIED, evaluate)
+    assert len(calls) == 1 and np.array_equal(calls[0], us)
+    for got, want in zip((prof.f, prof.fp, prof.fpp, prof.g, prof.gp), evaluate(us)):
+        assert np.array_equal(got, want)
+
+
+_QUASI_PHI = dict(law=QM, family=FT, params=ProfileParams(a=1.0, c=2.0), window=(1e-6, 40.0))
+# each constructor as (u_span, step) -> profile; all three read the same node rule
+_CONSTRUCTORS = {
+    "minimal": lambda span, step: minimal_profile(FT, ProfileParams(a=0.0, b=4.0), span,
+                                                  step=step),
+    "reduced": lambda span, step: integrate_profile(phi_closed_form(**_QUASI_PHI), 2.0, span,
+                                                    step),
+    "callable": lambda span, step: profile_from_callable(FT, np.exp, np.exp, np.exp, span,
+                                                         step=step),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("span,step,error,message", [
+    ((1.0, 0.0), 1e-3, ValueError,
+     r"u_span must be finite and increasing \(u1 > u0\), got \(1\.0, 0\.0\)$"),
+    ((0.0, np.nan), 1e-3, ValueError,
+     r"u_span must be finite and increasing \(u1 > u0\), got \(0\.0, nan\)$"),
+    ((0.0, np.inf), 1e-3, ValueError,
+     r"u_span must be finite and increasing \(u1 > u0\), got \(0\.0, inf\)$"),
+    ((0.0, 1.0), 0.0, ValueError, r"step must be positive and finite, got 0\.0$"),
+    ((0.0, 1.0), np.nan, ValueError, r"step must be positive and finite, got nan$"),
+    ((0.0, 1.0), 1e-9, DomainError, r"u-grid of 1e\+09 samples \(span 1, step 1e-09\) "
+                                    r"exceeds the cap of 1000000 samples$"),
+], ids=["reversed", "nan-end", "inf-end", "zero-step", "nan-step", "over-cap"])
+def test_every_constructor_checks_its_span_and_step_alike(build, span, step, error, message):
+    with pytest.raises(error, match=message) as caught:
+        build(span, step)
+    assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("build", _CONSTRUCTORS.values(), ids=_CONSTRUCTORS.keys())
+def test_every_constructor_places_the_same_nodes(build):
+    """Uniform nodes, both ends included, spaced close to the step, and at
+    least 3 of them: a step over the span is not refused."""
+    for span, step, count in [((0.0, 0.5), 1e-3, 501), ((0.0, 0.5), 0.3, 3),
+                              ((0.0, 0.5), 10.0, 3), ((0.1, 0.4), 0.1, 4)]:
+        us = build(span, step).us
+        assert np.array_equal(us, np.linspace(*span, count))

@@ -33,3 +33,13 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["minimal.obj", "report.json"]
+
+
+def test_readme_layout_counts_the_source_lines():
+    """Layout's "src/meridian4/ (N lines)" is the line count (``wc -l``) of
+    src/meridian4/*.py, the size the roadmap tracks."""
+    stated = re.search(r"^src/meridian4/\s+\(([\d,]+) lines\)$", README.read_text(), re.M)
+    assert stated, "README Layout lost its line count"
+    sources = (README.parent / "src" / "meridian4").glob("*.py")
+    assert int(stated.group(1).replace(",", "")) == sum(p.read_bytes().count(b"\n")
+                                                        for p in sources)

@@ -41,7 +41,7 @@ def _curve(family, kappa, v_span=(0.0, 1.2)):
 
 
 def _minimal_surface(family, params, u_span, kappa=0.0):
-    profile = minimal_profile(family, params, u_span, 1201)
+    profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1200)
     return MeridianSurface(family, _curve(family, kappa), profile)
 
 
@@ -58,7 +58,7 @@ def cylinder_surface():
         fp=lambda u: np.zeros_like(u),
         fpp=lambda u: np.zeros_like(u),
         u_span=(0.0, 2.0),
-        n_samples=801,
+        step=2.5e-3,
     )
     return MeridianSurface(FT, _curve(FT, 0.7, (0.0, 1.5)), profile)
 
@@ -81,14 +81,14 @@ def _reference_points(prof, rng):
     ])
 
 
-def _callable_profile(n_samples, family=FT):
+def _callable_profile(step, family=FT):
     return profile_from_callable(
         family,
         f=lambda u: 2.0 + np.sin(u),
         fp=np.cos,
         fpp=lambda u: -np.sin(u),
         u_span=(0.1, 0.4),
-        n_samples=n_samples,
+        step=step,
         params=ProfileParams(c0=0.3),
     )
 
@@ -105,7 +105,7 @@ def evaluated():
         "minimal": _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), kappa=0.4),
         **{spec.theorem.value: _build_case(spec)[0] for spec in reduced},
         "truncated": _build_case(truncated)[0],
-        "callable": MeridianSurface(FT, _curve(FT, 0.3), _callable_profile(37)),
+        "callable": MeridianSurface(FT, _curve(FT, 0.3), _callable_profile(0.3 / 36)),
     }
 
 
@@ -154,13 +154,14 @@ def test_minimal_profile_values_are_the_closed_forms(family, params, u_span):
             assert np.shape(got) == np.shape(at) and np.array_equal(np.ravel(got), ref)
 
 
-@pytest.mark.parametrize("n_samples", [3, 4, 5, 37])
-def test_callable_profile_values_are_its_callables(n_samples):
+# ids: the node counts of the steps over the window (0.1, 0.4)
+@pytest.mark.parametrize("step", [0.15, 0.1, 0.075, 0.3 / 36], ids=["3", "4", "5", "37"])
+def test_callable_profile_values_are_its_callables(step):
     """f, f' and f'' are the user's callables bit for bit at any u, g' the
     unit-speed rule of f', and g the integral of g' from c0 to 1e-14."""
-    profile = _callable_profile(n_samples)
+    profile = _callable_profile(step)
     surface = MeridianSurface(FT, _curve(FT, 0.3), profile)
-    u = _reference_points(profile, np.random.default_rng(n_samples))
+    u = _reference_points(profile, np.random.default_rng(len(profile.us)))
     f, fp, fpp, g, gp = surface.profile_values(u)
     assert np.array_equal(f, 2.0 + np.sin(u))
     assert np.array_equal(fp, np.cos(u))
@@ -197,7 +198,7 @@ def test_directrix_factors_are_the_exact_flow_off_the_nodes(family, params, u_sp
     any v, so they agree with scipy's expm on a grid of spacing ``step`` and
     between its nodes."""
     kappa, cf = 0.8, family.curve_family
-    profile = minimal_profile(family, params, u_span, 1201)
+    profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1200)
     surface = MeridianSurface(family, _curve(family, kappa, (0.0, 1.2)), profile)
     rng = np.random.default_rng(11)
     v = np.concatenate([np.linspace(0.0, 1.2, round(1.2 / step) + 1), rng.uniform(0.0, 1.2, 200)])
@@ -223,13 +224,13 @@ def test_directrix_factors_do_not_depend_on_the_curve_step():
 
 
 def test_assemble_rejects_family_mismatch():
-    profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
+    profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     with pytest.raises(ValueError, match="cannot assemble"):
         MeridianSurface(SECOND, _curve(SECOND, 0.0), profile)
 
 
 def test_assemble_rejects_wrong_curve_type():
-    profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), 101)
+    profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     with pytest.raises(ValueError, match="directrix"):
         MeridianSurface(FT, _curve(FS, 0.0), profile)
 
@@ -387,7 +388,7 @@ def test_mean_curvature_guards_degenerate_radicand():
         fp=lambda u: u + 1.0,
         fpp=lambda u: np.ones_like(u),
         u_span=(0.0, 1.0),
-        n_samples=401,
+        step=2.5e-3,
     )
     surface = MeridianSurface(FS, _curve(FS, 0.0), profile)
     with pytest.raises(DomainError, match="radicand"):

@@ -25,18 +25,22 @@ def _load_tracing():
 
 
 def test_the_benchmark_tracer_installs_and_records_profile_nodes(tmp_path, capsys):
-    case = next(s for s in _suite_cases() if s.theorem is Theorem.QUASI_C)
+    cases = [next(s for s in _suite_cases() if s.theorem is theorem)
+             for theorem in (Theorem.QUASI_C, Theorem.MINIMAL_B)]
     verify_case = harness.verify_case
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
-        harness.verify_case(replace(case, nu=5, nv=5, n_probe=1))
+        for case in cases:
+            harness.verify_case(replace(case, nu=5, nv=5, n_probe=1))
         assert cli.main(["generate", "--theorem=quasi-a", "--a=1.2", "--c=1", "--f0=2.0",
                          "--nu=5", "--nv=5", "--out", str(tmp_path / "mesh.csv")]) == 0
     finally:
         tracer.restore()
     capsys.readouterr()
     assert harness.verify_case is verify_case
-    nodes = [s[5]["nodes"] for s in tracer.spans if s[0] == "profiles.integrate_profile"]
-    assert len(nodes) == 2 and min(nodes) > 0
+    # quasi-c and the generated quasi-a integrate; minimal-b has a closed form
+    for name, calls in (("profiles.integrate_profile", 2), ("profiles.minimal_profile", 1)):
+        nodes = [s[5]["nodes"] for s in tracer.spans if s[0] == name]
+        assert len(nodes) == calls and min(nodes) > 0
     assert {"harness.verify_case", "cli.main"} <= {s[0] for s in tracer.spans}
