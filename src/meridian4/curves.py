@@ -254,14 +254,19 @@ def _check_window(x: np.ndarray, span: tuple[float, float], what: str) -> None:
 
 def _flow(family: CurveFamily, kappa: float, s0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(t B) s0, shape ``t.shape + (3, 3)``, overflow left as inf/nan: B^3 = w2 B,
-    so exp(t B) = I + sinhc(w2 t^2) t B + sinhc(w2 t^2/4)^2 (t^2/2) B^2."""
+    so exp(t B) = I + sinhc(w2 t^2) t B + sinhc(w2 t^2/4)^2 (t^2/2) B^2.
+
+    Computed on a 1-d view of t: numpy scalars round ``** 2`` differently from
+    arrays, and a point's frame must not depend on the shape it is asked at."""
     B = family.frenet_matrix(kappa)
+    shape, t = np.shape(t), np.reshape(t, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         x = family._w2(kappa) * t * t
         a = _sinhc(x) * t
         b = 0.5 * (_sinhc(0.25 * x) * t) ** 2
         Bs0 = B @ s0
-        return s0 + a[..., None, None] * Bs0 + b[..., None, None] * (B @ Bs0)
+        out = s0 + a[:, None, None] * Bs0 + b[:, None, None] * (B @ Bs0)
+    return out.reshape(shape + (3, 3))
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_
 from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
-from .oracle import fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms
+from .oracle import (fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms,
+                     stencil_points)
 from .profiles import (
     _MAX_SAMPLES,
     BranchSigns,
@@ -417,17 +418,26 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     profile = surface.profile
     us, vs = _interior_grid(surface, spec)
     tol_norm2 = spec.resolved_tol_norm2(target)
+    grid = us[:, None], vs[None, :]
+    scale = max(1.0, float(np.max(np.abs(us))), float(np.max(np.abs(vs))))
+    h_fd = spec.fd_step * scale
+    rng = np.random.default_rng(spec.seed)
+    pu = rng.uniform(us[0], us[-1], spec.n_probe)
+    pv = rng.uniform(vs[0], vs[-1], spec.n_probe)
+    # every u and v the checks below read, evaluated once: each stencil's
+    # first sample is its center, so these hold the grid and the probes too
+    surface._tabulate([stencil_points("fd_jet4", *grid, h_fd),
+                       stencil_points("fd_jet4", pu, pv, h_fd),
+                       stencil_points("frame_equation_residuals", pu, pv)])
 
     # analytic sweep
-    mc = surface.mean_curvature(us[:, None], vs[None, :])
+    mc = surface.mean_curvature(*grid)
     max_h1 = float(np.max(np.abs(mc.h1)))
     max_h2 = float(np.max(np.abs(mc.h2)))
     min_h_pair = float(np.min(np.hypot(mc.h1, mc.h2)))
 
     # finite-difference sweep
-    scale = max(1.0, float(np.max(np.abs(us))), float(np.max(np.abs(vs))))
-    h_fd = spec.fd_step * scale
-    jet = fd_jet4(surface.immersion, us[:, None], vs[None, :], h_fd)
+    jet = fd_jet4(surface.immersion, *grid, h_fd)
     forms = fundamental_forms(jet)
     H_inf = np.max(np.abs(forms.H), axis=-1)
     max_H_inf = float(np.max(H_inf))
@@ -440,9 +450,6 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     characters = set(_CHARACTERS[np.bincount(codes, minlength=len(_CHARACTERS)) > 0])
 
     # frame equations and mixed second-form component at probe points
-    rng = np.random.default_rng(spec.seed)
-    pu = rng.uniform(us[0], us[-1], spec.n_probe)
-    pv = rng.uniform(vs[0], vs[-1], spec.n_probe)
     max_frame = max(frame_equation_residuals(surface, pu, pv).values())
     forms = fundamental_forms(fd_jet4(surface.immersion, pu, pv, h_fd))
     f_probe = surface.profile_values(pu)[0]

@@ -14,9 +14,11 @@ which is basis-independent: no normal frame is chosen.  ``fd_jet``,
 ``frame_equation_residuals`` broadcast over (u, v) arrays, a scalar point
 being the 0-d case, so a whole grid is one immersion call; the stencil
 keeps u and v at their own shapes, so an immersion that evaluates
-u-factors on u and v-factors on v does so once per grid line.  The analytic
-formulas elsewhere in the package are certified against these numbers,
-never the other way around.
+u-factors on u and v-factors on v does so once per grid line.
+``stencil_points`` returns the (u, v) samples each of these calls will
+request, from the same geometry the calls use, so a caller can evaluate its
+immersion at all of them ahead of time.  The analytic formulas elsewhere in
+the package are certified against these numbers, never the other way around.
 """
 
 from __future__ import annotations
@@ -37,27 +39,54 @@ __all__ = [
     "fundamental_forms",
     "mean_curvature_fd",
     "frame_equation_residuals",
+    "stencil_points",
 ]
 
 # One arm of a stencil, in units of its length: +-u, +-v and the four corners.
 _ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-# A stencil: arm lengths s in units of h, then integer weights per arm and a
-# denominator for the first, pure second and mixed derivatives.  With
-# d = z - z(center): z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the
-# same with d(s, 0) + d(-s, 0) over den h^2, z_uv with the corners
+# Per call: its default step relative to max(1, |u|, |v|), its arm lengths s
+# in units of the step h, and how many of the eight arms it takes at each
+# length (the frame residuals take the center and +-u, +-v).
+_GEOMETRY = {
+    "fd_jet": (1e-4, (1.0,), 8),
+    "fd_jet4": (1e-3, (1.0, 2.0), 8),
+    "frame_equation_residuals": (1e-5, (1.0,), 4),
+}
+# A jet's integer weights per arm length and a denominator for the first,
+# pure second and mixed derivatives.  With d = z - z(center):
+# z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the same with
+# d(s, 0) + d(-s, 0) over den h^2, z_uv with the corners
 # d(s, s) - d(s, -s) - d(-s, s) + d(-s, -s).  Weighting differences from the
 # center, not raw samples, keeps the roundoff of the 5-point weights (Fornberg
 # 1988) at that of the two 9-point stencils they extrapolate.
-_SECOND_ORDER = ((1.0,), ((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0))
-_FOURTH_ORDER = ((1.0, 2.0), ((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0))
-_DU, _DV = (np.concatenate([[0.0], arm]) for arm in (_ARM_DU, _ARM_DV))
+_WEIGHTS = {
+    "fd_jet": (((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0)),
+    "fd_jet4": (((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0)),
+}
 
 
-def _points(u, v, h, rel_step: float):
+def stencil_points(call: str, u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) samples that ``call`` requests at the points (u, v), step ``h``.
+
+    ``call`` is ``"fd_jet"``, ``"fd_jet4"`` or ``"frame_equation_residuals"``,
+    and the samples are the arrays that call passes to the immersion (to
+    ``surface.frames`` for the frame residuals), bit for bit: the inputs'
+    own shapes padded to one rank, plus a stencil axis of 9, 17 or 5 whose
+    first sample is the center.  A caller that evaluates its immersion ahead
+    of time reads from here which u and v it will be asked for.
+    """
+    return _stencil(call, u, v, h)[3:]
+
+
+def _stencil(call: str, u, v, h):
     """(u, v) and the step, by default rel_step * max(1, |u|, |v|), padded to
-    one rank but not broadcast: a product grid ``us[:, None], vs[None, :]``
-    under a scalar step stays (nu, 1), (1, nv) and (1, 1)."""
+    one rank but not broadcast, and the stencil samples of ``call`` at them:
+    a product grid ``us[:, None], vs[None, :]`` under a scalar step stays
+    (nu, 1), (1, nv) and (1, 1), and its samples (nu, 1, n) and (1, nv, n)."""
+    rel_step, arms, n_arms = _GEOMETRY[call]
+    du, dv = (np.concatenate([[0.0], *(s * arm[:n_arms] for s in arms)])
+              for arm in (_ARM_DU, _ARM_DV))
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if h is None:
@@ -66,7 +95,8 @@ def _points(u, v, h, rel_step: float):
     shape = np.broadcast_shapes(u.shape, v.shape, h.shape)
     if not np.all(np.broadcast_to(h, shape) > 0.0):
         raise ValueError(f"stencil step must be positive, got {h.min()}")
-    return tuple(x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v, h))
+    u, v, h = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v, h))
+    return u, v, h, u[..., None] + h[..., None] * du, v[..., None] + h[..., None] * dv
 
 
 def _at(u, v, mask) -> str:
@@ -91,12 +121,10 @@ class Jet2:
     zvv: np.ndarray
 
 
-def _stencil_jet(immersion, u, v, h, rel_step: float, stencil) -> Jet2:
-    """The jet of ``immersion`` at (u, v) from one call on ``stencil``."""
-    arms, first, second, mixed = stencil
-    du, dv = (np.concatenate([[0.0], *(s * arm for s in arms)]) for arm in (_ARM_DU, _ARM_DV))
-    u, v, h = _points(u, v, h, rel_step)
-    stencil_u, stencil_v = u[..., None] + h[..., None] * du, v[..., None] + h[..., None] * dv
+def _stencil_jet(immersion, call: str, u, v, h) -> Jet2:
+    """The jet of ``immersion`` at (u, v) from one call on the stencil of ``call``."""
+    arms, (first, second, mixed) = _GEOMETRY[call][1], _WEIGHTS[call]
+    u, v, h, stencil_u, stencil_v = _stencil(call, u, v, h)
     u, v, h = np.broadcast_arrays(u, v, h)
     try:
         pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
@@ -105,7 +133,7 @@ def _stencil_jet(immersion, u, v, h, rel_step: float, stencil) -> Jet2:
             f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
             f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
         ) from exc
-    expected = u.shape + (len(du), 4)
+    expected = u.shape + (stencil_u.shape[-1], 4)
     if pts.shape != expected:
         raise ValueError(f"immersion returned shape {pts.shape}, expected {expected}")
     bad = ~np.all(np.isfinite(pts), axis=(-2, -1))
@@ -146,7 +174,7 @@ def fd_jet(immersion, u, v, h=None) -> Jet2:
     raised by the immersion (e.g. a stencil arm leaving the domain) is
     re-raised with the requested coordinates; other errors propagate.
     """
-    return _stencil_jet(immersion, u, v, h, 1e-4, _SECOND_ORDER)
+    return _stencil_jet(immersion, "fd_jet", u, v, h)
 
 
 def fd_jet4(immersion, u, v, h=None) -> Jet2:
@@ -158,7 +186,7 @@ def fd_jet4(immersion, u, v, h=None) -> Jet2:
     the roundoff (~eps/h^2) small: the default is ``1e-3 * max(1, |u|, |v|)``.
     Shapes, checks and errors are those of :func:`fd_jet`, with 17 for 9.
     """
-    return _stencil_jet(immersion, u, v, h, 1e-3, _FOURTH_ORDER)
+    return _stencil_jet(immersion, "fd_jet4", u, v, h)
 
 
 @dataclass(frozen=True)
@@ -267,15 +295,15 @@ def frame_equation_residuals(surface, u, v, h=None):
     per table line.  Agreement at the default step certifies both the frame
     and the derivative table.
     """
-    u, v, h = _points(u, v, h, 1e-5)
+    u, v, h, stencil_u, stencil_v = _stencil("frame_equation_residuals", u, v, h)
     family = surface.family
     f, fp, fpp, _, gp = (x[..., None] for x in surface.profile_values(u))
     kappa = surface.curve.kappa
     kappa_m = family.meridian_curvature(fpp, gp)
 
     hs = h[..., None]
-    # the first five stencil points: center, +-u, +-v
-    X, Y, n1, n2 = surface.frames(u[..., None] + hs * _DU[:5], v[..., None] + hs * _DV[:5])
+    # the stencil's samples: center, +-u, +-v
+    X, Y, n1, n2 = surface.frames(stencil_u, stencil_v)
 
     def d_du(block: np.ndarray) -> np.ndarray:
         return (block[..., 1, :] - block[..., 2, :]) / (2.0 * hs)

@@ -268,7 +268,12 @@ def minimal_profile(
     root = np.sqrt(disc)
 
     def evaluate(u):
-        """The closed forms (f, f', f'', g, g') at u, for u where f^2 > 0."""
+        """The closed forms (f, f', f'', g, g') at u, for u where f^2 > 0,
+        on a 1-d view of u: numpy scalars round ``u * u`` and ``f**3``
+        differently from arrays, and a point's value must not depend on the
+        shape it is asked at."""
+        shape = np.shape(u)
+        u = np.reshape(np.asarray(u, dtype=float), -1)
         f = np.sqrt(-beta * u * u + 2.0 * a * u + b)
         fp = (a - beta * u) / f
         with np.errstate(over="ignore"):
@@ -277,7 +282,7 @@ def minimal_profile(
             g = sg * root * np.arcsin((u - a) / root) + c0
         else:
             g = sg * root * np.log(np.abs(u + a + f)) + c0
-        return f, fp, fpp, g, sg * root / f
+        return tuple(x.reshape(shape) for x in (f, fp, fpp, g, sg * root / f))
 
     # f^2 at the nodes and at the vertex of the quadratic, its least value
     # on the window when beta < 0
@@ -698,10 +703,7 @@ class _Inverse:
         path, phi = self.path, self.path.phi
         # each distinct u once, sorted: a stencil's arms repeat most of them
         offsets = (u - self.u0).ravel()
-        w = np.sort(offsets)
-        distinct = np.ones(w.shape, dtype=bool)
-        distinct[1:] = w[1:] != w[:-1]
-        w = w[distinct]
+        w = _distinct(offsets)
         back = np.searchsorted(w, offsets)
         k = np.clip(np.searchsorted(self.rows[:, 2], w, side="right") - 1, 0, len(self.rows) - 1)
         s_k, ds, u_k, du_k, g_k, c1, c2, c3 = self.rows[k].T
@@ -739,6 +741,14 @@ class _Inverse:
         gp = phi.params.branch.g * z
         g = phi.params.c0 + g - miss * gp
         return tuple(x[back].reshape(u.shape) for x in (f, fp, fpp, g, gp))
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, sorted; np.unique would import numpy.ma."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.shape, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _invert(phi: PhiFunction, f0: float, rate0: float, u0: float, h: float, n: int):

@@ -11,7 +11,9 @@ carries each family to its "tilde" partner.
 The directrix frame (l, t, n) is read from
 :meth:`~meridian4.curves.FrameField.frame_at`, the exact flow at any v, and
 the profile from :attr:`~meridian4.profiles.MeridianProfile.evaluate`,
-exact at any u, so nothing is interpolated.
+exact at any u, so nothing is interpolated.  A surface may be given every u
+and v a run will read ahead of time (:meth:`MeridianSurface._tabulate`): it
+then evaluates each once and serves later queries from that table.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .algebra import SIG4, inner
 from .curves import ChartKind, FrameField, _check_window, chart, chart_params
 from .errors import DomainError
 from .families import MeridianFamily
-from .profiles import MeridianProfile
+from .profiles import MeridianProfile, _distinct
 
 __all__ = [
     "MeridianSurface",
@@ -50,6 +52,16 @@ def _lift(a, x: np.ndarray, b, shape: tuple[int, ...]) -> np.ndarray:
         np.multiply(a, x[..., k], out=out[..., k])
     out[..., 3] = b
     return out
+
+
+def _index(table, x: np.ndarray):
+    """Positions of the x among the sorted keys of ``table``, or None unless
+    ``table`` is set and every x is one of its keys, exactly."""
+    if table is None:
+        return None
+    keys = table[0]
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return i if np.array_equal(keys[i], x) else None
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,8 @@ class MeridianSurface:
         self.family = family
         self.curve = curve
         self.profile = profile
+        # (sorted keys, values) of the u- and v-factors; see _tabulate
+        self._u_table = self._v_table = None
 
     # ------------------------------------------------------------------
 
@@ -104,8 +118,8 @@ class MeridianSurface:
         """(u, v) as float arrays, not broadcast, and their broadcast shape.
 
         u is checked here and v by :meth:`FrameField.frame_at`, which every
-        v-factor goes through.  An empty broadcast is returned as empty
-        arrays, unchecked.
+        v-factor goes through, when it is read or when it is tabulated.  An
+        empty broadcast is returned as empty arrays, unchecked.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -115,10 +129,42 @@ class MeridianSurface:
         _check_window(u, self.u_span, "u out of profile domain")
         return u, v, shape
 
+    def _tabulate(self, queries) -> None:
+        """Evaluate the profile once on the distinct u and the directrix once
+        on the distinct v of ``queries``, an iterable of (u, v) array pairs,
+        and serve every later query whose u (or v) are all among them from
+        these tables.
+
+        A point's value depends on its own u (or v) alone, so a served value
+        is the one a direct evaluation gives, bit for bit.  A query with any
+        other point is evaluated directly.  Points outside the windows, or
+        that do not evaluate, leave the surface untabulated, so that the
+        queries raise as they would without a table.
+        """
+        us, vs = (_distinct(np.concatenate([np.ravel(x) for x in axis]))
+                  for axis in zip(*queries))
+        try:
+            _check_window(us, self.u_span, "u out of profile domain")
+            u_values = np.stack(self.profile.evaluate(us))
+            v_values = self.curve.frame_at(vs)
+        except DomainError:
+            return
+        self._u_table, self._v_table = (us, u_values), (vs, v_values)
+
+    def _u_factors(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(f, f', f'', g, g') at u: from the table if it holds every u."""
+        i = _index(self._u_table, u)
+        return self.profile.evaluate(u) if i is None else tuple(self._u_table[1][:, i])
+
+    def _v_factors(self, v: np.ndarray) -> np.ndarray:
+        """The directrix rows (l, t, n) at v: from the table if it holds every v."""
+        i = _index(self._v_table, v)
+        return self.curve.frame_at(v) if i is None else self._v_table[1][i]
+
     def profile_values(self, u):
         """(f, f', f'', g, g') at arbitrary u inside the profile window."""
         u, _, _ = self._checked(u, self.v_span[0])
-        return self.profile.evaluate(u)
+        return self._u_factors(u)
 
     def immersion(self, u, v) -> np.ndarray:
         """Evaluate z(u, v) = f(u) l(v) + g(u) e4; broadcasts, returns (..., 4).
@@ -127,8 +173,8 @@ class MeridianSurface:
         product grid costs one evaluation per grid line.
         """
         u, v, shape = self._checked(u, v)
-        f, _, _, g, _ = self.profile.evaluate(u)
-        return _lift(f, self.curve.frame_at(v)[..., 0, :], g, shape)
+        f, _, _, g, _ = self._u_factors(u)
+        return _lift(f, self._v_factors(v)[..., 0, :], g, shape)
 
     def grid_points(self, us, vs) -> np.ndarray:
         """Immersion on a product grid, shape (len(us), len(vs), 4)."""
@@ -144,10 +190,10 @@ class MeridianSurface:
         orthonormal with the family's causal signs.
         """
         u, v, shape = self._checked(u, v)
-        f, fp, _, _, gp = self.profile.evaluate(u)
+        f, fp, _, _, gp = self._u_factors(u)
         if np.min(f, initial=np.inf) <= 1e-8:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}; frame undefined")
-        l, t, n = np.moveaxis(self.curve.frame_at(v), -2, 0)
+        l, t, n = np.moveaxis(self._v_factors(v), -2, 0)
         return (_lift(fp, l, gp, shape), _lift(1.0, t, 0.0, shape),
                 *self._normals(l, n, fp, gp, shape))
 
@@ -165,7 +211,7 @@ class MeridianSurface:
         :class:`DomainError`.
         """
         u, v, shape = self._checked(u, v)
-        f, fp, fpp, _, gp = self.profile.evaluate(u)
+        f, fp, fpp, _, gp = self._u_factors(u)
         if np.min(f, initial=np.inf) <= 1e-8:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}")
         radicand = self.family.gprime_radicand(fp)
@@ -177,7 +223,7 @@ class MeridianSurface:
         # h1 and h2 are both u-factors; f broadcast to the grid makes them grid-shaped
         f = np.broadcast_to(f, shape)
         h1, h2 = self.family.h_coefficients(self.curve.kappa, f, fp, fpp, gp)
-        l, _, n = np.moveaxis(self.curve.frame_at(v), -2, 0)
+        l, _, n = np.moveaxis(self._v_factors(v), -2, 0)
         n1, n2 = self._normals(l, n, fp, gp, shape)
         vector = h1[..., None] * n1 + h2[..., None] * n2
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]
@@ -266,10 +312,9 @@ class TildeSurface:
         carrier; w1, w2), and returns those points.  Agreement of this
         with :meth:`immersion` is the numerical congruence certificate.
         """
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         src = self.source
-        l = src.curve.frame_at(v)[..., 0, :]
-        w1, w2 = chart_params(src.family.carrier, l)
+        # l on v and (f, g) on u, broadcast only in the product, as in immersion
+        w1, w2 = chart_params(src.family.carrier, src.curve.frame_at(v)[..., 0, :])
         f, _, _, g, _ = src.profile_values(u)
         out = f[..., None] * chart(self.kind.carrier, w1, w2)
         out[..., 0] += g

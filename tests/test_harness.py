@@ -487,10 +487,57 @@ def test_grid_sweep_centers_are_the_grid_points(spec, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the benchmark's seeded draws
+# the table of every u and v a case reads
 # ---------------------------------------------------------------------------
 
 _DRAWS_DENSE_SPECS = Path(__file__).parent / "fixtures" / "draws_dense_specs.json"
+
+# every non-congruence suite case, the truncated quasi-c case and the 12
+# draws_dense draws of seed 1
+_TABULATED = (
+    [pytest.param(s, id=s.theorem.value)
+     for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE]
+    + [pytest.param(CaseSpec(Theorem.QUASI_C, ProfileParams(a=0.5, c=2.0), f0=2.0,
+                             u_span=(0.0, 5.0)), id="quasi-c-truncated")]
+    + [pytest.param(CaseSpec.from_dict(doc), id=f"draw-{k}")
+       for k, doc in enumerate(json.loads(_DRAWS_DENSE_SPECS.read_text())["1"])]
+)
+
+
+@pytest.mark.parametrize("spec", _TABULATED)
+def test_verify_case_evaluates_the_profile_and_the_directrix_once(spec, monkeypatch):
+    """After the profile's nodes and the directrix's finiteness check, a case
+    makes one profile evaluation and one ``frame_at`` call, the table of
+    every u and v it reads: no surface query misses the table."""
+    calls = []
+    build = harness._build_case
+
+    def counting_build(spec):
+        surface, law, target = build(spec)
+        for owner, name in ((surface.profile, "evaluate"), (surface.curve, "frame_at")):
+            def counting(x, method=getattr(owner, name), name=name):
+                calls.append(name)
+                return method(x)
+            setattr(owner, name, counting)
+        return surface, law, target
+
+    monkeypatch.setattr(harness, "_build_case", counting_build)
+    verify_case(spec)
+    assert sorted(calls) == ["evaluate", "frame_at"]
+
+
+@pytest.mark.parametrize("spec", _TABULATED)
+def test_the_table_does_not_change_a_report(spec, monkeypatch):
+    """Every report is the one the surface gives without a table, bit for bit."""
+    tabulated = json.dumps(verify_case(spec).to_dict(include_runtime=False), sort_keys=True)
+    monkeypatch.setattr(MeridianSurface, "_tabulate", lambda surface, queries: None)
+    direct = json.dumps(verify_case(spec).to_dict(include_runtime=False), sort_keys=True)
+    assert direct == tabulated
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's seeded draws
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -28,7 +28,7 @@ from meridian4 import (
     tilde_surface,
     transform_T,
 )
-from meridian4.harness import CaseSpec, Theorem, _build_case, _suite_cases
+from meridian4.harness import CaseSpec, Theorem, _build_case, _congruence_sources, _suite_cases
 
 FT = MeridianFamily.FIRST_TIMELIKE
 FS = MeridianFamily.FIRST_SPACELIKE
@@ -290,6 +290,51 @@ def test_product_grid_evaluation_equals_broadcast_evaluation(evaluated):
             assert np.array_equal(x, y[::-1])
 
 
+def test_a_point_has_the_same_bits_at_any_shape():
+    """Every suite profile and directrix at 601 points: a point asked alone
+    (0-d) gets the bits it gets inside an array."""
+    congruence = CaseSpec(Theorem.CONGRUENCE_TILDE)
+    surfaces = [_build_case(s)[0] for s in _suite_cases() if s.theorem is not congruence.theorem]
+    for surface in surfaces + list(_congruence_sources(congruence).values()):
+        us, vs = np.linspace(*surface.u_span, 601), np.linspace(*surface.v_span, 601)
+        values, frames = surface.profile.evaluate(us), surface.curve.frame_at(vs)
+        for k in range(601):
+            alone = surface.profile.evaluate(us[k])
+            assert all(x.shape == () and np.array_equal(x, y[k]) for x, y in zip(alone, values)), k
+            assert np.array_equal(surface.curve.frame_at(vs[k]), frames[k]), k
+
+
+def test_a_table_serves_its_own_points_and_nothing_else():
+    """A query whose points are all in the table is served from it, with the
+    bits of direct evaluation; a query with a point missing from it is
+    evaluated directly; a point outside the window leaves no table, so the
+    query raises as it would without one."""
+    spec = next(s for s in _suite_cases() if s.theorem is Theorem.QUASI_B)
+    direct, surface = _build_case(spec)[0], _build_case(spec)[0]
+    (u0, u1), (v0, v1) = surface.u_span, surface.v_span
+    grid = np.linspace(u0, u1, 7)[:, None], np.linspace(v0, v1, 5)[None, :]
+    surface._tabulate([grid])
+    calls = []
+    for owner, name in ((surface.profile, "evaluate"), (surface.curve, "frame_at")):
+        def counting(x, method=getattr(owner, name), name=name):
+            calls.append(name)
+            return method(x)
+        setattr(owner, name, counting)
+    assert np.array_equal(surface.immersion(*grid), direct.immersion(*grid))
+    for got, ref in zip(surface.frames(*grid), direct.frames(*grid)):
+        assert np.array_equal(got, ref)
+    assert calls == []
+    off = np.append(grid[0], u0 + 0.37 * (u1 - u0))[:, None], grid[1]
+    assert np.array_equal(surface.immersion(*off), direct.immersion(*off))
+    assert calls == ["evaluate"]
+
+    outside = _build_case(spec)[0]
+    outside._tabulate([(np.array([u0, u1 + 0.1]), np.array([v0]))])
+    assert outside._u_table is None and outside._v_table is None
+    with pytest.raises(DomainError, match="out of profile domain"):
+        outside.immersion(u1 + 0.1, v0)
+
+
 def test_empty_broadcast_skips_the_domain_check():
     surface = _minimal_surface(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5))
     u, v = np.array([[9.0], [-9.0]]), np.empty((1, 0))
@@ -448,6 +493,9 @@ def test_tilde_grid_matches_chart_parametrization(kind, family, params, u_span, 
     direct = til.grid_points(us, vs)
     via_chart = til.chart_reference(us[:, None], vs[None, :])
     assert np.max(np.abs(direct - via_chart)) < 1e-10
+    # evaluated per grid line, with the bits of the broadcast evaluation
+    full = tuple(x.copy() for x in np.broadcast_arrays(us[:, None], vs[None, :]))
+    assert np.array_equal(via_chart, til.chart_reference(*full))
     # and the transform itself is the pointwise definition
     np.testing.assert_array_equal(direct, transform_T(source.grid_points(us, vs)))
 
