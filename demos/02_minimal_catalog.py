@@ -43,8 +43,9 @@ def main():
         surface = MeridianSurface(family, curve, profile)
 
         print(f"== {family.value} ==")
+        f, fp, fpp, _, _ = profile.evaluate(profile.us)
         print(f"   governing residual |f f'' + f'^2 +- 1| <= "
-              f"{np.max(np.abs(family.governing_core(profile.f, profile.fp, profile.fpp))):.2e}")
+              f"{np.max(np.abs(family.governing_core(f, fp, fpp))):.2e}")
 
         # analytic h-coefficients vanish; the FD oracle agrees pointwise
         us = rng.uniform(u_span[0] + 0.1, u_span[1] - 0.1, 5)

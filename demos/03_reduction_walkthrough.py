@@ -50,7 +50,7 @@ def main():
 
     # invert the first integral on the u-grid and measure the governing law directly
     profile = integrate_profile(phi, f0=2.0, u_span=(0.0, 0.8), step=1e-3)
-    res = profile_residuals(profile, GoverningLaw.QUASI_MINIMAL, params)
+    res = profile_residuals(profile, GoverningLaw.QUASI_MINIMAL, profile.evaluate(profile.us))
     print("   round trip through the profile in u:")
     print(f"      governing law residual  {res.max_governing:.2e}")
     print(f"      unit-speed constraint   {res.max_constraint:.2e}")
@@ -63,7 +63,7 @@ def main():
     print(f"   admissible t-window: [{lo2:.4f}, {hi2:.4f}]")
     profile2 = integrate_profile(phi2, f0=2.0, u_span=(0.0, 5.0), step=1e-3)
     print(f"   requested u up to 5.0, stopped at u = {profile2.u_span[1]:.3f} "
-          f"(f reached {profile2.f[-1]:.4f}), truncated = {profile2.truncated}")
+          f"(f reached {profile2.evaluate(profile2.u_span[1])[0]:.4f}), truncated = {profile2.truncated}")
     print(f"   truncation reason: {profile2.truncation_reason} "
           f"(past t = c/a = {hi2:.4f} the root z of the first integral turns negative)")
 

@@ -100,8 +100,9 @@ class CaseSpec:
     minimal cases, the parameter a otherwise) - that is how the curvature-
     mismatch negative control is expressed.  ``f0`` seeds the profile ODE
     for quasi-minimal/CMC cases.  ``u_span``/``v_span`` default to
-    theorem-appropriate windows.  ``step`` is the profile node spacing (the
-    directrix frame is the closed-form flow and has no nodes).
+    theorem-appropriate windows.  ``step`` spaces the profile nodes, which
+    mark where a truncated profile ends; the checks read the profile where
+    they read the surface (the directrix frame is a closed-form flow).
     ``tol_norm2`` defaults per target size: 1e-5 absolute for
     |target| <= 1, else 1e-4 relative.
 
@@ -426,9 +427,10 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     pv = rng.uniform(vs[0], vs[-1], spec.n_probe)
     # every u and v the checks below read, evaluated once: each stencil's
     # first sample is its center, so these hold the grid and the probes too
-    surface._tabulate([stencil_points("fd_jet4", *grid, h_fd),
-                       stencil_points("fd_jet4", pu, pv, h_fd),
-                       stencil_points("frame_equation_residuals", pu, pv)])
+    queries = [stencil_points("fd_jet4", *grid, h_fd),
+               stencil_points("fd_jet4", pu, pv, h_fd),
+               stencil_points("frame_equation_residuals", pu, pv)]
+    surface._tabulate(queries)
 
     # analytic sweep
     mc = surface.mean_curvature(*grid)
@@ -455,10 +457,9 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     f_probe = surface.profile_values(pu)[0]
     max_mixed = float(np.max(np.max(np.abs(forms.h_uv_vec), axis=-1) / f_probe))
 
-    # profile residuals
-    res = profile_residuals(profile, law, spec.params)
-    max_governing = res.max_governing
-    max_constraint = res.max_constraint
+    # profile residuals at every u the checks above read
+    u_read = np.concatenate([np.ravel(u) for u, _ in queries])
+    res = profile_residuals(profile, law, surface.profile_values(u_read))
 
     # the stencil's center samples are the grid points: its arm 0 is u + 0 h
     rank, rank_res = affine_rank(jet.z.reshape(-1, 4))
@@ -474,8 +475,8 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
         "target_norm2": target,
         "max_frame_residual": max_frame,
         "max_mixed_fd": max_mixed,
-        "max_governing_residual": max_governing,
-        "max_constraint_residual": max_constraint,
+        "max_governing_residual": res.max_governing,
+        "max_constraint_residual": res.max_constraint,
         "affine_rank": rank,
         "affine_rank_residual": rank_res,
         "H_causal_character": _uniform_character(characters),
@@ -488,8 +489,8 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     checks = [
         _check("max_norm2_dev_fd", stats["max_norm2_dev_fd"], tol_norm2, "<="),
         _check("max_H_vector_dev_fd", max_H_vector_dev, spec.tol_H, "<="),
-        _check("max_governing_residual", max_governing, spec.tol_governing, "<="),
-        _check("max_constraint_residual", max_constraint, spec.tol_constraint, "<="),
+        _check("max_governing_residual", res.max_governing, spec.tol_governing, "<="),
+        _check("max_constraint_residual", res.max_constraint, spec.tol_constraint, "<="),
         _check("max_frame_residual", max_frame, spec.tol_frame, "<="),
         _check("max_mixed_fd", max_mixed, spec.tol_frame, "<="),
     ]
@@ -835,15 +836,16 @@ def _draw_reduced(theorem, family, rng, law, c) -> CaseSpec | str:
         return "too short"
     try:
         profile = integrate_profile(phi, f0, (0.0, u_len), 1e-3)
+        f, fp, fpp, _, gp = profile.evaluate(profile.us)
     except DomainError:
         return "profile error"
-    if profile.truncated or np.min(profile.f) < 0.3:
+    if profile.truncated or np.min(f) < 0.3:
         return "truncated or f < 0.3"
-    if needs_gp_floor and float(np.min(np.abs(profile.gp))) < 0.1:
+    if needs_gp_floor and float(np.min(np.abs(gp))) < 0.1:
         return "g' floor"
     # Keep the curvature coefficients moderate: the FD oracle's noise
     # enters <H,H> as 2|H| * deltaH, so large |h| eats the tolerance.
-    h1r, h2r = family.h_coefficients(params.a, profile.f, profile.fp, profile.fpp, profile.gp)
+    h1r, h2r = family.h_coefficients(params.a, f, fp, fpp, gp)
     if max(float(np.max(np.abs(h1r))), float(np.max(np.abs(h2r)))) > 3.0:
         return "large h"
     return CaseSpec(theorem, params, f0=f0, u_span=(0.0, u_len))

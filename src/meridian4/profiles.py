@@ -2,8 +2,8 @@
 
 A profile is the pair of functions (f(u), g(u)) entering the meridian
 immersion z = f l + g e4: an exact evaluator of (f, f', f'', g, g') at any
-u of its window, which the surface reads, and its values at the nodes, which
-the residual checks read.  One rule (:func:`_nodes`) places the nodes of
+u of its window, which every reader calls where it reads, on a grid of
+nodes that keeps no values.  One rule (:func:`_nodes`) places the nodes of
 every profile: uniform over the window, spaced close to ``step``.  Three
 constructions produce profiles:
 
@@ -18,7 +18,7 @@ constructions produce profiles:
 * :func:`profile_from_callable` - user-supplied f with the family's g'
   rule, for experiments and negative controls.
 
-All constructions keep f > 0 on the grid (the warp factor divides the
+All constructions keep f > 0 at the nodes (the warp factor divides the
 surface geometry) and record how they were made, so the residual checker
 can warn when a profile is tested against a law it was not built for.
 """
@@ -176,14 +176,15 @@ def _nodes(u_span, step: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class MeridianProfile:
-    """A profile's exact evaluator and its values at the nodes ``us``.
+    """A profile's exact evaluator on the window of its nodes ``us``.
 
     ``evaluate`` maps u in ``u_span`` to (f, f', f'', g, g') at u, each of
     u's shape, exactly: the closed forms, the inverted first integral or the
-    user's callables.  Construction evaluates it once at ``us`` and keeps
-    the values as ``f``, ``fp``, ``fpp``, ``g`` and ``gp``.  Invariants
-    enforced there: a uniform grid of at least 3 nodes, finite values, and
-    f > 0 at every node (the geometry divides by f).
+    user's callables.  The profile stores no values; a surface tabulates
+    those a case reads (:meth:`~meridian4.surfaces.MeridianSurface._tabulate`).
+    Construction enforces a uniform grid of at least 3 nodes; each
+    constructor keeps the values finite and f > 0 at the nodes (the geometry
+    divides by f).
     ``truncated`` marks ODE profiles that end before the requested window
     end; ``us`` then covers only the reached span.  ``truncation_reason``
     says why (None when the profile is whole): ``"phi-inadmissible"`` (the
@@ -198,28 +199,14 @@ class MeridianProfile:
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]] = field(repr=False)
     truncated: bool = False
     truncation_reason: str | None = None
-    f: np.ndarray = field(init=False)
-    fp: np.ndarray = field(init=False)
-    fpp: np.ndarray = field(init=False)
-    g: np.ndarray = field(init=False)
-    gp: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        us = np.asarray(self.us, dtype=float)
+        self.us = us = np.asarray(self.us, dtype=float)
         if len(us) < 3:
             raise DomainError(f"a profile needs at least 3 samples, got {len(us)}")
         steps = np.diff(us)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError("profile u-grid must be uniform")
-        names = ("us", "f", "fp", "fpp", "g", "gp")
-        for name, arr in zip(names, (us, *self.evaluate(us))):
-            arr = np.asarray(arr, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"profile array {name} contains non-finite values")
-            setattr(self, name, arr)
-        fmin = float(np.min(self.f))
-        if fmin <= 0.0:
-            raise DomainError(f"profile warp factor must stay positive, min f = {fmin:.3e}")
 
     @property
     def u_span(self) -> tuple[float, float]:
@@ -297,8 +284,8 @@ def minimal_profile(
     # f'' = alpha disc / f^3 (f^2 at the nodes) is lost where f^3 overflows,
     # and the surface's curvature terms overflow where f'' changes by more
     # than a float between nodes.  f varies on the length scale f^2 / sqrt(disc)
-    # (|f''| / f = disc / f^4); coarser nodes would let the residual checks,
-    # which read the nodes only, certify a profile they do not see.
+    # (|f''| / f = disc / f^4); on coarser nodes f'' could overflow between
+    # two nodes that pass these checks.
     with np.errstate(over="ignore", invalid="ignore"):
         f3 = radicand[:-1] ** 1.5
         slopes = np.diff(alpha * disc / f3) / np.diff(us)
@@ -811,8 +798,8 @@ def integrate_profile(
     after the table's guess, or else by Newton on that panel; a u that does
     not converge to roundoff is a :class:`DomainError` naming it.  It gives
     f' = phi(f), g' = sign_g z and f'' = -alpha z z'
-    (:meth:`PhiFunction.second_derivative`) from z(f), and the node arrays
-    are its values at the nodes :func:`_nodes` places on ``u_span``.
+    (:meth:`PhiFunction.second_derivative`) from z(f).  Construction places
+    the nodes (:func:`_nodes`) and never evaluates: f stays in phi's domain.
 
     The truncation at the end of the domain interval is exact: the profile
     keeps the nodes with u_i <= u* = u(t*), where t* is the edge, and
@@ -883,8 +870,8 @@ def profile_from_callable(
     from ``params``), and g from params.c0 by one 12-node Gauss-Legendre
     panel of g' between each pair of consecutive nodes.  The profile's
     evaluator calls f, f' and f'' at u, and adds to g at the nearest node
-    one panel from there to u.  The supplied f must keep the g' radicand
-    non-negative on the window.
+    one panel from there to u.  Construction evaluates it at the nodes, where
+    every value must be finite, f positive and the g' radicand non-negative.
     """
     us = _nodes(u_span, step)
     params = params if params is not None else ProfileParams()
@@ -907,15 +894,21 @@ def profile_from_callable(
         near = np.clip(np.rint((u - us[0]) / (us[1] - us[0])).astype(np.intp), 0, len(us) - 1)
         return fu, fpu, fppu, g[near] + panel(us[near], u), gprime(fpu)
 
-    profile = MeridianProfile(family, us, params, Provenance.USER_SUPPLIED, evaluate)
-    radicand = family.gprime_radicand(profile.fp)
+    values = evaluate(us)
+    for name, arr in zip(("f", "fp", "fpp", "g", "gp"), values):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"profile array {name} contains non-finite values")
+    fmin = float(np.min(values[0]))
+    if fmin <= 0.0:
+        raise DomainError(f"profile warp factor must stay positive, min f = {fmin:.3e}")
+    radicand = family.gprime_radicand(values[1])
     i_min = int(np.argmin(radicand))
     if radicand[i_min] < 0.0:
         raise DomainError(
             f"user profile breaks the unit-speed constraint: g'^2 = "
             f"{radicand[i_min]:.3e} at u = {us[i_min]:.6g}"
         )
-    return profile
+    return MeridianProfile(family, us, params, Provenance.USER_SUPPLIED, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -925,7 +918,7 @@ def profile_from_callable(
 
 @dataclass(frozen=True)
 class ProfileResiduals:
-    """Per-sample residuals of a profile against a governing law."""
+    """Pointwise residuals of a profile against a governing law."""
 
     governing: np.ndarray
     constraint: np.ndarray
@@ -942,9 +935,11 @@ class ProfileResiduals:
 def profile_residuals(
     profile: MeridianProfile,
     law: GoverningLaw,
-    params: ProfileParams | None = None,
+    values: tuple[np.ndarray, ...],
 ) -> ProfileResiduals:
-    """Evaluate a profile against a governing law, sample by sample.
+    """A profile's residuals against a governing law, point by point, from its
+    ``values`` (f, f', f'', g, g') at the points, as ``profile.evaluate(u)``
+    or ``surface.profile_values(u)`` gives them.
 
     governing residual (D = f f'' + f'^2 +- 1, W = |g'| from the unit-speed
     rule):
@@ -959,7 +954,7 @@ def profile_residuals(
     Testing a profile against a law it was not built for is allowed (that
     is how negative controls work) but draws a ``UserWarning``.
     """
-    params = params if params is not None else profile.params
+    params = profile.params
     expected = _LAW_FOR_PROVENANCE.get(profile.provenance)
     if expected is not None and expected is not law:
         warnings.warn(
@@ -970,16 +965,17 @@ def profile_residuals(
         )
 
     family = profile.family
-    core = family.governing_core(profile.f, profile.fp, profile.fpp)
-    w2 = np.clip(family.gprime_radicand(profile.fp), 0.0, None)
+    f, fp, fpp, _, gp = values
+    core = family.governing_core(f, fp, fpp)
+    w2 = np.clip(family.gprime_radicand(fp), 0.0, None)
     w = np.sqrt(w2)
     if law is GoverningLaw.MINIMAL:
         governing = core
     elif law is GoverningLaw.QUASI_MINIMAL:
         governing = core - params.branch.rhs * params.a * w
     else:
-        inner_rad = params.a**2 + 4.0 * family.cmc_inner_sign * params.c * profile.f**2
+        inner_rad = params.a**2 + 4.0 * family.cmc_inner_sign * params.c * f**2
         scale = np.maximum(1.0, core**2 + np.abs(inner_rad) * w2)
         governing = (core * core - inner_rad * w * w) / scale
-    constraint = family.speed_residual(profile.fp, profile.gp)
+    constraint = family.speed_residual(fp, gp)
     return ProfileResiduals(governing=governing, constraint=constraint)

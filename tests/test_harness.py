@@ -535,6 +535,49 @@ def test_the_table_does_not_change_a_report(spec, monkeypatch):
     assert direct == tabulated
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec", _TABULATED + [pytest.param(CaseSpec(Theorem.CONGRUENCE_TILDE), id="congruence")])
+def test_every_case_profile_is_finite_and_positive_at_its_nodes(spec):
+    """No construction of an exact profile evaluates it, so nothing checks
+    its nodes as it is built: its construction keeps every value finite and
+    f > 0 there, on every suite profile, a truncated one and seeded draws."""
+    if spec.theorem is Theorem.CONGRUENCE_TILDE:
+        surfaces = harness._congruence_sources(spec).values()
+    else:
+        surfaces = [harness._build_case(spec)[0]]
+    for surface in surfaces:
+        profile = surface.profile
+        values = profile.evaluate(profile.us)
+        assert all(np.all(np.isfinite(x)) for x in values)
+        assert np.min(values[0]) > 0.0
+
+
+# quasi-a and the first cmc-a (c = 1)
+@pytest.mark.parametrize("spec", [pytest.param(s, id=s.theorem.value) for s in _suite_cases()
+                                  if s.theorem in (Theorem.QUASI_A, Theorem.CMC_A)][:2])
+def test_a_defect_at_the_probes_fails_the_governing_check(spec, monkeypatch):
+    """f'' off by 1e-3 at the case's probe u alone fails the governing law:
+    the residual checks read the values the surface is certified with."""
+    build = harness._build_case
+
+    def defective_build(spec):
+        surface, law, target = build(spec)
+        us, _ = harness._interior_grid(surface, spec)
+        pu = np.random.default_rng(spec.seed).uniform(us[0], us[-1], spec.n_probe)
+
+        def defective(u, evaluate=surface.profile.evaluate):
+            f, fp, fpp, g, gp = evaluate(u)
+            return f, fp, np.where(np.isin(u, pu), fpp + 1e-3, fpp), g, gp
+
+        surface.profile.evaluate = defective
+        return surface, law, target
+
+    monkeypatch.setattr(harness, "_build_case", defective_build)
+    checks = {c["name"]: c for c in verify_case(spec).checks}
+    assert not checks["max_governing_residual"]["ok"]
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's seeded draws
 # ---------------------------------------------------------------------------

@@ -77,18 +77,20 @@ def test_minimal_first_timelike_frozen_values():
     """a=0, b=1 gives f = sqrt(1 - u^2), g = arcsin(u)."""
     prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), step=5e-3)
     us = prof.us
-    np.testing.assert_allclose(prof.f, np.sqrt(1.0 - us * us), atol=1e-14)
-    np.testing.assert_allclose(prof.g, np.arcsin(us), atol=1e-14)
-    res = profile_residuals(prof, GoverningLaw.MINIMAL)
+    f, _, _, g, _ = values = prof.evaluate(us)
+    np.testing.assert_allclose(f, np.sqrt(1.0 - us * us), atol=1e-14)
+    np.testing.assert_allclose(g, np.arcsin(us), atol=1e-14)
+    res = profile_residuals(prof, GoverningLaw.MINIMAL, values)
     assert res.max_governing < 1e-12
     assert res.max_constraint < 1e-12
 
 
 def test_minimal_first_spacelike_frozen_value():
     prof = minimal_profile(FS, ProfileParams(a=1.5, b=1.0), (0.5, 1.0), step=5e-3)
+    values = prof.evaluate(prof.us)
     # f(1) = sqrt(1 + 3 + 1)
-    assert abs(prof.f[-1] - np.sqrt(5.0)) < 1e-14
-    res = profile_residuals(prof, GoverningLaw.MINIMAL)
+    assert abs(values[0][-1] - np.sqrt(5.0)) < 1e-14
+    res = profile_residuals(prof, GoverningLaw.MINIMAL, values)
     assert res.max_governing < 1e-12
     assert res.max_constraint < 1e-12
 
@@ -96,9 +98,10 @@ def test_minimal_first_spacelike_frozen_value():
 def test_minimal_second_family_frozen_values():
     prof = minimal_profile(SECOND, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=5e-3)
     i = int(np.argmin(np.abs(prof.us)))
-    assert abs(prof.f[i] - 1.0) < 1e-14
-    assert abs(prof.g[i]) < 1e-14  # g = ln(u + f) vanishes at u = 0
-    res = profile_residuals(prof, GoverningLaw.MINIMAL)
+    f, _, _, g, _ = values = prof.evaluate(prof.us)
+    assert abs(f[i] - 1.0) < 1e-14
+    assert abs(g[i]) < 1e-14  # g = ln(u + f) vanishes at u = 0
+    res = profile_residuals(prof, GoverningLaw.MINIMAL, values)
     assert res.max_governing < 1e-12
 
 
@@ -131,8 +134,10 @@ def test_minimal_g_sign_branch():
         FT, ProfileParams(a=0.0, b=1.0, branch=BranchSigns(g=-1)), (-0.5, 0.5), step=1e-2
     )
     up = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
-    np.testing.assert_allclose(down.g, -up.g, atol=1e-15)
-    np.testing.assert_allclose(down.gp, -up.gp, atol=1e-15)
+    _, _, _, g_down, gp_down = down.evaluate(down.us)
+    _, _, _, g_up, gp_up = up.evaluate(up.us)
+    np.testing.assert_allclose(g_down, -g_up, atol=1e-15)
+    np.testing.assert_allclose(gp_down, -gp_up, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +452,7 @@ def _exact_quasi_trajectory_error(step):
         return (w**3 / 3.0 - w) - (w0**3 / 3.0 - w0)
 
     f_exact = [brentq(lambda fv: u_of_f(fv) - u, 2.0, 10.0, xtol=1e-15) for u in prof.us[1:]]
-    return float(np.max(np.abs(prof.f[1:] - f_exact)))
+    return float(np.max(np.abs(prof.evaluate(prof.us)[0][1:] - f_exact)))
 
 
 def test_profile_march_hits_exact_trajectory():
@@ -465,7 +470,7 @@ def test_integrated_profile_residuals_are_tiny():
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.2, c=1.0), (1e-6, 20.0)
     )
     prof = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
-    res = profile_residuals(prof, GoverningLaw.QUASI_MINIMAL)
+    res = profile_residuals(prof, GoverningLaw.QUASI_MINIMAL, prof.evaluate(prof.us))
     assert res.max_governing < 1e-10
     assert res.max_constraint < 1e-12
     assert prof.provenance is Provenance.QUASI_MINIMAL_ODE
@@ -481,7 +486,7 @@ def test_march_truncates_at_domain_edge():
     assert prof.truncated
     assert prof.truncation_reason == "phi-inadmissible"  # z < 0 past t = c/a
     assert prof.us[-1] < 3.0  # the window asked for 5
-    assert np.max(prof.f) <= 4.0 + 1e-6  # upper domain edge c/a
+    assert np.max(prof.evaluate(prof.us)[0]) <= 4.0 + 1e-6  # upper domain edge c/a
 
 
 def test_march_reports_leaving_the_domain():
@@ -493,12 +498,12 @@ def test_march_reports_leaving_the_domain():
     assert np.isfinite(phi(12.5))
     prof = integrate_profile(phi, 10.8, (0.0, 1.0), 1e-3)
     assert prof.truncated and prof.truncation_reason == "left-domain"
-    assert 11.9 < prof.f[-1] <= 12.0 + 1e-9
+    assert 11.9 < prof.evaluate(prof.us)[0][-1] <= 12.0 + 1e-9
 
 
 def test_unconverged_node_is_a_named_domain_error(monkeypatch):
     """A node whose u(f) misses u beyond roundoff is never returned: the
-    evaluator that gives the nodes names the u it did not converge at."""
+    evaluator asked for the nodes names the u it did not converge at."""
     phi = phi_closed_form(
         GoverningLaw.QUASI_MINIMAL, FT, ProfileParams(a=1.0, c=2.0), (1e-6, 40.0)
     )
@@ -506,8 +511,9 @@ def test_unconverged_node_is_a_named_domain_error(monkeypatch):
     # its one correction
     monkeypatch.setattr(profiles, "_NEWTON_MAX", 1)
     monkeypatch.setattr(profiles, "_TABLE_PANELS", 8)
+    prof = integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
     with pytest.raises(DomainError, match=r"inversion did not converge at u = \S+: \|u\(f\) - u\| = "):
-        integrate_profile(phi, 2.0, (0.0, 0.8), 1e-3)
+        prof.evaluate(prof.us)
 
 
 @pytest.mark.parametrize("law,family,params,f0", [
@@ -519,10 +525,11 @@ def test_stationary_start_gives_the_constant_profile(law, family, params, f0):
     assert phi(f0) == 0.0 and phi.second_derivative(f0) == 0.0
     prof = integrate_profile(phi, f0, (0.0, 0.5), 1e-2)
     assert len(prof.us) == 51 and not prof.truncated
-    assert np.all(prof.f == f0) and np.all(prof.fp == 0.0)
+    f, fp, _, g, gp = prof.evaluate(prof.us)
+    assert np.all(f == f0) and np.all(fp == 0.0)
     gp0 = np.sqrt(family.gprime_radicand(0.0))
-    assert np.all(prof.gp == gp0)
-    np.testing.assert_array_equal(prof.g, params.c0 + gp0 * (prof.us - prof.us[0]))
+    assert np.all(gp == gp0)
+    np.testing.assert_array_equal(g, params.c0 + gp0 * (prof.us - prof.us[0]))
 
 
 def test_start_on_a_simple_root_is_a_turning_point():
@@ -558,10 +565,11 @@ def test_profile_ends_on_a_simple_root():
     for n in (4, 400, 4000):
         prof = integrate_profile(phi, 1.0, (0.0, whole), whole / n)
         assert len(prof.us) == n + 1 and not prof.truncated
-        assert 2.0 - 4.0 * eps <= prof.f[-1] <= 2.0
-        assert 0.0 <= prof.fp[-1] <= 1e-7
-        assert abs(prof.gp[-1] - 1.0) <= 4.0 * eps
-        f = np.append(prof.evaluate(below)[0], prof.f[-1])
+        f_nodes, fp, _, _, gp = prof.evaluate(prof.us)
+        assert 2.0 - 4.0 * eps <= f_nodes[-1] <= 2.0
+        assert 0.0 <= fp[-1] <= 1e-7
+        assert abs(gp[-1] - 1.0) <= 4.0 * eps
+        f = np.append(prof.evaluate(below)[0], f_nodes[-1])
         assert np.all(np.diff(f) >= 0.0) and f[-1] <= 2.0
 
 
@@ -765,12 +773,13 @@ def test_profile_matches_the_scipy_reference(case):
                 continue
             n = len(prof.us)
             nodes = np.unique([1, n // 2, n - 4, n - 1])
-            ref, u_star = _scipy_reference(phi, f0, prof.us[nodes] - prof.us[0], prof.f[nodes])
-            np.testing.assert_allclose(prof.f[nodes], ref[:, 0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(prof.gp[nodes], ref[:, 2], rtol=1e-12, atol=1e-12)
+            f, _, _, g, gp = prof.evaluate(prof.us)
+            ref, u_star = _scipy_reference(phi, f0, prof.us[nodes] - prof.us[0], f[nodes])
+            np.testing.assert_allclose(f[nodes], ref[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gp[nodes], ref[:, 2], rtol=1e-12, atol=1e-12)
             inner = np.isfinite(ref[:, 1])
             assert inner[0]
-            np.testing.assert_allclose(prof.g[nodes[inner]] - prof.params.c0, ref[inner, 1],
+            np.testing.assert_allclose(g[nodes[inner]] - prof.params.c0, ref[inner, 1],
                                        rtol=0, atol=1e-12)
             u_last = prof.us[-1] - prof.us[0]
             if prof.truncated:
@@ -849,17 +858,17 @@ def test_march_matches_the_array_reference_bit_for_bit(case):
         except DomainError as exc:
             assert "collapsed" in str(exc)
             continue
-        f = prof.f
+        f, fp, fpp, g, gp = prof.evaluate(prof.us)
         ref = (
             0.0 + (1.0 / 500) * np.arange(len(f)),
             np.asarray(phi(f)),
             np.asarray(phi.second_derivative(f)),
             sg * phi.z_exact(f),
         )
-        got = (prof.us, prof.fp, prof.fpp, prof.gp)
+        got = (prof.us, fp, fpp, gp)
         for name, mine, theirs in zip(("us", "fp", "fpp", "gp"), got, ref):
             assert np.array_equal(mine, theirs), name
-        assert f[0] == f0 and prof.g[0] == prof.params.c0
+        assert f[0] == f0 and g[0] == prof.params.c0
         assert np.all(np.sign(np.diff(f)) == np.sign(phi(f0)))
         assert (prof.truncation_reason is None) == (not prof.truncated)
 
@@ -999,10 +1008,10 @@ def _query_sets(prof):
 
 @pytest.mark.parametrize("spec", _REDUCED_SUITE)
 def test_every_evaluate_takes_one_quadrature_pass(spec, monkeypatch):
-    """Every evaluation of a suite profile, at its nodes, at the table of
-    every u ``verify_case`` reads (its only other call) and at 1 to 1,001
-    random u, is exact after the first Gauss-Legendre panel pass from the
-    table's guess."""
+    """Every evaluation of a suite profile, at the table of every u
+    ``verify_case`` reads (the case's only evaluation, which the profile
+    residuals read as well) and at 1 to 1,001 random u, is exact after the
+    first Gauss-Legendre panel pass from the table's guess."""
     panels, passes = [], []
     path_panels, call = profiles._Path.panels, profiles._Inverse.__call__
 
@@ -1023,7 +1032,7 @@ def test_every_evaluate_takes_one_quadrature_pass(spec, monkeypatch):
     prof = _build_case(spec)[0].profile
     for u in _query_sets(prof):
         prof.evaluate(u)
-    assert n_case == 2 and passes == [1] * len(passes)
+    assert n_case == 1 and passes == [1] * len(passes)
 
 
 @pytest.mark.parametrize("spec", _REDUCED_SUITE)
@@ -1059,9 +1068,10 @@ def test_profile_from_callable_linear_f():
         step=5e-3,
     )
     assert prof.provenance is Provenance.USER_SUPPLIED
+    values = prof.evaluate(prof.us)
     # g' = sqrt(f'^2 + 1) = sqrt(2) for the timelike meridian
-    np.testing.assert_allclose(prof.gp, np.sqrt(2.0), atol=1e-14)
-    res = profile_residuals(prof, GoverningLaw.MINIMAL)
+    np.testing.assert_allclose(values[4], np.sqrt(2.0), atol=1e-14)
+    res = profile_residuals(prof, GoverningLaw.MINIMAL, values)
     assert res.max_governing == 2.0  # f f'' + f'^2 + 1 = 2 everywhere
 
 
@@ -1079,7 +1089,7 @@ def test_profile_from_callable_enforces_speed_constraint():
 def test_residual_checker_warns_on_law_mismatch():
     prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     with pytest.warns(UserWarning, match="checked against"):
-        profile_residuals(prof, GoverningLaw.QUASI_MINIMAL)
+        profile_residuals(prof, GoverningLaw.QUASI_MINIMAL, prof.evaluate(prof.us))
 
 
 def test_cmc_residual_is_sign_free():
@@ -1087,7 +1097,7 @@ def test_cmc_residual_is_sign_free():
     params = ProfileParams(a=2.0, b=0.5, c=1.0)
     phi = phi_closed_form(GoverningLaw.CMC, FT, params)
     prof = integrate_profile(phi, 1.0, (0.0, 0.5), 1e-3)
-    res = profile_residuals(prof, GoverningLaw.CMC)
+    res = profile_residuals(prof, GoverningLaw.CMC, prof.evaluate(prof.us))
     scale = np.max(np.abs(res.governing))
     assert scale < 1e-8
 
@@ -1097,10 +1107,16 @@ def test_cmc_residual_is_sign_free():
 # ---------------------------------------------------------------------------
 
 
-def _profile(us=np.linspace(0.0, 1.0, 11), f=np.ones_like):
-    """A profile whose evaluator gives f(u), f' = f'' = 0, g = u and g' = 1."""
+def _profile(us=np.linspace(0.0, 1.0, 11)):
+    """A profile whose evaluator gives f = 1, f' = f'' = 0, g = u and g' = 1."""
     return MeridianProfile(FT, us, ProfileParams(), Provenance.USER_SUPPLIED,
-                           lambda u: (f(u), np.zeros_like(u), np.zeros_like(u), u, np.ones_like(u)))
+                           lambda u: (np.ones_like(u), np.zeros_like(u), np.zeros_like(u), u,
+                                      np.ones_like(u)))
+
+
+def _user_profile(f):
+    """A user-supplied profile of f with f' = f'' = 0 on the nodes 0, 0.1, ..., 1."""
+    return profile_from_callable(FT, f, np.zeros_like, np.zeros_like, (0.0, 1.0), step=0.1)
 
 
 def test_profile_requires_uniform_grid():
@@ -1109,8 +1125,9 @@ def test_profile_requires_uniform_grid():
 
 
 def test_profile_requires_positive_f():
+    """A user's f is evaluated at the nodes, and f <= 0 at one is refused."""
     with pytest.raises(DomainError, match="positive"):
-        _profile(f=lambda u: 1.1 * u - 0.1)
+        _user_profile(lambda u: 1.1 * u - 0.1)
 
 
 def test_profile_requires_three_samples():
@@ -1119,22 +1136,9 @@ def test_profile_requires_three_samples():
 
 
 def test_profile_rejects_nonfinite():
+    """A user's f that is not finite at a node is refused."""
     with pytest.raises(ValueError, match="non-finite"):
-        _profile(f=lambda u: np.where(u == 0.5, np.inf, 1.0))
-
-
-def test_profile_keeps_the_values_of_one_evaluation_at_its_nodes():
-    calls = []
-
-    def evaluate(u):
-        calls.append(u.copy())
-        return 2.0 + u, np.ones_like(u), np.zeros_like(u), -u, np.full_like(u, 3.0)
-
-    us = np.linspace(0.0, 1.0, 11)
-    prof = MeridianProfile(FT, us, ProfileParams(), Provenance.USER_SUPPLIED, evaluate)
-    assert len(calls) == 1 and np.array_equal(calls[0], us)
-    for got, want in zip((prof.f, prof.fp, prof.fpp, prof.g, prof.gp), evaluate(us)):
-        assert np.array_equal(got, want)
+        _user_profile(lambda u: np.where(u == 0.5, np.inf, 1.0))
 
 
 _QUASI_PHI = dict(law=QM, family=FT, params=ProfileParams(a=1.0, c=2.0), window=(1e-6, 40.0))
@@ -1147,6 +1151,35 @@ _CONSTRUCTORS = {
     "callable": lambda span, step: profile_from_callable(FT, np.exp, np.exp, np.exp, span,
                                                          step=step),
 }
+
+
+@pytest.mark.parametrize("build", [
+    _CONSTRUCTORS["minimal"],
+    _CONSTRUCTORS["reduced"],
+    # the constant profile of a degenerate phi
+    lambda span, step: integrate_profile(phi_closed_form(QM, FT, ProfileParams(a=1.0),
+                                                         (1e-3, 12.0)), 2.0, span, step),
+], ids=["minimal", "reduced", "constant"])
+def test_exact_profiles_are_built_without_calling_their_evaluator(build, monkeypatch):
+    """The closed forms and the inverted first integral keep f > 0 and every
+    value finite at the nodes by construction, so construction does not
+    evaluate the profile: its first evaluation is its first reader's."""
+    calls = []
+
+    def recording(family, us, params, provenance, evaluate, **kwargs):
+        def counting(u):
+            calls.append(np.size(u))
+            return evaluate(u)
+        return MeridianProfile(family, us, params, provenance, counting, **kwargs)
+
+    inverse = profiles._Inverse.__call__
+    monkeypatch.setattr(profiles, "MeridianProfile", recording)
+    monkeypatch.setattr(profiles._Inverse, "__call__",
+                        lambda self, u: calls.append("inverse") or inverse(self, u))
+    prof = build((0.0, 0.5), 1e-2)
+    assert calls == []
+    prof.evaluate(prof.us)
+    assert calls[0] == len(prof.us) == 51
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

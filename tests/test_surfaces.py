@@ -116,11 +116,11 @@ def test_the_truncated_case_is_truncated(evaluated):
 
 @pytest.mark.parametrize("name", ["minimal", "quasi-b", "cmc-c", "truncated", "callable"])
 def test_profile_values_at_the_nodes_are_the_node_arrays(evaluated, name):
-    """Every construction takes its node arrays from its evaluator, so the
-    evaluator gives them back bit for bit."""
+    """For every construction the surface reads the profile's evaluator: its
+    values at the nodes are the evaluator's node arrays bit for bit."""
     surface = evaluated[name]
     prof = surface.profile
-    nodes = (prof.f, prof.fp, prof.fpp, prof.g, prof.gp)
+    nodes = prof.evaluate(prof.us)
     for k, (got, node) in enumerate(zip(surface.profile_values(prof.us), nodes)):
         assert got.shape == node.shape
         assert np.array_equal(got, node), k
@@ -175,7 +175,8 @@ def test_callable_profile_values_are_its_callables(step):
     pick = np.random.default_rng(1).choice(len(u), 40, replace=False)
     ref = 0.3 + np.array([integral(x) for x in u[pick]])
     np.testing.assert_allclose(g[pick], ref, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(profile.g, 0.3 + np.array([integral(x) for x in profile.us]),
+    np.testing.assert_allclose(profile.evaluate(profile.us)[3],
+                               0.3 + np.array([integral(x) for x in profile.us]),
                                rtol=0, atol=1e-14)
 
 
@@ -240,9 +241,10 @@ def test_immersion_matches_definition_at_nodes():
     prof, curve = surface.profile, surface.curve
     i, v = 300, 0.5
     z = surface.immersion(prof.us[i], v)
+    f, _, _, g, _ = prof.evaluate(prof.us)
     expected = np.zeros(4)
-    expected[:3] = prof.f[i] * curve.frame_at(v)[0]
-    expected[3] = prof.g[i]
+    expected[:3] = f[i] * curve.frame_at(v)[0]
+    expected[3] = g[i]
     np.testing.assert_allclose(z, expected, atol=1e-12)
 
 
