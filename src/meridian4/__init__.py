@@ -38,6 +38,7 @@ from .harness import (
     CaseSpec,
     Theorem,
     VerificationReport,
+    frame_equation_residuals,
     run_theorem_suite,
     sample_case,
     suite_to_dict,
@@ -48,7 +49,6 @@ from .oracle import (
     Jet2,
     fd_jet,
     fd_jet4,
-    frame_equation_residuals,
     fundamental_forms,
     mean_curvature_fd,
 )
@@ -129,12 +129,12 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "frame_equation_residuals",
     # harness
     "Theorem",
     "CaseSpec",
     "VerificationReport",
     "verify_case",
+    "frame_equation_residuals",
     "run_theorem_suite",
     "sample_case",
     "suite_to_dict",

@@ -148,9 +148,3 @@ class MeridianFamily(enum.Enum):
         h1 = self.alpha * kappa / (2.0 * f)
         h2 = -self.beta * core / (2.0 * f * gp)
         return h1, h2
-
-    def meridian_curvature(self, fpp, gp):
-        """Normal curvature kappa_m of the meridian in its coordinate plane."""
-        fpp = np.asarray(fpp, dtype=float)
-        gp = np.asarray(gp, dtype=float)
-        return -self.alpha * fpp / gp

@@ -27,8 +27,7 @@ from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_
 from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
-from .oracle import (fd_jet, fd_jet4, frame_equation_residuals, fundamental_forms,
-                     stencil_points)
+from .oracle import fd_jet, fd_jet4, fd_rates, fundamental_forms, stencil_points
 from .profiles import (
     _MAX_SAMPLES,
     BranchSigns,
@@ -54,6 +53,7 @@ __all__ = [
     "CaseSpec",
     "VerificationReport",
     "verify_case",
+    "frame_equation_residuals",
     "run_theorem_suite",
     "suite_to_dict",
     "sample_case",
@@ -402,6 +402,26 @@ def _interior_grid(surface: MeridianSurface, spec: CaseSpec):
 # ---------------------------------------------------------------------------
 
 
+def frame_equation_residuals(surface: MeridianSurface, u, v, h=None) -> dict[str, float]:
+    """Max-abs residuals of the eight frame derivative equations at (u, v).
+
+    The central-difference rates of the frame F = (X, Y, n1, n2), from one
+    ``surface.frames`` call (:func:`~meridian4.oracle.fd_rates`, step ``h``,
+    default 1e-5 scaled per point), against the table D_X F = A F,
+    D_Y F = B F of :meth:`MeridianSurface.frame_table`, where D_X = d/du and
+    D_Y = (1/f) d/dv: one entry per table line.
+    """
+    frame, du, dv = fd_rates(lambda u, v: np.stack(surface.frames(u, v), axis=-2), u, v, h)
+    dv = dv / surface.profile_values(u)[0][..., None, None]
+    residuals = {}
+    for rate, table, prefix in zip((du, dv), surface.frame_table(u), ("du_", "dv_")):
+        # table @ frame, summed term by term in the frame's order: a matmul may round otherwise
+        rhs = sum(table[..., :, j, None] * frame[..., j, None, :] for j in range(4))
+        for i, name in enumerate(("X", "Y", "n1", "n2")):
+            residuals[prefix + name] = float(np.max(np.abs(rate[..., i, :] - rhs[..., i, :])))
+    return residuals
+
+
 def verify_case(spec: CaseSpec) -> VerificationReport:
     """Run one verification case end to end.
 
@@ -429,7 +449,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     # first sample is its center, so these hold the grid and the probes too
     queries = [stencil_points("fd_jet4", *grid, h_fd),
                stencil_points("fd_jet4", pu, pv, h_fd),
-               stencil_points("frame_equation_residuals", pu, pv)]
+               stencil_points("fd_rates", pu, pv)]
     surface._tabulate(queries)
 
     # analytic sweep
@@ -598,7 +618,8 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
         pu = rng.uniform(u0 + margin, u1 - margin, spec.n_probe)
         pv = rng.uniform(v0 + margin, v1 - margin, spec.n_probe)
         forms_src = fundamental_forms(fd_jet(src.immersion, pu, pv))
-        forms_til = fundamental_forms(fd_jet(til.immersion, pu, pv))
+        # the chart construction, not T z: the jet of T z is T times the source's
+        forms_til = fundamental_forms(fd_jet(til.chart_reference, pu, pv))
         max_flip_dev = max(
             max_flip_dev, float(np.max(np.abs(forms_til.norm2H + forms_src.norm2H)))
         )

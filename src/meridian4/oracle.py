@@ -9,12 +9,13 @@ mean curvature vector from the trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
-which is basis-independent: no normal frame is chosen.  ``fd_jet``,
-``fd_jet4``, ``fundamental_forms``, ``mean_curvature_fd`` and
-``frame_equation_residuals`` broadcast over (u, v) arrays, a scalar point
-being the 0-d case, so a whole grid is one immersion call; the stencil
-keeps u and v at their own shapes, so an immersion that evaluates
-u-factors on u and v-factors on v does so once per grid line.
+which is basis-independent: no normal frame is chosen.  ``fd_rates``
+gives the first derivatives of any callable field (u, v) -> array on a
+5-point stencil.  ``fd_jet``, ``fd_jet4``, ``fundamental_forms``,
+``mean_curvature_fd`` and ``fd_rates`` broadcast over (u, v) arrays, a
+scalar point being the 0-d case, so a whole grid is one immersion call;
+the stencil keeps u and v at their own shapes, so an immersion that
+evaluates u-factors on u and v-factors on v does so once per grid line.
 ``stencil_points`` returns the (u, v) samples each of these calls will
 request, from the same geometry the calls use, so a caller can evaluate its
 immersion at all of them ahead of time.  The analytic formulas elsewhere in
@@ -38,7 +39,7 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "frame_equation_residuals",
+    "fd_rates",
     "stencil_points",
 ]
 
@@ -47,11 +48,11 @@ _ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 # Per call: its default step relative to max(1, |u|, |v|), its arm lengths s
 # in units of the step h, and how many of the eight arms it takes at each
-# length (the frame residuals take the center and +-u, +-v).
+# length (the rates take the center and +-u, +-v).
 _GEOMETRY = {
     "fd_jet": (1e-4, (1.0,), 8),
     "fd_jet4": (1e-3, (1.0, 2.0), 8),
-    "frame_equation_residuals": (1e-5, (1.0,), 4),
+    "fd_rates": (1e-5, (1.0,), 4),
 }
 # A jet's integer weights per arm length and a denominator for the first,
 # pure second and mixed derivatives.  With d = z - z(center):
@@ -69,9 +70,9 @@ _WEIGHTS = {
 def stencil_points(call: str, u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
     """The (u, v) samples that ``call`` requests at the points (u, v), step ``h``.
 
-    ``call`` is ``"fd_jet"``, ``"fd_jet4"`` or ``"frame_equation_residuals"``,
-    and the samples are the arrays that call passes to the immersion (to
-    ``surface.frames`` for the frame residuals), bit for bit: the inputs'
+    ``call`` is ``"fd_jet"``, ``"fd_jet4"`` or ``"fd_rates"``, and the
+    samples are the arrays that call passes to the immersion (to the field
+    for the rates), bit for bit: the inputs'
     own shapes padded to one rank, plus a stencil axis of 9, 17 or 5 whose
     first sample is the center.  A caller that evaluates its immersion ahead
     of time reads from here which u and v it will be asked for.
@@ -270,66 +271,18 @@ def mean_curvature_fd(immersion, u, v, h=None):
     return forms.H, forms.norm2H
 
 
-# ---------------------------------------------------------------------------
-# frame-equation residuals for assembled meridian surfaces
-# ---------------------------------------------------------------------------
+def fd_rates(field, u, v, h=None):
+    """A field's value and its central-difference d/du and d/dv at (u, v).
 
-
-def frame_equation_residuals(surface, u, v, h=None):
-    """Residuals of the eight first-order frame derivative equations.
-
-    For an assembled meridian surface the adapted frame (X, Y, n1, n2)
-    satisfies a closed derivative table (the surface-theory analogue of
-    the Frenet equations), e.g. for the first-timelike family::
-
-        D_X X = kappa_m n2            D_Y X  = (f'/f) Y
-        D_X Y = 0                     D_Y Y  = (f'/f) X - (k/f) n1 - (g'/f) n2
-        D_X n1 = 0                    D_Y n1 = -(k/f) Y
-        D_X n2 = kappa_m X            D_Y n2 = (g'/f) Y
-
-    where D_X = d/du, D_Y = (1/f) d/dv, k is the directrix curvature and
-    kappa_m the meridian curvature.  This function differentiates the
-    analytic frame by central differences (step ``h``, default 1e-5 scaled
-    per point) at the broadcast points (u, v), all in one ``surface.frames``
-    call, and returns a dict of max-abs residuals over the points, one entry
-    per table line.  Agreement at the default step certifies both the frame
-    and the derivative table.
+    ``field`` is any callable (u, v) -> array with trailing shape T; it is
+    called once, on the center and the +-u, +-v samples of every point, at
+    the shapes :func:`fd_jet` describes with a stencil axis of 5, and must
+    return S + (5,) + T, S the broadcast shape of u, v and h.  The three
+    results have shape S + T.  The default step is
+    ``1e-5 * max(1, |u|, |v|)`` per point.
     """
-    u, v, h, stencil_u, stencil_v = _stencil("frame_equation_residuals", u, v, h)
-    family = surface.family
-    f, fp, fpp, _, gp = (x[..., None] for x in surface.profile_values(u))
-    kappa = surface.curve.kappa
-    kappa_m = family.meridian_curvature(fpp, gp)
-
-    hs = h[..., None]
-    # the stencil's samples: center, +-u, +-v
-    X, Y, n1, n2 = surface.frames(stencil_u, stencil_v)
-
-    def d_du(block: np.ndarray) -> np.ndarray:
-        return (block[..., 1, :] - block[..., 2, :]) / (2.0 * hs)
-
-    def d_dv(block: np.ndarray) -> np.ndarray:
-        return (block[..., 3, :] - block[..., 4, :]) / (2.0 * hs)
-
-    X0, Y0, n10, n20 = X[..., 0, :], Y[..., 0, :], n1[..., 0, :], n2[..., 0, :]
-    # Per-family signs (alpha, beta of meridian4.families): s_n1 = alpha beta
-    # is the n1-rate sign (D_Y n1 = s_n1 (k/f) Y, the directrix normal rate
-    # -e_t), s_yy = -beta the n1 coefficient sign in D_Y Y (the tangent rate
-    # e_n), s2 = -alpha the sign of g' l in n2, which also flips D_X n2 and
-    # D_Y n2 for the second family.
-    s2 = -family.alpha
-    s_n1 = family.alpha * family.beta
-    s_yy = -family.beta
-
-    residuals = {
-        "du_X": d_du(X) - kappa_m * n20,
-        "du_Y": d_du(Y),
-        "du_n1": d_du(n1),
-        "du_n2": d_du(n2) - s2 * kappa_m * X0,
-        "dv_X": d_dv(X) / f - (fp / f) * Y0,
-        "dv_Y": d_dv(Y) / f
-        - ((fp / f) * X0 + s_yy * (kappa / f) * n10 - (gp / f) * n20),
-        "dv_n1": d_dv(n1) / f - s_n1 * (kappa / f) * Y0,
-        "dv_n2": d_dv(n2) / f - s2 * (gp / f) * Y0,
-    }
-    return {name: float(np.max(np.abs(res))) for name, res in residuals.items()}
+    u, v, h, stencil_u, stencil_v = _stencil("fd_rates", u, v, h)
+    samples = np.asarray(field(stencil_u, stencil_v), dtype=float)
+    center, up, um, vp, vm = np.moveaxis(samples, u.ndim, 0)
+    step = 2.0 * h.reshape(h.shape + (1,) * (center.ndim - h.ndim))
+    return center, (up - um) / step, (vp - vm) / step

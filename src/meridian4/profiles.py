@@ -870,8 +870,9 @@ def profile_from_callable(
     from ``params``), and g from params.c0 by one 12-node Gauss-Legendre
     panel of g' between each pair of consecutive nodes.  The profile's
     evaluator calls f, f' and f'' at u, and adds to g at the nearest node
-    one panel from there to u.  Construction evaluates it at the nodes, where
-    every value must be finite, f positive and the g' radicand non-negative.
+    one panel from there to u.  Construction reads f, f', f'', g and g' at
+    the nodes, where every value must be finite, f positive and the g'
+    radicand non-negative.
     """
     us = _nodes(u_span, step)
     params = params if params is not None else ProfileParams()
@@ -894,7 +895,8 @@ def profile_from_callable(
         near = np.clip(np.rint((u - us[0]) / (us[1] - us[0])).astype(np.intp), 0, len(us) - 1)
         return fu, fpu, fppu, g[near] + panel(us[near], u), gprime(fpu)
 
-    values = evaluate(us)
+    fu, fpu, fppu = (np.asarray(fn(us), dtype=float) for fn in (f, fp, fpp))
+    values = fu, fpu, fppu, g, gprime(fpu)
     for name, arr in zip(("f", "fp", "fpp", "g", "gp"), values):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"profile array {name} contains non-finite values")

@@ -201,6 +201,31 @@ class MeridianSurface:
         """n1 = n and n2 = -alpha g' l + f' e4 from the directrix rows and the u-factors."""
         return _lift(1.0, n, 0.0, shape), _lift(-self.family.alpha * gp, l, fp, shape)
 
+    def frame_table(self, u):
+        """The derivative table of the adapted frame F = (X, Y, n1, n2) at u.
+
+        Two coefficient arrays A and B of shape (..., 4, 4) with D_X F = A F
+        and D_Y F = B F, where D_X = d/du and D_Y = (1/f) d/dv::
+
+            D_X X  = kappa_m n2           D_Y X  = (f'/f) Y
+            D_X Y  = 0                    D_Y Y  = (f'/f) X - beta (k/f) n1 - (g'/f) n2
+            D_X n1 = 0                    D_Y n1 = alpha beta (k/f) Y
+            D_X n2 = -alpha kappa_m X     D_Y n2 = -alpha (g'/f) Y
+
+        with k the directrix curvature and kappa_m = -alpha f''/g' the meridian
+        curvature; the -alpha of n2 (:meth:`_normals`) is that of its rates.
+        """
+        u, _, _ = self._checked(u, self.v_span[0])
+        f, fp, fpp, _, gp = self._u_factors(u)
+        alpha, beta, k = self.family.alpha, self.family.beta, self.curve.kappa
+        kappa_m = -alpha * fpp / gp
+        A, B = np.zeros((2,) + u.shape + (4, 4))
+        A[..., 0, 3], A[..., 3, 0] = kappa_m, -alpha * kappa_m
+        B[..., 0, 1] = B[..., 1, 0] = fp / f
+        B[..., 1, 2], B[..., 1, 3] = -beta * k / f, -gp / f
+        B[..., 2, 1], B[..., 3, 1] = alpha * beta * k / f, -alpha * gp / f
+        return A, B
+
     def mean_curvature(self, u, v) -> MeanCurvatureDecomp:
         """Closed-form mean curvature decomposition at (u, v).
 

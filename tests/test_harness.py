@@ -23,7 +23,7 @@ from meridian4 import (
 from meridian4 import harness
 from meridian4.harness import _suite_cases
 from meridian4.profiles import BranchSigns, _nodes
-from meridian4.surfaces import MeridianSurface
+from meridian4.surfaces import MeridianSurface, TildeSurface
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,23 @@ def test_congruence_case_passes():
     assert r.stats["tangent_causal_flip"] is True
 
 
+def test_a_wrong_chart_fails_the_congruence_flip_check(monkeypatch):
+    """The flip check reads the tilde surface through its carrier chart: with
+    the chart's x2..x4 off by 1e-3 relative, <H, H> no longer flips.  Read
+    through T z, whose jet is T times the source's, it could not fail."""
+    chart_reference = TildeSurface.chart_reference
+
+    def stretched(tilde, u, v):
+        out = chart_reference(tilde, u, v)
+        out[..., 1:] *= 1.0 + 1e-3
+        return out
+
+    monkeypatch.setattr(TildeSurface, "chart_reference", stretched)
+    r = verify_case(CaseSpec(Theorem.CONGRUENCE_TILDE))
+    checks = {c["name"]: c for c in r.checks}
+    assert r.status == "fail" and not checks["max_norm2_flip_dev"]["ok"]
+
+
 # ---------------------------------------------------------------------------
 # the built-in suite
 # ---------------------------------------------------------------------------
@@ -323,6 +340,49 @@ def test_a_negated_mean_curvature_coefficient_fails_every_reduced_case(negated, 
         failed = [c["name"] for c in report.checks if not c["ok"]]
         assert report.status == "fail" and failed == ["max_H_vector_dev_fd"], failed
         assert report.stats["max_H_vector_dev_fd"] >= 0.4
+
+
+# (table, row, column) of every entry of MeridianSurface.frame_table that is
+# not identically zero; B[1, 2] and B[2, 1] carry the directrix curvature
+_FRAME_TABLE_ENTRIES = [(0, 0, 3), (0, 3, 0), (1, 0, 1), (1, 1, 0),
+                        (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("entry", _FRAME_TABLE_ENTRIES,
+                         ids=[f"{'AB'[m]}{i}{j}" for m, i, j in _FRAME_TABLE_ENTRIES])
+def test_a_flipped_frame_table_sign_fails_the_frame_check(entry, monkeypatch):
+    """The FD frame rates see every sign of the derivative table: one entry
+    negated fails max_frame_residual on every suite case where it is not
+    zero, that is everywhere but the kappa entries of the minimal cases."""
+    table, row, col = entry
+    frame_table = MeridianSurface.frame_table
+
+    def flipped(surface, u):
+        A, B = frame_table(surface, u)
+        (A, B)[table][..., row, col] *= -1.0
+        return A, B
+
+    monkeypatch.setattr(MeridianSurface, "frame_table", flipped)
+    for spec in _suite_cases()[:-1]:
+        report = verify_case(spec)
+        check = next(c for c in report.checks if c["name"] == "max_frame_residual")
+        carries_kappa = entry in ((1, 1, 2), (1, 2, 1))
+        if carries_kappa and spec.theorem.law is GoverningLaw.MINIMAL:
+            assert check["ok"], spec.theorem
+        else:
+            assert not check["ok"] and check["value"] >= 0.1, spec.theorem
+
+
+def test_the_frame_table_has_eight_entries():
+    """The entries the flip test negates are exactly the non-zero ones."""
+    surface = harness._build_case(_suite_cases()[3])[0]
+    u = np.linspace(*surface.u_span, 7)
+    A, B = surface.frame_table(u)
+    nonzero = {(m, i, j) for m, M in enumerate((A, B)) for i in range(4) for j in range(4)
+               if np.all(M[:, i, j] != 0.0)}
+    zero = {(m, i, j) for m, M in enumerate((A, B)) for i in range(4) for j in range(4)
+            if np.all(M[:, i, j] == 0.0)}
+    assert nonzero == set(_FRAME_TABLE_ENTRIES) and len(zero) == 32 - 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Tests for the finite-difference oracle (jets, forms, frame residuals)."""
+"""Tests for the finite-difference oracle (jets, forms, rates, frame residuals)."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from meridian4 import (
     minimal_profile,
     standard_initial_frame,
 )
+from meridian4 import oracle
+from meridian4.oracle import fd_rates
 
 
 def _quadratic(u, v):
@@ -361,3 +365,58 @@ def test_jet_rejects_an_immersion_that_does_not_broadcast():
     # stacking u-shaped columns ignores v's shape: (5, 1, 9, 4), not (5, 7, 9, 4)
     with pytest.raises(ValueError, match="expected \\(5, 7, 9, 4\\)"):
         fd_jet(lambda u, v: np.stack([u, u, u, u], axis=-1), us[:, None], vs[None, :], 1e-4)
+
+
+def _field(u, v):
+    """A (2, 3)-valued field with closed-form rates."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    rows = [np.sin(u) * np.cos(v), u * u * v, np.exp(0.5 * u - v),
+            u**3, v**3, u * v]
+    return np.stack(rows, axis=-1).reshape(u.shape + (2, 3))
+
+
+def _field_rates(u, v):
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    e, z = np.exp(0.5 * u - v), np.zeros_like(u)
+    du = [np.cos(u) * np.cos(v), 2.0 * u * v, 0.5 * e, 3.0 * u * u, z, v]
+    dv = [-np.sin(u) * np.sin(v), u * u, -e, z, 3.0 * v * v, u]
+    return (np.stack(d, axis=-1).reshape(u.shape + (2, 3)) for d in (du, dv))
+
+
+def test_fd_rates_match_the_closed_form_rates():
+    us, vs = np.linspace(-1.5, 2.0, 6)[:, None], np.linspace(-0.7, 0.9, 5)[None, :]
+    value, du, dv = fd_rates(_field, us, vs)
+    want_du, want_dv = _field_rates(us, vs)
+    assert value.shape == du.shape == dv.shape == (6, 5, 2, 3)
+    assert np.array_equal(value, _field(us, vs))
+    np.testing.assert_allclose(du, want_du, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(dv, want_dv, rtol=0, atol=1e-8)
+
+
+def test_fd_rates_make_one_call_and_batch_pointwise():
+    seen = []
+
+    def recording(u, v):
+        seen.append((u.shape, v.shape))
+        return _field(u, v)
+
+    pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
+    batched = fd_rates(recording, pu, pv)
+    assert seen == [((3, 5), (3, 5))]
+    for k, (u, v) in enumerate(zip(pu, pv)):
+        for got, want in zip(batched, fd_rates(_field, u, v)):
+            assert np.array_equal(got[k], want)
+
+
+def test_the_oracle_imports_only_algebra_and_errors():
+    """The referee knows nothing of meridian structure: it imports no
+    family, curve, profile, surface or harness module."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert package == {"algebra", "errors"}
+    assert absolute <= {"__future__", "dataclasses", "numpy"}

@@ -1086,6 +1086,23 @@ def test_profile_from_callable_enforces_speed_constraint():
         )
 
 
+def test_profile_from_callable_checks_its_nodes_without_zero_width_panels():
+    """Construction calls f' once at the nodes and once per g-table panel
+    (12 points each), and checks g at the nodes from that table."""
+    sizes = []
+
+    def fp(u):
+        sizes.append(np.size(u))
+        return np.full_like(u, 0.5)
+
+    prof = profile_from_callable(FT, lambda u: 0.5 * u + 1.0, fp, np.zeros_like,
+                                 (0.0, 1.0), step=1e-2)
+    n = len(prof.us)
+    assert sorted(sizes) == sorted([12 * (n - 1), n])
+    g = prof.evaluate(prof.us)[3]
+    np.testing.assert_allclose(g, np.sqrt(1.25) * prof.us, rtol=0, atol=1e-14)
+
+
 def test_residual_checker_warns_on_law_mismatch():
     prof = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
     with pytest.warns(UserWarning, match="checked against"):
