@@ -70,7 +70,8 @@ def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
         grid quads: 2 (nu-1)(nv-1) triangles.
     json
         Full samples plus metadata: family, profile parameters and
-        provenance, grid vectors, tool version, and a schema tag.
+        provenance, grid vectors, tool version, and a schema tag; only a
+        meridian surface or its T-image has them (``ValueError`` otherwise).
 
     The grid must lie inside the surface domains (domain errors, NaN
     included, propagate from evaluation).  Returns the written path; I/O
@@ -79,6 +80,10 @@ def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r}; choose one of {_FORMATS}")
+    source = surface.source if isinstance(surface, TildeSurface) else surface
+    if fmt == "json" and not isinstance(source, MeridianSurface):
+        raise ValueError(f"json meshes carry a meridian surface's metadata; "
+                         f"cannot export a {type(surface).__name__}")
     us = np.asarray(us, dtype=float)
     vs = np.asarray(vs, dtype=float)
     if us.ndim != 1 or vs.ndim != 1 or len(us) < 2 or len(vs) < 2:
@@ -257,7 +262,6 @@ def _mesh_metadata(surface) -> dict:
         meta["kind"] = surface.kind.value
         meta["note"] = "T-image of the source family listed under 'family'"
         return meta
-    assert isinstance(surface, MeridianSurface)
     prof = surface.profile
     return {
         "family": surface.family.value,

@@ -9,10 +9,9 @@ mean curvature vector from the trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
-which is basis-independent: no normal frame is chosen.  ``fd_rates``
-gives the first derivatives of any callable field (u, v) -> array on a
-5-point stencil.  ``fd_jet``, ``fd_jet4``, ``fundamental_forms``,
-``mean_curvature_fd`` and ``fd_rates`` broadcast over (u, v) arrays, a
+which is basis-independent: no normal frame is chosen.  ``fd_rates`` gives
+the first derivatives of any callable field (u, v) -> array from the same
+kernel on the 9-point stencil.  Every call broadcasts over (u, v) arrays, a
 scalar point being the 0-d case, so a whole grid is one immersion call;
 the stencil keeps u and v at their own shapes, so an immersion that
 evaluates u-factors on u and v-factors on v does so once per grid line.
@@ -43,27 +42,22 @@ __all__ = [
     "stencil_points",
 ]
 
-# One arm of a stencil, in units of its length: +-u, +-v and the four corners.
+# The eight arms of a stencil, in units of their length: +-u, +-v and the corners.
 _ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-# Per call: its default step relative to max(1, |u|, |v|), its arm lengths s
-# in units of the step h, and how many of the eight arms it takes at each
-# length (the rates take the center and +-u, +-v).
-_GEOMETRY = {
-    "fd_jet": (1e-4, (1.0,), 8),
-    "fd_jet4": (1e-3, (1.0, 2.0), 8),
-    "fd_rates": (1e-5, (1.0,), 4),
-}
-# A jet's integer weights per arm length and a denominator for the first,
-# pure second and mixed derivatives.  With d = z - z(center):
+# Per call: its default step relative to max(1, |u|, |v|) and its arm lengths
+# s in units of the step h.
+_GEOMETRY = {"fd_jet": (1e-4, (1.0,)), "fd_jet4": (1e-3, (1.0, 2.0)), "fd_rates": (1e-5, (1.0,))}
+# Per set of arm lengths, the integer weights per length and a denominator
+# for the first, pure second and mixed derivatives.  With d = z - z(center):
 # z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the same with
 # d(s, 0) + d(-s, 0) over den h^2, z_uv with the corners
 # d(s, s) - d(s, -s) - d(-s, s) + d(-s, -s).  Weighting differences from the
 # center, not raw samples, keeps the roundoff of the 5-point weights (Fornberg
 # 1988) at that of the two 9-point stencils they extrapolate.
 _WEIGHTS = {
-    "fd_jet": (((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0)),
-    "fd_jet4": (((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0)),
+    (1.0,): (((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0)),
+    (1.0, 2.0): (((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0)),
 }
 
 
@@ -72,10 +66,10 @@ def stencil_points(call: str, u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
 
     ``call`` is ``"fd_jet"``, ``"fd_jet4"`` or ``"fd_rates"``, and the
     samples are the arrays that call passes to the immersion (to the field
-    for the rates), bit for bit: the inputs'
-    own shapes padded to one rank, plus a stencil axis of 9, 17 or 5 whose
-    first sample is the center.  A caller that evaluates its immersion ahead
-    of time reads from here which u and v it will be asked for.
+    for the rates), bit for bit: the inputs' own shapes padded to one rank,
+    plus a stencil axis of 9, 17 or 9 whose first sample is the center.  A
+    caller that evaluates its immersion ahead of time reads from here which
+    u and v it will be asked for.
     """
     return _stencil(call, u, v, h)[3:]
 
@@ -85,8 +79,8 @@ def _stencil(call: str, u, v, h):
     one rank but not broadcast, and the stencil samples of ``call`` at them:
     a product grid ``us[:, None], vs[None, :]`` under a scalar step stays
     (nu, 1), (1, nv) and (1, 1), and its samples (nu, 1, n) and (1, nv, n)."""
-    rel_step, arms, n_arms = _GEOMETRY[call]
-    du, dv = (np.concatenate([[0.0], *(s * arm[:n_arms] for s in arms)])
+    rel_step, arms = _GEOMETRY[call]
+    du, dv = (np.concatenate([[0.0], *(s * arm for s in arms)])
               for arm in (_ARM_DU, _ARM_DV))
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -108,8 +102,8 @@ def _at(u, v, mask) -> str:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Second-order jet of an immersion at points (u, v) of shape S; the step
-    ``h`` has shape S, the point ``z`` and its derivatives S + (4,)."""
+    """Second-order jet of an immersion (or a field) at points (u, v) of shape S;
+    the step ``h`` has shape S, ``z`` and its derivatives S + (4,) (or S + T)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -122,42 +116,48 @@ class Jet2:
     zvv: np.ndarray
 
 
-def _stencil_jet(immersion, call: str, u, v, h) -> Jet2:
-    """The jet of ``immersion`` at (u, v) from one call on the stencil of ``call``."""
-    arms, (first, second, mixed) = _GEOMETRY[call][1], _WEIGHTS[call]
+def _stencil_jet(field, call: str, u, v, h) -> Jet2:
+    """The jet of ``field`` at (u, v) from one call on the stencil of ``call``;
+    an immersion's values are 4-vectors, a field's of any one shape T."""
+    arms = _GEOMETRY[call][1]
+    first, second, mixed = _WEIGHTS[arms]
     u, v, h, stencil_u, stencil_v = _stencil(call, u, v, h)
     u, v, h = np.broadcast_arrays(u, v, h)
     try:
-        pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
+        pts = np.asarray(field(stencil_u, stencil_v), dtype=float)
     except DomainError as exc:
         raise DomainError(
             f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
             f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
         ) from exc
-    expected = u.shape + (stencil_u.shape[-1], 4)
+    what, value_shape = (("field", pts.shape[u.ndim + 1:]) if call == "fd_rates"
+                         else ("immersion", (4,)))
+    expected = u.shape + stencil_u.shape[-1:] + value_shape
     if pts.shape != expected:
-        raise ValueError(f"immersion returned shape {pts.shape}, expected {expected}")
-    bad = ~np.all(np.isfinite(pts), axis=(-2, -1))
+        raise ValueError(f"{what} returned shape {pts.shape}, expected {expected}")
+    bad = ~np.all(np.isfinite(pts), axis=tuple(range(u.ndim, pts.ndim)))
     if np.any(bad):
         raise DomainError(
-            f"immersion returned non-finite values inside the stencil at "
+            f"{what} returned non-finite values inside the stencil at "
             f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
         )
     # (sample, component, point) in memory, so that every sum below runs over
     # contiguous points: the differences from the center, then per arm the odd
     # and even parts along u and v and the corner combination
-    n = u.size
-    t = np.ascontiguousarray(pts.reshape(n, -1).T).reshape(-1, 4, n)
+    n, m = u.size, int(np.prod(value_shape))
+    t = np.ascontiguousarray(pts.reshape(n, -1).T).reshape(-1, m, n)
     t[1:] -= t[0]
-    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(len(arms), 8, 4, n), 1, 0)
+    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(len(arms), 8, m, n), 1, 0)
     diffs = (up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm)
-    step, jet = h.reshape(-1), np.empty((5, 4, n))
+    step, jet = h.reshape(-1), np.empty((5, m, n))
     tables = (first, first, second, second, mixed)
     for out, diff, (weights, den), order in zip(jet, diffs, tables, (1, 1, 2, 2, 2)):
         np.divide((np.reshape(weights, (-1, 1, 1)) * diff).sum(axis=0), den * step**order, out=out)
-    # S + (4,) views that keep the points contiguous, so the forms' sums stay fast
-    zu, zv, zuu, zvv, zuv = np.moveaxis(jet.reshape((5, 4) + u.shape), 1, -1)
-    return Jet2(u=u, v=v, h=h, z=pts[..., 0, :], zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
+    # S + T views that keep the points contiguous, so the forms' sums stay fast
+    zu, zv, zuu, zvv, zuv = (d.reshape(u.shape + value_shape)
+                             for d in np.moveaxis(jet.reshape((5, m) + u.shape), 1, -1))
+    z = np.moveaxis(pts, u.ndim, 0)[0]  # the center samples
+    return Jet2(u=u, v=v, h=h, z=z, zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
 
 
 def fd_jet(immersion, u, v, h=None) -> Jet2:
@@ -274,15 +274,12 @@ def mean_curvature_fd(immersion, u, v, h=None):
 def fd_rates(field, u, v, h=None):
     """A field's value and its central-difference d/du and d/dv at (u, v).
 
-    ``field`` is any callable (u, v) -> array with trailing shape T; it is
-    called once, on the center and the +-u, +-v samples of every point, at
-    the shapes :func:`fd_jet` describes with a stencil axis of 5, and must
-    return S + (5,) + T, S the broadcast shape of u, v and h.  The three
-    results have shape S + T.  The default step is
-    ``1e-5 * max(1, |u|, |v|)`` per point.
+    ``field`` is any callable (u, v) -> array of trailing shape T; it is
+    called once, on the nine samples of :func:`fd_jet`'s stencil at every
+    point, and must return S + (9,) + T, S the broadcast shape of u, v and
+    h.  The three results have shape S + T.  The default step is
+    ``1e-5 * max(1, |u|, |v|)`` per point.  Checks and errors are those of
+    :func:`fd_jet`, for a field of any T.
     """
-    u, v, h, stencil_u, stencil_v = _stencil("fd_rates", u, v, h)
-    samples = np.asarray(field(stencil_u, stencil_v), dtype=float)
-    center, up, um, vp, vm = np.moveaxis(samples, u.ndim, 0)
-    step = 2.0 * h.reshape(h.shape + (1,) * (center.ndim - h.ndim))
-    return center, (up - um) / step, (vp - vm) / step
+    jet = _stencil_jet(field, "fd_rates", u, v, h)
+    return jet.z, jet.zu, jet.zv

@@ -113,6 +113,26 @@ def test_tilde_metadata_notes_the_source(small_surface, grids, tmp_path):
     assert "T-image" in doc["note"]
 
 
+def test_json_of_another_surface_is_a_value_error_naming_its_type(small_surface, grids,
+                                                                  tmp_path):
+    """Only a meridian surface and its T-image carry json's metadata; any
+    other surface fails before it is evaluated or a file is opened, and the
+    same surface still writes csv and obj."""
+    class PointCloud:
+        def grid_points(self, us, vs):
+            calls.append((len(us), len(vs)))
+            return small_surface.grid_points(us, vs)
+
+    us, vs = grids
+    calls = []
+    with pytest.raises(ValueError, match="cannot export a PointCloud$"):
+        export_mesh(PointCloud(), us, vs, tmp_path / "cloud.json", fmt="json")
+    assert calls == [] and not (tmp_path / "cloud.json").exists()
+    for fmt in ("csv", "obj"):
+        export_mesh(PointCloud(), us, vs, tmp_path / f"cloud.{fmt}", fmt=fmt)
+    assert len(calls) == 2
+
+
 def test_export_is_byte_deterministic(small_surface, grids, tmp_path):
     us, vs = grids
     a = export_mesh(small_surface, us, vs, tmp_path / "a.csv").read_bytes()

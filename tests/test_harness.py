@@ -506,19 +506,44 @@ def test_case_spec_rejects_a_negative_seed():
     ids=lambda s: s.theorem.value,
 )
 def test_verify_case_calls_the_immersion_twice(spec, monkeypatch):
-    """One call each for the FD grid sweep and the FD probe sweep; the rank
-    reads the grid sweep's center samples."""
+    """One call and one set of fundamental forms, the FD grid sweep's: the
+    mixed check and the rank read them too, and the probes read only the
+    frames."""
     calls = []
-    immersion = MeridianSurface.immersion
+    immersion, forms = MeridianSurface.immersion, harness.fundamental_forms
 
     def counting(self, u, v):
         calls.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
         return immersion(self, u, v)
 
+    def counting_forms(jet):
+        calls.append("fundamental_forms")
+        return forms(jet)
+
     monkeypatch.setattr(MeridianSurface, "immersion", counting)
+    monkeypatch.setattr(harness, "fundamental_forms", counting_forms)
     report = verify_case(replace(spec, nu=9, nv=7, n_probe=5))
     assert report.status == "pass"
-    assert calls == [(9, 7, 17), (5, 17)]
+    assert calls == [(9, 7, 17), "fundamental_forms"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE],
+    ids=lambda s: s.theorem.value,
+)
+def test_a_mixed_term_in_the_immersion_fails_the_mixed_check(spec, monkeypatch):
+    """z + 1e-4 u v w for a fixed w has z_uv = f' t + 1e-4 w, whose normal
+    part no longer vanishes: ``max_mixed_fd`` sees it on the grid."""
+    w = np.array([0.3, -0.2, 0.5, 0.7])
+    immersion = MeridianSurface.immersion
+
+    def bent(self, u, v):
+        return immersion(self, u, v) + 1e-4 * (np.asarray(u) * np.asarray(v))[..., None] * w
+
+    monkeypatch.setattr(MeridianSurface, "immersion", bent)
+    checks = {c["name"]: c for c in verify_case(spec).checks}
+    assert not checks["max_mixed_fd"]["ok"]
 
 
 @pytest.mark.parametrize(

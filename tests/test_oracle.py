@@ -402,10 +402,60 @@ def test_fd_rates_make_one_call_and_batch_pointwise():
 
     pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
     batched = fd_rates(recording, pu, pv)
-    assert seen == [((3, 5), (3, 5))]
+    assert seen == [((3, 9), (3, 9))]
     for k, (u, v) in enumerate(zip(pu, pv)):
         for got, want in zip(batched, fd_rates(_field, u, v)):
             assert np.array_equal(got[k], want)
+
+
+def test_fd_rates_samples_add_no_u_or_v_to_the_stencil_axes():
+    """The rates read fd_jet's 9-point stencil: its corners reuse the u and
+    the v of the +-u and +-v arms, so a table of the arms holds them."""
+    u, v = oracle.stencil_points("fd_rates", np.array([0.3, -1.1]), np.array([0.7, 0.2]))
+    assert u.shape == v.shape == (2, 9)
+    for axis in (u, v):
+        assert all(len(np.unique(row)) == 3 for row in axis)
+
+
+def _rate_field_failing_at(u0, v0, how):
+    """_field, but non-finite at (or raising DomainError at) the sample (u0, v0)."""
+
+    def field(u, v):
+        hit = (u == u0) & (v == v0)
+        if how == "raise" and np.any(hit):
+            raise DomainError("outside the chart")
+        values = _field(u, v)
+        return np.where(hit[..., None, None], np.nan, values) if how == "nan" else values
+
+    return field
+
+
+@pytest.mark.parametrize("corner", [False, True])
+def test_fd_rates_name_the_point_whose_stencil_is_not_finite(corner):
+    pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
+    u, v = oracle.stencil_points("fd_rates", pu, pv)
+    k = 5 if corner else 2  # the (+h, +h) corner, or the -u arm
+    field = _rate_field_failing_at(u[1, k], v[1, k], "nan")
+    with pytest.raises(DomainError, match="field returned non-finite values inside the "
+                                          "stencil at \\(u=0.3, v=-0.8\\), h=1e-05"):
+        fd_rates(field, pu, pv)
+
+
+def test_fd_rates_name_the_point_whose_stencil_raises():
+    u, v = oracle.stencil_points("fd_rates", 0.3, -0.8)
+    field = _rate_field_failing_at(u[7], v[7], "raise")
+    with pytest.raises(DomainError, match="stencil evaluation failed for u in \\[0.3, 0.3\\], "
+                                          "v in \\[-0.8, -0.8\\] with h=1e-05: outside the chart"):
+        fd_rates(field, 0.3, -0.8)
+
+
+def test_fd_rates_reject_a_field_of_the_wrong_shape():
+    # five samples, as a center and +-u, +-v alone would give
+    with pytest.raises(ValueError, match="field returned shape \\(5, 2, 3\\), "
+                                         "expected \\(9, 2, 3\\)"):
+        fd_rates(lambda u, v: np.zeros((5, 2, 3)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="field returned shape \\(2,\\), expected"):
+        fd_rates(lambda u, v: np.zeros(2), 0.0, 0.0)
 
 
 def test_the_oracle_imports_only_algebra_and_errors():
