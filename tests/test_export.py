@@ -1,10 +1,8 @@
 """Tests for mesh export: formats, counts, byte determinism."""
 
-import errno
 import json
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -22,14 +20,13 @@ from meridian4 import (
     TildeKind,
     export_mesh,
     minimal_profile,
+    sample_case,
     standard_initial_frame,
     tilde_surface,
     verify_case,
 )
-from meridian4 import __version__, export
-from meridian4.export import (
-    CSV_HEADER, _csv_text, _file_bytes, _json_text, _mesh_metadata, _obj_text,
-)
+from meridian4 import __version__
+from meridian4.export import CSV_HEADER, _floats, _mesh_metadata, _render
 from meridian4.harness import _build_case
 
 
@@ -228,7 +225,12 @@ def test_export_bytes_match_the_per_element_reference(small_surface, tmp_path, f
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
 
 
-_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e300, -1e300]
+# the band edges of _floats and two values orjson spells otherwise than repr
+# (5.454766091567068e-6 and 0.00001)
+_EDGES = [math.nextafter(x, y) for x in (1e-4, 1e16) for y in (0.0, math.inf)]
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5, 1e300, -1e300,
+            1e-4, -1e-4, 5.454766091567068e-06, -5.454766091567068e-06, *_EDGES,
+            *(-x for x in _EDGES)]
 _FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -254,12 +256,12 @@ def _point_grids(draw):
 @given(grid=_point_grids())
 def test_renderers_match_the_reference_on_any_finite_points(small_surface, grid):
     us, vs, points = grid
-    def in_process(text):
-        return b"".join(_file_bytes(text, 1)).decode("ascii")
+    def rendered(fmt):
+        return b"".join(_render(fmt, small_surface, us, vs, points)).decode("ascii")
 
-    assert in_process(_csv_text(us, vs, points)) == _ref_csv(us, vs, points)
-    assert in_process(_obj_text(us, vs, points)) == _ref_obj(us, vs, points)
-    assert in_process(_json_text(small_surface, us, vs, points)) == _ref_json(small_surface, us, vs, points)
+    assert rendered("csv") == _ref_csv(us, vs, points)
+    assert rendered("obj") == _ref_obj(us, vs, points)
+    assert rendered("json") == _ref_json(small_surface, us, vs, points)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
@@ -293,146 +295,56 @@ def test_nan_grid_is_a_domain_error(small_surface, tmp_path, axis):
 
 
 # ---------------------------------------------------------------------------
-# Fan-out over forked workers: the same bytes from any number of workers, a
-# failed worker raises before the file is opened, and no child outlives a call.
+# The float formatter: orjson's text where it equals repr's, repr's elsewhere.
+# The band was established on orjson 3.8.3; an orjson that spells a value
+# otherwise fails here.
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _repr_list(values) -> bytes:
+    return ("[" + ",".join(map(float.__repr__, values.tolist())) + "]").encode("ascii")
 
 
-@pytest.fixture
-def fan_out(monkeypatch):
-    """``fan_out(w)``: render every mesh with w usable CPUs and no size floor;
-    returns the list of pids that ``os.fork`` gave the parent."""
-    forked = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def setup(workers):
-        monkeypatch.setattr(export, "_FAN_OUT_MIN_POINTS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return forked
-
-    return setup
+def test_floats_spell_every_value_as_repr_does():
+    rng = np.random.default_rng(20261020)
+    # 1M bit patterns with exponents 2^-14 to 2^54, which cover the band
+    # [1e-4, 1e16) where orjson's text is kept, then any bit pattern (NaNs,
+    # infinities and subnormals included: 97% of them take repr's text)
+    any_bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64)
+    mantissa = rng.integers(0, 2**52, size=1_000_000, dtype=np.uint64)
+    exponent = rng.integers(1023 - 14, 1023 + 54, size=1_000_000, dtype=np.uint64, endpoint=True)
+    sign = rng.integers(0, 2, size=1_000_000, dtype=np.uint64)
+    in_band_bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+    decades = [float(f"1e{k}") for k in range(-324, 309)]
+    edges = [math.nextafter(x, y) for x in decades for y in (0.0, math.inf)]
+    special = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+               5.454766091567068e-06, 1e-05, 1e-4, 1e16, *_EDGES]
+    for values in (in_band_bits.view(np.float64), any_bits.view(np.float64),
+                   np.array(decades + edges + special), -np.array(decades + edges)):
+        assert _floats(values) == _repr_list(values)
+    # a 2-d array keeps its rows
+    grid = np.array([[1e-05, 0.5], [math.inf, -0.0]])
+    assert _floats(grid) == b"[[1e-05,0.5],[inf,-0.0]]"
+    assert _floats(grid.T) == b"[[1e-05,inf],[0.5,-0.0]]"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
-@pytest.mark.parametrize("kind", ["meridian", "tilde", "truncated"])
-@pytest.mark.parametrize("shape", [(2, 5), (7, 4)])
-@pytest.mark.parametrize("workers", [2, 3])
-def test_fanned_out_bytes_match_the_reference(small_surface, tmp_path, fan_out, fmt, kind,
-                                              shape, workers):
-    # nu = 2 gives fewer u lines than 3 workers (and one face row); 7 lines
-    # split 3 + 4 or 2 + 2 + 3
-    forked = fan_out(workers)
-    meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
-    us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
-    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+def test_a_201x201_mesh_with_out_of_band_coordinates_matches_the_reference(tmp_path, fmt):
+    surface = _build_case(sample_case(Theorem.CMC_B, np.random.default_rng(2), c=1.0))[0]
+    us, vs = np.linspace(*surface.u_span, 201), np.linspace(*surface.v_span, 201)
+    mag = np.abs(surface.grid_points(us, vs))
+    assert np.any((mag != 0) & ((mag < 1e-4) | (mag >= 1e16)))  # the repr fallback runs
     path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
-    assert len(forked) == min(workers, shape[0]) - 1
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_failing_worker_raises_and_writes_nothing(small_surface, grids, tmp_path, fan_out,
-                                                    monkeypatch, capfd, workers):
-    forked = fan_out(workers)
-    parent, real_xyz = os.getpid(), export._xyz
-
-    def xyz_failing_in_a_child(line):
-        if os.getpid() != parent:
-            raise ValueError("render failed in a child")
-        return real_xyz(line)
-
-    monkeypatch.setattr(export, "_xyz", xyz_failing_in_a_child)
-    path = tmp_path / "mesh.obj"
-    with pytest.raises(RuntimeError, match="mesh rendering failed in worker"):
-        export_mesh(small_surface, *grids, path, fmt="obj")
-    assert len(forked) == workers - 1
-    assert not path.exists()
-    assert "render failed in a child" in capfd.readouterr().err
-    _assert_no_child_left()
-
-
-def test_a_failing_parent_reaps_its_workers(small_surface, grids, tmp_path, fan_out, monkeypatch):
-    forked = fan_out(3)
-    parent, real_xyz = os.getpid(), export._xyz
-
-    def xyz_failing_in_the_parent(line):
-        if os.getpid() == parent:
-            raise ValueError("render failed in the parent")
-        return real_xyz(line)
-
-    monkeypatch.setattr(export, "_xyz", xyz_failing_in_the_parent)
-    path = tmp_path / "mesh.csv"
-    with pytest.raises(ValueError, match="render failed in the parent"):
-        export_mesh(small_surface, *grids, path)
-    assert len(forked) == 2
-    assert not path.exists()
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
-@pytest.mark.parametrize("forks_before_failing", [0, 1])
-def test_a_fork_that_fails_renders_in_process(small_surface, grids, tmp_path, fan_out,
-                                              monkeypatch, fmt, forks_before_failing):
-    forked = fan_out(3)
-    counting_fork = os.fork
-
-    def fork_that_fails():
-        if len(forked) >= forks_before_failing:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return counting_fork()
-
-    monkeypatch.setattr(os, "fork", fork_that_fails)
-    path = export_mesh(small_surface, *grids, tmp_path / f"mesh.{fmt}", fmt=fmt)
-    assert len(forked) == forks_before_failing
-    assert path.read_bytes() == _reference(fmt, small_surface, *grids).encode("ascii")
-    _assert_no_child_left()
 
 
 def _fork_must_not_run():
     raise AssertionError("os.fork called")
 
 
-def test_small_meshes_render_in_process(small_surface, grids, tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+def test_export_never_forks(small_surface, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
-    us, vs = grids
-    assert len(us) * len(vs) < export._FAN_OUT_MIN_POINTS
-    path = export_mesh(small_surface, us, vs, tmp_path / "mesh.csv")
-    assert path.read_bytes() == _reference("csv", small_surface, us, vs).encode("ascii")
-
-
-@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-def test_no_fork_without_the_os_calls(small_surface, grids, tmp_path, fan_out, monkeypatch,
-                                      missing):
-    fan_out(3)
-    monkeypatch.setattr(os, "fork", _fork_must_not_run)
-    monkeypatch.delattr(os, missing)
-    path = export_mesh(small_surface, *grids, tmp_path / "mesh.obj", fmt="obj")
-    assert path.read_bytes() == _reference("obj", small_surface, *grids).encode("ascii")
-
-
-def test_no_fork_while_another_thread_runs(small_surface, grids, tmp_path, fan_out, monkeypatch):
-    fan_out(3)
-    monkeypatch.setattr(os, "fork", _fork_must_not_run)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        path = export_mesh(small_surface, *grids, tmp_path / "mesh.json", fmt="json")
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert path.read_bytes() == _reference("json", small_surface, *grids).encode("ascii")
+    us = np.linspace(*small_surface.u_span, 201)
+    vs = np.linspace(*small_surface.v_span, 201)
+    for fmt in ("csv", "obj", "json"):
+        path = export_mesh(small_surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
+        assert path.read_bytes() == _reference(fmt, small_surface, us, vs).encode("ascii")

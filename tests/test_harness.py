@@ -505,7 +505,7 @@ def test_case_spec_rejects_a_negative_seed():
     [s for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE],
     ids=lambda s: s.theorem.value,
 )
-def test_verify_case_calls_the_immersion_twice(spec, monkeypatch):
+def test_verify_case_calls_the_immersion_once(spec, monkeypatch):
     """One call and one set of fundamental forms, the FD grid sweep's: the
     mixed check and the rank read them too, and the probes read only the
     frames."""
