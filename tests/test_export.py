@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -348,3 +349,58 @@ def test_export_never_forks(small_surface, tmp_path, monkeypatch):
     for fmt in ("csv", "obj", "json"):
         path = export_mesh(small_surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
         assert path.read_bytes() == _reference(fmt, small_surface, us, vs).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# One process on any machine: neither the CPU count, nor a missing or failing
+# os.fork, nor another running thread changes the bytes. (The names of these
+# tests come from the removed fan-out over forked workers, which they checked
+# before rendering became in-process only.)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+@pytest.mark.parametrize("kind", ["meridian", "tilde", "truncated"])
+@pytest.mark.parametrize("shape", [(2, 5), (7, 4)])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fanned_out_bytes_match_the_reference(small_surface, tmp_path, monkeypatch, fmt, kind,
+                                              shape, workers):
+    # `workers` usable CPUs: the export still renders in one process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
+    us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
+    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+    path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
+    assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
+
+
+def test_small_meshes_render_in_process(small_surface, grids, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    us, vs = grids
+    path = export_mesh(small_surface, us, vs, tmp_path / "mesh.csv")
+    assert path.read_bytes() == _reference("csv", small_surface, us, vs).encode("ascii")
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_no_fork_without_the_os_calls(small_surface, grids, tmp_path, monkeypatch, missing):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    monkeypatch.delattr(os, missing)
+    path = export_mesh(small_surface, *grids, tmp_path / "mesh.obj", fmt="obj")
+    assert path.read_bytes() == _reference("obj", small_surface, *grids).encode("ascii")
+
+
+def test_no_fork_while_another_thread_runs(small_surface, grids, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", _fork_must_not_run)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        path = export_mesh(small_surface, *grids, tmp_path / "mesh.json", fmt="json")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert path.read_bytes() == _reference("json", small_surface, *grids).encode("ascii")
