@@ -18,6 +18,7 @@ error (unknown or unread flags, inadmissible parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -287,8 +288,11 @@ def _cmd_theorems(args, parser) -> int:
     return 0 if doc["all_pass"] else 1
 
 
+_parser = functools.cache(build_parser)  # one per process: parse_args keeps no state
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -6,12 +6,12 @@ is byte-identical and diffs between runs are meaningful.  Files are ASCII
 with ``\n`` line ends on every platform.
 
 Each renderer turns one u grid line (one grid row, for obj faces) into
-text with one ``orjson.dumps`` of an array and ``bytes.replace`` for the
-separators, and the file is written piece by piece.  orjson (Ryu) writes
-the same shortest round-trip digits as ``repr``, and spells them the same
-way for 1e-4 <= |x| < 1e16 and for +-0; ``_floats`` puts ``repr``'s text
-in for every other value.  The JSON points block is spliced into
-``json.dumps(indent=1)``'s own layout.
+text with one flat ``orjson.dumps`` and one numpy pass over its bytes that
+puts in the separators (``_lines``), and the file is written piece by
+piece.  orjson (Ryu) writes the same shortest round-trip digits as
+``repr``, and spells them the same way for 1e-4 <= |x| < 1e16 and for
++-0; ``_floats`` puts ``repr``'s text in for every other value.  The JSON
+points block is spliced into ``json.dumps(indent=1)``'s own layout.
 """
 
 from __future__ import annotations
@@ -99,10 +99,19 @@ def _floats(a) -> bytes:
     return b"".join(spliced)
 
 
-def _lines(text: bytes, prefix: bytes, sep: bytes) -> bytes:
-    """A 2-d array's dump as text lines, one per row: each opens with
-    ``prefix``, ``sep`` parts its values and ``\n`` ends it."""
-    return prefix + text[2:-2].replace(b"],[", b"\n" + prefix).replace(b",", sep) + b"\n"
+def _lines(text: bytes, k: int, sep: bytes, prefix: bytes = b"") -> bytes:
+    """The flat dump ``[a,b,...]`` of an (n, k) block as n lines, each opened
+    by ``prefix``: in one pass over a ``uint8`` view every comma becomes the
+    one byte ``sep``, and every k-th comma and the ``]`` a ``\n``.  No value's
+    text holds a comma (orjson's digits and ints; ``repr``'s ``1e-05``,
+    ``inf``, ``nan``, ``5e-324``), so each comma parts two values."""
+    buf = np.frombuffer(text, dtype=np.uint8)[1:].copy()
+    commas = np.flatnonzero(buf == ord(","))
+    buf[commas] = ord(sep)
+    buf[commas[k - 1::k]] = buf[-1] = ord("\n")
+    lines = buf.tobytes()
+    # each line end but the last opens the next line
+    return prefix + lines.replace(b"\n", b"\n" + prefix, len(commas) // k) if prefix else lines
 
 
 def _render(fmt: str, surface, us, vs, points) -> Iterator[bytes]:
@@ -117,12 +126,11 @@ def _render(fmt: str, surface, us, vs, points) -> Iterator[bytes]:
 
 def _csv(us, vs, points) -> Iterator[bytes]:
     yield (CSV_HEADER + "\n").encode("ascii")
-    rows = np.empty((len(vs), 6))  # (u, v, x1, x2, x3, x4) of one u grid line
-    rows[:, 1] = vs
-    for u, line in zip(us, points):
-        rows[:, 0] = u
-        rows[:, 2:] = line
-        yield _lines(_floats(rows), b"", b",")
+    rows = np.empty((len(vs), 5))  # (v, x1, x2, x3, x4) of one u grid line; u opens each row
+    rows[:, 0] = vs
+    for u, line in zip(us.tolist(), points):
+        rows[:, 1:] = line
+        yield _lines(_floats(rows.ravel()), 5, b",", repr(u).encode("ascii") + b",")
 
 
 def _obj(points) -> Iterator[bytes]:
@@ -130,13 +138,13 @@ def _obj(points) -> Iterator[bytes]:
     yield (b"# meridian surface mesh: orthogonal projection to (x1, x2, x3); "
            b"coordinate x4 dropped\n")
     for line in points:
-        yield _lines(_floats(line[:, :3]), b"v ", b" ")
+        yield _lines(_floats(line[:, :3].ravel()), 3, b" ", b"v ")
     # the quad at (i, j) has corners a = i nv + j + 1, b = a + nv, c = b + 1,
     # d = a + 1 (1-based); it is the two triangles (a, b, c) and (a, c, d)
     a = np.arange(1, nv, dtype=np.int64)
-    quads = np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1], axis=1).reshape(-1, 3)
+    quads = np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1], axis=1).ravel()
     for i in range(nu - 1):
-        yield _lines(orjson.dumps(quads + i * nv, option=_NUMPY), b"f ", b" ")
+        yield _lines(orjson.dumps(quads + i * nv, option=_NUMPY), 3, b" ", b"f ")
 
 
 def _mesh_metadata(surface) -> dict:
@@ -171,7 +179,8 @@ def _json(surface, us, vs, points) -> Iterator[bytes]:
     # the points block in json.dumps' indent=1 layout: the key sits at depth 1,
     # so grid lines open at 2 spaces, points at 3 and coordinates at 4
     for i, line in enumerate(points):
-        text = _floats(line)[2:-2].replace(b",", b",\n    ")
+        text = _lines(_floats(line.ravel()), 4, b";")  # ";" no value's text holds
+        text = text.replace(b"\n", b"\n   ],\n   [\n    ", len(line) - 1)  # not the last
         yield ((b",\n  [\n   [\n    " if i else b"  [\n   [\n    ")
-               + text.replace(b"],\n    [", b"\n   ],\n   [\n    ") + b"\n   ]\n  ]")
+               + text.replace(b";", b",\n    ") + b"   ]\n  ]")
     yield ("\n ]" + tail + "\n").encode("ascii")

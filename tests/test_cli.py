@@ -353,6 +353,48 @@ def test_generate_infers_format_from_suffix(tmp_path, capsys):
     assert sum(1 for ln in text.splitlines() if ln.startswith("v ")) == 36
 
 
+# a quasi-a case with --f0 and --format=json, then calls without either: a
+# shared parser must not carry the first call's values into the next ones
+_QUASI = ["generate", "--theorem=quasi-a", "--a=1", "--c=2", "--nu=7", "--nv=5"]
+_MINIMAL = ["generate", "--theorem=minimal-a", "--a=1", "--nu=7", "--nv=5"]
+_WITH_F0 = [*_QUASI, "--f0=3", "--format=json"]
+
+
+def _fresh_process(argv, out: Path) -> tuple[int, bytes | None]:
+    """Exit code and file bytes of ``meridian4 <argv> --out=<out>`` in a new process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "meridian4", *argv, f"--out={out}"], env=env,
+                          capture_output=True)
+    return done.returncode, out.read_bytes() if out.exists() else None
+
+
+def _in_process(argv, out: Path) -> tuple[int, bytes | None]:
+    code = main([*argv, f"--out={out}"])
+    return code, out.read_bytes() if out.exists() else None
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    calls = (_WITH_F0, _QUASI, _MINIMAL)
+    fresh = [_fresh_process(argv, tmp_path / f"fresh-{k}.mesh") for k, argv in enumerate(calls)]
+    assert [code for code, _ in fresh] == [0, 2, 0]  # quasi-a needs f0
+    assert fresh[0][1].startswith(b"{") and fresh[2][1].startswith(b"u,v,")  # csv by default
+    assert [_in_process(argv, tmp_path / f"same-{k}.mesh")
+            for k, argv in enumerate(calls)] == fresh
+    # a --version exit, and a usage error that parsed --f0 and --format first
+    assert main(["--version"]) == 0
+    assert main(_WITH_F0) == 2  # no --out
+    assert _in_process(_MINIMAL, tmp_path / "after.mesh") == fresh[2]
+    capsys.readouterr()
+
+
+def test_main_builds_its_parser_once_and_build_parser_a_new_one():
+    from meridian4 import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_sweep_counts_and_exit(tmp_path, capsys):
     report = tmp_path / "sweep.json"
     code = main(

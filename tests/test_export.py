@@ -6,6 +6,7 @@ import os
 import threading
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from meridian4 import (
     verify_case,
 )
 from meridian4 import __version__
-from meridian4.export import CSV_HEADER, _floats, _mesh_metadata, _render
+from meridian4.export import CSV_HEADER, _floats, _lines, _mesh_metadata, _render
 from meridian4.harness import _build_case
 
 
@@ -336,6 +337,60 @@ def test_a_201x201_mesh_with_out_of_band_coordinates_matches_the_reference(tmp_p
     assert np.any((mag != 0) & ((mag < 1e-4) | (mag >= 1e16)))  # the repr fallback runs
     path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# _lines places every separator with one pass over a flat dump's bytes; each
+# block here is checked against a join of every element's own text.
+
+
+def _joined(block, sep: str, prefix: str = "") -> bytes:
+    rows = block.tolist()
+    return "".join(prefix + sep.join(map(repr, row)) + "\n" for row in rows).encode("ascii")
+
+
+_OUT_OF_BAND = [1e-05, math.inf, -math.inf, math.nan, 5e-324, 1e16]
+
+
+@pytest.mark.parametrize("column", [0, 2, 4])
+@pytest.mark.parametrize("sep, prefix", [(b",", b""), (b" ", b"v "), (b";", b"-0.5,")])
+def test_lines_keep_out_of_band_values_whole_in_any_column(column, sep, prefix):
+    block = np.random.default_rng(column).normal(size=(len(_OUT_OF_BAND), 5))
+    block[:, column] = _OUT_OF_BAND
+    block[::2, 4 - column] = _OUT_OF_BAND[::2]
+    got = _lines(_floats(block.ravel()), 5, sep, prefix)
+    assert got == _joined(block, sep.decode(), prefix.decode())
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (1, 6), (1, 1), (1, 5)])
+@pytest.mark.parametrize("prefix", [b"", b"f "])
+def test_lines_of_one_column_or_one_row(shape, prefix):
+    values = np.array([*_OUT_OF_BAND, 0.5, -0.0, 1e300])[: shape[0] * shape[1]]
+    block = values.reshape(shape)
+    got = _lines(_floats(values), shape[1], b",", prefix)
+    assert got == _joined(block, ",", prefix.decode())
+
+
+@pytest.mark.parametrize("nv", [2, 3, 201])
+def test_lines_of_a_face_block_match_a_per_element_join(nv):
+    # the faces of one grid row as _obj dumps them, and ints of every width
+    a = np.arange(1, nv, dtype=np.int64)
+    quads = np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1], axis=1).reshape(-1, 3)
+    rng = np.random.default_rng(nv)
+    wide = rng.integers(0, 2**62, size=(nv, 3)) >> rng.integers(0, 62, size=(nv, 3))
+    for block in (quads, quads + 199 * nv, wide):
+        text = orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert _lines(text, 3, b" ", b"f ") == _joined(block, " ", "f ")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), k=st.integers(1, 6), data=st.data(),
+       sep=st.sampled_from([b",", b" ", b";"]), prefix=st.sampled_from([b"", b"v ", b"1e-05,"]))
+def test_lines_match_a_per_element_join_on_any_block(rows, k, data, sep, prefix):
+    floats = st.one_of(st.sampled_from(_SPECIAL + _OUT_OF_BAND), st.floats())
+    block = np.array(data.draw(st.lists(floats, min_size=rows * k, max_size=rows * k)))
+    got = _lines(_floats(block), k, sep, prefix)
+    assert got == _joined(block.reshape(rows, k), sep.decode(), prefix.decode())
 
 
 def _fork_must_not_run():
