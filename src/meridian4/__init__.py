@@ -15,7 +15,6 @@ from .algebra import (
     SIG3_PPM,
     SIG4,
     CausalCharacter,
-    Signature,
     affine_rank,
     causal_character,
     gram_matrix,
@@ -79,7 +78,6 @@ from .surfaces import (
 __all__ = [
     "__version__",
     # algebra
-    "Signature",
     "SIG4",
     "SIG3_PPM",
     "CausalCharacter",

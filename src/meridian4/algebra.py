@@ -1,27 +1,25 @@
 """Linear algebra for flat indefinite scalar products on R^3 and R^4.
 
-Everything here is metric-signature-parametric.  The ambient space of the
-package is R^4 with the neutral scalar product
+The ambient space of the package is R^4 with the neutral scalar product
 
     <x, y> = x1*y1 + x2*y2 - x3*y3 - x4*y4,
 
-and curves live in 3-dimensional coordinate subspaces carrying the induced
-(Lorentzian) products.  Signatures are explicit values, not global state, so
-the same helpers serve the 4-space, the span{e1,e2,e3} slice and the
-span{e2,e3,e4} slice.
+and curves live in the coordinate subspace span{e1,e2,e3} carrying the
+induced Lorentzian product.  A metric is the read-only float array of its
+diagonal: :data:`SIG4` for the 4-space and its slice :data:`SIG3_PPM` for
+span{e1,e2,e3}.  Every helper takes it as ``sig``, and :func:`inner` is the
+one place that applies it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneracyError
 
 __all__ = [
-    "Signature",
     "SIG4",
     "SIG3_PPM",
     "CausalCharacter",
@@ -34,42 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
-    """A diagonal metric, stored as an ordered tuple of +1/-1 entries.
-
-    Parameters
-    ----------
-    signs : tuple of int
-        The diagonal of the metric in the standard basis.  Length 3 or 4.
-    """
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        signs = tuple(int(s) for s in self.signs)
-        if len(signs) not in (3, 4):
-            raise ValueError(f"signature must have length 3 or 4, got {len(signs)}")
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError(f"signature entries must be +1 or -1, got {self.signs}")
-        object.__setattr__(self, "signs", signs)
-
-    def __len__(self) -> int:
-        return len(self.signs)
-
-    def __iter__(self):
-        return iter(self.signs)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The diagonal as a float array, for vectorized products."""
-        return np.asarray(self.signs, dtype=float)
-
-
 #: Neutral metric on R^4: dx1^2 + dx2^2 - dx3^2 - dx4^2.
-SIG4 = Signature((1, 1, -1, -1))
-#: Lorentzian metric on span{e1, e2, e3}: dx1^2 + dx2^2 - dx3^2.
-SIG3_PPM = Signature((1, 1, -1))
+SIG4 = np.array([1.0, 1.0, -1.0, -1.0])
+SIG4.flags.writeable = False
+#: Lorentzian metric on span{e1, e2, e3}: dx1^2 + dx2^2 - dx3^2 (a read-only view).
+SIG3_PPM = SIG4[:3]
 
 
 class CausalCharacter(enum.Enum):
@@ -87,7 +54,7 @@ class CausalCharacter(enum.Enum):
 _CHARACTERS = np.array(list(CausalCharacter), dtype=object)
 
 
-def _check_dim(x: np.ndarray, sig: Signature, name: str) -> None:
+def _check_dim(x: np.ndarray, sig: np.ndarray, name: str) -> None:
     if x.shape[-1] != len(sig):
         raise ValueError(
             f"{name} has trailing dimension {x.shape[-1]}, "
@@ -95,17 +62,17 @@ def _check_dim(x: np.ndarray, sig: Signature, name: str) -> None:
         )
 
 
-def inner(x, y, sig: Signature = SIG4):
-    """Indefinite scalar product <x, y> under a diagonal signature.
+def inner(x, y, sig: np.ndarray = SIG4):
+    """Indefinite scalar product <x, y> under the diagonal metric ``sig``.
 
-    Accepts arrays whose trailing axis matches the signature length and
+    Accepts arrays whose trailing axis matches the length of ``sig`` and
     broadcasts over leading axes.  Returns a scalar for single vectors.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_dim(x, sig, "x")
     _check_dim(y, sig, "y")
-    p = sig.array * x * y
+    p = sig * x * y
     out = p[..., 0] + 0.0  # np.sum's order and signed zeros, without its overhead
     for k in range(1, p.shape[-1]):
         out = out + p[..., k]
@@ -114,12 +81,11 @@ def inner(x, y, sig: Signature = SIG4):
     return out
 
 
-def _causal_codes(v, sig: Signature = SIG4, tol: float | None = None) -> np.ndarray:
+def _causal_codes(v, sig: np.ndarray = SIG4, tol: float | None = None) -> np.ndarray:
     """:func:`causal_character` as integer codes, the member's index in
     :class:`CausalCharacter` (0 spacelike, 1 timelike, 2 lightlike)."""
     v = np.asarray(v, dtype=float)
-    _check_dim(v, sig, "v")
-    q = np.sum(sig.array * v * v, axis=-1)
+    q = inner(v, v, sig)
     if tol is None:
         scale = np.max(np.abs(v), axis=-1)
         tol = 1e-12 * np.maximum(1.0, scale * scale)
@@ -127,7 +93,7 @@ def _causal_codes(v, sig: Signature = SIG4, tol: float | None = None) -> np.ndar
     return np.where(np.any(v, axis=-1), code, 0)
 
 
-def causal_character(v, sig: Signature = SIG4, tol: float | None = None):
+def causal_character(v, sig: np.ndarray = SIG4, tol: float | None = None):
     """Classify vectors (trailing axis, matching ``sig``) by causal character.
 
     Broadcasts over leading axes: a single vector gives a
@@ -139,16 +105,15 @@ def causal_character(v, sig: Signature = SIG4, tol: float | None = None):
     return _CHARACTERS[_causal_codes(v, sig, tol)]  # a 0-d index picks the member itself
 
 
-def gram_matrix(frame, sig: Signature = SIG4) -> np.ndarray:
+def gram_matrix(frame, sig: np.ndarray = SIG4) -> np.ndarray:
     """Matrix of pairwise scalar products <v_i, v_j> for rows v_i of ``frame``."""
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2:
         raise ValueError("frame must be a 2-d array (one vector per row)")
-    _check_dim(frame, sig, "frame")
-    return (frame * sig.array) @ frame.T
+    return inner(frame[:, None], frame[None], sig)
 
 
-def orthonormality_deviation(frame, expected_signs, sig: Signature = SIG4) -> float:
+def orthonormality_deviation(frame, expected_signs, sig: np.ndarray = SIG4) -> float:
     """Max-entry deviation of a frame's Gram matrix from diag(expected_signs).
 
     A pseudo-orthonormal frame with unit vectors of the expected causal
@@ -166,7 +131,7 @@ def orthonormality_deviation(frame, expected_signs, sig: Signature = SIG4) -> fl
     return float(np.max(np.abs(g - np.diag(expected))))
 
 
-def orthonormalize(vectors, sig: Signature = SIG4, tol: float = 1e-10):
+def orthonormalize(vectors, sig: np.ndarray = SIG4, tol: float = 1e-10):
     """Gram-Schmidt for an indefinite scalar product.
 
     Orthogonalizes the rows of ``vectors`` in order, normalizing each to

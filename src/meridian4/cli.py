@@ -113,7 +113,7 @@ def _case_flags(group, command: str) -> None:
     for flag in ("--u-min", "--u-max", "--v-min", "--v-max"):
         group.add_argument(flag, type=float)
     group.add_argument("--branch-signs", help="sign string, order f g phi rhs (default ++++); "
-                       "use --branch-signs=-+... for leading '-'")
+                       "f must be '+'")
 
 
 def _sampling_flags(group, command: str) -> None:
@@ -180,7 +180,8 @@ def _spec_from_flags(args, parser, **values) -> CaseSpec:
     signs = "++++" if args.branch_signs is None else args.branch_signs
     if not isinstance(signs, str):
         # argparse drops a bare "--" value, leaving an empty list
-        parser.error("--branch-signs=-- reads as the end of options; write --branch-signs=--++")
+        parser.error("--branch-signs=-- reads as the end of options, and the f sign "
+                     "must be '+'; write e.g. --branch-signs=+-++")
     params = ProfileParams(
         branch=BranchSigns.from_string(signs),
         **{k: (0.0 if v is None else float(v)) for k, v in values.items()},

@@ -1,7 +1,8 @@
 """Unit-speed curves on the de Sitter and hyperbolic 2-spheres in E^3_1.
 
 The directrix curves of Lorentz meridian surfaces live in the Lorentzian
-3-space span{e1, e2, e3} (signature +, +, -), on one of two quadrics:
+3-space span{e1, e2, e3}, whose metric (+, +, -) is the neutral metric's
+restriction :data:`~meridian4.algebra.SIG3_PPM`, on one of two quadrics:
 
 * the de Sitter sphere S^2_1(1):    <l, l> = +1,
 * the hyperbolic sphere H^2_1(-1):  <l, l> = -1.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
-from .algebra import SIG3_PPM, Signature, orthonormality_deviation, orthonormalize  # noqa: F401
+from .algebra import SIG3_PPM, orthonormality_deviation, orthonormalize  # noqa: F401
 from .errors import DomainError
 
 __all__ = [
@@ -51,9 +52,6 @@ __all__ = [
     "standard_initial_frame",
     "FrameField",
 ]
-
-#: All three Frenet systems live in span{e1,e2,e3} with this metric.
-CURVE_SIGNATURE: Signature = SIG3_PPM
 
 
 class CurveFamily(enum.Enum):
@@ -221,7 +219,7 @@ class FrameField:
             raise ValueError(f"kappa must be finite, got {k}")
         self.kappa = k
         self.frame0 = np.asarray(self.frame0, dtype=float)
-        dev = orthonormality_deviation(self.frame0, self.family.frame_signs, CURVE_SIGNATURE)
+        dev = orthonormality_deviation(self.frame0, self.family.frame_signs, SIG3_PPM)
         if not dev <= 1e-10:
             raise ValueError(
                 f"initial frame violates the {self.family.value} Gram matrix "

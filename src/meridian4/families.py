@@ -131,11 +131,6 @@ class MeridianFamily(enum.Enum):
         """
         return -self.alpha * z2 - self.beta
 
-    @property
-    def cmc_inner_sign(self) -> float:
-        """Sign eps = beta in the CMC radicand a^2 + 4 eps c t^2."""
-        return self.beta
-
     def h_coefficients(self, kappa: float, f, fp, fpp, gp):
         """Normal components (h1, h2) of H = h1 n1 + h2 n2 for directrix curvature kappa.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_rank,
-                      causal_character, inner)
+                      causal_character, gram_matrix)
 from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
@@ -32,7 +32,6 @@ from .profiles import (
     _MAX_SAMPLES,
     BranchSigns,
     GoverningLaw,
-    MeridianProfile,
     ProfileParams,
     integrate_profile,
     minimal_profile,
@@ -580,13 +579,7 @@ def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]
 
 def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
     """Certify the congruence transform: exact algebra, grid matches, H flips."""
-    basis = np.eye(4)
-    anti_dev = 0.0
-    for x in basis:
-        for y in basis:
-            anti_dev = max(
-                anti_dev, abs(inner(transform_T(x), transform_T(y)) + inner(x, y))
-            )
+    anti_dev = float(np.max(np.abs(gram_matrix(transform_T(np.eye(4))) + np.diag(SIG4))))
     order_dev = float(
         np.max(np.abs(np.linalg.matrix_power(TRANSFORM_T, 4) - np.eye(4)))
     )
@@ -799,10 +792,10 @@ def _reduced_priors(family, law, c, rng):
                 branch=BranchSigns(g=sg, rhs=-1),
             )
         return params
-    # When 4 * eps_family * c < 0 the CMC first integral only exists for
+    # When 4 * beta * c < 0 the CMC first integral only exists for
     # t <= a / (2 sqrt|c|), so the linear coefficient must scale with
     # sqrt|c| to leave a usable window.
-    squeezed = family.cmc_inner_sign * c < 0.0
+    squeezed = family.beta * c < 0.0
     a = rng.uniform(2.0, 3.0) * np.sqrt(abs(c)) if squeezed else rng.uniform(1.0, 2.2)
     if family is MeridianFamily.SECOND:
         rhs = int(rng.choice([1, -1]))
@@ -831,7 +824,8 @@ def _sample_reduced(theorem, family, rng, law, c) -> CaseSpec:
 
 def _draw_reduced(theorem, family, rng, law, c) -> CaseSpec | str:
     """One attempt: an admissible spec, or the reason it was rejected."""
-    needs_gp_floor = family is not MeridianFamily.FIRST_TIMELIKE
+    # g'^2 = -alpha (f'^2 + beta) can vanish only when beta < 0.
+    needs_gp_floor = family.beta < 0.0
     params = _reduced_priors(family, law, c, rng)
     try:
         phi = phi_closed_form(law, family, params, window=(1e-3, 12.0))

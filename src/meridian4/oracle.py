@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
-from .algebra import SIG4, Signature, inner, orthonormalize  # noqa: F401
+from .algebra import SIG4, inner, orthonormalize  # noqa: F401
 from .errors import DegeneracyError, DomainError
 
 __all__ = [
@@ -212,7 +212,7 @@ class FundamentalForms:
     norm2H: float | np.ndarray
 
 
-def fundamental_forms(jet: Jet2, sig: Signature = SIG4) -> FundamentalForms:
+def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
     """Assemble the fundamental forms and mean curvature from a jet.
 
     Raises :class:`DomainError` when EG - F^2 is not finite (the form

@@ -80,8 +80,9 @@ _LAW_FOR_PROVENANCE = {
 class BranchSigns:
     """The four independent sign choices of the profile constructions.
 
-    f : sign of the warp factor branch (only +1 is admissible; the -1
-        branch violates f > 0 and gives a surface congruent via l -> -l).
+    f : sign of the warp factor branch.  Only +1 is admissible: the -1
+        branch violates f > 0 and gives a surface congruent via l -> -l,
+        so it is a :class:`DomainError` for every profile law.
     g : sign of g' (the meridian's second component can run either way).
     phi : sign of phi = f' for the reduced first-order ODE.
     rhs : the +- on the right-hand side of the reduced linear ODE
@@ -98,6 +99,11 @@ class BranchSigns:
             val = getattr(self, name)
             if val not in (1, -1):
                 raise ValueError(f"branch sign {name!r} must be +1 or -1, got {val!r}")
+        if self.f < 0:
+            raise DomainError(
+                "the f < 0 branch violates the positive-warp invariant; it yields a "
+                "congruent surface via l -> -l combined with the g sign flip"
+            )
 
     @classmethod
     def from_string(cls, text: str) -> "BranchSigns":
@@ -245,11 +251,6 @@ def minimal_profile(
     """
     us = _nodes(u_span, step)
     a, b, c0, sg = params.a, params.b, params.c0, params.branch.g
-    if params.branch.f < 0:
-        raise DomainError(
-            "the f < 0 branch violates the positive-warp invariant; it yields a "
-            "congruent surface via l -> -l combined with the g sign flip"
-        )
     alpha, beta = family.alpha, family.beta
     disc = family.minimal_discriminant(a, b)
     root = np.sqrt(disc)
@@ -356,7 +357,7 @@ class PhiFunction:
         if self.law is GoverningLaw.QUASI_MINIMAL:
             num = self.params.c + s * a * t
         else:
-            k = 4.0 * self.family.cmc_inner_sign * self.params.c
+            k = 4.0 * self.family.beta * self.params.c
             if k > 0.0:
                 rk = np.sqrt(k)
                 rad = np.sqrt(a * a + k * t * t)
@@ -424,7 +425,7 @@ class PhiFunction:
             if self.law is GoverningLaw.QUASI_MINIMAL:
                 out = -self.params.c / (t * t)
             else:
-                k = 4.0 * self.family.cmc_inner_sign * self.params.c
+                k = 4.0 * self.family.beta * self.params.c
                 rate = np.sqrt(np.maximum(a * a + k * t * t, 0.0))
                 out = (s * rate - z) / t
         return np.where(t > 0.0, out, np.nan)
@@ -976,7 +977,7 @@ def profile_residuals(
     elif law is GoverningLaw.QUASI_MINIMAL:
         governing = core - params.branch.rhs * params.a * w
     else:
-        inner_rad = params.a**2 + 4.0 * family.cmc_inner_sign * params.c * f**2
+        inner_rad = params.a**2 + 4.0 * family.beta * params.c * f**2
         scale = np.maximum(1.0, core**2 + np.abs(inner_rad) * w2)
         governing = (core * core - inner_rad * w * w) / scale
     constraint = family.speed_residual(fp, gp)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIG4, inner
 from .curves import ChartKind, FrameField, _check_window, chart, chart_params
 from .errors import DomainError
 from .families import MeridianFamily

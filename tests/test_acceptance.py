@@ -202,7 +202,7 @@ def test_criterion_5_reduction_identities():
         if law is GoverningLaw.QUASI_MINIMAL:
             w = np.full_like(ts, params.a)
         else:
-            w = np.sqrt(params.a**2 + 4.0 * family.cmc_inner_sign * params.c * ts * ts)
+            w = np.sqrt(params.a**2 + 4.0 * family.beta * params.c * ts * ts)
         sign = -params.branch.rhs if family is MeridianFamily.SECOND else params.branch.rhs
         worst_ode = max(worst_ode, float(np.max(np.abs(zp_fd + z / ts - sign * w / ts))))
     ok = worst_sub <= TOL_REDUCTION and worst_ode <= TOL_REDUCTION

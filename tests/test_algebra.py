@@ -9,7 +9,6 @@ from meridian4 import (
     SIG4,
     CausalCharacter,
     DegeneracyError,
-    Signature,
     affine_rank,
     causal_character,
     gram_matrix,
@@ -45,9 +44,9 @@ def test_inner_equals_the_summed_products_bit_for_bit(sig):
     y = rng.standard_normal((41, 41, n)) * 10.0 ** rng.integers(-8, 9, (41, 41, n))
     # rows whose products are all -0.0, and rows that mix -0.0 and 0.0
     x[0, :] = -0.0
-    y[0, :] = sig.array
+    y[0, :] = sig
     x[1, :, 0], y[1, :] = -0.0, 1.0
-    expected = np.sum(sig.array * x * y, axis=-1)
+    expected = np.sum(sig * x * y, axis=-1)
     out = inner(x, y, sig)
     assert np.array_equal(out, expected) and np.array_equal(np.signbit(out), np.signbit(expected))
     assert np.all(out[0] == 0.0) and not np.any(np.signbit(out[0]))
@@ -62,11 +61,34 @@ def test_inner_dimension_mismatch():
         inner([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
-def test_signature_validation():
-    with pytest.raises(ValueError, match="length 3 or 4"):
-        Signature((1, -1))
-    with pytest.raises(ValueError, match="must be \\+1 or -1"):
-        Signature((1, 2, -1))
+def test_the_metrics_are_one_read_only_array():
+    np.testing.assert_array_equal(SIG4, [1.0, 1.0, -1.0, -1.0])
+    assert SIG4.dtype == np.float64 and SIG3_PPM.base is SIG4
+    np.testing.assert_array_equal(SIG3_PPM, SIG4[:3])
+    for sig in (SIG4, SIG3_PPM):
+        with pytest.raises(ValueError, match="read-only"):
+            sig[0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sig *= 2.0
+
+
+@pytest.mark.parametrize("sig", [SIG4, SIG3_PPM], ids=["SIG4", "SIG3"])
+def test_causal_character_and_gram_matrix_read_inner_bit_for_bit(sig):
+    rng = np.random.default_rng(11)
+    n = len(sig)
+    v = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-8, 9, (40, n))
+    v[0], v[1], v[2, :2] = -0.0, 0.0, -0.0  # zero rows of either sign, and a mixed one
+    v[3] = [1.0, 0.0, 1.0, 0.0][:n]  # exactly null
+    gram = gram_matrix(v, sig)
+    for i, j in np.ndindex(gram.shape):
+        one = inner(v[i], v[j], sig)
+        assert gram[i, j] == one and np.signbit(gram[i, j]) == np.signbit(one)
+    q = inner(v, v, sig)
+    expected = np.where(q > 0.0, CausalCharacter.SPACELIKE,
+                        np.where(q < 0.0, CausalCharacter.TIMELIKE, CausalCharacter.LIGHTLIKE))
+    expected[~np.any(v, axis=-1)] = CausalCharacter.SPACELIKE
+    assert list(causal_character(v, sig, tol=0.0)) == list(expected)
+    assert expected[3] is CausalCharacter.LIGHTLIKE
 
 
 def test_causal_character_basics():

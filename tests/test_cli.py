@@ -44,7 +44,14 @@ def test_span_flags_must_pair(capsys):
 
 def test_bare_double_dash_branch_signs_is_usage_error(capsys):
     assert main(["verify", "--theorem", "minimal-a", "--b", "1", "--branch-signs=--"]) == 2
-    assert "write --branch-signs=--++" in capsys.readouterr().err
+    assert "write e.g. --branch-signs=+-++" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", [t.value for t in Theorem])
+def test_negative_f_branch_is_usage_error_for_every_theorem(theorem, capsys):
+    assert main(["verify", "--theorem", theorem, "--a", "1.2", "--c", "1", "--f0", "2",
+                 "--branch-signs=-+++"]) == 2
+    assert "positive-warp" in capsys.readouterr().err
 
 
 def test_verify_from_flags_passes(capsys):

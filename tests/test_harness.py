@@ -64,7 +64,7 @@ _BY_ANNOTATION = {
     "ProfileParams": st.builds(
         ProfileParams,
         **dict.fromkeys(("a", "b", "c", "c0"), _finite.filter(bool)),
-        branch=st.builds(BranchSigns, *[st.sampled_from([1, -1])] * 4).filter(
+        branch=st.builds(BranchSigns, st.just(1), *[st.sampled_from([1, -1])] * 3).filter(
             lambda signs: signs != BranchSigns()
         ),
     ),
@@ -94,6 +94,13 @@ def test_case_spec_rejects_unknown_fields():
     doc = CaseSpec(Theorem.MINIMAL_A, ProfileParams(b=1.0)).to_dict()
     doc["surprise"] = 1
     with pytest.raises(ValueError, match="unknown CaseSpec fields"):
+        CaseSpec.from_dict(doc)
+
+
+def test_case_spec_refuses_the_negative_f_branch():
+    doc = CaseSpec(Theorem.QUASI_A, ProfileParams(a=1.2, c=1.0)).to_dict()
+    doc["params"]["branch_signs"] = "-+++"
+    with pytest.raises(DomainError, match="positive-warp"):
         CaseSpec.from_dict(doc)
 
 

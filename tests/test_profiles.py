@@ -47,7 +47,7 @@ def test_branch_signs_parse_round_trip():
     assert (bs.f, bs.g, bs.phi, bs.rhs) == (1, -1, 1, -1)
     assert bs.as_string() == "+-+-"
     # short strings pad with '+'
-    assert BranchSigns.from_string("-").as_string() == "-+++"
+    assert BranchSigns.from_string("+-").as_string() == "+-++"
 
 
 def test_branch_signs_reject_garbage():
@@ -124,9 +124,8 @@ def test_minimal_window_must_avoid_radicand_zero():
 
 
 def test_negative_f_branch_rejected():
-    params = ProfileParams(a=0.0, b=1.0, branch=BranchSigns(f=-1))
     with pytest.raises(DomainError, match="positive-warp"):
-        minimal_profile(FT, params, (-0.5, 0.5))
+        BranchSigns(f=-1)
 
 
 def test_minimal_g_sign_branch():
