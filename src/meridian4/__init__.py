@@ -46,7 +46,6 @@ from .harness import (
 from .oracle import (
     FundamentalForms,
     Jet2,
-    fd_jet,
     fd_jet4,
     fundamental_forms,
     mean_curvature_fd,
@@ -122,7 +121,6 @@ __all__ = [
     "tilde_surface",
     # oracle
     "Jet2",
-    "fd_jet",
     "fd_jet4",
     "FundamentalForms",
     "fundamental_forms",

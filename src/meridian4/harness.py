@@ -27,7 +27,7 @@ from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_
 from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
-from .oracle import fd_jet, fd_jet4, fd_rates, fundamental_forms, stencil_points
+from .oracle import fd_jet4, fd_rates, fundamental_forms, stencil_points
 from .profiles import (
     _MAX_SAMPLES,
     BranchSigns,
@@ -608,9 +608,9 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
         margin = 0.05 * min(u1 - u0, v1 - v0)
         pu = rng.uniform(u0 + margin, u1 - margin, spec.n_probe)
         pv = rng.uniform(v0 + margin, v1 - margin, spec.n_probe)
-        forms_src = fundamental_forms(fd_jet(src.immersion, pu, pv))
+        forms_src = fundamental_forms(fd_jet4(src.immersion, pu, pv))
         # the chart construction, not T z: the jet of T z is T times the source's
-        forms_til = fundamental_forms(fd_jet(til.chart_reference, pu, pv))
+        forms_til = fundamental_forms(fd_jet4(til.chart_reference, pu, pv))
         max_flip_dev = max(
             max_flip_dev, float(np.max(np.abs(forms_til.norm2H + forms_src.norm2H)))
         )

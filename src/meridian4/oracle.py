@@ -2,19 +2,19 @@
 
 This module is the package's independent referee.  It knows nothing about
 meridian structure: given any callable immersion (u, v) -> R^4 it computes
-a second-order jet by central differences on a 9-point stencil
-(``fd_jet``) or a fourth-order one on a 17-point stencil (``fd_jet4``),
-assembles the fundamental forms under the neutral metric, and produces the
-mean curvature vector from the trace formula
+a fourth-order jet by central differences on a 17-point stencil
+(``fd_jet4``), assembles the fundamental forms under the neutral metric,
+and produces the mean curvature vector from the trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
 which is basis-independent: no normal frame is chosen.  ``fd_rates`` gives
 the first derivatives of any callable field (u, v) -> array from the same
-kernel on the 9-point stencil.  Every call broadcasts over (u, v) arrays, a
-scalar point being the 0-d case, so a whole grid is one immersion call;
-the stencil keeps u and v at their own shapes, so an immersion that
-evaluates u-factors on u and v-factors on v does so once per grid line.
+kernel on a 9-point second-order stencil.  Every call broadcasts over
+(u, v) arrays, a scalar point being the 0-d case, so a whole grid is one
+immersion call; the stencil keeps u and v at their own shapes, so an
+immersion that evaluates u-factors on u and v-factors on v does so once per
+grid line.
 ``stencil_points`` returns the (u, v) samples each of these calls will
 request, from the same geometry the calls use, so a caller can evaluate its
 immersion at all of them ahead of time.  The analytic formulas elsewhere in
@@ -33,7 +33,6 @@ from .errors import DegeneracyError, DomainError
 
 __all__ = [
     "Jet2",
-    "fd_jet",
     "fd_jet4",
     "FundamentalForms",
     "fundamental_forms",
@@ -47,7 +46,7 @@ _ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 # Per call: its default step relative to max(1, |u|, |v|) and its arm lengths
 # s in units of the step h.
-_GEOMETRY = {"fd_jet": (1e-4, (1.0,)), "fd_jet4": (1e-3, (1.0, 2.0)), "fd_rates": (1e-5, (1.0,))}
+_GEOMETRY = {"fd_jet4": (1e-3, (1.0, 2.0)), "fd_rates": (1e-5, (1.0,))}
 # Per set of arm lengths, the integer weights per length and a denominator
 # for the first, pure second and mixed derivatives.  With d = z - z(center):
 # z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the same with
@@ -64,12 +63,12 @@ _WEIGHTS = {
 def stencil_points(call: str, u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
     """The (u, v) samples that ``call`` requests at the points (u, v), step ``h``.
 
-    ``call`` is ``"fd_jet"``, ``"fd_jet4"`` or ``"fd_rates"``, and the
-    samples are the arrays that call passes to the immersion (to the field
-    for the rates), bit for bit: the inputs' own shapes padded to one rank,
-    plus a stencil axis of 9, 17 or 9 whose first sample is the center.  A
-    caller that evaluates its immersion ahead of time reads from here which
-    u and v it will be asked for.
+    ``call`` is ``"fd_jet4"`` or ``"fd_rates"``, and the samples are the
+    arrays that call passes to the immersion (to the field for the rates),
+    bit for bit: the inputs' own shapes padded to one rank, plus a stencil
+    axis of 17 or 9 whose first sample is the center.  A caller that
+    evaluates its immersion ahead of time reads from here which u and v it
+    will be asked for.
     """
     return _stencil(call, u, v, h)[3:]
 
@@ -160,32 +159,22 @@ def _stencil_jet(field, call: str, u, v, h) -> Jet2:
     return Jet2(u=u, v=v, h=h, z=z, zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
 
 
-def fd_jet(immersion, u, v, h=None) -> Jet2:
-    """Second-order central-difference jet of ``immersion`` at (u, v).
+def fd_jet4(immersion, u, v, h=None) -> Jet2:
+    """Fourth-order central-difference jet of ``immersion`` at (u, v).
 
     ``u``, ``v`` and ``h`` broadcast against each other to a shape S.
     ``immersion`` must accept numpy arrays (broadcasting) and return points
-    with a trailing axis of length 4.  The nine stencil samples of every
-    point are requested in one call, at the inputs' own shapes padded to
-    one rank plus a stencil axis of 9: a product grid ``us[:, None],
-    vs[None, :]`` with a scalar step sends u of shape (nu, 1, 9) and v of
-    shape (1, nv, 9).  The result must have the broadcast shape
-    S + (9, 4).  The default step is ``1e-4 * max(1, |u|, |v|)`` per
-    point, which makes the stencil full-size.  A :class:`DomainError`
-    raised by the immersion (e.g. a stencil arm leaving the domain) is
-    re-raised with the requested coordinates; other errors propagate.
-    """
-    return _stencil_jet(immersion, "fd_jet", u, v, h)
-
-
-def fd_jet4(immersion, u, v, h=None) -> Jet2:
-    """Fourth-order jet (4 J(h) - J(2h)) / 3 of two :func:`fd_jet` stencils.
-
-    One immersion call on their 17 points (the center, +-h and +-2h on each
-    axis, the corners at h and at 2h) gives 5-point central differences with
-    an O(h^4) truncation error, so a step ten times the second-order one keeps
-    the roundoff (~eps/h^2) small: the default is ``1e-3 * max(1, |u|, |v|)``.
-    Shapes, checks and errors are those of :func:`fd_jet`, with 17 for 9.
+    with a trailing axis of length 4.  The 17 stencil samples of every point
+    (the center, +-h and +-2h on each axis, the corners at h and at 2h) are
+    requested in one call, at the inputs' own shapes padded to one rank plus
+    a stencil axis of 17: a product grid ``us[:, None], vs[None, :]`` with a
+    scalar step sends u of shape (nu, 1, 17) and v of shape (1, nv, 17).
+    The result must have the broadcast shape S + (17, 4).  The 5-point
+    central differences have an O(h^4) truncation error, so the default
+    step ``1e-3 * max(1, |u|, |v|)`` per point keeps the roundoff
+    (~eps/h^2) small.  A :class:`DomainError` raised by the immersion (e.g.
+    a stencil arm leaving the domain) is re-raised with the requested
+    coordinates; other errors propagate.
     """
     return _stencil_jet(immersion, "fd_jet4", u, v, h)
 
@@ -265,9 +254,9 @@ def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
 def mean_curvature_fd(immersion, u, v, h=None):
     """Mean curvature vector and <H, H> at (u, v), purely by finite differences.
 
-    Broadcasts over (u, v) like :func:`fd_jet`.
+    Broadcasts over (u, v) like :func:`fd_jet4`.
     """
-    forms = fundamental_forms(fd_jet(immersion, u, v, h))
+    forms = fundamental_forms(fd_jet4(immersion, u, v, h))
     return forms.H, forms.norm2H
 
 
@@ -275,11 +264,11 @@ def fd_rates(field, u, v, h=None):
     """A field's value and its central-difference d/du and d/dv at (u, v).
 
     ``field`` is any callable (u, v) -> array of trailing shape T; it is
-    called once, on the nine samples of :func:`fd_jet`'s stencil at every
-    point, and must return S + (9,) + T, S the broadcast shape of u, v and
-    h.  The three results have shape S + T.  The default step is
-    ``1e-5 * max(1, |u|, |v|)`` per point.  Checks and errors are those of
-    :func:`fd_jet`, for a field of any T.
+    called once, on nine samples at every point (the center, +-h on each
+    axis and the four corners at h), and must return S + (9,) + T, S the
+    broadcast shape of u, v and h.  The three results have shape S + T.
+    The default step is ``1e-5 * max(1, |u|, |v|)`` per point.  Checks and
+    errors are those of :func:`fd_jet4`, for a field of any T.
     """
     jet = _stencil_jet(field, "fd_rates", u, v, h)
     return jet.z, jet.zu, jet.zv

@@ -247,10 +247,18 @@ def minimal_profile(
     offending point.  A profile that overflows a float or varies faster
     than its nodes (length scale f^2 / sqrt(disc) under ``step``) is a
     :class:`DomainError` naming a, b and the window.  The profile's evaluator
-    is the closed forms.
+    is the closed forms.  Of ``params.branch`` only the g sign is read, so a
+    phi or rhs sign of -1, a branch the profile never builds, is a
+    :class:`ValueError`.
     """
+    branch = params.branch
+    if branch.phi < 0 or branch.rhs < 0:
+        raise ValueError(
+            f"a minimal profile has no phi or rhs branch; their signs must be '+', "
+            f"got phi {branch.phi:+d} and rhs {branch.rhs:+d}"
+        )
     us = _nodes(u_span, step)
-    a, b, c0, sg = params.a, params.b, params.c0, params.branch.g
+    a, b, c0, sg = params.a, params.b, params.c0, branch.g
     alpha, beta = family.alpha, family.beta
     disc = family.minimal_discriminant(a, b)
     root = np.sqrt(disc)

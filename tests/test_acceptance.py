@@ -24,7 +24,7 @@ from meridian4 import (
     ProfileParams,
     Theorem,
     TildeKind,
-    fd_jet,
+    fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
     inner,
@@ -37,6 +37,7 @@ from meridian4 import (
     transform_T,
     verify_case,
 )
+from meridian4 import oracle
 
 # pinned acceptance tolerances
 N_MINIMAL_DRAWS = 10
@@ -54,7 +55,8 @@ N_REDUCTION_SAMPLES = 50
 TOL_FRAME = 1e-5               # criterion 6
 N_FRAME_PROBES = 20
 TOL_TILDE_GRID = 1e-10         # criterion 7
-MIN_CONV_RATIO = 3.5           # criterion 8
+MIN_CONV_RATIO = 14.0          # criterion 8: fourth order predicts 16
+CONV_STEPS = (0.04, 0.02)      # criterion 8
 MIN_CONTROL_GOVERNING = 0.1    # criterion 9
 MIN_CONTROL_NORM2 = 1e-2       # criterion 9
 
@@ -240,7 +242,7 @@ def test_criterion_6_frame_equations():
         for u, v in zip(us, vs):
             res = frame_equation_residuals(surface, u, v)
             worst_frame = max(worst_frame, max(res.values()))
-            forms = fundamental_forms(fd_jet(surface.immersion, u, v))
+            forms = fundamental_forms(fd_jet4(surface.immersion, u, v))
             f_here = float(surface.profile_values(u)[0])
             worst_mixed = max(worst_mixed, float(np.max(np.abs(forms.h_uv_vec))) / f_here)
     ok = worst_frame <= TOL_FRAME and worst_mixed <= TOL_FRAME
@@ -281,7 +283,9 @@ def test_criterion_7_congruence():
     )
 
 
-def test_criterion_8_oracle_convergence():
+def _convergence_gains() -> dict[str, float]:
+    """Per family, how much the FD mean curvature's error at the span's
+    middle shrinks when the step halves from CONV_STEPS[0] to CONV_STEPS[1]."""
     ratios = {}
     for family in MeridianFamily:
         surface = _generic_surface(family)
@@ -289,13 +293,30 @@ def test_criterion_8_oracle_convergence():
         u_mid, v_mid = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
         H_analytic = surface.mean_curvature(u_mid, v_mid).vector
         errs = []
-        for h in (4e-3, 2e-3):
+        for h in CONV_STEPS:
             H_fd, _ = mean_curvature_fd(surface.immersion, u_mid, v_mid, h)
             errs.append(float(np.max(np.abs(H_fd - H_analytic))))
         ratios[family.value] = errs[0] / errs[1]
+    return ratios
+
+
+def test_criterion_8_oracle_convergence():
+    ratios = _convergence_gains()
     ok = all(r >= MIN_CONV_RATIO for r in ratios.values())
     detail = ", ".join(f"{k} {v:.2f}x" for k, v in ratios.items())
     _criterion(8, "oracle convergence", ok, f"halving gains: {detail} (need {MIN_CONV_RATIO}x)")
+
+
+def test_criterion_8_fails_with_the_stencil_arms_swapped(monkeypatch):
+    """Negative control: the 5-point weights of the +-h and +-2h arms
+    exchanged make the FD mean curvature inconsistent, and no family gains."""
+    monkeypatch.setitem(
+        oracle._WEIGHTS,
+        (1.0, 2.0),
+        tuple((weights[::-1], den) for weights, den in oracle._WEIGHTS[(1.0, 2.0)]),
+    )
+    ratios = _convergence_gains()
+    assert all(r < MIN_CONV_RATIO for r in ratios.values()), ratios
 
 
 def test_criterion_9_negative_controls():

@@ -54,6 +54,16 @@ def test_negative_f_branch_is_usage_error_for_every_theorem(theorem, capsys):
     assert "positive-warp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("signs", ["++-+", "+++-", "++--"])
+@pytest.mark.parametrize("theorem,a", [("minimal-a", "0"), ("minimal-b", "1.5"), ("minimal-c", "0")])
+def test_minimal_phi_and_rhs_branches_are_usage_errors(theorem, a, signs, capsys):
+    """A minimal profile reads only the g sign; a report must not record a
+    phi or rhs branch it never built.  Each (a, b = 1) passes with '++++'."""
+    flags = ["verify", "--theorem", theorem, "--a", a, "--b", "1"]
+    assert main(flags + [f"--branch-signs={signs}"]) == 2
+    assert "no phi or rhs branch" in capsys.readouterr().err
+
+
 def test_verify_from_flags_passes(capsys):
     code = main(["verify", "--theorem", "quasi-a", "--a", "1", "--c", "2", "--f0", "3"])
     out = capsys.readouterr().out

@@ -14,7 +14,6 @@ from meridian4 import (
     MeridianFamily,
     MeridianSurface,
     ProfileParams,
-    fd_jet,
     fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
@@ -49,8 +48,27 @@ def _cylinder(u, v):
     return np.stack([np.cos(u), np.sin(u), v, np.zeros_like(u)], axis=-1)
 
 
+def central_jet(immersion, u, v, h):
+    """Independent second-order reference: 9-point central differences of
+    ``immersion`` at (u, v) with step h, one immersion call per sample."""
+    u, v, h = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (u, v, h)))
+    hh = h[..., None]
+
+    def z(du, dv):
+        return np.asarray(immersion(u + du * h, v + dv * h), dtype=float)
+
+    return oracle.Jet2(
+        u=u, v=v, h=h, z=z(0, 0),
+        zu=(z(1, 0) - z(-1, 0)) / (2.0 * hh),
+        zv=(z(0, 1) - z(0, -1)) / (2.0 * hh),
+        zuu=(z(1, 0) - 2.0 * z(0, 0) + z(-1, 0)) / hh**2,
+        zuv=(z(1, 1) - z(1, -1) - z(-1, 1) + z(-1, -1)) / (4.0 * hh**2),
+        zvv=(z(0, 1) - 2.0 * z(0, 0) + z(0, -1)) / hh**2,
+    )
+
+
 def test_jet_exact_on_quadratics():
-    jet = fd_jet(_quadratic, 0.7, -0.3, 1e-4)
+    jet = fd_jet4(_quadratic, 0.7, -0.3, 1e-3)
     np.testing.assert_allclose(jet.zu, [1.4, 0.0, -0.3, 1.0], atol=1e-9)
     np.testing.assert_allclose(jet.zv, [0.0, -0.6, 0.7, 1.0], atol=1e-9)
     np.testing.assert_allclose(jet.zuu, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
@@ -59,15 +77,15 @@ def test_jet_exact_on_quadratics():
 
 
 def test_jet_default_step_scales():
-    jet = fd_jet(_quadratic, 50.0, 0.0)
-    assert jet.h == pytest.approx(50.0 * 1e-4)
+    jet = fd_jet4(_quadratic, 50.0, 0.0)
+    assert jet.h == pytest.approx(50.0 * 1e-3)
 
 
 def test_jet_rejects_bad_immersions():
-    with pytest.raises(ValueError, match="expected \\(9, 4\\)"):
-        fd_jet(lambda u, v: np.zeros(3), 0.0, 0.0, 1e-4)
+    with pytest.raises(ValueError, match="expected \\(17, 4\\)"):
+        fd_jet4(lambda u, v: np.zeros(3), 0.0, 0.0, 1e-3)
     with pytest.raises(DomainError, match="non-finite"):
-        fd_jet(lambda u, v: np.full((9, 4), np.nan), 0.0, 0.0, 1e-4)
+        fd_jet4(lambda u, v: np.full((17, 4), np.nan), 0.0, 0.0, 1e-3)
 
     def raising(exc):
         def immersion(u, v):
@@ -76,20 +94,20 @@ def test_jet_rejects_bad_immersions():
         return immersion
 
     with pytest.raises(DomainError, match="stencil evaluation failed for u in \\[0, 0\\]"):
-        fd_jet(raising(DomainError), 0.0, 0.0, 1e-4)
+        fd_jet4(raising(DomainError), 0.0, 0.0, 1e-3)
     # anything but a DomainError is a programming error and propagates as is
     with pytest.raises(RuntimeError, match="^outside the chart$"):
-        fd_jet(raising(RuntimeError), 0.0, 0.0, 1e-4)
+        fd_jet4(raising(RuntimeError), 0.0, 0.0, 1e-3)
     with pytest.raises(ValueError, match="positive"):
-        fd_jet(_quadratic, 0.0, 0.0, h=0.0)
+        fd_jet4(_quadratic, 0.0, 0.0, h=0.0)
 
 
 def test_cylinder_forms_frozen():
     """E = 1, G = -1, F = 0; H = -(cos u, sin u, 0, 0)/2; <H,H> = 1/4."""
     u, v = 0.3, 0.5
-    # h = 1e-4 balances the h^2 truncation term against the eps/h^2 roundoff
-    # floor of the second-derivative stencil; both sit near 1e-8 here.
-    forms = fundamental_forms(fd_jet(_cylinder, u, v, 1e-4))
+    # at h = 1e-3 the h^4 truncation term (~1e-12) sits under the eps/h^2
+    # roundoff floor of the second-derivative stencil (~1e-10)
+    forms = fundamental_forms(fd_jet4(_cylinder, u, v, 1e-3))
     assert forms.E == pytest.approx(1.0, abs=1e-8)
     assert forms.F == pytest.approx(0.0, abs=1e-8)
     assert forms.G == pytest.approx(-1.0, abs=1e-8)
@@ -114,29 +132,31 @@ def test_degenerate_metric_detected():
         return np.stack([u, v, u, np.zeros_like(u)], axis=-1)
 
     with pytest.raises(DegeneracyError, match="degenerate"):
-        fundamental_forms(fd_jet(lightlike_plane, 0.0, 0.0, 1e-4))
+        fundamental_forms(fd_jet4(lightlike_plane, 0.0, 0.0, 1e-3))
 
 
 def test_second_form_vectors_are_normal():
-    forms = fundamental_forms(fd_jet(_cylinder, 0.9, 0.2, 1e-5))
+    forms = fundamental_forms(fd_jet4(_cylinder, 0.9, 0.2, 1e-3))
     for vec in (forms.h_uu_vec, forms.h_uv_vec, forms.h_vv_vec):
         assert abs(inner(vec, forms.zu)) < 1e-9
         assert abs(inner(vec, forms.zv)) < 1e-9
 
 
-def test_fd_truncation_is_second_order():
-    """norm2H error on the cylinder shrinks ~4x when the step halves."""
+def test_fd_truncation_is_fourth_order():
+    """norm2H error on the cylinder shrinks ~16x when the step halves, and
+    a second-order stencil's ~4x falls outside the window."""
     errs = []
-    for h in (2e-3, 1e-3):
+    for h in (0.04, 0.02):
         _, n2 = mean_curvature_fd(_cylinder, 0.6, 0.1, h)
         errs.append(abs(n2 - 0.25))
     ratio = errs[0] / errs[1]
-    assert 3.0 < ratio < 5.0
+    assert 12.0 < ratio < 20.0, ratio
 
 
 def richardson_jet(fine, coarse):
     """Reference fourth-order jet (4 J(h) - J(2h)) / 3 from two second-order
-    jets of one immersion at the same points, with steps h and 2h."""
+    jets (:func:`central_jet`) of one immersion at the same points, with steps
+    h and 2h."""
     same_points = np.array_equal(fine.u, coarse.u) and np.array_equal(fine.v, coarse.v)
     if not (same_points and np.array_equal(coarse.h, 2.0 * fine.h)):
         raise ValueError("richardson_jet needs jets at the same points with steps h and 2h")
@@ -157,7 +177,7 @@ def test_richardson_jet_is_fourth_order():
 
 def test_richardson_jet_is_exact_on_quadratics():
     u, v = np.meshgrid(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 2.0, 4), indexing="ij")
-    fine, coarse = fd_jet(_quadratic, u, v, 0.1), fd_jet(_quadratic, u, v, 0.2)
+    fine, coarse = central_jet(_quadratic, u, v, 0.1), central_jet(_quadratic, u, v, 0.2)
     jet = richardson_jet(fine, coarse)
     assert jet.h is fine.h and jet.z is fine.z
     for name in ("zu", "zv", "zuu", "zuv", "zvv"):
@@ -165,11 +185,11 @@ def test_richardson_jet_is_exact_on_quadratics():
 
 
 def test_richardson_jet_needs_steps_h_and_2h_at_the_same_points():
-    fine = fd_jet(_cylinder, 0.6, 0.1, 1e-3)
+    fine = central_jet(_cylinder, 0.6, 0.1, 1e-3)
     with pytest.raises(ValueError, match="steps h and 2h"):
-        richardson_jet(fine, fd_jet(_cylinder, 0.6, 0.1, 3e-3))
+        richardson_jet(fine, central_jet(_cylinder, 0.6, 0.1, 3e-3))
     with pytest.raises(ValueError, match="same points"):
-        richardson_jet(fine, fd_jet(_cylinder, 0.7, 0.1, 2e-3))
+        richardson_jet(fine, central_jet(_cylinder, 0.7, 0.1, 2e-3))
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +213,8 @@ def test_fd_jet4_equals_the_richardson_reference(which, meridian_surface):
     us, vs = np.linspace(-0.5, 0.5, 5)[:, None], np.linspace(0.1, 1.1, 7)[None, :]
     h = 1e-3
     jet = fd_jet4(immersion, us, vs, h)
-    ref = richardson_jet(fd_jet(immersion, us, vs, h), fd_jet(immersion, us, vs, 2.0 * h))
+    ref = richardson_jet(central_jet(immersion, us, vs, h),
+                         central_jet(immersion, us, vs, 2.0 * h))
     for name in ("u", "v", "h", "z"):
         assert np.array_equal(getattr(jet, name), getattr(ref, name)), name
     # equal in exact arithmetic; the roundoff of a k-th derivative is ~eps / h^k
@@ -210,7 +231,7 @@ def test_fd_jet4_is_exact_on_quartics():
         "zuv": [0.0, 0.0, 3 * u * u + 3 * v * v, 4 * u * v],
         "zvv": [0.0, 12 * v * v, 6 * u * v, 2 * u * u],
     }
-    jet4, jet2 = fd_jet4(_quartic, u, v, h), fd_jet(_quartic, u, v, h)
+    jet4, jet2 = fd_jet4(_quartic, u, v, h), central_jet(_quartic, u, v, h)
     for name, value in expected.items():
         np.testing.assert_allclose(getattr(jet4, name), value, rtol=0, atol=1e-12)
     # the second-order stencil misses by ~h^2 times the fourth derivatives
@@ -258,20 +279,18 @@ def test_batched_oracle_equals_scalar_calls(which, meridian_surface):
         immersion = meridian_surface.immersion
         us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
     U, V = us[:, None], vs[None, :]
-    jet_fns = (fd_jet, fd_jet4)
-    jets = [jet_fn(immersion, U, V) for jet_fn in jet_fns]
-    forms = [fundamental_forms(jet) for jet in jets]
+    jet = fd_jet4(immersion, U, V)
+    form = fundamental_forms(jet)
     H, n2 = mean_curvature_fd(immersion, U, V)
-    assert jets[0].zuv.shape == forms[0].H.shape == H.shape == (5, 7, 4)
+    assert jet.zuv.shape == form.H.shape == H.shape == (5, 7, 4)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            for jet, form, jet_fn in zip(jets, forms, jet_fns):
-                jet1 = jet_fn(immersion, u, v)
-                forms1 = fundamental_forms(jet1)
-                for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
-                    assert np.array_equal(getattr(jet, name)[i, j], getattr(jet1, name)), name
-                for name in ("E", "F", "G", "h_uu_vec", "h_uv_vec", "h_vv_vec", "H", "norm2H"):
-                    assert np.array_equal(getattr(form, name)[i, j], getattr(forms1, name)), name
+            jet1 = fd_jet4(immersion, u, v)
+            forms1 = fundamental_forms(jet1)
+            for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
+                assert np.array_equal(getattr(jet, name)[i, j], getattr(jet1, name)), name
+            for name in ("E", "F", "G", "h_uu_vec", "h_uv_vec", "h_vv_vec", "H", "norm2H"):
+                assert np.array_equal(getattr(form, name)[i, j], getattr(forms1, name)), name
             H1, n21 = mean_curvature_fd(immersion, u, v)
             assert np.array_equal(H[i, j], H1) and n2[i, j] == n21
 
@@ -295,7 +314,7 @@ def test_batched_jet_names_the_first_non_finite_point():
     us = np.array([0.1, 0.5, 0.9])
     vs = np.array([0.0, 0.3, 0.6])
     with pytest.raises(DomainError, match="non-finite .* at \\(u=0.5, v=0.3\\)"):
-        fd_jet(holed, us[:, None], vs[None, :], 1e-4)
+        fd_jet4(holed, us[:, None], vs[None, :], 1e-3)
 
 
 def test_batched_forms_name_the_first_point_where_the_first_form_overflows():
@@ -304,7 +323,7 @@ def test_batched_forms_name_the_first_point_where_the_first_form_overflows():
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         return np.stack([np.where(u > 0.75, 1e200, 1.0) * u, v, u * v, np.zeros_like(u)], axis=-1)
 
-    jet = fd_jet(stretched, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
+    jet = fd_jet4(stretched, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
     assert np.all(np.isfinite(jet.zu)) and np.all(np.isfinite(jet.z))
     with pytest.raises(DomainError, match="first fundamental form is not finite at "
                                           "\\(u=1, v=0\\): EG - F\\^2 = (-?inf|nan)"):
@@ -320,7 +339,7 @@ def test_batched_forms_detect_one_degenerate_point():
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         return np.stack([u, v, 0.5 * u * u, np.zeros_like(u)], axis=-1)
 
-    jet = fd_jet(tilted_plane, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
+    jet = fd_jet4(tilted_plane, np.array([0.0, 0.5, 1.0, 0.2])[:, None], np.array([[0.0, 1.0]]))
     with pytest.raises(DegeneracyError, match="degenerate at \\(u=1, v=0\\)"):
         fundamental_forms(jet)
 
@@ -338,15 +357,15 @@ def test_product_grid_stencil_keeps_the_input_shapes():
         return _cylinder(u, v)
 
     us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
-    jet = fd_jet(recording, us[:, None], vs[None, :], 1e-4)
-    assert seen == [((5, 1, 9), (1, 7, 9))]
+    jet = fd_jet4(recording, us[:, None], vs[None, :], 1e-3)
+    assert seen == [((5, 1, 17), (1, 7, 17))]
     for name in ("u", "v", "h"):
         assert getattr(jet, name).shape == (5, 7), name
     for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
         assert getattr(jet, name).shape == (5, 7, 4), name
     # a rank-1 v is padded to the rank of u, not broadcast
-    fd_jet(recording, us[:, None], vs, 1e-4)
-    assert seen[-1] == ((5, 1, 9), (1, 7, 9))
+    fd_jet4(recording, us[:, None], vs, 1e-3)
+    assert seen[-1] == ((5, 1, 17), (1, 7, 17))
 
 
 @pytest.mark.parametrize("h", [None, 1e-4])
@@ -354,17 +373,17 @@ def test_product_grid_jet_equals_the_broadcast_jet(h, meridian_surface):
     us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
     U, V = np.broadcast_arrays(us[:, None], vs[None, :])
     for immersion in (_cylinder, meridian_surface.immersion):
-        jet = fd_jet(immersion, us[:, None], vs[None, :], h)
-        full = fd_jet(immersion, U.copy(), V.copy(), h)
+        jet = fd_jet4(immersion, us[:, None], vs[None, :], h)
+        full = fd_jet4(immersion, U.copy(), V.copy(), h)
         for name in ("u", "v", "h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
             assert np.array_equal(getattr(jet, name), getattr(full, name)), name
 
 
 def test_jet_rejects_an_immersion_that_does_not_broadcast():
     us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
-    # stacking u-shaped columns ignores v's shape: (5, 1, 9, 4), not (5, 7, 9, 4)
-    with pytest.raises(ValueError, match="expected \\(5, 7, 9, 4\\)"):
-        fd_jet(lambda u, v: np.stack([u, u, u, u], axis=-1), us[:, None], vs[None, :], 1e-4)
+    # stacking u-shaped columns ignores v's shape: (5, 1, 17, 4), not (5, 7, 17, 4)
+    with pytest.raises(ValueError, match="expected \\(5, 7, 17, 4\\)"):
+        fd_jet4(lambda u, v: np.stack([u, u, u, u], axis=-1), us[:, None], vs[None, :], 1e-3)
 
 
 def _field(u, v):
@@ -409,7 +428,7 @@ def test_fd_rates_make_one_call_and_batch_pointwise():
 
 
 def test_fd_rates_samples_add_no_u_or_v_to_the_stencil_axes():
-    """The rates read fd_jet's 9-point stencil: its corners reuse the u and
+    """The rates read a 9-point stencil: its corners reuse the u and
     the v of the +-u and +-v arms, so a table of the arms holds them."""
     u, v = oracle.stencil_points("fd_rates", np.array([0.3, -1.1]), np.array([0.7, 0.2]))
     assert u.shape == v.shape == (2, 9)

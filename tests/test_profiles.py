@@ -1,6 +1,7 @@
 """Tests for meridian profile constructions and their governing residuals."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -126,6 +127,14 @@ def test_minimal_window_must_avoid_radicand_zero():
 def test_negative_f_branch_rejected():
     with pytest.raises(DomainError, match="positive-warp"):
         BranchSigns(f=-1)
+
+
+@pytest.mark.parametrize("branch", [BranchSigns(phi=-1), BranchSigns(rhs=-1),
+                                    BranchSigns(g=-1, phi=-1, rhs=-1)])
+def test_minimal_profile_refuses_the_phi_and_rhs_branches(branch):
+    want = f"got phi {branch.phi:+d} and rhs {branch.rhs:+d}"
+    with pytest.raises(ValueError, match=f"no phi or rhs branch.*{re.escape(want)}"):
+        minimal_profile(FT, ProfileParams(a=0.0, b=1.0, branch=branch), (-0.5, 0.5))
 
 
 def test_minimal_g_sign_branch():
