@@ -5,13 +5,15 @@ string that round-trips to the same IEEE-754 double, so parse -> re-export
 is byte-identical and diffs between runs are meaningful.  Files are ASCII
 with ``\n`` line ends on every platform.
 
-Each renderer turns one u grid line (one grid row, for obj faces) into
-text with one flat ``orjson.dumps`` and one numpy pass over its bytes that
-puts in the separators (``_lines``), and the file is written piece by
-piece.  orjson (Ryu) writes the same shortest round-trip digits as
-``repr``, and spells them the same way for 1e-4 <= |x| < 1e16 and for
-+-0; ``_floats`` puts ``repr``'s text in for every other value.  The JSON
-points block is spliced into ``json.dumps(indent=1)``'s own layout.
+Each renderer turns a block of consecutive u grid lines (of grid rows, for
+obj faces) into text with one flat ``orjson.dumps`` and one numpy pass over
+its bytes that puts in the separators (``_lines``), and the file is written
+block by block.  A block holds at most ``_BLOCK_VALUES`` values (~32 KB of
+float64), so its arrays and text stay in cache; a grid line wider than that
+is a block on its own.  orjson (Ryu) writes the same shortest round-trip
+digits as ``repr``, and spells them the same way for 1e-4 <= |x| < 1e16
+and for +-0; ``_floats`` puts ``repr``'s text in for every other value.
+The JSON points block is spliced into ``json.dumps(indent=1)``'s own layout.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ _FORMATS = ("csv", "obj", "json")
 
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
 
+# values rendered per block of grid lines: 4,096 float64 are 32 KB
+_BLOCK_VALUES = 4096
+
+
 def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
     """Evaluate ``surface`` on the product grid (us, vs) and write a mesh file.
 
@@ -53,7 +59,7 @@ def export_mesh(surface, us, vs, path, fmt: str = "csv") -> Path:
 
     The grid must lie inside the surface domains (domain errors, NaN
     included, propagate from evaluation) before the file is opened; the
-    file is then written one grid line at a time.  Returns the written
+    file is then written in blocks of grid lines.  Returns the written
     path; I/O failures are re-raised with the path attached.
     """
     if fmt not in _FORMATS:
@@ -99,24 +105,34 @@ def _floats(a) -> bytes:
     return b"".join(spliced)
 
 
-def _lines(text: bytes, k: int, sep: bytes, prefix: bytes = b"") -> bytes:
+def _lines(text: bytes, k: int, sep: bytes, prefix: bytes = b"", mark: bytes = b"",
+           every: int = 0) -> bytes:
     """The flat dump ``[a,b,...]`` of an (n, k) block as n lines, each opened
     by ``prefix``: in one pass over a ``uint8`` view every comma becomes the
-    one byte ``sep``, and every k-th comma and the ``]`` a ``\n``.  No value's
-    text holds a comma (orjson's digits and ints; ``repr``'s ``1e-05``,
-    ``inf``, ``nan``, ``5e-324``), so each comma parts two values."""
+    one byte ``sep``, every k-th comma and the ``]`` a ``\n``, and, given a
+    ``mark``, every ``every``-th comma that byte instead.  No value's text
+    holds a comma (orjson's digits and ints; ``repr``'s ``1e-05``, ``inf``,
+    ``nan``, ``5e-324``), so each comma parts two values."""
     buf = np.frombuffer(text, dtype=np.uint8)[1:].copy()
     commas = np.flatnonzero(buf == ord(","))
     buf[commas] = ord(sep)
     buf[commas[k - 1::k]] = buf[-1] = ord("\n")
+    if mark:
+        buf[commas[every - 1::every]] = ord(mark)
     lines = buf.tobytes()
     # each line end but the last opens the next line
     return prefix + lines.replace(b"\n", b"\n" + prefix, len(commas) // k) if prefix else lines
 
 
+def _blocks(n: int, width: int) -> range:
+    """The first line of each block of ``n`` lines of ``width`` values: as
+    many whole lines as ``_BLOCK_VALUES`` holds, and at least one."""
+    return range(0, n, max(1, _BLOCK_VALUES // width))
+
+
 def _render(fmt: str, surface, us, vs, points) -> Iterator[bytes]:
-    """The ASCII bytes of a mesh file, in pieces: a head, one piece per u
-    grid line (and per grid row of obj faces), and a tail."""
+    """The ASCII bytes of a mesh file, in pieces: a head, one piece per block
+    of u grid lines (and per block of grid rows of obj faces), and a tail."""
     if fmt == "csv":
         return _csv(us, vs, points)
     if fmt == "obj":
@@ -126,25 +142,33 @@ def _render(fmt: str, surface, us, vs, points) -> Iterator[bytes]:
 
 def _csv(us, vs, points) -> Iterator[bytes]:
     yield (CSV_HEADER + "\n").encode("ascii")
-    rows = np.empty((len(vs), 5))  # (v, x1, x2, x3, x4) of one u grid line; u opens each row
-    rows[:, 0] = vs
-    for u, line in zip(us.tolist(), points):
-        rows[:, 1:] = line
-        yield _lines(_floats(rows.ravel()), 5, b",", repr(u).encode("ascii") + b",")
+    nu, nv = points.shape[:2]
+    starts = _blocks(nu, 6 * nv)
+    rows = np.empty((min(starts.step, nu), nv, 6))  # (u, v, x1, x2, x3, x4) per sample
+    rows[:, :, 1] = vs
+    for i in starts:
+        u = us[i:i + starts.step]
+        block = rows[:len(u)]
+        block[:, :, 0] = u[:, None]
+        block[:, :, 2:] = points[i:i + starts.step]
+        yield _lines(_floats(block.ravel()), 6, b",")
 
 
 def _obj(points) -> Iterator[bytes]:
     nu, nv = points.shape[:2]
     yield (b"# meridian surface mesh: orthogonal projection to (x1, x2, x3); "
            b"coordinate x4 dropped\n")
-    for line in points:
-        yield _lines(_floats(line[:, :3].ravel()), 3, b" ", b"v ")
+    starts = _blocks(nu, 3 * nv)
+    for i in starts:
+        yield _lines(_floats(points[i:i + starts.step, :, :3].ravel()), 3, b" ", b"v ")
     # the quad at (i, j) has corners a = i nv + j + 1, b = a + nv, c = b + 1,
     # d = a + 1 (1-based); it is the two triangles (a, b, c) and (a, c, d)
     a = np.arange(1, nv, dtype=np.int64)
     quads = np.stack([a, a + nv, a + nv + 1, a, a + nv + 1, a + 1], axis=1).ravel()
-    for i in range(nu - 1):
-        yield _lines(orjson.dumps(quads + i * nv, option=_NUMPY), 3, b" ", b"f ")
+    starts = _blocks(nu - 1, quads.size)
+    for i in starts:
+        rows = np.arange(i, min(i + starts.step, nu - 1), dtype=np.int64)[:, None]
+        yield _lines(orjson.dumps((quads + rows * nv).ravel(), option=_NUMPY), 3, b" ", b"f ")
 
 
 def _mesh_metadata(surface) -> dict:
@@ -178,9 +202,15 @@ def _json(surface, us, vs, points) -> Iterator[bytes]:
     yield (head + '"points": [\n').encode("ascii")
     # the points block in json.dumps' indent=1 layout: the key sits at depth 1,
     # so grid lines open at 2 spaces, points at 3 and coordinates at 4
-    for i, line in enumerate(points):
-        text = _lines(_floats(line.ravel()), 4, b";")  # ";" no value's text holds
-        text = text.replace(b"\n", b"\n   ],\n   [\n    ", len(line) - 1)  # not the last
+    nu, nv = points.shape[:2]
+    starts = _blocks(nu, 4 * nv)
+    for i in starts:
+        block = points[i:i + starts.step]
+        # ";" between coordinates and "|" between grid lines: no value's text holds them
+        text = _lines(_floats(block.ravel()), 4, b";", mark=b"|", every=4 * nv)
+        # every point end but the block's last (the other grid line ends are "|")
+        text = text.replace(b"\n", b"\n   ],\n   [\n    ", block.shape[0] * (nv - 1))
+        text = text.replace(b"|", b"\n   ]\n  ],\n  [\n   [\n    ")
         yield ((b",\n  [\n   [\n    " if i else b"  [\n   [\n    ")
                + text.replace(b";", b",\n    ") + b"   ]\n  ]")
     yield ("\n ]" + tail + "\n").encode("ascii")

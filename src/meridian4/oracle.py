@@ -140,11 +140,13 @@ def _stencil_jet(field, call: str, u, v, h) -> Jet2:
             f"{what} returned non-finite values inside the stencil at "
             f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
         )
-    # (sample, component, point) in memory, so that every sum below runs over
-    # contiguous points: the differences from the center, then per arm the odd
-    # and even parts along u and v and the corner combination
+    # a copy in (sample, component, point) order, so that every sum below runs
+    # over contiguous points and the field's own array is never written (for
+    # one point the transpose alone is a view of it): the differences from
+    # the center, then per arm the odd and even parts along u and v and the
+    # corner combination
     n, m = u.size, int(np.prod(value_shape))
-    t = np.ascontiguousarray(pts.reshape(n, -1).T).reshape(-1, m, n)
+    t = pts.reshape(n, -1).T.copy().reshape(-1, m, n)
     t[1:] -= t[0]
     up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(len(arms), 8, m, n), 1, 0)
     diffs = (up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -27,7 +28,7 @@ from meridian4 import (
     tilde_surface,
     verify_case,
 )
-from meridian4 import __version__
+from meridian4 import __version__, export
 from meridian4.export import CSV_HEADER, _floats, _lines, _mesh_metadata, _render
 from meridian4.harness import _build_case
 
@@ -264,6 +265,56 @@ def test_renderers_match_the_reference_on_any_finite_points(small_surface, grid)
     assert rendered("csv") == _ref_csv(us, vs, points)
     assert rendered("obj") == _ref_obj(us, vs, points)
     assert rendered("json") == _ref_json(small_surface, us, vs, points)
+
+
+# values per sample in each format's blocks: csv's (u, v, x1..x4), obj's
+# vertex (x1, x2, x3), json's point
+_PER_SAMPLE = {"csv": 6, "obj": 3, "json": 4}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=_point_grids(), lines=st.integers(0, 3), slack=st.integers(0, 47))
+def test_blocks_of_any_number_of_grid_lines_match_the_reference(small_surface, grid, lines,
+                                                               slack):
+    """With the block budget cut to a few values, a block holds `lines` whole
+    grid lines (0: one line over the budget, a block on its own), and the
+    pieces still join to the reference text."""
+    us, vs, points = grid
+    nu, nv = points.shape[:2]
+    refs = {"csv": _ref_csv(us, vs, points), "obj": _ref_obj(us, vs, points),
+            "json": _ref_json(small_surface, us, vs, points)}
+    for fmt, k in _PER_SAMPLE.items():
+        budget = max(1, lines * k * nv + slack % (k * nv))  # short of lines + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(export, "_BLOCK_VALUES", budget)
+            pieces = list(_render(fmt, small_surface, us, vs, points))
+        assert b"".join(pieces).decode("ascii") == refs[fmt]
+        if fmt != "obj":  # a head, the blocks (and json's tail)
+            assert len(pieces) == 1 + -(-nu // max(1, lines)) + (fmt == "json")
+
+
+def _render_peak(fmt, surface, nu, nv) -> int:
+    """The traced peak of rendering random points on an nu x nv grid, each
+    piece dropped as it comes, as a file write drops it."""
+    rng = np.random.default_rng(nu * nv)
+    us, vs, points = np.sort(rng.normal(size=nu)), rng.normal(size=nv), rng.normal(size=(nu, nv, 4))
+    tracemalloc.start()
+    try:
+        for _ in _render(fmt, surface, us, vs, points):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
+def test_rendering_holds_one_block_at_a_time(small_surface, fmt):
+    """A 201x201 mesh (4-5 MB of text) renders under 1 MB of traced memory,
+    and twice its grid lines add no more than a fifth: the renderer holds a
+    block, not the file."""
+    peak = _render_peak(fmt, small_surface, 201, 201)
+    assert peak < 2**20
+    assert _render_peak(fmt, small_surface, 401, 201) <= 1.2 * peak
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])

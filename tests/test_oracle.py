@@ -477,6 +477,24 @@ def test_fd_rates_reject_a_field_of_the_wrong_shape():
         fd_rates(lambda u, v: np.zeros(2), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("call", ["fd_jet4", "fd_rates"])
+@pytest.mark.parametrize("point", [(0.3, 0.4), (np.array([0.3]), np.array([0.4]))],
+                         ids=["0-d", "1-element"])
+def test_a_one_point_stencil_leaves_the_field_values_alone(call, point):
+    """The kernel differences a copy of the samples: a field that hands back
+    an array it keeps (one point's samples, whose transpose is no copy)
+    finds it unchanged, and the jet equals that of a fresh array."""
+    field = _quadratic if call == "fd_jet4" else _field
+    held = field(*oracle.stencil_points(call, *point))
+    before = held.copy()
+    got = getattr(oracle, call)(lambda u, v: held, *point)
+    want = getattr(oracle, call)(field, *point)
+    assert np.array_equal(held, before)
+    if call == "fd_jet4":
+        got, want = ((j.z, j.zu, j.zv, j.zuu, j.zuv, j.zvv) for j in (got, want))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_the_oracle_imports_only_algebra_and_errors():
     """The referee knows nothing of meridian structure: it imports no
     family, curve, profile, surface or harness module."""
