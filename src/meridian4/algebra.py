@@ -135,7 +135,10 @@ def orthonormalize(vectors, sig: np.ndarray = SIG4, tol: float = 1e-10):
     """Gram-Schmidt for an indefinite scalar product.
 
     Orthogonalizes the rows of ``vectors`` in order, normalizing each to
-    <w, w> = +-1.  Unlike the Euclidean case, a nonzero vector can fail to
+    <w, w> = +-1.  The projections run twice per row: near a null direction
+    one pass leaves a residue that normalizing amplifies (Gram entries off
+    by ~5e-9 on a random near-identity frame), a second pass removes it.
+    Unlike the Euclidean case, a nonzero vector can fail to
     be normalizable: if ``|<w, w>| <= tol * max(1, |w|_inf^2)`` after
     orthogonalization the construction is degenerate (numerically null
     direction) and :class:`DegeneracyError` is raised.
@@ -153,8 +156,9 @@ def orthonormalize(vectors, sig: np.ndarray = SIG4, tol: float = 1e-10):
     signs: list[int] = []
     for i in range(v.shape[0]):
         w = v[i].copy()
-        for j in range(i):
-            w -= signs[j] * inner(w, out[j], sig) * out[j]
+        for _ in range(2):
+            for j in range(i):
+                w -= signs[j] * inner(w, out[j], sig) * out[j]
         q = inner(w, w, sig)
         scale = float(np.max(np.abs(w))) if np.any(w) else 0.0
         if abs(q) <= tol * max(1.0, scale * scale):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meridian4 import (
     SIG3_PPM,
@@ -143,6 +143,7 @@ def test_orthonormality_deviation_zero_for_exact_frame():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(35262)  # one projection pass left this frame's Gram matrix off by 4.6e-9
 def test_orthonormalize_property(seed):
     """Random well-conditioned frames orthonormalize to the expected Gram matrix."""
     rng = np.random.default_rng(seed)
