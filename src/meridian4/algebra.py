@@ -172,12 +172,16 @@ def orthonormalize(vectors, sig: np.ndarray = SIG4, tol: float = 1e-10):
     return out, tuple(signs)
 
 
-def affine_rank(points, tol: float = 1e-6):
+# singular values at most this fraction of the largest are discarded by affine_rank
+_RANK_TOL = 1e-6
+
+
+def affine_rank(points):
     """Dimension of the affine span of a point cloud, with a residual measure.
 
     Centers the points on their mean and takes singular values of the
     resulting matrix.  The rank is the number of singular values above
-    ``tol * s_max``; the residual is ``s_{rank} / s_max`` (the size of the
+    ``1e-6 * s_max``; the residual is ``s_{rank} / s_max`` (the size of the
     first discarded direction, 0 if nothing is discarded).  A cloud lying
     exactly in an affine hyperplane of R^4 reports rank 3 and residual ~0.
 
@@ -193,6 +197,6 @@ def affine_rank(points, tol: float = 1e-6):
     if svals[0] == 0.0:
         return 0, 0.0
     rel = svals / svals[0]
-    rank = int(np.sum(rel > tol))
+    rank = int(np.sum(rel > _RANK_TOL))
     residual = float(rel[rank]) if rank < len(rel) else 0.0
     return rank, residual

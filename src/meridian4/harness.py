@@ -27,7 +27,7 @@ from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_
 from .curves import FrameField, standard_initial_frame
 from .errors import DomainError
 from .families import MeridianFamily
-from .oracle import fd_jet4, fd_rates, fundamental_forms, stencil_points
+from .oracle import fd_jet4, fundamental_forms, stencil_points
 from .profiles import (
     _MAX_SAMPLES,
     BranchSigns,
@@ -404,18 +404,18 @@ def _interior_grid(surface: MeridianSurface, spec: CaseSpec):
 def frame_equation_residuals(surface: MeridianSurface, u, v, h=None) -> dict[str, float]:
     """Max-abs residuals of the eight frame derivative equations at (u, v).
 
-    The central-difference rates of the frame F = (X, Y, n1, n2), from one
-    ``surface.frames`` call (:func:`~meridian4.oracle.fd_rates`, step ``h``,
-    default 1e-5 scaled per point), against the table D_X F = A F,
+    The rates ``jet.zu`` and ``jet.zv`` of the frame F = (X, Y, n1, n2), from
+    one :func:`~meridian4.oracle.fd_jet4` call on ``surface.frames`` (step
+    ``h``, by default fd_jet4's), against the table D_X F = A F,
     D_Y F = B F of :meth:`MeridianSurface.frame_table`, where D_X = d/du and
     D_Y = (1/f) d/dv: one entry per table line.
     """
-    frame, du, dv = fd_rates(lambda u, v: np.stack(surface.frames(u, v), axis=-2), u, v, h)
-    dv = dv / surface.profile_values(u)[0][..., None, None]
+    jet = fd_jet4(lambda u, v: np.stack(surface.frames(u, v), axis=-2), u, v, h)
+    dv = jet.zv / surface.profile_values(u)[0][..., None, None]
     residuals = {}
-    for rate, table, prefix in zip((du, dv), surface.frame_table(u), ("du_", "dv_")):
+    for rate, table, prefix in zip((jet.zu, dv), surface.frame_table(u), ("du_", "dv_")):
         # table @ frame, summed term by term in the frame's order: a matmul may round otherwise
-        rhs = sum(table[..., :, j, None] * frame[..., j, None, :] for j in range(4))
+        rhs = sum(table[..., :, j, None] * jet.z[..., j, None, :] for j in range(4))
         for i, name in enumerate(("X", "Y", "n1", "n2")):
             residuals[prefix + name] = float(np.max(np.abs(rate[..., i, :] - rhs[..., i, :])))
     return residuals
@@ -444,9 +444,11 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     rng = np.random.default_rng(spec.seed)
     pu = rng.uniform(us[0], us[-1], spec.n_probe)
     pv = rng.uniform(vs[0], vs[-1], spec.n_probe)
+    # the probes' +-2 h_probe arms stay well inside the grid's 3 h_fd margin
+    h_probe = h_fd / 10.0
     # every u and v the checks below read, evaluated once: each stencil's
     # first sample is its center, so these hold the grid and the probes too
-    queries = [stencil_points("fd_jet4", *grid, h_fd), stencil_points("fd_rates", pu, pv)]
+    queries = [stencil_points(*grid, h_fd), stencil_points(pu, pv, h_probe)]
     surface._tabulate(queries)
 
     # analytic sweep
@@ -472,7 +474,7 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     max_mixed = float(np.max(np.max(np.abs(forms.h_uv_vec), axis=-1) / f_grid))
 
     # frame equations at probe points
-    max_frame = max(frame_equation_residuals(surface, pu, pv).values())
+    max_frame = max(frame_equation_residuals(surface, pu, pv, h_probe).values())
 
     # profile residuals at every u the checks above read
     u_read = np.concatenate([np.ravel(u) for u, _ in queries])

@@ -8,17 +8,16 @@ and produces the mean curvature vector from the trace formula
 
     H = (E h_vv - 2 F h_uv + G h_uu) / (2 (E G - F^2)),
 
-which is basis-independent: no normal frame is chosen.  ``fd_rates`` gives
-the first derivatives of any callable field (u, v) -> array from the same
-kernel on a 9-point second-order stencil.  Every call broadcasts over
-(u, v) arrays, a scalar point being the 0-d case, so a whole grid is one
-immersion call; the stencil keeps u and v at their own shapes, so an
-immersion that evaluates u-factors on u and v-factors on v does so once per
-grid line.
-``stencil_points`` returns the (u, v) samples each of these calls will
-request, from the same geometry the calls use, so a caller can evaluate its
-immersion at all of them ahead of time.  The analytic formulas elsewhere in
-the package are certified against these numbers, never the other way around.
+which is basis-independent: no normal frame is chosen.  The same stencil
+differentiates any field whose values end in a 4-axis, such as a frame of
+four vectors.  Every call broadcasts over (u, v) arrays, a scalar point
+being the 0-d case, so a whole grid is one immersion call; the stencil
+keeps u and v at their own shapes, so an immersion that evaluates u-factors
+on u and v-factors on v does so once per grid line.
+``stencil_points`` returns the (u, v) samples a call will request, from the
+same geometry the call uses, so a caller can evaluate its immersion at all
+of them ahead of time.  The analytic formulas elsewhere in the package are
+certified against these numbers, never the other way around.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
-from .algebra import SIG4, inner, orthonormalize  # noqa: F401
+from .algebra import inner, orthonormalize  # noqa: F401
 from .errors import DegeneracyError, DomainError
 
 __all__ = [
@@ -37,60 +36,53 @@ __all__ = [
     "FundamentalForms",
     "fundamental_forms",
     "mean_curvature_fd",
-    "fd_rates",
     "stencil_points",
 ]
 
-# The eight arms of a stencil, in units of their length: +-u, +-v and the corners.
+# The default step relative to max(1, |u|, |v|), and the 17 stencil offsets in
+# units of the step h: the center, then arms of length 1 and 2, each as
+# +-u, +-v and the corners.
+_REL_STEP = 1e-3
 _ARM_DU = np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
 _ARM_DV = np.array([0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-# Per call: its default step relative to max(1, |u|, |v|) and its arm lengths
-# s in units of the step h.
-_GEOMETRY = {"fd_jet4": (1e-3, (1.0, 2.0)), "fd_rates": (1e-5, (1.0,))}
-# Per set of arm lengths, the integer weights per length and a denominator
-# for the first, pure second and mixed derivatives.  With d = z - z(center):
+_DU, _DV = (np.concatenate([[0.0], arm, 2.0 * arm]) for arm in (_ARM_DU, _ARM_DV))
+# The integer weights per arm length and a denominator for the first, pure
+# second and mixed derivatives.  With d = z - z(center):
 # z_u = sum_s w_s (d(s, 0) - d(-s, 0)) / (den h), z_uu the same with
 # d(s, 0) + d(-s, 0) over den h^2, z_uv with the corners
 # d(s, s) - d(s, -s) - d(-s, s) + d(-s, -s).  Weighting differences from the
-# center, not raw samples, keeps the roundoff of the 5-point weights (Fornberg
-# 1988) at that of the two 9-point stencils they extrapolate.
-_WEIGHTS = {
-    (1.0,): (((1.0,), 2.0), ((1.0,), 1.0), ((1.0,), 4.0)),
-    (1.0, 2.0): (((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0)),
-}
+# center, not raw samples, keeps the roundoff of these 5-point weights
+# (Fornberg 1988) at that of the two 9-point stencils they extrapolate.
+_WEIGHTS = (((8.0, -1.0), 12.0), ((16.0, -1.0), 12.0), ((16.0, -1.0), 48.0))
 
 
-def stencil_points(call: str, u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (u, v) samples that ``call`` requests at the points (u, v), step ``h``.
+def stencil_points(u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (u, v) samples that :func:`fd_jet4` requests at the points (u, v), step ``h``.
 
-    ``call`` is ``"fd_jet4"`` or ``"fd_rates"``, and the samples are the
-    arrays that call passes to the immersion (to the field for the rates),
-    bit for bit: the inputs' own shapes padded to one rank, plus a stencil
-    axis of 17 or 9 whose first sample is the center.  A caller that
-    evaluates its immersion ahead of time reads from here which u and v it
-    will be asked for.
+    The samples are the arrays the call passes to the immersion, bit for
+    bit: the inputs' own shapes padded to one rank, plus a stencil axis of
+    17 whose first sample is the center.  A caller that evaluates its
+    immersion ahead of time reads from here which u and v it will be asked
+    for.
     """
-    return _stencil(call, u, v, h)[3:]
+    return _stencil(u, v, h)[3:]
 
 
-def _stencil(call: str, u, v, h):
-    """(u, v) and the step, by default rel_step * max(1, |u|, |v|), padded to
-    one rank but not broadcast, and the stencil samples of ``call`` at them:
-    a product grid ``us[:, None], vs[None, :]`` under a scalar step stays
-    (nu, 1), (1, nv) and (1, 1), and its samples (nu, 1, n) and (1, nv, n)."""
-    rel_step, arms = _GEOMETRY[call]
-    du, dv = (np.concatenate([[0.0], *(s * arm for s in arms)])
-              for arm in (_ARM_DU, _ARM_DV))
+def _stencil(u, v, h):
+    """(u, v) and the step, by default _REL_STEP * max(1, |u|, |v|), padded to
+    one rank but not broadcast, and the stencil samples at them: a product
+    grid ``us[:, None], vs[None, :]`` under a scalar step stays (nu, 1),
+    (1, nv) and (1, 1), and its samples (nu, 1, 17) and (1, nv, 17)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if h is None:
-        h = rel_step * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
+        h = _REL_STEP * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
     h = np.asarray(h, dtype=float)
     shape = np.broadcast_shapes(u.shape, v.shape, h.shape)
     if not np.all(np.broadcast_to(h, shape) > 0.0):
         raise ValueError(f"stencil step must be positive, got {h.min()}")
     u, v, h = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v, h))
-    return u, v, h, u[..., None] + h[..., None] * du, v[..., None] + h[..., None] * dv
+    return u, v, h, u[..., None] + h[..., None] * _DU, v[..., None] + h[..., None] * _DV
 
 
 def _at(u, v, mask) -> str:
@@ -115,29 +107,44 @@ class Jet2:
     zvv: np.ndarray
 
 
-def _stencil_jet(field, call: str, u, v, h) -> Jet2:
-    """The jet of ``field`` at (u, v) from one call on the stencil of ``call``;
-    an immersion's values are 4-vectors, a field's of any one shape T."""
-    arms = _GEOMETRY[call][1]
-    first, second, mixed = _WEIGHTS[arms]
-    u, v, h, stencil_u, stencil_v = _stencil(call, u, v, h)
+def fd_jet4(immersion, u, v, h=None) -> Jet2:
+    """Fourth-order central-difference jet of ``immersion`` at (u, v).
+
+    ``u``, ``v`` and ``h`` broadcast against each other to a shape S.
+    ``immersion`` must accept numpy arrays (broadcasting) and return values
+    whose trailing axis has length 4: points, or any field of trailing
+    shape T = (..., 4), such as a frame of four vectors.  The 17 stencil
+    samples of every point (the center, +-h and +-2h on each axis, the
+    corners at h and at 2h) are requested in one call, at the inputs' own
+    shapes padded to one rank plus a stencil axis of 17: a product grid
+    ``us[:, None], vs[None, :]`` with a scalar step sends u of shape
+    (nu, 1, 17) and v of shape (1, nv, 17).  The result must have the
+    broadcast shape S + (17,) + T, and the jet's values have shape S + T.
+    The 5-point central differences have an O(h^4) truncation error, so the
+    default step ``1e-3 * max(1, |u|, |v|)`` per point keeps the roundoff
+    (~eps/h^2) small.  A :class:`DomainError` raised by the immersion (e.g.
+    a stencil arm leaving the domain) is re-raised with the requested
+    coordinates; other errors propagate.
+    """
+    u, v, h, stencil_u, stencil_v = _stencil(u, v, h)
     u, v, h = np.broadcast_arrays(u, v, h)
     try:
-        pts = np.asarray(field(stencil_u, stencil_v), dtype=float)
+        pts = np.asarray(immersion(stencil_u, stencil_v), dtype=float)
     except DomainError as exc:
         raise DomainError(
             f"FD stencil evaluation failed for u in [{u.min():.6g}, {u.max():.6g}], "
             f"v in [{v.min():.6g}, {v.max():.6g}] with h={h.max():.3g}: {exc}"
         ) from exc
-    what, value_shape = (("field", pts.shape[u.ndim + 1:]) if call == "fd_rates"
-                         else ("immersion", (4,)))
-    expected = u.shape + stencil_u.shape[-1:] + value_shape
+    value_shape = pts.shape[u.ndim + 1:]
+    if value_shape[-1:] != (4,):
+        value_shape = (4,)
+    expected = u.shape + (_DU.size,) + value_shape
     if pts.shape != expected:
-        raise ValueError(f"{what} returned shape {pts.shape}, expected {expected}")
+        raise ValueError(f"field returned shape {pts.shape}, expected {expected}")
     bad = ~np.all(np.isfinite(pts), axis=tuple(range(u.ndim, pts.ndim)))
     if np.any(bad):
         raise DomainError(
-            f"{what} returned non-finite values inside the stencil at "
+            f"field returned non-finite values inside the stencil at "
             f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
         )
     # a copy in (sample, component, point) order, so that every sum below runs
@@ -148,8 +155,9 @@ def _stencil_jet(field, call: str, u, v, h) -> Jet2:
     n, m = u.size, int(np.prod(value_shape))
     t = pts.reshape(n, -1).T.copy().reshape(-1, m, n)
     t[1:] -= t[0]
-    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(len(arms), 8, m, n), 1, 0)
+    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(2, 8, m, n), 1, 0)
     diffs = (up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm)
+    first, second, mixed = _WEIGHTS
     step, jet = h.reshape(-1), np.empty((5, m, n))
     tables = (first, first, second, second, mixed)
     for out, diff, (weights, den), order in zip(jet, diffs, tables, (1, 1, 2, 2, 2)):
@@ -159,26 +167,6 @@ def _stencil_jet(field, call: str, u, v, h) -> Jet2:
                              for d in np.moveaxis(jet.reshape((5, m) + u.shape), 1, -1))
     z = np.moveaxis(pts, u.ndim, 0)[0]  # the center samples
     return Jet2(u=u, v=v, h=h, z=z, zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
-
-
-def fd_jet4(immersion, u, v, h=None) -> Jet2:
-    """Fourth-order central-difference jet of ``immersion`` at (u, v).
-
-    ``u``, ``v`` and ``h`` broadcast against each other to a shape S.
-    ``immersion`` must accept numpy arrays (broadcasting) and return points
-    with a trailing axis of length 4.  The 17 stencil samples of every point
-    (the center, +-h and +-2h on each axis, the corners at h and at 2h) are
-    requested in one call, at the inputs' own shapes padded to one rank plus
-    a stencil axis of 17: a product grid ``us[:, None], vs[None, :]`` with a
-    scalar step sends u of shape (nu, 1, 17) and v of shape (1, nv, 17).
-    The result must have the broadcast shape S + (17, 4).  The 5-point
-    central differences have an O(h^4) truncation error, so the default
-    step ``1e-3 * max(1, |u|, |v|)`` per point keeps the roundoff
-    (~eps/h^2) small.  A :class:`DomainError` raised by the immersion (e.g.
-    a stencil arm leaving the domain) is re-raised with the requested
-    coordinates; other errors propagate.
-    """
-    return _stencil_jet(immersion, "fd_jet4", u, v, h)
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ class FundamentalForms:
     norm2H: float | np.ndarray
 
 
-def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
+def fundamental_forms(jet: Jet2) -> FundamentalForms:
     """Assemble the fundamental forms and mean curvature from a jet.
 
     Raises :class:`DomainError` when EG - F^2 is not finite (the form
@@ -212,9 +200,9 @@ def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
     """
     zu, zv = jet.zu, jet.zv
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite form is named below
-        E = inner(zu, zu, sig)
-        F = inner(zu, zv, sig)
-        G = inner(zv, zv, sig)
+        E = inner(zu, zu)
+        F = inner(zu, zv)
+        G = inner(zv, zv)
         W = E * G - F * F
     overflow = ~np.isfinite(W)
     if np.any(overflow):
@@ -232,7 +220,7 @@ def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
 
     def normal_part(w: np.ndarray) -> np.ndarray:
         # the tangent part c_u z_u + c_v z_v solves the 2x2 Gram system
-        wu, wv = (np.asarray(inner(w, t, sig))[..., None] for t in (zu, zv))
+        wu, wv = (np.asarray(inner(w, t))[..., None] for t in (zu, zv))
         return w - (G_ * wu - F_ * wv) / W_ * zu - (E_ * wv - F_ * wu) / W_ * zv
 
     h_uu_vec = normal_part(jet.zuu)
@@ -249,7 +237,7 @@ def fundamental_forms(jet: Jet2, sig: np.ndarray = SIG4) -> FundamentalForms:
         h_uv_vec=h_uv_vec,
         h_vv_vec=h_vv_vec,
         H=H,
-        norm2H=inner(H, H, sig),
+        norm2H=inner(H, H),
     )
 
 
@@ -260,17 +248,3 @@ def mean_curvature_fd(immersion, u, v, h=None):
     """
     forms = fundamental_forms(fd_jet4(immersion, u, v, h))
     return forms.H, forms.norm2H
-
-
-def fd_rates(field, u, v, h=None):
-    """A field's value and its central-difference d/du and d/dv at (u, v).
-
-    ``field`` is any callable (u, v) -> array of trailing shape T; it is
-    called once, on nine samples at every point (the center, +-h on each
-    axis and the four corners at h), and must return S + (9,) + T, S the
-    broadcast shape of u, v and h.  The three results have shape S + T.
-    The default step is ``1e-5 * max(1, |u|, |v|)`` per point.  Checks and
-    errors are those of :func:`fd_jet4`, for a field of any T.
-    """
-    jet = _stencil_jet(field, "fd_rates", u, v, h)
-    return jet.z, jet.zu, jet.zv

@@ -459,17 +459,15 @@ def test_export_never_forks(small_surface, tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # One process on any machine: neither the CPU count, nor a missing or failing
-# os.fork, nor another running thread changes the bytes. (The names of these
-# tests come from the removed fan-out over forked workers, which they checked
-# before rendering became in-process only.)
+# os.fork, nor another running thread changes the bytes.
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj", "json"])
 @pytest.mark.parametrize("kind", ["meridian", "tilde", "truncated"])
 @pytest.mark.parametrize("shape", [(2, 5), (7, 4)])
 @pytest.mark.parametrize("workers", [2, 3])
-def test_fanned_out_bytes_match_the_reference(small_surface, tmp_path, monkeypatch, fmt, kind,
-                                              shape, workers):
+def test_bytes_match_the_reference_at_any_cpu_count(small_surface, tmp_path, monkeypatch, fmt,
+                                                    kind, shape, workers):
     # `workers` usable CPUs: the export still renders in one process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
@@ -480,7 +478,8 @@ def test_fanned_out_bytes_match_the_reference(small_surface, tmp_path, monkeypat
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
 
 
-def test_small_meshes_render_in_process(small_surface, grids, tmp_path, monkeypatch):
+def test_small_mesh_bytes_match_the_reference_with_three_cpus(small_surface, grids, tmp_path,
+                                                              monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
     us, vs = grids
@@ -489,7 +488,8 @@ def test_small_meshes_render_in_process(small_surface, grids, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-def test_no_fork_without_the_os_calls(small_surface, grids, tmp_path, monkeypatch, missing):
+def test_bytes_match_the_reference_without_the_os_calls(small_surface, grids, tmp_path, monkeypatch,
+                                                        missing):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
     monkeypatch.delattr(os, missing)
@@ -497,7 +497,8 @@ def test_no_fork_without_the_os_calls(small_surface, grids, tmp_path, monkeypatc
     assert path.read_bytes() == _reference("obj", small_surface, *grids).encode("ascii")
 
 
-def test_no_fork_while_another_thread_runs(small_surface, grids, tmp_path, monkeypatch):
+def test_bytes_match_the_reference_while_another_thread_runs(small_surface, grids, tmp_path,
+                                                             monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
     release = threading.Event()

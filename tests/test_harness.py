@@ -392,6 +392,18 @@ def test_the_frame_table_has_eight_entries():
     assert nonzero == set(_FRAME_TABLE_ENTRIES) and len(zero) == 32 - 8
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in _suite_cases() if s.theorem is not Theorem.CONGRUENCE_TILDE],
+    ids=lambda s: s.theorem.value,
+)
+def test_the_frame_check_reads_fourth_order_rates(spec):
+    """The probes' frame rates come from the 17-point fd_jet4 at a tenth of
+    the grid's step: the residual sits near roundoff on every suite case
+    (a 9-point second-order stencil at step 1e-5 reads up to 7.2e-9)."""
+    assert verify_case(spec).stats["max_frame_residual"] <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from meridian4 import (
     standard_initial_frame,
 )
 from meridian4 import oracle
-from meridian4.oracle import fd_rates
 
 
 def _quadratic(u, v):
@@ -387,32 +386,35 @@ def test_jet_rejects_an_immersion_that_does_not_broadcast():
 
 
 def _field(u, v):
-    """A (2, 3)-valued field with closed-form rates."""
+    """A (2, 4)-valued field with closed-form rates: its values end in a
+    4-axis, as a frame's do."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    rows = [np.sin(u) * np.cos(v), u * u * v, np.exp(0.5 * u - v),
-            u**3, v**3, u * v]
-    return np.stack(rows, axis=-1).reshape(u.shape + (2, 3))
+    rows = [np.sin(u) * np.cos(v), u * u * v, np.exp(0.5 * u - v), u**3,
+            v**3, u * v, np.cos(u + 2.0 * v), u - v]
+    return np.stack(rows, axis=-1).reshape(u.shape + (2, 4))
 
 
 def _field_rates(u, v):
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    e, z = np.exp(0.5 * u - v), np.zeros_like(u)
-    du = [np.cos(u) * np.cos(v), 2.0 * u * v, 0.5 * e, 3.0 * u * u, z, v]
-    dv = [-np.sin(u) * np.sin(v), u * u, -e, z, 3.0 * v * v, u]
-    return (np.stack(d, axis=-1).reshape(u.shape + (2, 3)) for d in (du, dv))
+    e, s, z, one = np.exp(0.5 * u - v), np.sin(u + 2.0 * v), np.zeros_like(u), np.ones_like(u)
+    du = [np.cos(u) * np.cos(v), 2.0 * u * v, 0.5 * e, 3.0 * u * u, z, v, -s, one]
+    dv = [-np.sin(u) * np.sin(v), u * u, -e, z, 3.0 * v * v, u, -2.0 * s, -one]
+    return (np.stack(d, axis=-1).reshape(u.shape + (2, 4)) for d in (du, dv))
 
 
-def test_fd_rates_match_the_closed_form_rates():
+def test_fd_jet4_of_a_field_matches_its_closed_form_rates():
     us, vs = np.linspace(-1.5, 2.0, 6)[:, None], np.linspace(-0.7, 0.9, 5)[None, :]
-    value, du, dv = fd_rates(_field, us, vs)
+    jet = fd_jet4(_field, us, vs)
     want_du, want_dv = _field_rates(us, vs)
-    assert value.shape == du.shape == dv.shape == (6, 5, 2, 3)
-    assert np.array_equal(value, _field(us, vs))
-    np.testing.assert_allclose(du, want_du, rtol=0, atol=1e-8)
-    np.testing.assert_allclose(dv, want_dv, rtol=0, atol=1e-8)
+    for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
+        assert getattr(jet, name).shape == (6, 5, 2, 4), name
+    assert np.array_equal(jet.z, _field(us, vs))
+    # fourth order: a second-order stencil at this step misses by ~1e-7
+    np.testing.assert_allclose(jet.zu, want_du, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(jet.zv, want_dv, rtol=0, atol=1e-9)
 
 
-def test_fd_rates_make_one_call_and_batch_pointwise():
+def test_fd_jet4_of_a_field_makes_one_call_and_batches_pointwise():
     seen = []
 
     def recording(u, v):
@@ -420,23 +422,24 @@ def test_fd_rates_make_one_call_and_batch_pointwise():
         return _field(u, v)
 
     pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
-    batched = fd_rates(recording, pu, pv)
-    assert seen == [((3, 9), (3, 9))]
+    batched = fd_jet4(recording, pu, pv)
+    assert seen == [((3, 17), (3, 17))]
     for k, (u, v) in enumerate(zip(pu, pv)):
-        for got, want in zip(batched, fd_rates(_field, u, v)):
-            assert np.array_equal(got[k], want)
+        single = fd_jet4(_field, u, v)
+        for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
+            assert np.array_equal(getattr(batched, name)[k], getattr(single, name)), name
 
 
-def test_fd_rates_samples_add_no_u_or_v_to_the_stencil_axes():
-    """The rates read a 9-point stencil: its corners reuse the u and
-    the v of the +-u and +-v arms, so a table of the arms holds them."""
-    u, v = oracle.stencil_points("fd_rates", np.array([0.3, -1.1]), np.array([0.7, 0.2]))
-    assert u.shape == v.shape == (2, 9)
+def test_stencil_samples_add_no_u_or_v_to_the_stencil_axes():
+    """The corners of the 17-point stencil reuse the u and the v of the
+    +-u and +-v arms, so a table of the arms holds them."""
+    u, v = oracle.stencil_points(np.array([0.3, -1.1]), np.array([0.7, 0.2]))
+    assert u.shape == v.shape == (2, 17)
     for axis in (u, v):
-        assert all(len(np.unique(row)) == 3 for row in axis)
+        assert all(len(np.unique(row)) == 5 for row in axis)
 
 
-def _rate_field_failing_at(u0, v0, how):
+def _field_failing_at(u0, v0, how):
     """_field, but non-finite at (or raising DomainError at) the sample (u0, v0)."""
 
     def field(u, v):
@@ -449,50 +452,52 @@ def _rate_field_failing_at(u0, v0, how):
     return field
 
 
-@pytest.mark.parametrize("corner", [False, True])
-def test_fd_rates_name_the_point_whose_stencil_is_not_finite(corner):
+@pytest.mark.parametrize("k", [2, 5, 13], ids=["arm", "corner", "far-corner"])
+def test_fd_jet4_names_the_point_whose_field_stencil_is_not_finite(k):
+    # the -u arm, the (+h, +h) corner or the (+2h, +2h) corner of the second point
     pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
-    u, v = oracle.stencil_points("fd_rates", pu, pv)
-    k = 5 if corner else 2  # the (+h, +h) corner, or the -u arm
-    field = _rate_field_failing_at(u[1, k], v[1, k], "nan")
+    u, v = oracle.stencil_points(pu, pv)
+    field = _field_failing_at(u[1, k], v[1, k], "nan")
     with pytest.raises(DomainError, match="field returned non-finite values inside the "
-                                          "stencil at \\(u=0.3, v=-0.8\\), h=1e-05"):
-        fd_rates(field, pu, pv)
+                                          "stencil at \\(u=0.3, v=-0.8\\), h=0.001"):
+        fd_jet4(field, pu, pv)
 
 
-def test_fd_rates_name_the_point_whose_stencil_raises():
-    u, v = oracle.stencil_points("fd_rates", 0.3, -0.8)
-    field = _rate_field_failing_at(u[7], v[7], "raise")
+def test_fd_jet4_names_the_point_whose_field_stencil_raises():
+    u, v = oracle.stencil_points(0.3, -0.8)
+    field = _field_failing_at(u[7], v[7], "raise")
     with pytest.raises(DomainError, match="stencil evaluation failed for u in \\[0.3, 0.3\\], "
-                                          "v in \\[-0.8, -0.8\\] with h=1e-05: outside the chart"):
-        fd_rates(field, 0.3, -0.8)
+                                          "v in \\[-0.8, -0.8\\] with h=0.001: outside the chart"):
+        fd_jet4(field, 0.3, -0.8)
 
 
-def test_fd_rates_reject_a_field_of_the_wrong_shape():
-    # five samples, as a center and +-u, +-v alone would give
-    with pytest.raises(ValueError, match="field returned shape \\(5, 2, 3\\), "
-                                         "expected \\(9, 2, 3\\)"):
-        fd_rates(lambda u, v: np.zeros((5, 2, 3)), 0.0, 0.0)
-    with pytest.raises(ValueError, match="field returned shape \\(2,\\), expected"):
-        fd_rates(lambda u, v: np.zeros(2), 0.0, 0.0)
+def test_fd_jet4_rejects_a_field_of_the_wrong_shape():
+    # nine samples, as the 9-point second-order stencil would take
+    with pytest.raises(ValueError, match="field returned shape \\(9, 2, 4\\), "
+                                         "expected \\(17, 2, 4\\)"):
+        fd_jet4(lambda u, v: np.zeros((9, 2, 4)), 0.0, 0.0)
+    # values that do not end in a 4-axis are measured against points
+    with pytest.raises(ValueError, match="field returned shape \\(17, 2, 3\\), "
+                                         "expected \\(17, 4\\)"):
+        fd_jet4(lambda u, v: np.zeros((17, 2, 3)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="field returned shape \\(2,\\), expected \\(17, 4\\)"):
+        fd_jet4(lambda u, v: np.zeros(2), 0.0, 0.0)
 
 
-@pytest.mark.parametrize("call", ["fd_jet4", "fd_rates"])
+@pytest.mark.parametrize("field", [_quadratic, _field], ids=["immersion", "field"])
 @pytest.mark.parametrize("point", [(0.3, 0.4), (np.array([0.3]), np.array([0.4]))],
                          ids=["0-d", "1-element"])
-def test_a_one_point_stencil_leaves_the_field_values_alone(call, point):
+def test_a_one_point_stencil_leaves_the_field_values_alone(field, point):
     """The kernel differences a copy of the samples: a field that hands back
     an array it keeps (one point's samples, whose transpose is no copy)
     finds it unchanged, and the jet equals that of a fresh array."""
-    field = _quadratic if call == "fd_jet4" else _field
-    held = field(*oracle.stencil_points(call, *point))
+    held = field(*oracle.stencil_points(*point))
     before = held.copy()
-    got = getattr(oracle, call)(lambda u, v: held, *point)
-    want = getattr(oracle, call)(field, *point)
+    got = fd_jet4(lambda u, v: held, *point)
+    want = fd_jet4(field, *point)
     assert np.array_equal(held, before)
-    if call == "fd_jet4":
-        got, want = ((j.z, j.zu, j.zv, j.zuu, j.zuv, j.zvv) for j in (got, want))
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_the_oracle_imports_only_algebra_and_errors():
