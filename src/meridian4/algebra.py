@@ -185,9 +185,11 @@ def affine_rank(points):
     first discarded direction, 0 if nothing is discarded).  A cloud lying
     exactly in an affine hyperplane of R^4 reports rank 3 and residual ~0.
 
-    Requires at least 5 points so that rank 4 is distinguishable.
+    Requires at least 5 points so that rank 4 is distinguishable.  The
+    points are read in C order, so that the mean sums them in one order
+    whatever the input's memory layout.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (one point per row)")
     if pts.shape[0] < 5:

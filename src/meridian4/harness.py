@@ -158,6 +158,13 @@ class CaseSpec:
         if self.n_probe > _MAX_SAMPLES:
             raise DomainError(f"n_probe of {self.n_probe} points exceeds the cap of "
                               f"{_MAX_SAMPLES} points")
+        # a minimal profile is closed-form in (a, b): a report must not record
+        # a first-integral constant or an initial warp it never read
+        if self.theorem.law is GoverningLaw.MINIMAL:
+            if self.params.c != 0.0:
+                raise ValueError(f"{self.theorem.value} reads no c, got c={self.params.c!r}")
+            if self.f0 is not None:
+                raise ValueError(f"{self.theorem.value} reads no f0, got f0={self.f0!r}")
 
     def resolved_tol_norm2(self, target: float) -> float:
         if self.tol_norm2 is not None:

@@ -12,8 +12,10 @@ which is basis-independent: no normal frame is chosen.  The same stencil
 differentiates any field whose values end in a 4-axis, such as a frame of
 four vectors.  Every call broadcasts over (u, v) arrays, a scalar point
 being the 0-d case, so a whole grid is one immersion call; the stencil
-keeps u and v at their own shapes, so an immersion that evaluates u-factors
-on u and v-factors on v does so once per grid line.
+axis leads and u and v keep their own shapes behind it, so an immersion
+that evaluates u-factors on u and v-factors on v does so once per grid
+line, and one that writes each coordinate as a plane is differenced plane
+by plane.
 ``stencil_points`` returns the (u, v) samples a call will request, from the
 same geometry the call uses, so a caller can evaluate its immersion at all
 of them ahead of time.  The analytic formulas elsewhere in the package are
@@ -60,10 +62,10 @@ def stencil_points(u, v, h=None) -> tuple[np.ndarray, np.ndarray]:
     """The (u, v) samples that :func:`fd_jet4` requests at the points (u, v), step ``h``.
 
     The samples are the arrays the call passes to the immersion, bit for
-    bit: the inputs' own shapes padded to one rank, plus a stencil axis of
-    17 whose first sample is the center.  A caller that evaluates its
-    immersion ahead of time reads from here which u and v it will be asked
-    for.
+    bit: a leading stencil axis of 17, whose first sample is the center,
+    plus the inputs' own shapes padded to one rank.  A caller that
+    evaluates its immersion ahead of time reads from here which u and v it
+    will be asked for.
     """
     return _stencil(u, v, h)[3:]
 
@@ -72,7 +74,7 @@ def _stencil(u, v, h):
     """(u, v) and the step, by default _REL_STEP * max(1, |u|, |v|), padded to
     one rank but not broadcast, and the stencil samples at them: a product
     grid ``us[:, None], vs[None, :]`` under a scalar step stays (nu, 1),
-    (1, nv) and (1, 1), and its samples (nu, 1, 17) and (1, nv, 17)."""
+    (1, nv) and (1, 1), and its samples (17, nu, 1) and (17, 1, nv)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if h is None:
@@ -82,7 +84,8 @@ def _stencil(u, v, h):
     if not np.all(np.broadcast_to(h, shape) > 0.0):
         raise ValueError(f"stencil step must be positive, got {h.min()}")
     u, v, h = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (u, v, h))
-    return u, v, h, u[..., None] + h[..., None] * _DU, v[..., None] + h[..., None] * _DV
+    axis = (-1,) + (1,) * len(shape)
+    return u, v, h, u + h * _DU.reshape(axis), v + h * _DV.reshape(axis)
 
 
 def _at(u, v, mask) -> str:
@@ -115,11 +118,12 @@ def fd_jet4(immersion, u, v, h=None) -> Jet2:
     whose trailing axis has length 4: points, or any field of trailing
     shape T = (..., 4), such as a frame of four vectors.  The 17 stencil
     samples of every point (the center, +-h and +-2h on each axis, the
-    corners at h and at 2h) are requested in one call, at the inputs' own
-    shapes padded to one rank plus a stencil axis of 17: a product grid
-    ``us[:, None], vs[None, :]`` with a scalar step sends u of shape
-    (nu, 1, 17) and v of shape (1, nv, 17).  The result must have the
-    broadcast shape S + (17,) + T, and the jet's values have shape S + T.
+    corners at h and at 2h) are requested in one call, at a leading stencil
+    axis of 17 plus the inputs' own shapes padded to one rank: a product
+    grid ``us[:, None], vs[None, :]`` with a scalar step sends u of shape
+    (17, nu, 1) and v of shape (17, 1, nv).  The result must have the
+    broadcast shape (17,) + S + T, in any memory order, and the jet's values
+    have shape S + T.
     The 5-point central differences have an O(h^4) truncation error, so the
     default step ``1e-3 * max(1, |u|, |v|)`` per point keeps the roundoff
     (~eps/h^2) small.  A :class:`DomainError` raised by the immersion (e.g.
@@ -138,35 +142,41 @@ def fd_jet4(immersion, u, v, h=None) -> Jet2:
     value_shape = pts.shape[u.ndim + 1:]
     if value_shape[-1:] != (4,):
         value_shape = (4,)
-    expected = u.shape + (_DU.size,) + value_shape
+    expected = (_DU.size,) + u.shape + value_shape
     if pts.shape != expected:
         raise ValueError(f"field returned shape {pts.shape}, expected {expected}")
-    bad = ~np.all(np.isfinite(pts), axis=tuple(range(u.ndim, pts.ndim)))
-    if np.any(bad):
+    if not np.isfinite(pts).all():
+        bad = ~np.all(np.isfinite(pts), axis=(0,) + tuple(range(1 + u.ndim, pts.ndim)))
         raise DomainError(
             f"field returned non-finite values inside the stencil at "
             f"{_at(u, v, bad)}, h={h[bad][0]:.3g}"
         )
-    # a copy in (sample, component, point) order, so that every sum below runs
-    # over contiguous points and the field's own array is never written (for
-    # one point the transpose alone is a view of it): the differences from
-    # the center, then per arm the odd and even parts along u and v and the
-    # corner combination
-    n, m = u.size, int(np.prod(value_shape))
-    t = pts.reshape(n, -1).T.copy().reshape(-1, m, n)
-    t[1:] -= t[0]
-    up, um, vp, vm, pp, pm, mp, mm = np.moveaxis(t[1:].reshape(2, 8, m, n), 1, 0)
-    diffs = (up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm)
+    # the differences from the center, out of place in the field's own memory
+    # order so that its array is never written, for one arm length at a time,
+    # each dropped once its parts are taken: all sixteen at once, beside the
+    # field's array, are enough for glibc's malloc to return the memory to the
+    # system after every call and fault it in again on the next (~400 minor
+    # faults per 41x41 sweep)
+    center = pts[0]
+    parts = zip(*(_arm_parts(arm - center) for arm in (pts[1:9], pts[9:])))
     first, second, mixed = _WEIGHTS
-    step, jet = h.reshape(-1), np.empty((5, m, n))
-    tables = (first, first, second, second, mixed)
-    for out, diff, (weights, den), order in zip(jet, diffs, tables, (1, 1, 2, 2, 2)):
-        np.divide((np.reshape(weights, (-1, 1, 1)) * diff).sum(axis=0), den * step**order, out=out)
-    # S + T views that keep the points contiguous, so the forms' sums stay fast
-    zu, zv, zuu, zvv, zuv = (d.reshape(u.shape + value_shape)
-                             for d in np.moveaxis(jet.reshape((5, m) + u.shape), 1, -1))
-    z = np.moveaxis(pts, u.ndim, 0)[0]  # the center samples
-    return Jet2(u=u, v=v, h=h, z=z, zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
+    step, jet = h.reshape(h.shape + (1,) * len(value_shape)), []
+    for (x1, x2), ((w1, w2), den), order in zip(parts, (first, first, second, second, mixed),
+                                                (1, 1, 2, 2, 2)):
+        out = w1 * x1
+        out += w2 * x2
+        out /= den * step**order
+        jet.append(out)
+    zu, zv, zuu, zvv, zuv = jet
+    return Jet2(u=u, v=v, h=h, z=center, zu=zu, zv=zv, zuu=zuu, zuv=zuv, zvv=zvv)
+
+
+def _arm_parts(d):
+    """From the differences d from the center of one arm length (+-u, +-v and
+    the corners, in stencil order): the odd and even parts along u and v and
+    the corner combination."""
+    up, um, vp, vm, pp, pm, mp, mm = d
+    return up - um, vp - vm, up + um, vp + vm, pp - pm - mp + mm
 
 
 @dataclass(frozen=True)

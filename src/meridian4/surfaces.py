@@ -42,15 +42,16 @@ __all__ = [
 def _lift(a, x: np.ndarray, b, shape: tuple[int, ...]) -> np.ndarray:
     """a x + b e4 for 3-vectors x of span{e1,e2,e3}, broadcast to ``shape + (4,)``.
 
-    One product per component, so numpy's inner loop runs along the points,
-    not along the three components of each point.
+    One product per component, each written to its own contiguous plane of
+    a (4,) + shape array, so numpy's inner loops run along the points; the
+    result is a view of that array with the coordinate axis moved last.
     """
-    out = np.empty(shape + (4,))
+    out = np.empty((4,) + shape)
     a = np.asarray(a)
     for k in range(3):
-        np.multiply(a, x[..., k], out=out[..., k])
-    out[..., 3] = b
-    return out
+        np.multiply(a, x[..., k], out=out[k, ...])  # out[k] of a 0-d point is no view
+    out[3, ...] = b
+    return np.moveaxis(out, 0, -1)
 
 
 def _index(table, x: np.ndarray):

@@ -191,6 +191,19 @@ def test_affine_rank_line():
     assert rank == 1
 
 
+def test_affine_rank_does_not_depend_on_memory_order():
+    """The mean sums the points in one order whatever their layout: a
+    Fortran-order copy or a view of coordinate planes (as a surface's grid
+    points are) gives the C-order result bit for bit."""
+    rng = np.random.default_rng(0)
+    pts = 3.0 + rng.standard_normal((441, 3)) @ rng.standard_normal((3, 4))
+    planes = np.ascontiguousarray(pts.T).T
+    want = affine_rank(pts)
+    assert want[0] == 3
+    assert affine_rank(np.asfortranarray(pts)) == want
+    assert affine_rank(planes) == want
+
+
 def test_affine_rank_needs_five_points():
     with pytest.raises(ValueError, match="at least 5 points"):
         affine_rank(np.zeros((4, 4)))

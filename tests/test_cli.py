@@ -64,6 +64,13 @@ def test_minimal_phi_and_rhs_branches_are_usage_errors(theorem, a, signs, capsys
     assert "no phi or rhs branch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,field", [(["--c", "7", "--f0", "3"], "c"), (["--f0", "3"], "f0")])
+def test_a_minimal_case_given_c_or_f0_is_a_usage_error(flags, field, capsys):
+    """A minimal profile reads neither; a report must not record them."""
+    assert main(["verify", "--theorem", "minimal-a", "--b", "1"] + flags) == 2
+    assert f"minimal-a reads no {field}, got {field}=" in capsys.readouterr().err
+
+
 def test_verify_from_flags_passes(capsys):
     code = main(["verify", "--theorem", "quasi-a", "--a", "1", "--c", "2", "--f0", "3"])
     out = capsys.readouterr().out

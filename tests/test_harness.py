@@ -73,11 +73,14 @@ _BY_ANNOTATION = {
 
 @st.composite
 def _full_specs(draw):
-    """A CaseSpec with every field set to a valid value other than its default."""
+    """A CaseSpec with every field set to a valid value other than its default;
+    a minimal case reads neither c nor f0, so those keep their defaults there."""
     values = {}
     for f in fields(CaseSpec):
         default = f.default_factory() if callable(f.default_factory) else f.default
         values[f.name] = draw(_BY_ANNOTATION[f.type].filter(lambda v, d=default: v != d))
+    if values["theorem"].law is GoverningLaw.MINIMAL:
+        values.update(params=replace(values["params"], c=0.0), f0=None)
     return CaseSpec(**values)
 
 
@@ -95,6 +98,22 @@ def test_case_spec_rejects_unknown_fields():
     doc["surprise"] = 1
     with pytest.raises(ValueError, match="unknown CaseSpec fields"):
         CaseSpec.from_dict(doc)
+
+
+@pytest.mark.parametrize("theorem", [t for t in Theorem if t.law is GoverningLaw.MINIMAL],
+                         ids=lambda t: t.value)
+def test_a_minimal_case_refuses_c_and_f0(theorem):
+    """A minimal profile is closed-form in (a, b): a c or an f0 would be
+    recorded in the report and never read."""
+    with pytest.raises(ValueError, match=f"{theorem.value} reads no c, got c=7.0"):
+        CaseSpec(theorem, ProfileParams(b=1.0, c=7.0))
+    with pytest.raises(ValueError, match=f"{theorem.value} reads no f0, got f0=3.0"):
+        CaseSpec(theorem, ProfileParams(b=1.0), f0=3.0)
+    doc = CaseSpec(theorem, ProfileParams(b=1.0)).to_dict()
+    with pytest.raises(ValueError, match="reads no c"):
+        CaseSpec.from_dict(doc | {"params": doc["params"] | {"c": -0.5}})
+    with pytest.raises(ValueError, match="reads no f0"):
+        CaseSpec.from_dict(doc | {"f0": 1.0})
 
 
 def test_case_spec_refuses_the_negative_f_branch():
@@ -543,7 +562,7 @@ def test_verify_case_calls_the_immersion_once(spec, monkeypatch):
     monkeypatch.setattr(harness, "fundamental_forms", counting_forms)
     report = verify_case(replace(spec, nu=9, nv=7, n_probe=5))
     assert report.status == "pass"
-    assert calls == [(9, 7, 17), "fundamental_forms"]
+    assert calls == [(17, 9, 7), "fundamental_forms"]
 
 
 @pytest.mark.parametrize(

@@ -246,7 +246,7 @@ def test_fd_jet4_makes_one_call_on_17_points():
 
     us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
     jet = fd_jet4(recording, us[:, None], vs[None, :], 1e-3)
-    assert seen == [((5, 1, 17), (1, 7, 17))]
+    assert seen == [((17, 5, 1), (17, 1, 7))]
     for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
         assert getattr(jet, name).shape == (5, 7, 4), name
     assert fd_jet4(_cylinder, 50.0, 0.0).h == pytest.approx(50.0 * 1e-3)
@@ -357,14 +357,14 @@ def test_product_grid_stencil_keeps_the_input_shapes():
 
     us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
     jet = fd_jet4(recording, us[:, None], vs[None, :], 1e-3)
-    assert seen == [((5, 1, 17), (1, 7, 17))]
+    assert seen == [((17, 5, 1), (17, 1, 7))]
     for name in ("u", "v", "h"):
         assert getattr(jet, name).shape == (5, 7), name
     for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
         assert getattr(jet, name).shape == (5, 7, 4), name
     # a rank-1 v is padded to the rank of u, not broadcast
     fd_jet4(recording, us[:, None], vs, 1e-3)
-    assert seen[-1] == ((5, 1, 17), (1, 7, 17))
+    assert seen[-1] == ((17, 5, 1), (17, 1, 7))
 
 
 @pytest.mark.parametrize("h", [None, 1e-4])
@@ -380,8 +380,8 @@ def test_product_grid_jet_equals_the_broadcast_jet(h, meridian_surface):
 
 def test_jet_rejects_an_immersion_that_does_not_broadcast():
     us, vs = np.linspace(-1.0, 2.0, 5), np.linspace(-0.5, 0.5, 7)
-    # stacking u-shaped columns ignores v's shape: (5, 1, 17, 4), not (5, 7, 17, 4)
-    with pytest.raises(ValueError, match="expected \\(5, 7, 17, 4\\)"):
+    # stacking u-shaped columns ignores v's shape: (17, 5, 1, 4), not (17, 5, 7, 4)
+    with pytest.raises(ValueError, match="expected \\(17, 5, 7, 4\\)"):
         fd_jet4(lambda u, v: np.stack([u, u, u, u], axis=-1), us[:, None], vs[None, :], 1e-3)
 
 
@@ -423,7 +423,7 @@ def test_fd_jet4_of_a_field_makes_one_call_and_batches_pointwise():
 
     pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
     batched = fd_jet4(recording, pu, pv)
-    assert seen == [((3, 17), (3, 17))]
+    assert seen == [((17, 3), (17, 3))]
     for k, (u, v) in enumerate(zip(pu, pv)):
         single = fd_jet4(_field, u, v)
         for name in ("h", "z", "zu", "zv", "zuu", "zuv", "zvv"):
@@ -434,9 +434,9 @@ def test_stencil_samples_add_no_u_or_v_to_the_stencil_axes():
     """The corners of the 17-point stencil reuse the u and the v of the
     +-u and +-v arms, so a table of the arms holds them."""
     u, v = oracle.stencil_points(np.array([0.3, -1.1]), np.array([0.7, 0.2]))
-    assert u.shape == v.shape == (2, 17)
+    assert u.shape == v.shape == (17, 2)
     for axis in (u, v):
-        assert all(len(np.unique(row)) == 5 for row in axis)
+        assert all(len(np.unique(row)) == 5 for row in axis.T)
 
 
 def _field_failing_at(u0, v0, how):
@@ -457,7 +457,7 @@ def test_fd_jet4_names_the_point_whose_field_stencil_is_not_finite(k):
     # the -u arm, the (+h, +h) corner or the (+2h, +2h) corner of the second point
     pu, pv = np.array([-1.2, 0.3, 2.5]), np.array([0.4, -0.8, 0.1])
     u, v = oracle.stencil_points(pu, pv)
-    field = _field_failing_at(u[1, k], v[1, k], "nan")
+    field = _field_failing_at(u[k, 1], v[k, 1], "nan")
     with pytest.raises(DomainError, match="field returned non-finite values inside the "
                                           "stencil at \\(u=0.3, v=-0.8\\), h=0.001"):
         fd_jet4(field, pu, pv)
@@ -488,9 +488,9 @@ def test_fd_jet4_rejects_a_field_of_the_wrong_shape():
 @pytest.mark.parametrize("point", [(0.3, 0.4), (np.array([0.3]), np.array([0.4]))],
                          ids=["0-d", "1-element"])
 def test_a_one_point_stencil_leaves_the_field_values_alone(field, point):
-    """The kernel differences a copy of the samples: a field that hands back
-    an array it keeps (one point's samples, whose transpose is no copy)
-    finds it unchanged, and the jet equals that of a fresh array."""
+    """The kernel differences the samples out of place: a field that hands
+    back an array it keeps finds it unchanged, and the jet equals that of a
+    fresh array."""
     held = field(*oracle.stencil_points(*point))
     before = held.copy()
     got = fd_jet4(lambda u, v: held, *point)
@@ -498,6 +498,48 @@ def test_a_one_point_stencil_leaves_the_field_values_alone(field, point):
     assert np.array_equal(held, before)
     for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# ---------------------------------------------------------------------------
+# memory layout: the jet reads values, not strides
+# ---------------------------------------------------------------------------
+
+_LAYOUTS = {
+    "C": lambda x: np.array(x, order="C"),
+    "F": lambda x: np.array(x, order="F"),
+    "planes": lambda x: np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1),
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("which", ["immersion", "frames"])
+def test_fd_jet4_does_not_depend_on_the_fields_memory_order(which, layout, meridian_surface):
+    """The same jet, bit for bit, whether the field hands back its own array
+    (a surface's immersion writes coordinate planes) or a C-order, a
+    Fortran-order or a planar copy of it."""
+    if which == "immersion":
+        field = meridian_surface.immersion
+    else:
+        def field(u, v):
+            return np.stack(meridian_surface.frames(u, v), axis=-2)
+    us, vs = np.linspace(-0.5, 0.5, 5)[:, None], np.linspace(0.1, 1.1, 7)[None, :]
+    want = fd_jet4(field, us, vs, 1e-3)
+    got = fd_jet4(lambda u, v: _LAYOUTS[layout](field(u, v)), us, vs, 1e-3)
+    for name in ("z", "zu", "zv", "zuu", "zuv", "zvv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_a_surface_writes_each_coordinate_as_a_contiguous_plane(meridian_surface):
+    """The immersion, the frame vectors and the grid points of a surface
+    hold each coordinate of every sample in one C-contiguous plane, so the
+    FD sweep differences planes."""
+    us, vs = np.linspace(-0.5, 0.5, 5), np.linspace(0.1, 1.1, 7)
+    samples = oracle.stencil_points(us[:, None], vs[None, :], 1e-3)
+    arrays = [meridian_surface.immersion(*samples), *meridian_surface.frames(*samples),
+              meridian_surface.grid_points(us, vs), meridian_surface.immersion(0.1, 0.2)]
+    for x in arrays:
+        for k in range(4):
+            assert x[..., k].flags.c_contiguous
 
 
 def test_the_oracle_imports_only_algebra_and_errors():
