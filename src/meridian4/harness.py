@@ -1,7 +1,7 @@
 """Theorem-level verification: cases, reports, the built-in suite, samplers.
 
 A :class:`CaseSpec` names one classification statement (a theorem tag plus
-profile parameters, grids and tolerances); :func:`verify_case` builds the
+profile parameters, grids and the FD bound); :func:`verify_case` builds the
 full pipeline - directrix frame, profile, assembled surface - and certifies
 the statement against the finite-difference oracle, producing a
 :class:`VerificationReport` whose pass/fail is recomputable from its own
@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -93,7 +94,7 @@ class Theorem(enum.Enum):
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One verification case: theorem tag, parameters, grids, tolerances.
+    """One verification case: theorem tag, parameters, grids, the FD bound.
 
     ``curve_kappa`` overrides the directrix curvature (default: 0 for
     minimal cases, the parameter a otherwise) - that is how the curvature-
@@ -102,8 +103,9 @@ class CaseSpec:
     theorem-appropriate windows.  ``step`` spaces the profile nodes, which
     mark where a truncated profile ends; the checks read the profile where
     they read the surface (the directrix frame is a closed-form flow).
-    ``tol_norm2`` defaults per target size: 1e-5 absolute for
-    |target| <= 1, else 1e-4 relative.
+    ``tol_H`` bounds the FD mean curvature; the other bounds are constants.
+    A case refuses what its profile does not read: c and f0 (minimal), b
+    (quasi-minimal), and a, b and c (the negative control, f = u + 2).
 
     The field annotations are the one list of fields: :meth:`to_dict` and
     :meth:`from_dict` read them, and every ``float`` or span field must be
@@ -124,13 +126,6 @@ class CaseSpec:
     n_probe: int = 20
     seed: int = 0
     tol_H: float = 1e-5
-    tol_norm2: float | None = None
-    tol_frame: float = 1e-5
-    tol_governing: float = 1e-6
-    tol_constraint: float = 1e-8
-    tol_h12: float = 1e-9
-    tol_rank_residual: float = 1e-8
-    min_H_floor: float = 1e-3
 
     def __post_init__(self) -> None:
         # Every float or span field is finite (an infinite tolerance would
@@ -144,8 +139,6 @@ class CaseSpec:
                 raise ValueError(f"{f.name} must be finite, got {val!r}")
             if required and not val > 0.0:
                 raise ValueError(f"{f.name} must be positive")
-        if self.tol_norm2 is not None and not (self.tol_norm2 > 0.0):
-            raise ValueError("tol_norm2 must be positive when given")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.nu < 5 or self.nv < 5:
@@ -158,18 +151,17 @@ class CaseSpec:
         if self.n_probe > _MAX_SAMPLES:
             raise DomainError(f"n_probe of {self.n_probe} points exceeds the cap of "
                               f"{_MAX_SAMPLES} points")
-        # a minimal profile is closed-form in (a, b): a report must not record
-        # a first-integral constant or an initial warp it never read
-        if self.theorem.law is GoverningLaw.MINIMAL:
-            if self.params.c != 0.0:
-                raise ValueError(f"{self.theorem.value} reads no c, got c={self.params.c!r}")
-            if self.f0 is not None:
-                raise ValueError(f"{self.theorem.value} reads no f0, got f0={self.f0!r}")
-
-    def resolved_tol_norm2(self, target: float) -> float:
-        if self.tol_norm2 is not None:
-            return self.tol_norm2
-        return 1e-5 if abs(target) <= 1.0 else 1e-4 * abs(target)
+        # a report must not record a constant its profile never read: a minimal
+        # profile is closed-form in (a, b), a quasi-minimal one reads no b, and
+        # the negative control's f = u + 2 reads none of a, b and c
+        law = self.theorem.law
+        unread = "abc" if self.theorem is Theorem.NEGATIVE_CONTROL else {
+            GoverningLaw.MINIMAL: "c", GoverningLaw.QUASI_MINIMAL: "b"}.get(law, "")
+        for name in unread:
+            if (value := getattr(self.params, name)) != 0.0:
+                raise ValueError(f"{self.theorem.value} reads no {name}, got {name}={value!r}")
+        if law is GoverningLaw.MINIMAL and self.f0 is not None:
+            raise ValueError(f"{self.theorem.value} reads no f0, got f0={self.f0!r}")
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -257,13 +249,14 @@ class VerificationReport:
     alone.  ``runtime_seconds`` is the only non-deterministic field.
     """
 
+    schema = 1  # class constants, not fields: to_dict writes them
+    tool_version = __version__
+
     case: dict
     status: str
     stats: dict
     checks: list[dict]
     runtime_seconds: float
-    tool_version: str = __version__
-    schema: int = 1
 
     def to_dict(self, include_runtime: bool = True) -> dict:
         doc = {
@@ -289,15 +282,25 @@ class VerificationReport:
         return "pass" if all(c["ok"] for c in doc["checks"]) else "fail"
 
 
+# Every check bound but tol_H and max_norm2_dev_fd's, named for the check it bounds.
+MAX_FRAME_RESIDUAL = MAX_MIXED_FD = 1e-5
+MAX_GOVERNING_RESIDUAL = 1e-6
+MAX_CONSTRAINT_RESIDUAL = 1e-8
+MAX_H12_ANALYTIC = 1e-9  # max_h1_analytic and max_h2_analytic
+AFFINE_RANK_RESIDUAL = 1e-8
+MIN_H_FLOOR = 1e-3  # the quasi-minimal floors: min_H_fd_inf and min_h_pair_norm_analytic
+
+
+def _norm2_bound(target: float) -> float:
+    """``max_norm2_dev_fd``'s bound: 1e-5 for |target| <= 1, else 1e-4 |target|."""
+    return 1e-5 if abs(target) <= 1.0 else 1e-4 * abs(target)
+
+
+_COMPARISONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
 def _check(name: str, value, threshold, comparison: str) -> dict:
-    if comparison == "<=":
-        ok = value <= threshold
-    elif comparison == ">=":
-        ok = value >= threshold
-    elif comparison == "==":
-        ok = value == threshold
-    else:
-        raise ValueError(f"unknown comparison {comparison!r}")
+    ok = _COMPARISONS[comparison](value, threshold)
     return {
         "name": name,
         "value": value,
@@ -444,7 +447,6 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     surface, law, target = _build_case(spec)
     profile = surface.profile
     us, vs = _interior_grid(surface, spec)
-    tol_norm2 = spec.resolved_tol_norm2(target)
     grid = us[:, None], vs[None, :]
     scale = max(1.0, float(np.max(np.abs(us))), float(np.max(np.abs(vs))))
     h_fd = spec.fd_step * scale
@@ -513,25 +515,25 @@ def verify_case(spec: CaseSpec) -> VerificationReport:
     }
 
     checks = [
-        _check("max_norm2_dev_fd", stats["max_norm2_dev_fd"], tol_norm2, "<="),
+        _check("max_norm2_dev_fd", stats["max_norm2_dev_fd"], _norm2_bound(target), "<="),
         _check("max_H_vector_dev_fd", max_H_vector_dev, spec.tol_H, "<="),
-        _check("max_governing_residual", res.max_governing, spec.tol_governing, "<="),
-        _check("max_constraint_residual", res.max_constraint, spec.tol_constraint, "<="),
-        _check("max_frame_residual", max_frame, spec.tol_frame, "<="),
-        _check("max_mixed_fd", max_mixed, spec.tol_frame, "<="),
+        _check("max_governing_residual", res.max_governing, MAX_GOVERNING_RESIDUAL, "<="),
+        _check("max_constraint_residual", res.max_constraint, MAX_CONSTRAINT_RESIDUAL, "<="),
+        _check("max_frame_residual", max_frame, MAX_FRAME_RESIDUAL, "<="),
+        _check("max_mixed_fd", max_mixed, MAX_MIXED_FD, "<="),
     ]
     if law is GoverningLaw.MINIMAL:
         checks += [
             _check("max_H_fd_inf", max_H_inf, spec.tol_H, "<="),
-            _check("max_h1_analytic", max_h1, spec.tol_h12, "<="),
-            _check("max_h2_analytic", max_h2, spec.tol_h12, "<="),
+            _check("max_h1_analytic", max_h1, MAX_H12_ANALYTIC, "<="),
+            _check("max_h2_analytic", max_h2, MAX_H12_ANALYTIC, "<="),
             _check("affine_rank", rank, 3, "=="),
-            _check("affine_rank_residual", rank_res, spec.tol_rank_residual, "<="),
+            _check("affine_rank_residual", rank_res, AFFINE_RANK_RESIDUAL, "<="),
         ]
     elif law is GoverningLaw.QUASI_MINIMAL:
         checks += [
-            _check("min_H_fd_inf", stats["min_H_fd_inf"], spec.min_H_floor, ">="),
-            _check("min_h_pair_norm_analytic", min_h_pair, spec.min_H_floor, ">="),
+            _check("min_H_fd_inf", stats["min_H_fd_inf"], MIN_H_FLOOR, ">="),
+            _check("min_h_pair_norm_analytic", min_h_pair, MIN_H_FLOOR, ">="),
         ]
     else:
         if spec.params.c < 0.0:

@@ -78,32 +78,27 @@ _LAW_FOR_PROVENANCE = {
 
 @dataclass(frozen=True)
 class BranchSigns:
-    """The four independent sign choices of the profile constructions.
+    """The sign choices of the profile constructions.
 
-    f : sign of the warp factor branch.  Only +1 is admissible: the -1
-        branch violates f > 0 and gives a surface congruent via l -> -l,
-        so it is a :class:`DomainError` for every profile law.
+    Their string form reads f, g, phi, rhs, where f, the warp factor's sign,
+    must be +: the - branch violates f > 0 and gives a surface congruent via
+    l -> -l, so it is a :class:`DomainError` for every profile law.
+
     g : sign of g' (the meridian's second component can run either way).
     phi : sign of phi = f' for the reduced first-order ODE.
     rhs : the +- on the right-hand side of the reduced linear ODE
         (equivalently, the sign split in the quasi-minimal / CMC theorems).
     """
 
-    f: int = 1
     g: int = 1
     phi: int = 1
     rhs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("f", "g", "phi", "rhs"):
+        for name in ("g", "phi", "rhs"):
             val = getattr(self, name)
             if val not in (1, -1):
                 raise ValueError(f"branch sign {name!r} must be +1 or -1, got {val!r}")
-        if self.f < 0:
-            raise DomainError(
-                "the f < 0 branch violates the positive-warp invariant; it yields a "
-                "congruent surface via l -> -l combined with the g sign flip"
-            )
 
     @classmethod
     def from_string(cls, text: str) -> "BranchSigns":
@@ -116,12 +111,14 @@ class BranchSigns:
             raise ValueError(
                 f"branch signs must be 1-4 characters of '+'/'-', got {text!r}"
             )
-        padded = text + "+" * (4 - len(text))
-        vals = [1 if ch == "+" else -1 for ch in padded]
-        return cls(f=vals[0], g=vals[1], phi=vals[2], rhs=vals[3])
+        if text[0] == "-":
+            raise DomainError("the f < 0 branch violates the positive-warp invariant; it yields "
+                              "a congruent surface via l -> -l combined with the g sign flip")
+        g, phi, rhs = (1 if ch == "+" else -1 for ch in text[1:].ljust(3, "+"))
+        return cls(g=g, phi=phi, rhs=rhs)
 
     def as_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in (self.f, self.g, self.phi, self.rhs))
+        return "+" + "".join("+" if s > 0 else "-" for s in (self.g, self.phi, self.rhs))
 
 
 @dataclass(frozen=True)

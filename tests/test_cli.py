@@ -71,6 +71,21 @@ def test_a_minimal_case_given_c_or_f0_is_a_usage_error(flags, field, capsys):
     assert f"minimal-a reads no {field}, got {field}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theorem", ["quasi-a", "quasi-b", "quasi-c"])
+def test_a_quasi_minimal_case_given_b_is_a_usage_error(theorem, capsys):
+    """No quasi-minimal profile reads b; a report must not record it."""
+    assert main(["verify", "--theorem", theorem, "--a", "1.2", "--c", "1", "--f0", "2",
+                 "--b", "5"]) == 2
+    assert f"{theorem} reads no b, got b=5.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["a", "b"])
+def test_the_negative_control_given_a_or_b_is_a_usage_error(flag, capsys):
+    """Its profile f = u + 2 reads neither."""
+    assert main(["verify", "--theorem", "negative-control", f"--{flag}", "1"]) == 2
+    assert f"negative-control reads no {flag}, got {flag}=1.0" in capsys.readouterr().err
+
+
 def test_verify_from_flags_passes(capsys):
     code = main(["verify", "--theorem", "quasi-a", "--a", "1", "--c", "2", "--f0", "3"])
     out = capsys.readouterr().out
@@ -174,6 +189,17 @@ def test_verify_malformed_case_file_exits_2(tmp_path, capsys, doc, field):
     case_path.write_text(json.dumps(doc))
     assert main(["verify", str(case_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["tol_norm2", "tol_frame", "tol_governing", "tol_constraint",
+                                   "tol_h12", "tol_rank_residual", "min_H_floor"])
+def test_a_case_file_naming_a_fixed_bound_exits_2(tmp_path, capsys, field):
+    """These bounds are constants, not CaseSpec fields: a case file that sets
+    one is refused by name rather than read and ignored."""
+    case_path = tmp_path / "case.json"
+    case_path.write_text(json.dumps({"theorem": "minimal-a", "params": {"b": 1.0}, field: 1e-5}))
+    assert main(["verify", str(case_path)]) == 2
+    assert f"unknown CaseSpec fields: ['{field}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

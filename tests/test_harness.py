@@ -64,7 +64,7 @@ _BY_ANNOTATION = {
     "ProfileParams": st.builds(
         ProfileParams,
         **dict.fromkeys(("a", "b", "c", "c0"), _finite.filter(bool)),
-        branch=st.builds(BranchSigns, st.just(1), *[st.sampled_from([1, -1])] * 3).filter(
+        branch=st.builds(BranchSigns, *[st.sampled_from([1, -1])] * 3).filter(
             lambda signs: signs != BranchSigns()
         ),
     ),
@@ -74,13 +74,20 @@ _BY_ANNOTATION = {
 @st.composite
 def _full_specs(draw):
     """A CaseSpec with every field set to a valid value other than its default;
-    a minimal case reads neither c nor f0, so those keep their defaults there."""
+    the fields a case's profile does not read keep their defaults: c and f0
+    under the minimal law, b under the quasi-minimal law, and a, b and c for
+    the negative control."""
     values = {}
     for f in fields(CaseSpec):
         default = f.default_factory() if callable(f.default_factory) else f.default
         values[f.name] = draw(_BY_ANNOTATION[f.type].filter(lambda v, d=default: v != d))
-    if values["theorem"].law is GoverningLaw.MINIMAL:
+    theorem = values["theorem"]
+    if theorem.law is GoverningLaw.MINIMAL:
         values.update(params=replace(values["params"], c=0.0), f0=None)
+    if theorem.law is GoverningLaw.QUASI_MINIMAL:
+        values.update(params=replace(values["params"], b=0.0))
+    if theorem is Theorem.NEGATIVE_CONTROL:
+        values.update(params=replace(values["params"], a=0.0, b=0.0))
     return CaseSpec(**values)
 
 
@@ -106,14 +113,35 @@ def test_a_minimal_case_refuses_c_and_f0(theorem):
     """A minimal profile is closed-form in (a, b): a c or an f0 would be
     recorded in the report and never read."""
     with pytest.raises(ValueError, match=f"{theorem.value} reads no c, got c=7.0"):
-        CaseSpec(theorem, ProfileParams(b=1.0, c=7.0))
+        CaseSpec(theorem, ProfileParams(c=7.0))
     with pytest.raises(ValueError, match=f"{theorem.value} reads no f0, got f0=3.0"):
-        CaseSpec(theorem, ProfileParams(b=1.0), f0=3.0)
-    doc = CaseSpec(theorem, ProfileParams(b=1.0)).to_dict()
+        CaseSpec(theorem, f0=3.0)
+    doc = CaseSpec(theorem).to_dict()
     with pytest.raises(ValueError, match="reads no c"):
         CaseSpec.from_dict(doc | {"params": doc["params"] | {"c": -0.5}})
     with pytest.raises(ValueError, match="reads no f0"):
         CaseSpec.from_dict(doc | {"f0": 1.0})
+
+
+@pytest.mark.parametrize("theorem", [t for t in Theorem if t.law is GoverningLaw.QUASI_MINIMAL],
+                         ids=lambda t: t.value)
+def test_a_quasi_minimal_case_refuses_b(theorem):
+    """The quasi-minimal first integral reads a and c: a b would be recorded
+    in the report and never read."""
+    with pytest.raises(ValueError, match=f"^{theorem.value} reads no b, got b=5.0$"):
+        CaseSpec(theorem, ProfileParams(a=1.2, b=5.0, c=1.0), f0=2.0)
+    doc = CaseSpec(theorem, ProfileParams(a=1.2, c=1.0), f0=2.0).to_dict()
+    with pytest.raises(ValueError, match="reads no b, got b=-0.5"):
+        CaseSpec.from_dict(doc | {"params": doc["params"] | {"b": -0.5}})
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_the_negative_control_refuses_a_and_b(name):
+    """Its profile f = u + 2 reads no constant, and its directrix curvature
+    defaults to 0, not to a."""
+    with pytest.raises(ValueError, match=f"^negative-control reads no {name}, got {name}=1.5$"):
+        CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(**{name: 1.5}))
+    assert CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(c0=0.25)).params.c0 == 0.25
 
 
 def test_case_spec_refuses_the_negative_f_branch():
@@ -128,8 +156,6 @@ def test_case_spec_validation():
         CaseSpec(Theorem.MINIMAL_A, nu=3)
     with pytest.raises(ValueError, match="must be positive"):
         CaseSpec(Theorem.MINIMAL_A, step=-1.0)
-    with pytest.raises(ValueError, match="tol_norm2"):
-        CaseSpec(Theorem.MINIMAL_A, tol_norm2=0.0)
 
 
 def test_sample_counts_are_capped():
@@ -151,7 +177,6 @@ def test_sample_counts_are_capped():
         ("u_span", lambda x: {"u_span": (0.0, x)}),
         ("v_span", lambda x: {"v_span": (x, 1.0)}),
         ("fd_step", lambda x: {"fd_step": x}),
-        ("tol_norm2", lambda x: {"tol_norm2": x}),
         ("tol_H", lambda x: {"tol_H": x}),
     ],
 )
@@ -161,11 +186,10 @@ def test_case_spec_rejects_non_finite_values(field, make, bad):
 
 
 def test_tol_norm2_resolution_rule():
-    spec = CaseSpec(Theorem.CMC_A, ProfileParams(a=2.0, c=2.0), f0=1.0)
-    assert spec.resolved_tol_norm2(0.5) == 1e-5
-    assert spec.resolved_tol_norm2(2.0) == pytest.approx(2e-4)
-    pinned = CaseSpec(Theorem.CMC_A, ProfileParams(a=2.0, c=2.0), f0=1.0, tol_norm2=1e-3)
-    assert pinned.resolved_tol_norm2(2.0) == 1e-3
+    """max_norm2_dev_fd's bound: 1e-5 absolute up to |target| = 1, then 1e-4 relative."""
+    assert [harness._norm2_bound(t) for t in (0.0, 0.5, -1.0)] == [1e-5] * 3
+    assert harness._norm2_bound(2.0) == pytest.approx(2e-4)
+    assert harness._norm2_bound(-4.0) == pytest.approx(4e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +221,14 @@ def test_report_status_is_recomputable(minimal_report):
     tampered["checks"] = [dict(c) for c in doc["checks"]]
     tampered["checks"][0]["ok"] = False
     assert VerificationReport.recompute_status(tampered) == "fail"
+
+
+def test_a_report_carries_five_fields_and_its_schema_and_version_as_constants(minimal_report):
+    assert [f.name for f in fields(VerificationReport)] == [
+        "case", "status", "stats", "checks", "runtime_seconds"]
+    doc = minimal_report.to_dict()
+    assert list(doc)[:2] == ["schema", "tool_version"]
+    assert (doc["schema"], doc["tool_version"]) == (1, harness.__version__)
 
 
 def test_report_json_is_deterministic():
@@ -721,3 +753,40 @@ def test_draws_dense_specs_equal_the_committed_fixture(seed):
     specs = [sample_case(t, rng, c=c, nu=41, nv=41).to_dict() for t, c in draws]
     expected = json.loads(_DRAWS_DENSE_SPECS.read_text())[str(seed)]
     assert json.loads(json.dumps(specs)) == expected
+
+
+# Each check's bound as recorded before the bounds became module constants;
+# max_norm2_dev_fd's follows its target: 1e-5 for |target| <= 1, else 1e-4 |target|.
+_RECORDED_BOUNDS = {
+    "max_H_vector_dev_fd": 1e-5, "max_H_fd_inf": 1e-5,
+    "max_governing_residual": 1e-6, "max_constraint_residual": 1e-8,
+    "max_frame_residual": 1e-5, "max_mixed_fd": 1e-5,
+    "max_h1_analytic": 1e-9, "max_h2_analytic": 1e-9,
+    "affine_rank": 3, "affine_rank_residual": 1e-8,
+    "min_H_fd_inf": 1e-3, "min_h_pair_norm_analytic": 1e-3,
+    "H_causal_character": "timelike",
+    "anti_isometry_dev": 0.0, "transform_order_dev": 0.0, "max_tilde_grid_dev": 1e-10,
+    "max_norm2_flip_dev": 1e-6, "tangent_causal_flip": 1.0,
+}
+
+
+def test_every_check_keeps_its_recorded_bound():
+    """The 13 suite reports and the 12 draws of the fixture's seed 1 record
+    each check's threshold at the value reports carried while the bounds
+    were CaseSpec fields: a changed bound constant fails here."""
+    specs = _suite_cases() + [CaseSpec.from_dict(d)
+                              for d in json.loads(_DRAWS_DENSE_SPECS.read_text())["1"]]
+    seen = set()
+    for spec in specs:
+        report = verify_case(spec)
+        for check in report.checks:
+            name = check["name"]
+            if name == "max_norm2_dev_fd":
+                target = abs(report.stats["target_norm2"])
+                want = 1e-5 if target <= 1.0 else 1e-4 * target
+            else:
+                want = _RECORDED_BOUNDS[name]
+            assert (check["threshold"], type(check["threshold"])) == (want, type(want)), \
+                (spec.theorem.value, name)
+            seen.add(name)
+    assert seen == {"max_norm2_dev_fd", *_RECORDED_BOUNDS}

@@ -45,7 +45,7 @@ QM, CMC = GoverningLaw.QUASI_MINIMAL, GoverningLaw.CMC
 
 def test_branch_signs_parse_round_trip():
     bs = BranchSigns.from_string("+-+-")
-    assert (bs.f, bs.g, bs.phi, bs.rhs) == (1, -1, 1, -1)
+    assert (bs.g, bs.phi, bs.rhs) == (-1, 1, -1)
     assert bs.as_string() == "+-+-"
     # short strings pad with '+'
     assert BranchSigns.from_string("+-").as_string() == "+-++"
@@ -125,8 +125,12 @@ def test_minimal_window_must_avoid_radicand_zero():
 
 
 def test_negative_f_branch_rejected():
-    with pytest.raises(DomainError, match="positive-warp"):
-        BranchSigns(f=-1)
+    """The f sign is only a string position: '-' there is refused, and a
+    BranchSigns holds g, phi and rhs alone."""
+    for text in ("-", "-+++", "--+-"):
+        with pytest.raises(DomainError, match="positive-warp"):
+            BranchSigns.from_string(text)
+    assert [f.name for f in dataclasses.fields(BranchSigns)] == ["g", "phi", "rhs"]
 
 
 @pytest.mark.parametrize("branch", [BranchSigns(phi=-1), BranchSigns(rhs=-1),
