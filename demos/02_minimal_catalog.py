@@ -21,7 +21,6 @@ from meridian4 import (
     affine_rank,
     mean_curvature_fd,
     minimal_profile,
-    standard_initial_frame,
 )
 
 # (params, u window) chosen so every family is admissible
@@ -38,9 +37,8 @@ def main():
         profile = minimal_profile(family, params, u_span, step=1e-3)
         # minimality needs both curvature coefficients to vanish: the profile
         # kills h2, and a geodesic directrix (kappa = 0) kills h1
-        cf = family.curve_family
-        curve = FrameField(cf, 0.0, standard_initial_frame(cf), (0.0, 1.2))
-        surface = MeridianSurface(family, curve, profile)
+        curve = FrameField(family.curve_family, 0.0, (0.0, 1.2))
+        surface = MeridianSurface(curve, profile)
 
         print(f"== {family.value} ==")
         f, fp, fpp, _, _ = profile.evaluate(profile.us)
@@ -71,9 +69,8 @@ def main():
         (1e-3, 12.0),
     )
     profile = integrate_profile(phi, f0=2.0, u_span=(0.0, 0.8), step=1e-3)
-    cf = MeridianFamily.FIRST_TIMELIKE.curve_family
-    curve = FrameField(cf, 1.2, standard_initial_frame(cf), (0.0, 1.2))
-    surface = MeridianSurface(MeridianFamily.FIRST_TIMELIKE, curve, profile)
+    curve = FrameField(MeridianFamily.FIRST_TIMELIKE.curve_family, 1.2, (0.0, 1.2))
+    surface = MeridianSurface(curve, profile)
     cloud = surface.grid_points(
         np.linspace(0.05, 0.75, 15), np.linspace(0.0, 1.2, 15)
     ).reshape(-1, 4)

@@ -27,7 +27,6 @@ from meridian4 import (
     integrate_profile,
     mean_curvature_fd,
     phi_closed_form,
-    standard_initial_frame,
 )
 
 
@@ -36,9 +35,8 @@ def build(family, params, f0, u_span):
     profile = integrate_profile(phi, f0=f0, u_span=u_span, step=1e-3)
     # the reduced law only describes surfaces whose directrix has constant
     # spherical curvature equal to the integration constant a
-    cf = family.curve_family
-    curve = FrameField(cf, params.a, standard_initial_frame(cf), (0.0, 1.0))
-    return MeridianSurface(family, curve, profile)
+    curve = FrameField(family.curve_family, params.a, (0.0, 1.0))
+    return MeridianSurface(curve, profile)
 
 
 def certify(surface, c, n=7):

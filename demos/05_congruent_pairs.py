@@ -19,13 +19,11 @@ from meridian4 import (
     MeridianFamily,
     MeridianSurface,
     ProfileParams,
-    TildeKind,
+    TildeSurface,
     inner,
     integrate_profile,
     mean_curvature_fd,
     phi_closed_form,
-    standard_initial_frame,
-    tilde_surface,
     transform_T,
 )
 
@@ -45,13 +43,11 @@ def main():
     params = ProfileParams(a=1.5, b=-0.5, c=0.5, branch=BranchSigns(rhs=-1))
     phi = phi_closed_form(GoverningLaw.CMC, family, params, (1e-3, 12.0))
     profile = integrate_profile(phi, f0=0.8, u_span=(0.0, 0.3), step=1e-3)
-    cf = family.curve_family
-    curve = FrameField(cf, params.a, standard_initial_frame(cf), (0.0, 1.0))
-    surface = MeridianSurface(family, curve, profile)
+    curve = FrameField(family.curve_family, params.a, (0.0, 1.0))
+    surface = MeridianSurface(curve, profile)
 
-    kind = TildeKind.PRIME
-    til = tilde_surface(kind, surface)
-    print(f"== {family.value} -> {kind.value} ==")
+    til = TildeSurface(surface)
+    print(f"== {family.value} -> {til.kind.value} ==")
 
     us = np.linspace(0.02, 0.28, 9)
     vs = np.linspace(0.05, 0.95, 9)

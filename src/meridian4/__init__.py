@@ -70,7 +70,6 @@ from .surfaces import (
     MeridianSurface,
     TildeKind,
     TildeSurface,
-    tilde_surface,
     transform_T,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "transform_T",
     "TildeKind",
     "TildeSurface",
-    "tilde_surface",
     # oracle
     "Jet2",
     "fd_jet4",

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from .export import export_mesh
-from .families import MeridianFamily
 from .harness import (
     CaseSpec,
     Theorem,
@@ -40,18 +39,9 @@ from .harness import (
     suite_to_dict,
     verify_case,
 )
-from .profiles import BranchSigns, GoverningLaw, ProfileParams
+from .profiles import BranchSigns, ProfileParams
 
 __all__ = ["main", "build_parser"]
-
-_FAMILY_ALIASES = {
-    "ma": MeridianFamily.FIRST_TIMELIKE,
-    "mb": MeridianFamily.FIRST_SPACELIKE,
-    "mpp": MeridianFamily.SECOND,
-    "first-timelike": MeridianFamily.FIRST_TIMELIKE,
-    "first-spacelike": MeridianFamily.FIRST_SPACELIKE,
-    "second": MeridianFamily.SECOND,
-}
 
 # the ProfileParams constants and f0; sweep takes a list of each
 _VALUE_FLAGS = {
@@ -62,16 +52,8 @@ _VALUE_FLAGS = {
     "f0": "initial warp value f(u_min) for ODE-built profiles",
 }
 
-# the minimal theorem of each family
-_DEFAULT_THEOREM = {
-    t.family: t
-    for t in Theorem
-    if t.law is GoverningLaw.MINIMAL and t is not Theorem.NEGATIVE_CONTROL
-}
-
-
 # the case flags; a case file replaces them all
-_CASE_FLAGS = ("family", "theorem", *_VALUE_FLAGS, "u-min", "u-max", "v-min", "v-max",
+_CASE_FLAGS = ("theorem", *_VALUE_FLAGS, "u-min", "u-max", "v-min", "v-max",
                "branch-signs")
 
 # each subcommand's help and the flag groups (``_<group>_flags``) it reads
@@ -104,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _case_flags(group, command: str) -> None:
     nargs = "+" if command == "sweep" else None
-    group.add_argument("--family", choices=sorted(_FAMILY_ALIASES),
-                       help="surface family (ma/mb/mpp or long name)")
     group.add_argument("--theorem", choices=[t.value for t in Theorem],
                        help="which statement the case instantiates")
     for pname, doc in _VALUE_FLAGS.items():
@@ -139,18 +119,9 @@ def _output_flags(group, command: str) -> None:
 
 
 def _resolve_theorem(args, parser) -> Theorem:
-    family = _FAMILY_ALIASES[args.family] if args.family else None
-    theorem = Theorem(args.theorem) if args.theorem else None
-    if theorem is None:
-        if family is None:
-            parser.error("one of --theorem or --family is required")
-        theorem = _DEFAULT_THEOREM[family]
-    elif family is not None and theorem.family is not None and theorem.family is not family:
-        parser.error(
-            f"--family {args.family} does not match --theorem {theorem.value} "
-            f"(expects {theorem.family.value})"
-        )
-    return theorem
+    if args.theorem is None:
+        parser.error("--theorem is required")
+    return Theorem(args.theorem)
 
 
 def _span(parser, lo, hi, name) -> tuple[float, float] | None:

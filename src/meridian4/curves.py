@@ -27,21 +27,22 @@ spacelike on H^2_1     l' = t,  t' =  kappa n + l,  n' = -kappa t  (-1, +1, +1)
 The curvature is a constant: h1 = alpha kappa / 2f is the only coefficient
 of H that depends on v, and <H, H> is constant on every classified surface.
 A :class:`FrameField` is that flow: :meth:`FrameField.frame_at` writes the
-frame at any v in closed form as exp((v - v0) B) S0.  The flow is in the
-frame group, so the Gram matrix is kept up to roundoff with no
-re-orthonormalization, and nothing is sampled or stepped.
+frame at any v in closed form as exp((v - v0) B) S0, with S0 the family's
+:func:`standard_initial_frame`.  The flow is in the frame group, so the Gram
+matrix is kept up to roundoff with no re-orthonormalization, and nothing is
+sampled or stepped.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # orthonormalize is unused here, but perfbench/tracing.py patches it on this module.
-from .algebra import SIG3_PPM, orthonormality_deviation, orthonormalize  # noqa: F401
+from .algebra import orthonormalize  # noqa: F401
 from .errors import DomainError
 
 __all__ = [
@@ -194,14 +195,14 @@ def standard_initial_frame(family: CurveFamily) -> np.ndarray:
 class FrameField:
     """The Frenet frame field of constant curvature ``kappa`` over ``v_span``.
 
-    ``frame0`` holds the rows (l, t, n) at v0 = ``v_span[0]``, and
-    :meth:`frame_at` evaluates the exact flow exp((v - v0) B(kappa)) frame0.
+    ``frame0`` is the family's :func:`standard_initial_frame`, the rows
+    (l, t, n) at v0 = ``v_span[0]``, and :meth:`frame_at` evaluates the exact
+    flow exp((v - v0) B(kappa)) frame0.
 
     Raises
     ------
     ValueError
-        If kappa is not finite, ``frame0`` violates the family Gram matrix by
-        more than 1e-10, or the span is not finite and increasing.
+        If kappa is not finite or the span is not finite and increasing.
     DomainError
         If kappa^2 overflows (kappa is named) or the frame is not finite at
         v1.  The flow's coefficients grow monotonically in |v - v0|, so the
@@ -210,21 +211,15 @@ class FrameField:
 
     family: CurveFamily
     kappa: float
-    frame0: np.ndarray
     v_span: tuple[float, float]
+    frame0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         k = float(self.kappa)
         if not math.isfinite(k):
             raise ValueError(f"kappa must be finite, got {k}")
         self.kappa = k
-        self.frame0 = np.asarray(self.frame0, dtype=float)
-        dev = orthonormality_deviation(self.frame0, self.family.frame_signs, SIG3_PPM)
-        if not dev <= 1e-10:
-            raise ValueError(
-                f"initial frame violates the {self.family.value} Gram matrix "
-                f"(deviation {dev:.3e} > 1e-10)"
-            )
+        self.frame0 = standard_initial_frame(self.family)
         v0, v1 = float(self.v_span[0]), float(self.v_span[1])
         if not (math.isfinite(v0) and math.isfinite(v1) and v1 > v0):
             raise ValueError(f"v_span must be finite and increasing (v1 > v0), got {self.v_span}")

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .algebra import (_CHARACTERS, SIG4, CausalCharacter, _causal_codes, affine_rank,
                       causal_character, gram_matrix)
-from .curves import FrameField, standard_initial_frame
+from .curves import FrameField
 from .errors import DomainError
 from .families import MeridianFamily
 from .oracle import fd_jet4, fundamental_forms, stencil_points
@@ -40,13 +40,7 @@ from .profiles import (
     profile_from_callable,
     profile_residuals,
 )
-from .surfaces import (
-    TRANSFORM_T,
-    MeridianSurface,
-    TildeKind,
-    tilde_surface,
-    transform_T,
-)
+from .surfaces import TRANSFORM_T, MeridianSurface, TildeKind, TildeSurface, transform_T
 
 __all__ = [
     "Theorem",
@@ -104,8 +98,10 @@ class CaseSpec:
     mark where a truncated profile ends; the checks read the profile where
     they read the surface (the directrix frame is a closed-form flow).
     ``tol_H`` bounds the FD mean curvature; the other bounds are constants.
-    A case refuses what its profile does not read: c and f0 (minimal), b
-    (quasi-minimal), and a, b and c (the negative control, f = u + 2).
+    A case refuses what it does not read: c and f0 (minimal), b
+    (quasi-minimal), a, b, c and the phi and rhs signs (the negative control,
+    f = u + 2), and params, f0, curve_kappa and the spans (the congruence,
+    whose three sources are fixed).
 
     The field annotations are the one list of fields: :meth:`to_dict` and
     :meth:`from_dict` read them, and every ``float`` or span field must be
@@ -151,17 +147,21 @@ class CaseSpec:
         if self.n_probe > _MAX_SAMPLES:
             raise DomainError(f"n_probe of {self.n_probe} points exceeds the cap of "
                               f"{_MAX_SAMPLES} points")
-        # a report must not record a constant its profile never read: a minimal
-        # profile is closed-form in (a, b), a quasi-minimal one reads no b, and
-        # the negative control's f = u + 2 reads none of a, b and c
-        law = self.theorem.law
-        unread = "abc" if self.theorem is Theorem.NEGATIVE_CONTROL else {
-            GoverningLaw.MINIMAL: "c", GoverningLaw.QUASI_MINIMAL: "b"}.get(law, "")
-        for name in unread:
-            if (value := getattr(self.params, name)) != 0.0:
-                raise ValueError(f"{self.theorem.value} reads no {name}, got {name}={value!r}")
-        if law is GoverningLaw.MINIMAL and self.f0 is not None:
-            raise ValueError(f"{self.theorem.value} reads no f0, got f0={self.f0!r}")
+        # a report must not record a value its case never read: a minimal
+        # profile is closed-form in (a, b), a quasi-minimal one reads no b, the
+        # negative control's f = u + 2 reads no a or b either, nor the phi and
+        # rhs signs, and the congruence case builds three fixed sources
+        thm, p = self.theorem, self.params
+        unread = {GoverningLaw.MINIMAL: {"c": p.c, "f0": self.f0},
+                  GoverningLaw.QUASI_MINIMAL: {"b": p.b}}.get(thm.law, {})
+        if thm is Theorem.NEGATIVE_CONTROL:
+            unread |= {"a": p.a, "b": p.b, "phi": p.branch.phi, "rhs": p.branch.rhs}
+        elif thm is Theorem.CONGRUENCE_TILDE:
+            unread = {"params": p, "f0": self.f0, "curve_kappa": self.curve_kappa,
+                      "u_span": self.u_span, "v_span": self.v_span}
+        for name, value in unread.items():
+            if value != _UNREAD_DEFAULTS.get(name):
+                raise ValueError(f"{thm.value} reads no {name}, got {name}={value!r}")
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -201,6 +201,10 @@ class CaseSpec:
         for key, value in data.items():
             data[key] = _check_json_field(key, value, fields[key].type)
         return cls(theorem=theorem, params=params, **data)
+
+
+# the defaults of the values a case may leave unread; every other one is None
+_UNREAD_DEFAULTS = {"a": 0.0, "b": 0.0, "c": 0.0, "phi": 1, "rhs": 1, "params": ProfileParams()}
 
 
 def _check_json_field(name: str, value, annotation: str):
@@ -361,9 +365,8 @@ def _build_case(spec: CaseSpec):
     if kappa is None:
         kappa = 0.0 if law is GoverningLaw.MINIMAL else params.a
     v_span = spec.v_span if spec.v_span is not None else _default_v_span(family, kappa)
-    cf = family.curve_family
     # the standard frame, placed at the start of the case's own v-window
-    curve = FrameField(cf, kappa, standard_initial_frame(cf), v_span)
+    curve = FrameField(family.curve_family, kappa, v_span)
 
     if thm is Theorem.NEGATIVE_CONTROL:
         u_span = spec.u_span if spec.u_span is not None else (0.0, 2.0)
@@ -387,7 +390,7 @@ def _build_case(spec: CaseSpec):
         phi = phi_closed_form(law, family, params, window)
         profile = integrate_profile(phi, spec.f0, u_span, spec.step)
 
-    surface = MeridianSurface(family, curve, profile)
+    surface = MeridianSurface(curve, profile)
     target = params.c if law is GoverningLaw.CMC else 0.0
     return surface, law, target
 
@@ -567,7 +570,8 @@ def _uniform_character(characters: set[CausalCharacter]) -> str | None:
 
 
 def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]:
-    """Three small generic surfaces, one per family (not special cases)."""
+    """Three small surfaces, one per family: minimal profiles (h2 = 0) over curved
+    directrices, so h1 = alpha kappa / 2f and <H, H> are nonzero, with no h2 term."""
     recipes = {
         MeridianFamily.FIRST_TIMELIKE: (
             ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 0.4, (0.0, 1.2)
@@ -581,10 +585,9 @@ def _congruence_sources(spec: CaseSpec) -> dict[MeridianFamily, MeridianSurface]
     }
     out = {}
     for family, (params, u_span, kappa, v_span) in recipes.items():
-        cf = family.curve_family
-        curve = FrameField(cf, kappa, standard_initial_frame(cf), v_span)
+        curve = FrameField(family.curve_family, kappa, v_span)
         profile = minimal_profile(family, params, u_span, step=spec.step)
-        out[family] = MeridianSurface(family, curve, profile)
+        out[family] = MeridianSurface(curve, profile)
     return out
 
 
@@ -607,7 +610,7 @@ def _verify_congruence(spec: CaseSpec, t0: float) -> VerificationReport:
     flips_ok = True
     for kind in TildeKind:
         src = sources[kind.source_family]
-        til = tilde_surface(kind, src)
+        til = TildeSurface(src)
         (u0, u1), (v0, v1) = src.u_span, src.v_span
         us = np.linspace(u0, u1, spec.nu)
         vs = np.linspace(v0, v1, spec.nv)

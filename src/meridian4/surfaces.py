@@ -35,7 +35,6 @@ __all__ = [
     "transform_T",
     "TildeKind",
     "TildeSurface",
-    "tilde_surface",
 ]
 
 
@@ -80,19 +79,10 @@ class MeanCurvatureDecomp:
 
 
 class MeridianSurface:
-    """An assembled meridian surface with analytic evaluation methods."""
+    """An assembled meridian surface, of its profile's family, with analytic evaluation methods."""
 
-    def __init__(
-        self,
-        family: MeridianFamily,
-        curve: FrameField,
-        profile: MeridianProfile,
-    ) -> None:
-        if profile.family is not family:
-            raise ValueError(
-                f"profile was built for family {profile.family.value!r}, "
-                f"cannot assemble a {family.value!r} surface"
-            )
+    def __init__(self, curve: FrameField, profile: MeridianProfile) -> None:
+        family = profile.family
         if curve.family is not family.curve_family:
             raise ValueError(
                 f"a {family.value!r} surface needs a {family.curve_family.value!r} "
@@ -313,15 +303,20 @@ class TildeKind(enum.Enum):
 
 @dataclass(eq=False)
 class TildeSurface:
-    """The T-image of a meridian surface.
+    """The T-image of a meridian surface; its :attr:`kind` follows from the
+    source's family.
 
     Evaluation is on demand: points are the transform of the source
     immersion, z~(u, v) = T z(u, v) = g(u) e1 + f(u) ltilde(v), where
     ltilde is the source directrix pushed to the tilde carrier chart.
     """
 
-    kind: TildeKind
     source: MeridianSurface
+
+    @property
+    def kind(self) -> TildeKind:
+        """The kind whose :attr:`TildeKind.source_family` is the source's family."""
+        return next(k for k in TildeKind if k.source_family is self.source.family)
 
     def immersion(self, u, v) -> np.ndarray:
         return transform_T(self.source.immersion(u, v))
@@ -344,13 +339,3 @@ class TildeSurface:
         out = f[..., None] * chart(self.kind.carrier, w1, w2)
         out[..., 0] += g
         return out
-
-
-def tilde_surface(kind: TildeKind, source: MeridianSurface) -> TildeSurface:
-    """Wrap the T-image of ``source``, checking the family/kind pairing."""
-    if source.family is not kind.source_family:
-        raise ValueError(
-            f"{kind.value!r} is the image of {kind.source_family.value!r} surfaces, "
-            f"got a {source.family.value!r} source"
-        )
-    return TildeSurface(kind=kind, source=source)

@@ -24,6 +24,7 @@ from meridian4 import (
     ProfileParams,
     Theorem,
     TildeKind,
+    TildeSurface,
     fd_jet4,
     frame_equation_residuals,
     fundamental_forms,
@@ -32,8 +33,6 @@ from meridian4 import (
     minimal_profile,
     phi_closed_form,
     sample_case,
-    standard_initial_frame,
-    tilde_surface,
     transform_T,
     verify_case,
 )
@@ -224,10 +223,9 @@ def _generic_surface(family):
         MeridianFamily.SECOND: (ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), 0.5),
     }
     params, u_span, kappa = recipes[family]
-    cf = family.curve_family
-    curve = FrameField(cf, kappa, standard_initial_frame(cf), (0.0, 1.2))
+    curve = FrameField(family.curve_family, kappa, (0.0, 1.2))
     profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1600)
-    return MeridianSurface(family, curve, profile)
+    return MeridianSurface(curve, profile)
 
 
 def test_criterion_6_frame_equations():
@@ -265,7 +263,7 @@ def test_criterion_7_congruence():
     worst_grid = 0.0
     for kind in TildeKind:
         source = _generic_surface(kind.source_family)
-        til = tilde_surface(kind, source)
+        til = TildeSurface(source)
         (u0, u1), (v0, v1) = source.u_span, source.v_span
         us = np.linspace(u0, u1, 21)
         vs = np.linspace(v0, v1, 21)

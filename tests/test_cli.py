@@ -29,13 +29,18 @@ def test_unknown_flag_exits_2(capsys):
     assert main(["verify", "--does-not-exist", "1"]) == 2
 
 
-def test_theorem_or_family_required(capsys):
+def test_theorem_required(capsys):
     assert main(["verify"]) == 2
-    assert "--theorem or --family" in capsys.readouterr().err
+    assert "--theorem is required" in capsys.readouterr().err
 
 
-def test_family_theorem_mismatch(capsys):
-    assert main(["verify", "--family", "mpp", "--theorem", "minimal-a"]) == 2
+@pytest.mark.parametrize("command", ["generate", "verify", "sweep"])
+def test_there_is_no_family_flag(tmp_path, capsys, command):
+    """A theorem names its family: --theorem is the one way to name a case
+    (``theorems`` and a case file refuse it as a case flag, below)."""
+    out = ["--out", str(tmp_path / "mesh.csv")] if command == "generate" else []
+    assert main([command, "--family", "ma", "--b", "1", *out]) == 2
+    assert "unrecognized arguments: --family" in capsys.readouterr().err
 
 
 def test_span_flags_must_pair(capsys):
@@ -84,6 +89,26 @@ def test_the_negative_control_given_a_or_b_is_a_usage_error(flag, capsys):
     """Its profile f = u + 2 reads neither."""
     assert main(["verify", "--theorem", "negative-control", f"--{flag}", "1"]) == 2
     assert f"negative-control reads no {flag}, got {flag}=1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signs,name", [("++-+", "phi"), ("+++-", "rhs"), ("++--", "phi")])
+def test_the_negative_control_given_a_phi_or_rhs_sign_is_a_usage_error(signs, name, capsys):
+    """f = u + 2 reads only the g sign of its branch signs."""
+    argv = ["verify", "--theorem", "negative-control", f"--branch-signs={signs}",
+            "--nu", "5", "--nv", "5"]
+    assert main(argv) == 2
+    assert f"negative-control reads no {name}, got {name}=-1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,name", [
+    (["--a", "5"], "params"), (["--c0", "1"], "params"), (["--branch-signs=+-++"], "params"),
+    (["--f0", "3"], "f0"), (["--u-min", "0", "--u-max", "9"], "u_span"),
+    (["--v-min", "0", "--v-max", "1"], "v_span"),
+])
+def test_the_congruence_case_given_a_field_it_never_reads_is_a_usage_error(flags, name, capsys):
+    """Its three sources are fixed; it reads only the sampling and check flags."""
+    assert main(["verify", "--theorem", "congruence-tilde", *flags]) == 2
+    assert f"congruence-tilde reads no {name}, got {name}=" in capsys.readouterr().err
 
 
 def test_verify_from_flags_passes(capsys):
@@ -205,16 +230,17 @@ def test_a_case_file_naming_a_fixed_bound_exits_2(tmp_path, capsys, field):
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--family", "ma", "--a", "nan", "--b", "1"], "parameter a must be finite, got nan"),
-        (["--family", "ma", "--b=inf"], "parameter b must be finite, got inf"),
-        (["--family", "ma", "--b", "1", "--c0=-inf"], "parameter c0 must be finite, got -inf"),
+        (["--theorem=minimal-a", "--a", "nan", "--b", "1"], "parameter a must be finite, got nan"),
+        (["--theorem=minimal-a", "--b=inf"], "parameter b must be finite, got inf"),
+        (["--theorem=minimal-a", "--b", "1", "--c0=-inf"],
+         "parameter c0 must be finite, got -inf"),
         (["--theorem=cmc-a", "--a", "2", "--b", "0.5", "--c", "1", "--f0", "inf"],
          "f0 must be finite, got inf"),
         (["--theorem=cmc-a", "--a", "2", "--b", "0.5", "--c", "1", "--f0=-inf"],
          "f0 must be finite, got -inf"),
-        (["--family", "ma", "--b", "1", "--u-min", "0", "--u-max", "inf"],
+        (["--theorem", "minimal-a", "--b", "1", "--u-min", "0", "--u-max", "inf"],
          "u_span must be finite"),
-        (["--family", "ma", "--b", "1", "--step", "nan"], "step must be finite, got nan"),
+        (["--theorem=minimal-a", "--b", "1", "--step", "nan"], "step must be finite, got nan"),
         # the default u-window overflows: the message names a and b, not a span
         (["--theorem=minimal-a", "--a=1e200"], "default u-window for a = 1e+200, b = 0.0 is"),
         (["--theorem=minimal-a", "--a=1e155"], "default u-window for a = 1e+155, b = 0.0 is"),
@@ -285,7 +311,7 @@ def test_verify_of_a_huge_f0_ends_without_a_warning(tmp_path, capsys, theorem, f
     ],
 )
 def test_verify_names_non_finite_span_flags(capsys, flags, message):
-    assert main(["verify", "--family", "ma", "--b", "1", *flags]) == 2
+    assert main(["verify", "--theorem", "minimal-a", "--b", "1", *flags]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -305,6 +331,7 @@ def test_negative_seed_names_its_field(tmp_path, capsys, path):
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+# --family is a flag of no subcommand (a theorem names its family), so it stays refused
 _CASE_FLAGS = {
     "--family": "ma", "--theorem": "cmc-a", "--a": "5", "--b": "1", "--c": "1", "--c0": "0",
     "--f0": "1", "--u-min": "0", "--u-max": "1", "--v-min": "0", "--v-max": "1",
@@ -346,10 +373,10 @@ def test_case_file_takes_the_sampling_and_check_flags(tmp_path, capsys):
 
 
 def test_verify_refuses_an_oversized_grid(capsys):
-    assert main(["verify", "--family", "ma", "--b", "1", "--step", "1e-9"]) == 2
+    assert main(["verify", "--theorem", "minimal-a", "--b", "1", "--step", "1e-9"]) == 2
     assert capsys.readouterr().err == ("meridian4: error: u-grid of 1.6e+09 samples (span 1.6, "
                                        "step 1e-09) exceeds the cap of 1000000 samples\n")
-    assert main(["verify", "--family", "ma", "--b", "1", "--nu", "2000", "--nv", "2000"]) == 2
+    assert main(["verify", "--theorem=minimal-a", "--b", "1", "--nu", "2000", "--nv", "2000"]) == 2
     assert "2000x2000 = 4000000 points exceeds the cap" in capsys.readouterr().err
 
 
@@ -368,7 +395,7 @@ def test_verify_report_is_deterministic(capsys):
 
 
 def test_generate_requires_out(capsys):
-    assert main(["generate", "--family", "ma", "--b", "1"]) == 2
+    assert main(["generate", "--theorem", "minimal-a", "--b", "1"]) == 2
 
 
 def test_generate_refuses_the_congruence_check(tmp_path, capsys):
@@ -381,7 +408,7 @@ def test_generate_refuses_the_congruence_check(tmp_path, capsys):
 def test_generate_csv_mesh(tmp_path, capsys):
     out = tmp_path / "mesh.csv"
     code = main(
-        ["generate", "--family", "ma", "--b", "1", "--nu", "9", "--nv", "7",
+        ["generate", "--theorem", "minimal-a", "--b", "1", "--nu", "9", "--nv", "7",
          "--out", str(out)]
     )
     assert code == 0
@@ -534,8 +561,6 @@ def _flag_sets(draw):
             flags[draw(st.sampled_from(names))] = draw(_steps if name == "step" else _values)
     if draw(action) == junk:
         flags["theorem"] = draw(st.sampled_from([t.value for t in Theorem]))
-    if draw(action) == junk:
-        flags["family"] = draw(st.sampled_from(["ma", "mb", "mpp", "second"]))
     if draw(action) == junk:
         flags["branch-signs"] = draw(st.text("+-x", min_size=0, max_size=5))
     for name in ("nu", "nv"):

@@ -20,12 +20,10 @@ from meridian4 import (
     MeridianSurface,
     ProfileParams,
     Theorem,
-    TildeKind,
+    TildeSurface,
     export_mesh,
     minimal_profile,
     sample_case,
-    standard_initial_frame,
-    tilde_surface,
     verify_case,
 )
 from meridian4 import __version__, export
@@ -36,10 +34,9 @@ from meridian4.harness import _build_case
 @pytest.fixture(scope="module")
 def small_surface():
     family = MeridianFamily.SECOND
-    cf = family.curve_family
-    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0))
+    curve = FrameField(family.curve_family, 0.5, (0.0, 1.0))
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.4, 0.4), step=1e-2)
-    return MeridianSurface(family, curve, profile)
+    return MeridianSurface(curve, profile)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +102,7 @@ def test_mesh_profile_and_report_agree_on_params(tmp_path):
 
 def test_tilde_metadata_notes_the_source(small_surface, grids, tmp_path):
     us, vs = grids
-    til = tilde_surface(TildeKind.PRIME, small_surface)
+    til = TildeSurface(small_surface)
     path = export_mesh(til, us, vs, tmp_path / "tilde.json", fmt="json")
     doc = json.loads(path.read_text())
     assert doc["kind"] == "tilde-prime"
@@ -223,7 +220,7 @@ def _truncated_quasi_c():
 def test_export_bytes_match_the_per_element_reference(small_surface, tmp_path, fmt, kind, shape):
     meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
     us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
-    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+    surface = TildeSurface(meridian) if kind == "tilde" else meridian
     path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
 
@@ -473,7 +470,7 @@ def test_bytes_match_the_reference_at_any_cpu_count(small_surface, tmp_path, mon
     monkeypatch.setattr(os, "fork", _fork_must_not_run)
     meridian = _truncated_quasi_c() if kind == "truncated" else small_surface
     us, vs = np.linspace(*meridian.u_span, shape[0]), np.linspace(*meridian.v_span, shape[1])
-    surface = tilde_surface(TildeKind.PRIME, meridian) if kind == "tilde" else meridian
+    surface = TildeSurface(meridian) if kind == "tilde" else meridian
     path = export_mesh(surface, us, vs, tmp_path / f"mesh.{fmt}", fmt=fmt)
     assert path.read_bytes() == _reference(fmt, surface, us, vs).encode("ascii")
 

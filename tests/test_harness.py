@@ -23,7 +23,7 @@ from meridian4 import (
 from meridian4 import harness
 from meridian4.harness import _suite_cases
 from meridian4.profiles import BranchSigns, _nodes
-from meridian4.surfaces import MeridianSurface, TildeSurface
+from meridian4.surfaces import MeridianSurface, TildeKind, TildeSurface
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +74,10 @@ _BY_ANNOTATION = {
 @st.composite
 def _full_specs(draw):
     """A CaseSpec with every field set to a valid value other than its default;
-    the fields a case's profile does not read keep their defaults: c and f0
-    under the minimal law, b under the quasi-minimal law, and a, b and c for
-    the negative control."""
+    the fields a case does not read keep their defaults: c and f0 under the
+    minimal law, b under the quasi-minimal law, a, b, c and the phi and rhs
+    signs for the negative control, and params, f0, curve_kappa and the spans
+    for the congruence."""
     values = {}
     for f in fields(CaseSpec):
         default = f.default_factory() if callable(f.default_factory) else f.default
@@ -87,7 +88,11 @@ def _full_specs(draw):
     if theorem.law is GoverningLaw.QUASI_MINIMAL:
         values.update(params=replace(values["params"], b=0.0))
     if theorem is Theorem.NEGATIVE_CONTROL:
-        values.update(params=replace(values["params"], a=0.0, b=0.0))
+        branch = replace(values["params"].branch, phi=1, rhs=1)
+        values.update(params=replace(values["params"], a=0.0, b=0.0, branch=branch))
+    if theorem is Theorem.CONGRUENCE_TILDE:
+        values.update(params=ProfileParams(), f0=None, curve_kappa=None, u_span=None,
+                      v_span=None)
     return CaseSpec(**values)
 
 
@@ -142,6 +147,40 @@ def test_the_negative_control_refuses_a_and_b(name):
     with pytest.raises(ValueError, match=f"^negative-control reads no {name}, got {name}=1.5$"):
         CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(**{name: 1.5}))
     assert CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(c0=0.25)).params.c0 == 0.25
+
+
+@pytest.mark.parametrize("name", ["phi", "rhs"])
+def test_the_negative_control_refuses_the_phi_and_rhs_signs(name):
+    """f = u + 2 is no branch of a reduced ODE: only the g sign is read."""
+    with pytest.raises(ValueError, match=f"^negative-control reads no {name}, got {name}=-1$"):
+        CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(branch=BranchSigns(**{name: -1})))
+    doc = CaseSpec(Theorem.NEGATIVE_CONTROL).to_dict()
+    signs = "++-+" if name == "phi" else "+++-"
+    with pytest.raises(ValueError, match=f"reads no {name}"):
+        CaseSpec.from_dict(doc | {"params": doc["params"] | {"branch_signs": signs}})
+    assert CaseSpec(Theorem.NEGATIVE_CONTROL, ProfileParams(branch=BranchSigns(g=-1)))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("params", ProfileParams(a=5.0)),
+    ("params", ProfileParams(c0=0.5)),
+    ("params", ProfileParams(branch=BranchSigns(g=-1))),
+    ("f0", 3.0),
+    ("curve_kappa", 0.5),
+    ("u_span", (0.0, 9.0)),
+    ("v_span", (0.0, 1.0)),
+])
+def test_the_congruence_case_refuses_what_it_never_reads(name, value):
+    """Its three sources are fixed: they read only ``step``, and its grid and
+    probes ``nu``, ``nv``, ``n_probe`` and ``seed``."""
+    with pytest.raises(ValueError, match=f"^congruence-tilde reads no {name}, got {name}="):
+        CaseSpec(Theorem.CONGRUENCE_TILDE, **{name: value})
+
+
+def test_the_congruence_case_records_tol_h_and_fd_step():
+    """Suite overrides apply to every case, so these two stay accepted."""
+    spec = CaseSpec(Theorem.CONGRUENCE_TILDE, tol_H=1e-4, fd_step=2e-3)
+    assert (spec.tol_H, spec.fd_step) == (1e-4, 2e-3)
 
 
 def test_case_spec_refuses_the_negative_f_branch():
@@ -346,6 +385,24 @@ def test_a_wrong_chart_fails_the_congruence_flip_check(monkeypatch):
     r = verify_case(CaseSpec(Theorem.CONGRUENCE_TILDE))
     checks = {c["name"]: c for c in r.checks}
     assert r.status == "fail" and not checks["max_norm2_flip_dev"]["ok"]
+
+
+def test_the_flip_check_reads_a_nonzero_norm2(monkeypatch):
+    """The sources' profiles are minimal (h2 = 0), but their directrices are
+    curved, so h1 = alpha kappa / 2f and <H, H> are nonzero at every probe:
+    the flip check compares values of 5e-3 and more, not two zeros."""
+    seen, fundamental_forms = [], harness.fundamental_forms
+
+    def recording(jet):
+        forms = fundamental_forms(jet)
+        seen.append(forms.norm2H)
+        return forms
+
+    monkeypatch.setattr(harness, "fundamental_forms", recording)
+    r = verify_case(CaseSpec(Theorem.CONGRUENCE_TILDE))
+    assert r.status == "pass" and len(seen) == 2 * len(TildeKind)
+    for norm2 in seen:  # the source's, then its tilde partner's, per kind
+        assert norm2.shape == (20,) and np.min(np.abs(norm2)) >= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from meridian4 import (
     inner,
     mean_curvature_fd,
     minimal_profile,
-    standard_initial_frame,
 )
 from meridian4 import oracle
 
@@ -195,10 +194,9 @@ def test_richardson_jet_needs_steps_h_and_2h_at_the_same_points():
 def meridian_surface():
     """A second-family minimal surface over a directrix with kappa = 0.5."""
     family = MeridianFamily.SECOND
-    cf = family.curve_family
-    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.2))
+    curve = FrameField(family.curve_family, 0.5, (0.0, 1.2))
     profile = minimal_profile(family, ProfileParams(a=0.0, b=1.0), (-0.6, 0.6), step=1e-3)
-    return MeridianSurface(family, curve, profile)
+    return MeridianSurface(curve, profile)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from meridian4 import (
     phi_closed_form,
     profile_from_callable,
     profile_residuals,
-    standard_initial_frame,
     verify_case,
 )
 from meridian4 import profiles
@@ -812,9 +811,8 @@ def test_profile_matches_the_scipy_reference(case):
 
 def _surface_of(prof):
     """prof assembled with a short directrix of its family."""
-    cf = prof.family.curve_family
-    curve = FrameField(cf, 0.5, standard_initial_frame(cf), (0.0, 1.0))
-    return MeridianSurface(prof.family, curve, prof)
+    curve = FrameField(prof.family.curve_family, 0.5, (0.0, 1.0))
+    return MeridianSurface(curve, prof)
 
 
 def test_march_reference_cases_truncate_and_run_through():

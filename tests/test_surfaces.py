@@ -18,6 +18,7 @@ from meridian4 import (
     ProfileParams,
     TRANSFORM_T,
     TildeKind,
+    TildeSurface,
     frame_equation_residuals,
     gram_matrix,
     inner,
@@ -25,7 +26,6 @@ from meridian4 import (
     minimal_profile,
     profile_from_callable,
     standard_initial_frame,
-    tilde_surface,
     transform_T,
 )
 from meridian4.harness import CaseSpec, Theorem, _build_case, _congruence_sources, _suite_cases
@@ -36,13 +36,12 @@ SECOND = MeridianFamily.SECOND
 
 
 def _curve(family, kappa, v_span=(0.0, 1.2)):
-    cf = family.curve_family
-    return FrameField(cf, kappa, standard_initial_frame(cf), v_span)
+    return FrameField(family.curve_family, kappa, v_span)
 
 
 def _minimal_surface(family, params, u_span, kappa=0.0):
     profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1200)
-    return MeridianSurface(family, _curve(family, kappa), profile)
+    return MeridianSurface(_curve(family, kappa), profile)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +59,7 @@ def cylinder_surface():
         u_span=(0.0, 2.0),
         step=2.5e-3,
     )
-    return MeridianSurface(FT, _curve(FT, 0.7, (0.0, 1.5)), profile)
+    return MeridianSurface(_curve(FT, 0.7, (0.0, 1.5)), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +104,7 @@ def evaluated():
         "minimal": _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), kappa=0.4),
         **{spec.theorem.value: _build_case(spec)[0] for spec in reduced},
         "truncated": _build_case(truncated)[0],
-        "callable": MeridianSurface(FT, _curve(FT, 0.3), _callable_profile(0.3 / 36)),
+        "callable": MeridianSurface(_curve(FT, 0.3), _callable_profile(0.3 / 36)),
     }
 
 
@@ -160,7 +159,7 @@ def test_callable_profile_values_are_its_callables(step):
     """f, f' and f'' are the user's callables bit for bit at any u, g' the
     unit-speed rule of f', and g the integral of g' from c0 to 1e-14."""
     profile = _callable_profile(step)
-    surface = MeridianSurface(FT, _curve(FT, 0.3), profile)
+    surface = MeridianSurface(_curve(FT, 0.3), profile)
     u = _reference_points(profile, np.random.default_rng(len(profile.us)))
     f, fp, fpp, g, gp = surface.profile_values(u)
     assert np.array_equal(f, 2.0 + np.sin(u))
@@ -200,7 +199,7 @@ def test_directrix_factors_are_the_exact_flow_off_the_nodes(family, params, u_sp
     between its nodes."""
     kappa, cf = 0.8, family.curve_family
     profile = minimal_profile(family, params, u_span, step=(u_span[1] - u_span[0]) / 1200)
-    surface = MeridianSurface(family, _curve(family, kappa, (0.0, 1.2)), profile)
+    surface = MeridianSurface(_curve(family, kappa, (0.0, 1.2)), profile)
     rng = np.random.default_rng(11)
     v = np.concatenate([np.linspace(0.0, 1.2, round(1.2 / step) + 1), rng.uniform(0.0, 1.2, 200)])
     u = rng.uniform(*u_span, v.size)
@@ -224,16 +223,13 @@ def test_directrix_factors_do_not_depend_on_the_curve_step():
     assert len(coarse.profile.us) < len(fine.profile.us)
 
 
-def test_assemble_rejects_family_mismatch():
-    profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
-    with pytest.raises(ValueError, match="cannot assemble"):
-        MeridianSurface(SECOND, _curve(SECOND, 0.0), profile)
-
-
 def test_assemble_rejects_wrong_curve_type():
+    """The surface's family is its profile's; the directrix must be of that
+    family's curve family."""
     profile = minimal_profile(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), step=1e-2)
-    with pytest.raises(ValueError, match="directrix"):
-        MeridianSurface(FT, _curve(FS, 0.0), profile)
+    assert MeridianSurface(_curve(FT, 0.0), profile).family is FT
+    with pytest.raises(ValueError, match="needs a 'spacelike-s21' directrix, got 'timelike-s21'"):
+        MeridianSurface(_curve(FS, 0.0), profile)
 
 
 def test_immersion_matches_definition_at_nodes():
@@ -437,7 +433,7 @@ def test_mean_curvature_guards_degenerate_radicand():
         u_span=(0.0, 1.0),
         step=2.5e-3,
     )
-    surface = MeridianSurface(FS, _curve(FS, 0.0), profile)
+    surface = MeridianSurface(_curve(FS, 0.0), profile)
     with pytest.raises(DomainError, match="radicand"):
         surface.mean_curvature(np.array([0.0, 0.5]), np.array([0.3, 0.3]))
 
@@ -473,10 +469,11 @@ def test_transform_requires_4_vectors():
         transform_T(np.zeros(3))
 
 
-def test_tilde_kind_pairing_enforced():
-    source = _minimal_surface(FT, ProfileParams(a=0.0, b=1.0), (-0.5, 0.5), kappa=0.4)
-    with pytest.raises(ValueError, match="image of"):
-        tilde_surface(TildeKind.PRIME, source)
+def test_tilde_kind_follows_the_source_family():
+    sources = _congruence_sources(CaseSpec(Theorem.CONGRUENCE_TILDE))
+    for kind in TildeKind:
+        assert TildeSurface(sources[kind.source_family]).kind is kind
+    assert [k.source_family for k in TildeKind] == [SECOND, FS, FT]
 
 
 @pytest.mark.parametrize(
@@ -489,7 +486,8 @@ def test_tilde_kind_pairing_enforced():
 )
 def test_tilde_grid_matches_chart_parametrization(kind, family, params, u_span, kappa):
     source = _minimal_surface(family, params, u_span, kappa=kappa)
-    til = tilde_surface(kind, source)
+    til = TildeSurface(source)
+    assert til.kind is kind
     us = np.linspace(u_span[0] + 0.05, u_span[1] - 0.05, 9)
     vs = np.linspace(0.05, 1.1, 9)
     direct = til.grid_points(us, vs)
@@ -504,7 +502,7 @@ def test_tilde_grid_matches_chart_parametrization(kind, family, params, u_span, 
 
 def test_tilde_norm2_flips_sign():
     source = _minimal_surface(FS, ProfileParams(a=1.5, b=1.0), (0.2, 1.0), kappa=0.3)
-    til = tilde_surface(TildeKind.DOUBLE_A, source)
+    til = TildeSurface(source)
     for u, v in ((0.5, 0.4), (0.8, 0.9)):
         _, n2_src = mean_curvature_fd(source.immersion, u, v)
         _, n2_til = mean_curvature_fd(til.immersion, u, v)
