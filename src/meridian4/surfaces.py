@@ -38,14 +38,15 @@ __all__ = [
 ]
 
 
-def _lift(a, x: np.ndarray, b, shape: tuple[int, ...]) -> np.ndarray:
+def _lift(a, x: np.ndarray, b, shape: tuple[int, ...], out=None) -> np.ndarray:
     """a x + b e4 for 3-vectors x of span{e1,e2,e3}, broadcast to ``shape + (4,)``.
 
     One product per component, each written to its own contiguous plane of
-    a (4,) + shape array, so numpy's inner loops run along the points; the
-    result is a view of that array with the coordinate axis moved last.
+    a (4,) + shape array (``out``, if given), so numpy's inner loops run
+    along the points; the result is a view of that array with the
+    coordinate axis moved last.
     """
-    out = np.empty((4,) + shape)
+    out = np.empty((4,) + shape) if out is None else out
     a = np.asarray(a)
     for k in range(3):
         np.multiply(a, x[..., k], out=out[k, ...])  # out[k] of a 0-d point is no view
@@ -177,19 +178,28 @@ class MeridianSurface:
 
         X = z_u = f' l + g' e4,  Y = z_v / f = t,  n1 = n,
         n2 = +- g' l + f' e4 (sign per family).  The frame is pseudo-
-        orthonormal with the family's causal signs.
+        orthonormal with the family's causal signs.  The four are views of
+        the one array :meth:`_frame` writes.
         """
+        return tuple(np.moveaxis(self._frame(u, v), -2, 0))
+
+    def _frame(self, u, v) -> np.ndarray:
+        """The frame at (u, v) as one (..., 4, 4) array, row i the i-th of
+        (X, Y, n1, n2): a view of a (4, 4) + S array of coordinate planes."""
         u, v, shape = self._checked(u, v)
         f, fp, _, _, gp = self._u_factors(u)
         if np.min(f, initial=np.inf) <= 1e-8:
             raise DomainError(f"warp factor f collapsed to {np.min(f):.3e}; frame undefined")
         l, t, n = np.moveaxis(self._v_factors(v), -2, 0)
-        return (_lift(fp, l, gp, shape), _lift(1.0, t, 0.0, shape),
-                *self._normals(l, n, fp, gp, shape))
+        planes = np.empty((4, 4) + shape)
+        for lift, out in zip(((fp, l, gp), (1.0, t, 0.0), *self._normals(l, n, fp, gp)), planes):
+            _lift(*lift, shape, out)
+        return np.moveaxis(planes, (0, 1), (-2, -1))
 
-    def _normals(self, l, n, fp, gp, shape):
-        """n1 = n and n2 = -alpha g' l + f' e4 from the directrix rows and the u-factors."""
-        return _lift(1.0, n, 0.0, shape), _lift(-self.family.alpha * gp, l, fp, shape)
+    def _normals(self, l, n, fp, gp):
+        """n1 = n and n2 = -alpha g' l + f' e4, each as the (a, x, b) of
+        a x + b e4, from the directrix rows and the u-factors."""
+        return (1.0, n, 0.0), (-self.family.alpha * gp, l, fp)
 
     def frame_table(self, u):
         """The derivative table of the adapted frame F = (X, Y, n1, n2) at u.
@@ -239,7 +249,7 @@ class MeridianSurface:
         f = np.broadcast_to(f, shape)
         h1, h2 = self.family.h_coefficients(self.curve.kappa, f, fp, fpp, gp)
         l, _, n = np.moveaxis(self._v_factors(v), -2, 0)
-        n1, n2 = self._normals(l, n, fp, gp, shape)
+        n1, n2 = (_lift(*lift, shape) for lift in self._normals(l, n, fp, gp))
         vector = h1[..., None] * n1 + h2[..., None] * n2
         s1, s2 = self.family.frame_signs[2], self.family.frame_signs[3]
         norm2 = s1 * h1 * h1 + s2 * h2 * h2

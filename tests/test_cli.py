@@ -627,17 +627,24 @@ def test_any_mutated_case_file_exits_0_1_or_2(tmp_path, capsys, doc):
 
 def test_importing_the_package_and_the_cli_loads_no_scipy(tmp_path):
     """numpy is the one runtime dependency: scipy is for the tests only.  A
-    suite run and a mesh export load neither scipy nor ``numpy.ma``, which
-    ``np.unique`` imports at ~13 ms of a cold run."""
+    suite run, a mesh export and a verify call load neither scipy nor
+    ``numpy.ma``, which ``np.unique`` imports at ~13 ms of a cold run, nor
+    ``numpy.random``, whose import loads ``secrets`` and ``hashlib`` with
+    OpenSSL at ~6 MB of every process: the probes are its stream, drawn
+    in-house."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    argv = ["generate", "--theorem=minimal-a", "--a=1", "--nu=9", "--nv=9",
-            f"--out={tmp_path / 'mesh.obj'}"]
+    generate = ["generate", "--theorem=minimal-a", "--a=1", "--nu=9", "--nv=9",
+                f"--out={tmp_path / 'mesh.obj'}"]
+    verify = ["verify", "--theorem=minimal-b", "--a=1.5", "--b=1", "--nu=9", "--nv=9",
+              f"--report={tmp_path / 'report.json'}"]
     code = ("import sys, meridian4, meridian4.cli; "
             "meridian4.run_theorem_suite(nu=9, nv=9, n_probe=5); "
-            f"assert meridian4.cli.main({argv!r}) == 0; "
+            f"assert meridian4.cli.main({generate!r}) == 0; "
+            f"assert meridian4.cli.main({verify!r}) == 0; "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy', 'numpy.ma.')) or m == 'numpy.ma'))")
+            "if m.startswith(('scipy', 'numpy.ma.', 'numpy.random.')) "
+            "or m in ('numpy.ma', 'numpy.random', 'secrets', '_hashlib')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"

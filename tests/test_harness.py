@@ -791,6 +791,40 @@ def test_a_defect_at_the_probes_fails_the_governing_check(spec, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the probe stream
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**256), n=st.integers(0, 50),
+       ends=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(sorted))
+def test_the_probe_stream_is_numpys_default_rng(seed, n, ends):
+    low, high = ends
+    got = harness._ProbeStream(seed).uniform(low, high, n)
+    want = np.random.default_rng(seed).uniform(low, high, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_the_probe_stream_is_numpys_default_rng_at_fixed_seeds():
+    """Every seed to 2,000, the one- to five-word edges, and a seed of more
+    than four 32-bit words, whose tail SeedSequence mixes in last."""
+    for seed in [*range(2001), 2**32 - 1, 2**32, 2**64, 2**128 + 1, 2**200 + 12345]:
+        got = harness._ProbeStream(seed).uniform(0.25, 1.75, 20)
+        assert np.array_equal(got, np.random.default_rng(seed).uniform(0.25, 1.75, 20)), seed
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_the_probe_stream_continues_across_calls(seed):
+    """Six draws in a row, as the congruence case makes them, continue
+    numpy's stream as one Generator's calls do."""
+    ours, numpys = harness._ProbeStream(seed), np.random.default_rng(seed)
+    for k in range(6):
+        low, high = 0.1 * k - 0.5, 0.3 * k + 0.2
+        assert np.array_equal(ours.uniform(low, high, 20), numpys.uniform(low, high, 20))
+
+
+# ---------------------------------------------------------------------------
 # the benchmark's seeded draws
 # ---------------------------------------------------------------------------
 
